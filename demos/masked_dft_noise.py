@@ -14,8 +14,14 @@ Run:  python3 demos/masked_dft_noise.py
 import numpy as np
 
 from onebitphase.channels import quantize, ratio_weights
-from onebitphase.numkit import dist_sq, power_iteration
-from onebitphase.recovery import CdpOperator, alt_min, cdp_lsq_solver
+from onebitphase.numkit import dist_sq
+from onebitphase.recovery import (
+    CdpOperator,
+    alt_min,
+    cdp_lsq_solver,
+    one_bit_terms,
+    spectral_estimate,
+)
 from onebitphase.sensing import build_cdp_operator, cdp_intensities, substream
 
 n, r, sigma, trials = 256, 4, 0.8, 5
@@ -38,25 +44,16 @@ for t in range(trials):
     y = quantize(b1, b2)
     flips += int(np.sum(y != quantize(b1_clean, b2_clean)))
 
-    m = n * r
     op_all = CdpOperator(n=n, r=2 * r, masks=np.vstack([op1.masks, op2.masks]), seed=0)
     b_all = np.concatenate([b1, b2])
     solver = cdp_lsq_solver(op_all)
-    w1, w2 = ratio_weights(b1, b2)
-    coeffs = {
-        "subexp": None,
-        "onebit": (y, y),
-        "weighted1bit": (y * w1, y * w2),
+    surrogates = {
+        "subexp": [(op_all, b_all)],
+        "onebit": one_bit_terms(op1, op2, y),
+        "weighted1bit": one_bit_terms(op1, op2, y, ratio_weights(b1, b2)),
     }
-    for kind, cs in coeffs.items():
-        if cs is None:
-            matvec = lambda v: op_all.adjoint(b_all * op_all.apply(v)) / (2 * m)
-        else:
-            c1, c2 = cs
-            matvec = lambda v: (
-                op1.adjoint(c1 * op1.apply(v)) - op2.adjoint(c2 * op2.apply(v))
-            ) / m
-        _, xi, _ = power_iteration(matvec, n, seed=substream(seed, "pw", kind))
+    for kind, terms in surrogates.items():
+        xi = spectral_estimate(terms, seed=substream(seed, "pw", kind)).estimate
         rep = alt_min(op_all, b_all, xi, max_iters=100, lsq_solver=solver)
         finals[kind].append(dist_sq(rep.estimate, x0))
 

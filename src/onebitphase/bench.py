@@ -22,7 +22,6 @@ from .channels import (
     ExponentialNoise,
     Identity,
     PoissonNoise,
-    QuantizedData,
     TanhDistortion,
     apply_model,
     format_model,
@@ -34,7 +33,7 @@ from .channels import (
     quantized_from_intensities,
     ratio_weights,
 )
-from .numkit import dist_sq, power_iteration
+from .numkit import dist_sq
 from .recovery import (
     InitKind,
     MatrixOperator,
@@ -45,10 +44,11 @@ from .recovery import (
     dense_lsq_solver,
     multi_init_select,
     one_bit_phase,
+    one_bit_terms,
     parse_init,
     random_init,
+    spectral_estimate,
     subexp_phase,
-    weighted_one_bit_phase,
 )
 from .sensing import (
     CdpOperator,
@@ -241,7 +241,8 @@ def run_distortion_sweep(cfg: ExperimentConfig) -> list[list]:
     """Median recovery error of both spectral methods under tanh distortion.
 
     Ensembles, signals and power-iteration streams depend only on the trial
-    index, never on alpha, so the sign-based method's column is bit-identical
+    index, never on alpha.  The sign-based method reads only the clean
+    intensities, so it runs once per trial and its column is bit-identical
     across the sweep while the intensity-weighted method degrades.
     """
     n = cfg.n
@@ -255,17 +256,17 @@ def run_distortion_sweep(cfg: ExperimentConfig) -> list[list]:
         x0 = _unit_signal(n, substream(cfg.seed, "signal", t))
         b1, b2 = paired_intensities(ens, x0)
         b_all = np.concatenate([b1, b2])
+        rep = one_bit_phase(
+            quantized_from_intensities(ens, b1, b2),
+            tol=tol,
+            max_iters=iters,
+            seed=substream(cfg.seed, "power-bit", t),
+            shift=cfg.shift,
+        )
+        bit = dist_sq(rep.estimate, x0)
         for alpha in cfg.alphas:
             model = TanhDistortion(alpha)
-            qd = quantized_from_intensities(ens, b1, b2)
-            rep = one_bit_phase(
-                qd,
-                tol=tol,
-                max_iters=iters,
-                seed=substream(cfg.seed, "power-bit", t),
-                shift=cfg.shift,
-            )
-            err_bit[alpha].append(dist_sq(rep.estimate, x0))
+            err_bit[alpha].append(bit)
             rep_sub = subexp_phase(
                 ens,
                 apply_model(model, b_all),
@@ -302,53 +303,40 @@ def _observe_pairs(model, b1_clean, b2_clean, rng):
     return b1, b2, y
 
 
+_INIT_STREAMS = {
+    InitKind.SUBEXP: "init-subexp",
+    InitKind.ONEBIT: "init-onebit",
+    InitKind.WEIGHTED_ONEBIT: "init-weighted",
+}
+
+
 def _spectral_init(
-    kind: InitKind,
-    ens,
-    b1,
-    b2,
-    y,
-    seed: int,
-    trial: int,
-    shift,
-    tol: float = 1e-8,
-    max_iters: int = 1000,
+    kind: InitKind, op1, op2, op_all, b1, b2, y, seed: int, trial: int, shift
 ) -> RecoveryReport:
-    """One init estimate for a paired Gaussian ensemble with observed data."""
+    """One init estimate from paired observations.
+
+    ``op1`` and ``op2`` measure the two members of each pair and ``op_all``
+    stacks them; dense rows and masked DFTs alike.
+    """
     if kind is InitKind.RANDOM:
         return RecoveryReport(
-            estimate=random_init(ens.n, substream(seed, "init-random", trial)),
+            estimate=random_init(op_all.n, substream(seed, "init-random", trial)),
             lambda_hat=0.0,
             iterations=0,
             trace=[],
             converged=True,
         )
     if kind is InitKind.SUBEXP:
-        return subexp_phase(
-            ens,
-            np.concatenate([b1, b2]),
-            tol=tol,
-            max_iters=max_iters,
-            seed=substream(seed, "init-subexp", trial),
-        )
-    weights = None
-    if kind is InitKind.WEIGHTED_ONEBIT:
-        r1, r2 = ratio_weights(b1, b2)
-        weights = np.stack([r1, r2], axis=1)
-    qd = QuantizedData(ensemble=ens, y=np.asarray(y, dtype=np.int8), weights=weights)
-    if kind is InitKind.ONEBIT:
-        return one_bit_phase(
-            qd,
-            tol=tol,
-            max_iters=max_iters,
-            seed=substream(seed, "init-onebit", trial),
-            shift=shift,
-        )
-    return weighted_one_bit_phase(
-        qd,
-        tol=tol,
-        max_iters=max_iters,
-        seed=substream(seed, "init-weighted", trial),
+        terms = [(op_all, np.concatenate([b1, b2]))]
+        shift = False
+    else:
+        weights = ratio_weights(b1, b2) if kind is InitKind.WEIGHTED_ONEBIT else None
+        terms = one_bit_terms(op1, op2, y, weights)
+    return spectral_estimate(
+        terms,
+        tol=1e-8,
+        max_iters=1000,
+        seed=substream(seed, _INIT_STREAMS[kind], trial),
         shift=shift,
     )
 
@@ -390,10 +378,13 @@ def run_altmin_convergence(cfg: ExperimentConfig) -> list[list]:
         b1, b2, y = _observe_pairs(model, b1c, b2c, substream(cfg.seed, "noise", t))
         rows_all = ens.stacked_rows()
         b_all = np.concatenate([b1, b2])
+        op1, op2 = MatrixOperator(ens.rows1), MatrixOperator(ens.rows2)
         op = MatrixOperator(rows_all)
         solver = dense_lsq_solver(rows_all)
         for kind in kinds:
-            init_rep = _spectral_init(kind, ens, b1, b2, y, cfg.seed, t, cfg.shift)
+            init_rep = _spectral_init(
+                kind, op1, op2, op, b1, b2, y, cfg.seed, t, cfg.shift
+            )
             errs = [dist_sq(init_rep.estimate, x0)]
             alt_min(
                 op,
@@ -423,50 +414,6 @@ def _cdp_pair(cfg: ExperimentConfig, trial: int):
     return op1, op2, op_all
 
 
-def _cdp_spectral_init(kind, op1, op2, op_all, b1, b2, y, cfg, trial):
-    """Matrix-free spectral initializers for coordinate-paired masked DFTs."""
-    n = op1.n
-    m = b1.size
-    seed_map = {
-        InitKind.SUBEXP: "init-subexp",
-        InitKind.ONEBIT: "init-onebit",
-        InitKind.WEIGHTED_ONEBIT: "init-weighted",
-    }
-    if kind is InitKind.RANDOM:
-        return random_init(n, substream(cfg.seed, "init-random", trial)), 0.0
-    if kind is InitKind.SUBEXP:
-        b_all = np.concatenate([b1, b2])
-
-        def matvec(v):
-            return op_all.adjoint(b_all * op_all.apply(v)) / (2 * m)
-
-        mu = 0.0
-    else:
-        if kind is InitKind.WEIGHTED_ONEBIT:
-            r1, r2 = ratio_weights(b1, b2)
-            c1, c2 = y * r1, y * r2
-        else:
-            c1 = c2 = y.astype(float)
-
-        def matvec(v):
-            return (op1.adjoint(c1 * op1.apply(v)) - op2.adjoint(c2 * op2.apply(v))) / m
-
-        if cfg.shift:
-            mu = float(
-                (np.sum(np.abs(op1.masks) ** 2) + np.sum(np.abs(op2.masks) ** 2)) / m
-            )
-        else:
-            mu = 0.0
-
-    def shifted(v):
-        return matvec(v) + mu * v if mu else matvec(v)
-
-    eigval, vec, _ = power_iteration(
-        shifted, n, tol=1e-8, max_iters=1000, seed=substream(cfg.seed, seed_map[kind], trial)
-    )
-    return vec, max(eigval - mu, 0.0)
-
-
 def run_cdp_convergence(cfg: ExperimentConfig) -> list[list]:
     """Like :func:`run_altmin_convergence`, with masked-DFT sensing.
 
@@ -491,12 +438,14 @@ def run_cdp_convergence(cfg: ExperimentConfig) -> list[list]:
         b_all = np.concatenate([b1, b2])
         solver = cdp_lsq_solver(op_all)
         for kind in kinds:
-            x_init, _ = _cdp_spectral_init(kind, op1, op2, op_all, b1, b2, y, cfg, t)
-            errs = [dist_sq(x_init, x0)]
+            init_rep = _spectral_init(
+                kind, op1, op2, op_all, b1, b2, y, cfg.seed, t, cfg.shift
+            )
+            errs = [dist_sq(init_rep.estimate, x0)]
             alt_min(
                 op_all,
                 b_all,
-                x_init,
+                init_rep.estimate,
                 max_iters=iters,
                 tol=tol,
                 lsq_solver=solver,
@@ -532,12 +481,13 @@ def run_recover(cfg: ExperimentConfig) -> tuple[list[list], list[str]]:
     b1, b2, y = _observe_pairs(model, b1c, b2c, substream(cfg.seed, "noise", 0))
     rows_all = ens.stacked_rows()
     b_all = np.concatenate([b1, b2])
+    op1, op2 = MatrixOperator(ens.rows1), MatrixOperator(ens.rows2)
     op = MatrixOperator(rows_all)
 
     candidates = []
     lambda_hats = {}
     for kind in kinds:
-        rep = _spectral_init(kind, ens, b1, b2, y, cfg.seed, 0, cfg.shift)
+        rep = _spectral_init(kind, op1, op2, op, b1, b2, y, cfg.seed, 0, cfg.shift)
         candidates.append((kind, rep.estimate))
         lambda_hats[kind] = rep.lambda_hat
     chosen_kind, x_init = multi_init_select(candidates, op, b_all)

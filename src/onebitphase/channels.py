@@ -39,8 +39,8 @@ class TanhDistortion:
     alpha: float
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < np.inf:
+            raise ValueError("alpha must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,8 @@ class ExponentialNoise:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
+        if not 0 <= self.sigma < np.inf:
+            raise ValueError("sigma must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,8 @@ class PoissonNoise:
     eta: float
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise ValueError("eta must be positive")
+        if not 0 < self.eta < np.inf:
+            raise ValueError("eta must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,8 @@ class ClippedGaussianNoise:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
+        if not 0 <= self.sigma < np.inf:
+            raise ValueError("sigma must be non-negative and finite")
 
 
 MeasurementModel = Union[
@@ -165,7 +165,11 @@ def apply_model(model: MeasurementModel, z, rng: Optional[np.random.Generator] =
 
 def quantize(b1, b2):
     """Sign of the pair difference, with exact ties mapped to 0."""
-    return np.sign(np.asarray(b1, dtype=float) - np.asarray(b2, dtype=float))
+    b1 = np.asarray(b1, dtype=float)
+    b2 = np.asarray(b2, dtype=float)
+    if not (np.all(np.isfinite(b1)) and np.all(np.isfinite(b2))):
+        raise ValueError("intensities must be finite")
+    return np.sign(b1 - b2)
 
 
 def ratio_weights(b1, b2) -> tuple[np.ndarray, np.ndarray]:

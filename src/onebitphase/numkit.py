@@ -16,9 +16,6 @@ ComplexVec = np.ndarray
 # Magnitudes below this are treated as zero by the phase operator.
 PHASE_FLOOR = 1e-300
 
-# dense_top_eigenvector is an oracle for small problems only.
-DENSE_EIG_MAX_DIM = 512
-
 
 def as_complex_vector(x) -> np.ndarray:
     """Validate and convert ``x`` to a 1-D complex128 array."""
@@ -167,42 +164,6 @@ def cgls(
     return x, 1
 
 
-def dft(x) -> np.ndarray:
-    """Unitary discrete Fourier transform (1/sqrt(n) normalization)."""
-    x = as_complex_vector(x)
-    return np.fft.fft(x, norm="ortho")
-
-
-def idft(y) -> np.ndarray:
-    """Inverse of :func:`dft`."""
-    y = as_complex_vector(y)
-    return np.fft.ifft(y, norm="ortho")
-
-
-def dense_top_eigenvector(mat) -> tuple[float, np.ndarray]:
-    """Algebraically largest eigenpair of a dense Hermitian matrix.
-
-    Small-scale reference oracle; refuses dimensions above
-    ``DENSE_EIG_MAX_DIM`` and matrices that are not conjugate-symmetric to
-    1e-12.
-    """
-    mat = np.asarray(mat, dtype=np.complex128)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    if mat.shape[0] > DENSE_EIG_MAX_DIM:
-        raise ValueError(
-            f"dense oracle limited to dimension {DENSE_EIG_MAX_DIM}, "
-            f"got {mat.shape[0]}"
-        )
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("matrix entries must be finite")
-    asym = float(np.max(np.abs(mat - mat.conj().T)))
-    if asym > 1e-12:
-        raise ValueError(f"matrix is not Hermitian (max asymmetry {asym:.3e})")
-    w, v = np.linalg.eigh(mat)
-    return float(w[-1]), np.ascontiguousarray(v[:, -1])
-
-
 def dist_sq(x, x0) -> float:
     """Squared phase-invariant distance 1 - |<x/||x||, x0/||x0||>|^2."""
     x = as_complex_vector(x)
@@ -214,18 +175,3 @@ def dist_sq(x, x0) -> float:
     c = np.vdot(x, x0) / (nx * n0)
     val = 1.0 - float(np.abs(c)) ** 2
     return min(max(val, 0.0), 1.0)
-
-
-def align_phase(x, x0) -> np.ndarray:
-    """Rotate x by the unit scalar that best aligns it with x0.
-
-    With phi = arg <x0, x>, returns x * exp(-i phi).  Raises when the two
-    vectors are orthogonal (the rotation is then undefined).
-    """
-    x = as_complex_vector(x)
-    x0 = as_complex_vector(x0)
-    c = np.vdot(x0, x)
-    scale = np.linalg.norm(x) * np.linalg.norm(x0)
-    if scale == 0.0 or np.abs(c) < 1e-14 * scale:
-        raise ValueError("align_phase is undefined for (near-)orthogonal vectors")
-    return x * (c.conjugate() / np.abs(c))

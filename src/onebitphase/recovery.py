@@ -74,6 +74,10 @@ class MatrixOperator:
     def out_dim(self) -> int:
         return self.rows.shape[0]
 
+    @property
+    def frobenius_sq(self) -> float:
+        return float(np.sum(np.abs(self.rows) ** 2))
+
     def apply(self, x) -> np.ndarray:
         return self.rows.conj() @ x
 
@@ -95,54 +99,82 @@ def random_init(n: int, seed) -> np.ndarray:
 # spectral estimators
 
 
-def one_bit_matvec(data: QuantizedData, r) -> np.ndarray:
-    """Action of (1/m) sum_i y_i (a1_i a1_i* - a2_i a2_i*) on r, in O(nm)."""
-    r = as_complex_vector(r)
-    ens = data.ensemble
-    if r.size != ens.n:
-        raise ValueError(f"r has dimension {r.size}, expected {ens.n}")
-    y = np.asarray(data.y, dtype=float)
-    c1 = ens.rows1.conj() @ r
-    c2 = ens.rows2.conj() @ r
-    return (ens.rows1.T @ (y * c1) - ens.rows2.T @ (y * c2)) / ens.m
+def one_bit_terms(op1, op2, y, weights=None) -> list:
+    """Surrogate terms of the sign data: (A1, y w1) and (A2, -y w2).
+
+    ``weights`` is the pair (w1, w2) of ratio weights; without it both are 1.
+    """
+    y = np.asarray(y, dtype=float)
+    if weights is None:
+        return [(op1, y), (op2, -y)]
+    w1, w2 = weights
+    return [(op1, y * w1), (op2, -(y * w2))]
 
 
-def _pair_matvec(a1, a2, coef1, coef2, m):
+def surrogate_matvec(terms) -> Callable[[np.ndarray], np.ndarray]:
+    """Action of S = (1/m) sum_k A_k* Diag(c_k) A_k on r, in O(cost of A_k).
+
+    ``terms`` holds (operator, coefficients) pairs; any operator with
+    ``apply``/``adjoint`` serves, and m is the common coefficient length.
+    """
+    terms = [(op, np.asarray(c, dtype=float)) for op, c in terms]
+    if not terms:
+        raise ValueError("the surrogate needs at least one term")
+    (op0, c0), rest = terms[0], terms[1:]
+    m = c0.size
+    for op, c in terms:
+        if op.n != op0.n:
+            raise ValueError(f"operators act on dimensions {op.n} and {op0.n}")
+        if c.shape != (op.out_dim,):
+            raise ValueError(f"coefficients have shape {c.shape}, expected ({op.out_dim},)")
+        if c.size != m:
+            raise ValueError(f"coefficient lengths {c.size} and {m} differ")
+
     def matvec(r):
-        return (a1.T @ (coef1 * (a1.conj() @ r)) - a2.T @ (coef2 * (a2.conj() @ r))) / m
+        out = op0.adjoint(c0 * op0.apply(r))
+        for op, c in rest:
+            out = out + op.adjoint(c * op.apply(r))
+        return out / m
 
     return matvec
 
 
-def shift_upper_bound(ens: PairedEnsemble) -> float:
-    """(1/m) sum_i (||a1_i||^2 + ||a2_i||^2), an operator-norm bound."""
-    return float(
-        (np.sum(np.abs(ens.rows1) ** 2) + np.sum(np.abs(ens.rows2) ** 2)) / ens.m
-    )
+def spectral_estimate(
+    terms,
+    tol: float = 1e-8,
+    max_iters: int = 1000,
+    seed: int = 0,
+    shift=False,
+) -> RecoveryReport:
+    """Top eigenvector of the surrogate of :func:`surrogate_matvec` by power
+    iteration.
 
-
-def _resolve_shift(shift, bound: float) -> float:
+    ``shift=True`` adds the operator-norm bound sum_k ||A_k||_F^2 / m times
+    identity, so the iteration finds the algebraically largest eigenvector
+    even when a negative eigenvalue dominates in magnitude; a number is used
+    as the shift itself.  The reported eigenvalue subtracts the shift again.
+    """
+    terms = list(terms)
+    matvec = surrogate_matvec(terms)
+    op0, c0 = terms[0]
     if shift is False or shift is None:
-        return 0.0
-    if shift is True:
-        return bound
-    mu = float(shift)
-    if mu < 0:
-        raise ValueError("spectral shift must be non-negative")
-    return mu
-
-
-def _power_report(matvec, n, tol, max_iters, seed, mu) -> RecoveryReport:
+        mu = 0.0
+    elif shift is True:
+        mu = sum(op.frobenius_sq for op, _ in terms) / len(c0)
+    else:
+        mu = float(shift)
+        if mu < 0:
+            raise ValueError("spectral shift must be non-negative")
     if mu > 0.0:
         base = matvec
 
-        def matvec(r, _base=base):  # noqa: F811 - shifted wrapper
-            return _base(r) + mu * r
+        def matvec(r):
+            return base(r) + mu * r
 
     trace: list = []
     eigval, vec, iters = power_iteration(
         matvec,
-        n,
+        op0.n,
         tol=tol,
         max_iters=max_iters,
         seed=seed,
@@ -165,20 +197,14 @@ def one_bit_phase(
     seed: int = 0,
     shift=False,
 ) -> RecoveryReport:
-    """Top eigenvector of the signed pair surrogate via power iteration.
-
-    ``shift=True`` adds the operator-norm bound times identity to force
-    convergence to the algebraically largest eigenvector even when a negative
-    eigenvalue dominates in magnitude; the reported eigenvalue subtracts the
-    shift again.
-    """
+    """Top eigenvector of the signed pair surrogate
+    (1/m) sum_i y_i (a1_i a1_i* - a2_i a2_i*); see :func:`spectral_estimate`
+    for ``shift``."""
     if data.weights is not None:
         raise ValueError("data carries ratio weights; use weighted_one_bit_phase")
     ens = data.ensemble
-    y = np.asarray(data.y, dtype=float)
-    base = _pair_matvec(ens.rows1, ens.rows2, y, y, ens.m)
-    mu = _resolve_shift(shift, shift_upper_bound(ens))
-    return _power_report(base, ens.n, tol, max_iters, seed, mu)
+    terms = one_bit_terms(MatrixOperator(ens.rows1), MatrixOperator(ens.rows2), data.y)
+    return spectral_estimate(terms, tol, max_iters, seed, shift)
 
 
 def weighted_one_bit_phase(
@@ -192,16 +218,9 @@ def weighted_one_bit_phase(
     if data.weights is None:
         raise ValueError("data carries no ratio weights; use one_bit_phase")
     ens = data.ensemble
-    y = np.asarray(data.y, dtype=float)
-    base = _pair_matvec(
-        ens.rows1,
-        ens.rows2,
-        y * data.weights[:, 0],
-        y * data.weights[:, 1],
-        ens.m,
-    )
-    mu = _resolve_shift(shift, shift_upper_bound(ens))
-    return _power_report(base, ens.n, tol, max_iters, seed, mu)
+    ops = MatrixOperator(ens.rows1), MatrixOperator(ens.rows2)
+    terms = one_bit_terms(*ops, data.y, data.weights.T)
+    return spectral_estimate(terms, tol, max_iters, seed, shift)
 
 
 def subexp_phase(
@@ -221,21 +240,10 @@ def subexp_phase(
         rows = ensemble.stacked_rows()
     else:
         rows = ensemble.rows
-    return _subexp_power(rows, b, tol, max_iters, seed)
-
-
-def _subexp_power(rows, b, tol, max_iters, seed) -> RecoveryReport:
     b = np.asarray(b, dtype=float)
-    if b.shape != (rows.shape[0],):
-        raise ValueError(f"b has shape {b.shape}, expected ({rows.shape[0]},)")
     if np.any(b < 0):
         raise ValueError("intensities must be non-negative")
-    m = rows.shape[0]
-
-    def matvec(r):
-        return rows.T @ (b * (rows.conj() @ r)) / m
-
-    return _power_report(matvec, rows.shape[1], tol, max_iters, seed, 0.0)
+    return spectral_estimate([(MatrixOperator(rows), b)], tol, max_iters, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -389,21 +397,17 @@ def _init_from_block(rows, b, init: InitKind, seed, tol, max_iters, shift):
             converged=True,
         )
     if init is InitKind.SUBEXP:
-        return _subexp_power(rows, b, tol, max_iters, substream(seed, "resample-power"))
-    a1, a2, b1, b2 = _paired_view(rows, b)
-    if a1.shape[0] == 0:
-        raise ValueError("initialization block has no measurement pairs")
-    y = quantize(b1, b2)
-    if init is InitKind.ONEBIT:
-        coef1 = coef2 = y
+        terms = [(MatrixOperator(rows), b)]
+        shift = False
     else:
-        r1, r2 = ratio_weights(b1, b2)
-        coef1, coef2 = y * r1, y * r2
-    base = _pair_matvec(a1, a2, coef1, coef2, a1.shape[0])
-    bound = float((np.sum(np.abs(a1) ** 2) + np.sum(np.abs(a2) ** 2)) / a1.shape[0])
-    mu = _resolve_shift(shift, bound)
-    return _power_report(
-        base, n, tol, max_iters, substream(seed, "resample-power"), mu
+        a1, a2, b1, b2 = _paired_view(rows, b)
+        if a1.shape[0] == 0:
+            raise ValueError("initialization block has no measurement pairs")
+        y = quantize(b1, b2)
+        weights = ratio_weights(b1, b2) if init is InitKind.WEIGHTED_ONEBIT else None
+        terms = one_bit_terms(MatrixOperator(a1), MatrixOperator(a2), y, weights)
+    return spectral_estimate(
+        terms, tol, max_iters, substream(seed, "resample-power"), shift
     )
 
 

@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .numkit import as_complex_vector, dft, idft, inner
+from .numkit import as_complex_vector, inner
 
 
 def _key_word(key) -> int:
@@ -165,6 +165,11 @@ class CdpOperator:
     @property
     def out_dim(self) -> int:
         return self.r * self.n
+
+    @property
+    def frobenius_sq(self) -> float:
+        # unitary DFT blocks: ||F Diag(w_i)||_F^2 = ||w_i||^2
+        return float(np.sum(np.abs(self.masks) ** 2))
 
     def apply(self, x) -> np.ndarray:
         return cdp_apply(self, x)

@@ -26,14 +26,16 @@ from onebitphase.channels import (
     quantize_signal,
     ratio_weights,
 )
-from onebitphase.numkit import dist_sq, power_iteration
+from onebitphase.numkit import dist_sq
 from onebitphase.recovery import (
     MatrixOperator,
     alt_min,
     cdp_lsq_solver,
     dense_lsq_solver,
     one_bit_phase,
+    one_bit_terms,
     random_init,
+    spectral_estimate,
     subexp_phase,
     weighted_one_bit_phase,
 )
@@ -270,22 +272,17 @@ def cdp_noisy_runs():
         noise = sigma * np.maximum(substream(seed, "noise").standard_normal(b1c.size), 0.0)
         b1, b2 = b1c + noise, b2c + noise
         y = quantize(b1, b2)
-        m = b1.size
         op_all = CdpOperator(n=n, r=2 * r, masks=np.vstack([op1.masks, op2.masks]), seed=0)
         b_all = np.concatenate([b1, b2])
         solver = cdp_lsq_solver(op_all)
+        terms = {
+            "subexp": [(op_all, b_all)],
+            "onebit": one_bit_terms(op1, op2, y),
+            "weighted1bit": one_bit_terms(op1, op2, y, ratio_weights(b1, b2)),
+        }
         for kind in finals:
-            if kind == "subexp":
-                matvec = lambda v: op_all.adjoint(b_all * op_all.apply(v)) / (2 * m)
-            else:
-                if kind == "weighted1bit":
-                    w1, w2 = ratio_weights(b1, b2)
-                    c1, c2 = y * w1, y * w2
-                else:
-                    c1 = c2 = y.astype(float)
-                matvec = lambda v: (op1.adjoint(c1 * op1.apply(v)) - op2.adjoint(c2 * op2.apply(v))) / m
-            _, xi, _ = power_iteration(matvec, n, tol=1e-8, max_iters=2000,
-                                       seed=substream(seed, "pw", kind))
+            xi = spectral_estimate(terms[kind], tol=1e-8, max_iters=2000,
+                                   seed=substream(seed, "pw", kind)).estimate
             rep = alt_min(op_all, b_all, xi, max_iters=100, tol=1e-12, lsq_solver=solver)
             finals[kind].append(dist_sq(rep.estimate, x0))
             traces.append([v for _, v in rep.trace])

@@ -243,6 +243,12 @@ class TestQuantizeSignal:
         with pytest.raises(ValueError):
             quantize_signal(ens, np.zeros(4, dtype=complex))
 
+    def test_non_finite_intensities_rejected(self):
+        # a NaN difference used to become a tie through the int8 cast
+        ens = build_paired_ensemble(4, 3, seed=9)
+        with pytest.raises(ValueError, match="finite"):
+            quantized_from_intensities(ens, [1.0, np.nan, 2.0], [0.5, 1.0, np.inf])
+
 
 class TestLambdaClosedForm:
     def test_identity(self):

@@ -4,12 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onebitphase.numkit import (
-    align_phase,
     cgls,
-    dense_top_eigenvector,
-    dft,
     dist_sq,
-    idft,
     inner,
     phase_op,
     power_iteration,
@@ -201,41 +197,6 @@ class TestCgls:
         assert all(b <= a + 1e-12 for a, b in zip(objectives, objectives[1:]))
 
 
-class TestDft:
-    @pytest.mark.parametrize("n", [2, 4, 8, 16, 64, 256, 1024])
-    def test_round_trip_and_parseval(self, n):
-        rng = np.random.default_rng(n)
-        x = _random_complex(rng, n)
-        y = dft(x)
-        np.testing.assert_allclose(idft(y), x, atol=1e-10)
-        assert np.linalg.norm(y) == pytest.approx(np.linalg.norm(x), abs=1e-10)
-
-    def test_unitary_impulse(self):
-        out = dft(np.array([1.0, 0.0, 0.0, 0.0], dtype=complex))
-        np.testing.assert_allclose(out, 0.5 * np.ones(4), atol=1e-12)
-
-
-class TestDenseTopEigenvector:
-    def test_diagonal(self):
-        eigval, vec = dense_top_eigenvector(np.diag([1.0, 2.0, 3.0]).astype(complex))
-        assert eigval == pytest.approx(3.0)
-        assert abs(vec[2]) == pytest.approx(1.0)
-
-    def test_algebraically_largest_not_largest_magnitude(self):
-        eigval, vec = dense_top_eigenvector(np.diag([-5.0, 1.0]).astype(complex))
-        assert eigval == pytest.approx(1.0)
-        assert abs(vec[1]) == pytest.approx(1.0)
-
-    def test_rejects_non_hermitian(self):
-        mat = np.array([[1.0, 1e-6], [0.0, 1.0]], dtype=complex)
-        with pytest.raises(ValueError):
-            dense_top_eigenvector(mat)
-
-    def test_rejects_oversized(self):
-        with pytest.raises(ValueError):
-            dense_top_eigenvector(np.eye(513, dtype=complex))
-
-
 class TestDistSq:
     def test_self_and_phase(self):
         rng = np.random.default_rng(6)
@@ -265,22 +226,3 @@ class TestDistSq:
         val = dist_sq(x, x0)
         assert 0.0 <= val <= 1.0
 
-
-class TestAlignPhase:
-    def test_pure_rotation_recovered(self):
-        rng = np.random.default_rng(8)
-        x0 = _random_complex(rng, 6)
-        np.testing.assert_allclose(align_phase(1j * x0, x0), x0, atol=1e-12)
-
-    def test_minimizes_over_phase_grid(self):
-        rng = np.random.default_rng(9)
-        x = _random_complex(rng, 6)
-        x0 = _random_complex(rng, 6)
-        aligned = np.linalg.norm(align_phase(x, x0) - x0)
-        grid = np.linspace(0.0, 2 * np.pi, 100, endpoint=False)
-        best = min(np.linalg.norm(x * np.exp(1j * t) - x0) for t in grid)
-        assert aligned <= best + 1e-9
-
-    def test_orthogonal_rejected(self):
-        with pytest.raises(ValueError):
-            align_phase([1.0, 0.0], [0.0, 1.0])

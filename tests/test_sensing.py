@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from onebitphase.numkit import dft
 from onebitphase.sensing import (
     CdpOperator,
     build_cdp_operator,
@@ -195,7 +194,9 @@ class TestCdp:
         op = build_cdp_operator(6, 3, seed=21)
         rng = np.random.default_rng(12)
         x = sample_complex_gaussian(6, rng)
-        expected = np.concatenate([dft(op.masks[i] * x) for i in range(3)])
+        expected = np.concatenate(
+            [np.fft.fft(op.masks[i] * x, norm="ortho") for i in range(3)]
+        )
         np.testing.assert_allclose(cdp_apply(op, x), expected, atol=1e-12)
 
     def test_adjoint_identity(self):
@@ -206,6 +207,11 @@ class TestCdp:
         lhs = np.vdot(y, cdp_apply(op, x))
         rhs = np.vdot(cdp_adjoint(op, y), x)
         assert lhs == pytest.approx(rhs, abs=1e-10)
+
+    def test_frobenius_sq_matches_explicit_matrix(self):
+        op = build_cdp_operator(8, 3, seed=23)
+        mat = np.stack([cdp_apply(op, col) for col in np.eye(8, dtype=complex)], axis=1)
+        assert op.frobenius_sq == pytest.approx(np.sum(np.abs(mat) ** 2), rel=1e-12)
 
     def test_flat_single_mask_is_unitary(self):
         op = CdpOperator(n=8, r=1, masks=np.ones((1, 8), dtype=complex), seed=0)
