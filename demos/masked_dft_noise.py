@@ -13,15 +13,9 @@ Run:  python3 demos/masked_dft_noise.py
 
 import numpy as np
 
-from onebitphase.channels import quantize, ratio_weights
+from onebitphase.channels import quantize
 from onebitphase.numkit import dist_sq
-from onebitphase.recovery import (
-    CdpOperator,
-    alt_min,
-    cdp_lsq_solver,
-    one_bit_terms,
-    spectral_estimate,
-)
+from onebitphase.recovery import CdpOperator, alt_min, cdp_lsq_solver, initial_estimate
 from onebitphase.sensing import build_cdp_operator, cdp_intensities, substream
 
 n, r, sigma, trials = 256, 4, 0.8, 5
@@ -47,13 +41,9 @@ for t in range(trials):
     op_all = CdpOperator(n=n, r=2 * r, masks=np.vstack([op1.masks, op2.masks]), seed=0)
     b_all = np.concatenate([b1, b2])
     solver = cdp_lsq_solver(op_all)
-    surrogates = {
-        "subexp": [(op_all, b_all)],
-        "onebit": one_bit_terms(op1, op2, y),
-        "weighted1bit": one_bit_terms(op1, op2, y, ratio_weights(b1, b2)),
-    }
-    for kind, terms in surrogates.items():
-        xi = spectral_estimate(terms, seed=substream(seed, "pw", kind)).estimate
+    for kind in finals:
+        pw = substream(seed, "pw", kind)
+        xi = initial_estimate(kind, op1, op2, b1, b2, y, (op_all, b_all), pw).estimate
         rep = alt_min(op_all, b_all, xi, max_iters=100, lsq_solver=solver)
         finals[kind].append(dist_sq(rep.estimate, x0))
 

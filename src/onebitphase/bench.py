@@ -28,26 +28,22 @@ from .channels import (
     lambda_closed_form,
     lambda_monte_carlo,
     model_param,
+    observe_pairs,
     parse_model,
-    quantize,
-    quantized_from_intensities,
-    ratio_weights,
+    quantize_signal,
 )
 from .numkit import dist_sq
 from .recovery import (
     InitKind,
     MatrixOperator,
-    RecoveryReport,
     alt_min,
     alt_min_resampled,
     cdp_lsq_solver,
     dense_lsq_solver,
+    initial_estimate,
     multi_init_select,
     one_bit_phase,
-    one_bit_terms,
     parse_init,
-    random_init,
-    spectral_estimate,
     subexp_phase,
 )
 from .sensing import (
@@ -222,7 +218,7 @@ def run_lambda_sweep(cfg: ExperimentConfig) -> list[list]:
     """
     models = [Identity()]
     models += [ExponentialNoise(s) for s in cfg.sigmas]
-    models += [TanhDistortion(a) for a in cfg.alphas if a > 0]
+    models += [TanhDistortion(a) for a in cfg.alphas]
     models += [PoissonNoise(e) for e in cfg.etas]
     rows = []
     for model in models:
@@ -257,7 +253,7 @@ def run_distortion_sweep(cfg: ExperimentConfig) -> list[list]:
         b1, b2 = paired_intensities(ens, x0)
         b_all = np.concatenate([b1, b2])
         rep = one_bit_phase(
-            quantized_from_intensities(ens, b1, b2),
+            quantize_signal(ens, x0),
             tol=tol,
             max_iters=iters,
             seed=substream(cfg.seed, "power-bit", t),
@@ -288,57 +284,18 @@ def run_distortion_sweep(cfg: ExperimentConfig) -> list[list]:
 # shared recovery plumbing
 
 
-def _observe_pairs(model, b1_clean, b2_clean, rng):
-    """Push clean pair intensities through the model; signs of deterministic
-    rank-preserving distortions come from the clean values (identical by
-    monotonicity, immune to float saturation)."""
-    if isinstance(model, (Identity, TanhDistortion)):
-        b1 = apply_model(model, b1_clean)
-        b2 = apply_model(model, b2_clean)
-        y = quantize(b1_clean, b2_clean)
-    else:
-        b1 = apply_model(model, b1_clean, rng)
-        b2 = apply_model(model, b2_clean, rng)
-        y = quantize(b1, b2)
-    return b1, b2, y
-
-
 _INIT_STREAMS = {
+    InitKind.RANDOM: "init-random",
     InitKind.SUBEXP: "init-subexp",
     InitKind.ONEBIT: "init-onebit",
     InitKind.WEIGHTED_ONEBIT: "init-weighted",
 }
 
 
-def _spectral_init(
-    kind: InitKind, op1, op2, op_all, b1, b2, y, seed: int, trial: int, shift
-) -> RecoveryReport:
-    """One init estimate from paired observations.
-
-    ``op1`` and ``op2`` measure the two members of each pair and ``op_all``
-    stacks them; dense rows and masked DFTs alike.
-    """
-    if kind is InitKind.RANDOM:
-        return RecoveryReport(
-            estimate=random_init(op_all.n, substream(seed, "init-random", trial)),
-            lambda_hat=0.0,
-            iterations=0,
-            trace=[],
-            converged=True,
-        )
-    if kind is InitKind.SUBEXP:
-        terms = [(op_all, np.concatenate([b1, b2]))]
-        shift = False
-    else:
-        weights = ratio_weights(b1, b2) if kind is InitKind.WEIGHTED_ONEBIT else None
-        terms = one_bit_terms(op1, op2, y, weights)
-    return spectral_estimate(
-        terms,
-        tol=1e-8,
-        max_iters=1000,
-        seed=substream(seed, _INIT_STREAMS[kind], trial),
-        shift=shift,
-    )
+def _init(kind: InitKind, op1, op2, b1, b2, y, stacked, cfg, trial: int):
+    """Init estimate of trial ``trial``, seeded from the kind's own stream."""
+    seed = substream(cfg.seed, _INIT_STREAMS[kind], trial)
+    return initial_estimate(kind, op1, op2, b1, b2, y, stacked, seed, shift=cfg.shift)
 
 
 def _median_curves(curves: Sequence[Sequence[float]]) -> list[float]:
@@ -355,74 +312,13 @@ def _median_curves(curves: Sequence[Sequence[float]]) -> list[float]:
 # alternating-minimization convergence experiments
 
 
-def run_altmin_convergence(cfg: ExperimentConfig) -> list[list]:
-    """Error-vs-iteration curves of refined recovery for each initializer.
+def _convergence_rows(cfg: ExperimentConfig, setup) -> list[list]:
+    """Median error-vs-iteration curve of alt-min from each init kind.
 
-    Gaussian paired sensing; ``--model`` sets the intensity noise (identity
-    for the noiseless baseline, clipgauss:sigma=... for one-sided Gaussian
-    readout noise).  One-bit inits quantize the observed, noisy intensities,
-    and the weighted variant draws its ratio weights from the same observed
-    values.
-    """
-    model = parse_model(cfg.model)
-    n = cfg.n
-    m = _pairs(cfg)
-    kinds = [parse_init(name) for name in cfg.inits]
-    iters = _max_iters(cfg, 100)
-    tol = _tol(cfg, 1e-12)
-    curves: dict[InitKind, list[list[float]]] = {k: [] for k in kinds}
-    for t in range(cfg.trials):
-        ens = build_paired_ensemble(n, m, _trial_seed(cfg.seed, "ensemble", t))
-        x0 = _unit_signal(n, substream(cfg.seed, "signal", t))
-        b1c, b2c = paired_intensities(ens, x0)
-        b1, b2, y = _observe_pairs(model, b1c, b2c, substream(cfg.seed, "noise", t))
-        rows_all = ens.stacked_rows()
-        b_all = np.concatenate([b1, b2])
-        op1, op2 = MatrixOperator(ens.rows1), MatrixOperator(ens.rows2)
-        op = MatrixOperator(rows_all)
-        solver = dense_lsq_solver(rows_all)
-        for kind in kinds:
-            init_rep = _spectral_init(
-                kind, op1, op2, op, b1, b2, y, cfg.seed, t, cfg.shift
-            )
-            errs = [dist_sq(init_rep.estimate, x0)]
-            alt_min(
-                op,
-                b_all,
-                init_rep.estimate,
-                max_iters=iters,
-                tol=tol,
-                lsq_solver=solver,
-                callback=lambda k, x: errs.append(dist_sq(x, x0)),
-            )
-            curves[kind].append(errs)
-    rows = []
-    for kind in kinds:
-        medians = _median_curves(curves[kind])
-        for it, value in enumerate(medians):
-            rows.append([kind.value, it, value])
-    return rows
-
-
-def _cdp_pair(cfg: ExperimentConfig, trial: int):
-    n = cfg.n
-    r = cfg.ratio if cfg.ratio is not None else _DEFAULT_RATIO["cdp-convergence"]
-    op1 = build_cdp_operator(n, r, _trial_seed(cfg.seed, "cdp-masks-1", trial))
-    op2 = build_cdp_operator(n, r, _trial_seed(cfg.seed, "cdp-masks-2", trial))
-    masks_all = np.vstack([op1.masks, op2.masks])
-    op_all = CdpOperator(n=n, r=2 * r, masks=masks_all, seed=0)
-    return op1, op2, op_all
-
-
-def run_cdp_convergence(cfg: ExperimentConfig) -> list[list]:
-    """Like :func:`run_altmin_convergence`, with masked-DFT sensing.
-
-    Each trial draws ``ratio`` mask pairs; pairing is coordinate-wise across
-    the two masked DFTs, giving n one-bit values per mask pair.  The least
-    squares step exploits the diagonal normal matrix of unitary DFT blocks.
-    The signal is left unnormalized so per-coordinate intensities keep unit
-    scale and ``--model`` noise levels mean the same thing as for Gaussian
-    sensing.
+    ``setup(cfg, trial)`` returns the trial's pair operators, their stacked
+    operator, the signal, its clean pair intensities and the exact LS solver
+    of the stacked operator.  One-bit inits quantize the observed intensities,
+    and the weighted variant draws its ratio weights from the same values.
     """
     model = parse_model(cfg.model)
     kinds = [parse_init(name) for name in cfg.inits]
@@ -430,17 +326,11 @@ def run_cdp_convergence(cfg: ExperimentConfig) -> list[list]:
     tol = _tol(cfg, 1e-12)
     curves: dict[InitKind, list[list[float]]] = {k: [] for k in kinds}
     for t in range(cfg.trials):
-        op1, op2, op_all = _cdp_pair(cfg, t)
-        x0 = _cdp_signal(cfg.n, substream(cfg.seed, "signal", t))
-        b1c = cdp_intensities(op1, x0)
-        b2c = cdp_intensities(op2, x0)
-        b1, b2, y = _observe_pairs(model, b1c, b2c, substream(cfg.seed, "noise", t))
+        op1, op2, op_all, x0, b1c, b2c, solver = setup(cfg, t)
+        b1, b2, y = observe_pairs(model, b1c, b2c, substream(cfg.seed, "noise", t))
         b_all = np.concatenate([b1, b2])
-        solver = cdp_lsq_solver(op_all)
         for kind in kinds:
-            init_rep = _spectral_init(
-                kind, op1, op2, op_all, b1, b2, y, cfg.seed, t, cfg.shift
-            )
+            init_rep = _init(kind, op1, op2, b1, b2, y, (op_all, b_all), cfg, t)
             errs = [dist_sq(init_rep.estimate, x0)]
             alt_min(
                 op_all,
@@ -458,6 +348,50 @@ def run_cdp_convergence(cfg: ExperimentConfig) -> list[list]:
         for it, value in enumerate(medians):
             rows.append([kind.value, it, value])
     return rows
+
+
+def _gaussian_trial(cfg: ExperimentConfig, trial: int):
+    ens = build_paired_ensemble(cfg.n, _pairs(cfg), _trial_seed(cfg.seed, "ensemble", trial))
+    x0 = _unit_signal(cfg.n, substream(cfg.seed, "signal", trial))
+    b1c, b2c = paired_intensities(ens, x0)
+    rows_all = ens.stacked_rows()
+    op1, op2 = MatrixOperator(ens.rows1), MatrixOperator(ens.rows2)
+    return op1, op2, MatrixOperator(rows_all), x0, b1c, b2c, dense_lsq_solver(rows_all)
+
+
+def run_altmin_convergence(cfg: ExperimentConfig) -> list[list]:
+    """Error-vs-iteration curves of refined recovery for each initializer.
+
+    Gaussian paired sensing; ``--model`` sets the intensity noise (identity
+    for the noiseless baseline, clipgauss:sigma=... for one-sided Gaussian
+    readout noise).
+    """
+    return _convergence_rows(cfg, _gaussian_trial)
+
+
+def _cdp_trial(cfg: ExperimentConfig, trial: int):
+    n = cfg.n
+    r = cfg.ratio if cfg.ratio is not None else _DEFAULT_RATIO["cdp-convergence"]
+    op1 = build_cdp_operator(n, r, _trial_seed(cfg.seed, "cdp-masks-1", trial))
+    op2 = build_cdp_operator(n, r, _trial_seed(cfg.seed, "cdp-masks-2", trial))
+    op_all = CdpOperator(n=n, r=2 * r, masks=np.vstack([op1.masks, op2.masks]), seed=0)
+    x0 = _cdp_signal(n, substream(cfg.seed, "signal", trial))
+    b1c = cdp_intensities(op1, x0)
+    b2c = cdp_intensities(op2, x0)
+    return op1, op2, op_all, x0, b1c, b2c, cdp_lsq_solver(op_all)
+
+
+def run_cdp_convergence(cfg: ExperimentConfig) -> list[list]:
+    """Like :func:`run_altmin_convergence`, with masked-DFT sensing.
+
+    Each trial draws ``ratio`` mask pairs; pairing is coordinate-wise across
+    the two masked DFTs, giving n one-bit values per mask pair.  The least
+    squares step exploits the diagonal normal matrix of unitary DFT blocks.
+    The signal is left unnormalized so per-coordinate intensities keep unit
+    scale and ``--model`` noise levels mean the same thing as for Gaussian
+    sensing.
+    """
+    return _convergence_rows(cfg, _cdp_trial)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +412,7 @@ def run_recover(cfg: ExperimentConfig) -> tuple[list[list], list[str]]:
     ens = build_paired_ensemble(n, m, _trial_seed(cfg.seed, "ensemble", 0))
     x0 = _unit_signal(n, substream(cfg.seed, "signal", 0))
     b1c, b2c = paired_intensities(ens, x0)
-    b1, b2, y = _observe_pairs(model, b1c, b2c, substream(cfg.seed, "noise", 0))
+    b1, b2, y = observe_pairs(model, b1c, b2c, substream(cfg.seed, "noise", 0))
     rows_all = ens.stacked_rows()
     b_all = np.concatenate([b1, b2])
     op1, op2 = MatrixOperator(ens.rows1), MatrixOperator(ens.rows2)
@@ -487,7 +421,7 @@ def run_recover(cfg: ExperimentConfig) -> tuple[list[list], list[str]]:
     candidates = []
     lambda_hats = {}
     for kind in kinds:
-        rep = _spectral_init(kind, op1, op2, op, b1, b2, y, cfg.seed, 0, cfg.shift)
+        rep = _init(kind, op1, op2, b1, b2, y, (op, b_all), cfg, 0)
         candidates.append((kind, rep.estimate))
         lambda_hats[kind] = rep.lambda_hat
     chosen_kind, x_init = multi_init_select(candidates, op, b_all)

@@ -212,21 +212,24 @@ class QuantizedData:
                 raise ValueError("weight rows must sum to 1")
 
 
-def quantized_from_intensities(
-    ensemble: PairedEnsemble,
+def observe_pairs(
+    model: MeasurementModel,
     b1,
     b2,
-    with_weights: bool = False,
-) -> QuantizedData:
-    """Quantize observed pair intensities directly (weights from the same b)."""
-    b1 = np.asarray(b1, dtype=float)
-    b2 = np.asarray(b2, dtype=float)
-    y = quantize(b1, b2).astype(np.int8)
-    weights = None
-    if with_weights:
-        r1, r2 = ratio_weights(b1, b2)
-        weights = np.stack([r1, r2], axis=1)
-    return QuantizedData(ensemble=ensemble, y=y, weights=weights)
+    rng: Optional[np.random.Generator] = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Push clean pair intensities through the model and keep one bit per pair.
+
+    Returns the observed intensities and their signs ``(b1_obs, b2_obs, y)``.
+    Deterministic strictly increasing distortions cannot change any pair
+    comparison, so their signs are taken from the clean intensities
+    (identical by monotonicity, and immune to float saturation).
+    """
+    b1_obs = apply_model(model, b1, rng)
+    b2_obs = apply_model(model, b2, rng)
+    if isinstance(model, _RANK_PRESERVING):
+        return b1_obs, b2_obs, quantize(b1, b2)
+    return b1_obs, b2_obs, quantize(b1_obs, b2_obs)
 
 
 def quantize_signal(
@@ -236,13 +239,9 @@ def quantize_signal(
     rng: Optional[np.random.Generator] = None,
     with_weights: bool = False,
 ) -> QuantizedData:
-    """Measure ``x0`` through the model and keep one bit per intensity pair.
-
-    Deterministic strictly increasing distortions cannot change any pair
-    comparison, so their signs are taken from the undistorted intensities
-    (identical by monotonicity, and immune to float saturation).  Ratio
-    weights always come from the clean intensities and are only offered under
-    the identity model.
+    """Measure ``x0`` through the model and keep one bit per intensity pair
+    (see :func:`observe_pairs`).  Ratio weights always come from the clean
+    intensities and are only offered under the identity model.
     """
     x0 = as_complex_vector(x0)
     if np.linalg.norm(x0) == 0.0:
@@ -253,10 +252,7 @@ def quantize_signal(
             f"got {format_model(model)!r}"
         )
     b1, b2 = paired_intensities(ensemble, x0)
-    if isinstance(model, _RANK_PRESERVING):
-        y = quantize(b1, b2)
-    else:
-        y = quantize(apply_model(model, b1, rng), apply_model(model, b2, rng))
+    _, _, y = observe_pairs(model, b1, b2, rng)
     weights = None
     if with_weights:
         r1, r2 = ratio_weights(b1, b2)

@@ -1,8 +1,8 @@
 """Complex linear-algebra kernels shared by the samplers and recovery solvers.
 
 Vectors are plain 1-D complex128 ndarrays.  The inner product conjugates its
-first argument, so ``inner(a, x) == a.conj() @ x`` and a rank-one matrix
-``a a*`` acts on ``r`` as ``a * inner(a, r)``.
+first argument, <a, x> = ``a.conj() @ x``, so a rank-one matrix ``a a*`` acts
+on ``r`` as ``a * <a, r>``.
 """
 
 from __future__ import annotations
@@ -27,15 +27,6 @@ def as_complex_vector(x) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError("vector entries must be finite")
     return v
-
-
-def inner(a, x) -> complex:
-    """Inner product <a, x> = sum_k conj(a_k) x_k (conjugate-linear in a)."""
-    a = as_complex_vector(a)
-    x = as_complex_vector(x)
-    if a.shape != x.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {x.shape}")
-    return complex(np.vdot(a, x))
 
 
 def phase_op(z) -> np.ndarray:

@@ -144,27 +144,20 @@ def spectral_estimate(
     tol: float = 1e-8,
     max_iters: int = 1000,
     seed: int = 0,
-    shift=False,
+    shift: bool = False,
 ) -> RecoveryReport:
     """Top eigenvector of the surrogate of :func:`surrogate_matvec` by power
     iteration.
 
     ``shift=True`` adds the operator-norm bound sum_k ||A_k||_F^2 / m times
     identity, so the iteration finds the algebraically largest eigenvector
-    even when a negative eigenvalue dominates in magnitude; a number is used
-    as the shift itself.  The reported eigenvalue subtracts the shift again.
+    even when a negative eigenvalue dominates in magnitude.  The reported
+    eigenvalue subtracts the shift again.
     """
     terms = list(terms)
     matvec = surrogate_matvec(terms)
     op0, c0 = terms[0]
-    if shift is False or shift is None:
-        mu = 0.0
-    elif shift is True:
-        mu = sum(op.frobenius_sq for op, _ in terms) / len(c0)
-    else:
-        mu = float(shift)
-        if mu < 0:
-            raise ValueError("spectral shift must be non-negative")
+    mu = sum(op.frobenius_sq for op, _ in terms) / len(c0) if shift else 0.0
     if mu > 0.0:
         base = matvec
 
@@ -195,7 +188,7 @@ def one_bit_phase(
     tol: float = 1e-8,
     max_iters: int = 1000,
     seed: int = 0,
-    shift=False,
+    shift: bool = False,
 ) -> RecoveryReport:
     """Top eigenvector of the signed pair surrogate
     (1/m) sum_i y_i (a1_i a1_i* - a2_i a2_i*); see :func:`spectral_estimate`
@@ -212,7 +205,7 @@ def weighted_one_bit_phase(
     tol: float = 1e-8,
     max_iters: int = 1000,
     seed: int = 0,
-    shift=False,
+    shift: bool = False,
 ) -> RecoveryReport:
     """Like :func:`one_bit_phase` but with pair ratio weights inside the sum."""
     if data.weights is None:
@@ -244,6 +237,44 @@ def subexp_phase(
     if np.any(b < 0):
         raise ValueError("intensities must be non-negative")
     return spectral_estimate([(MatrixOperator(rows), b)], tol, max_iters, seed)
+
+
+def initial_estimate(
+    kind: InitKind,
+    op1,
+    op2,
+    b1,
+    b2,
+    y,
+    stacked,
+    seed,
+    tol: float = 1e-8,
+    max_iters: int = 1000,
+    shift: bool = False,
+) -> RecoveryReport:
+    """Initial estimate of the given kind from paired observations.
+
+    ``op1`` and ``op2`` measure the two members of each pair, ``b1``/``b2``
+    are the observed pair intensities and ``y`` their signs.  ``stacked`` is
+    the (operator, intensities) term of all measurements at once: the subexp
+    surrogate, and the dimension of the random start.  ``seed`` drives the
+    random vector or the power iteration; ``shift`` applies to the one-bit
+    kinds only, since the subexp surrogate is positive semidefinite.
+    """
+    kind = InitKind(kind)
+    if kind is InitKind.RANDOM:
+        return RecoveryReport(
+            estimate=random_init(stacked[0].n, seed),
+            lambda_hat=0.0,
+            iterations=0,
+            trace=[],
+            converged=True,
+        )
+    if kind is InitKind.SUBEXP:
+        return spectral_estimate([stacked], tol, max_iters, seed)
+    weights = ratio_weights(b1, b2) if kind is InitKind.WEIGHTED_ONEBIT else None
+    terms = one_bit_terms(op1, op2, y, weights)
+    return spectral_estimate(terms, tol, max_iters, seed, shift)
 
 
 # ---------------------------------------------------------------------------
@@ -387,27 +418,25 @@ def _paired_view(rows, b):
 
 
 def _init_from_block(rows, b, init: InitKind, seed, tol, max_iters, shift):
-    n = rows.shape[1]
-    if init is InitKind.RANDOM:
-        return RecoveryReport(
-            estimate=random_init(n, substream(seed, "resample-random")),
-            lambda_hat=0.0,
-            iterations=0,
-            trace=[],
-            converged=True,
-        )
-    if init is InitKind.SUBEXP:
-        terms = [(MatrixOperator(rows), b)]
-        shift = False
-    else:
-        a1, a2, b1, b2 = _paired_view(rows, b)
+    a1, a2, b1, b2 = _paired_view(rows, b)
+    y = None
+    if init in (InitKind.ONEBIT, InitKind.WEIGHTED_ONEBIT):
         if a1.shape[0] == 0:
             raise ValueError("initialization block has no measurement pairs")
         y = quantize(b1, b2)
-        weights = ratio_weights(b1, b2) if init is InitKind.WEIGHTED_ONEBIT else None
-        terms = one_bit_terms(MatrixOperator(a1), MatrixOperator(a2), y, weights)
-    return spectral_estimate(
-        terms, tol, max_iters, substream(seed, "resample-power"), shift
+    stream = "resample-random" if init is InitKind.RANDOM else "resample-power"
+    return initial_estimate(
+        init,
+        MatrixOperator(a1),
+        MatrixOperator(a2),
+        b1,
+        b2,
+        y,
+        (MatrixOperator(rows), b),
+        substream(seed, stream),
+        tol,
+        max_iters,
+        shift,
     )
 
 
@@ -421,7 +450,7 @@ def alt_min_resampled(
     seed: int = 0,
     power_tol: float = 1e-8,
     power_max_iters: int = 1000,
-    shift=False,
+    shift: bool = False,
     callback: Optional[Callable[[int, np.ndarray], None]] = None,
 ) -> RecoveryReport:
     """Staged alternating minimization on disjoint measurement blocks.
@@ -466,15 +495,13 @@ def alt_min_resampled(
     trace: list = []
     converged = True
     for t, (lo, hi) in enumerate(bounds[1:], start=1):
-        block_rows = rows[lo:hi]
+        op = MatrixOperator(rows[lo:hi])
         sqrt_b = np.sqrt(b[lo:hi])
-        z = block_rows.conj() @ x
-        rhs = sqrt_b * phase_op(z)
-        op = MatrixOperator(block_rows)
+        rhs = sqrt_b * phase_op(op.apply(x))
         x, info = cgls(op.apply, op.adjoint, rhs, tol=tol, x0=x)
         if info != 0:
             converged = False
-        obj = float(np.linalg.norm(block_rows.conj() @ x - rhs) ** 2)
+        obj = float(np.linalg.norm(op.apply(x) - rhs) ** 2)
         trace.append((t, obj))
         if callback is not None:
             callback(t, x)

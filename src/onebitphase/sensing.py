@@ -8,14 +8,11 @@ regenerated bit-for-bit from its ``(n, m, seed)`` header.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Union
 
 import numpy as np
 
-from .numkit import as_complex_vector, inner
+from .numkit import as_complex_vector
 
 
 def _key_word(key) -> int:
@@ -124,11 +121,6 @@ def build_plain_ensemble(n: int, m: int, seed: int) -> PlainEnsemble:
     return PlainEnsemble(n=n, m=m, seed=seed, rows=rows)
 
 
-def intensity(a, x) -> float:
-    """Phase-less measurement |<a, x>|^2."""
-    return float(np.abs(inner(a, x)) ** 2)
-
-
 def row_intensities(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     """|<row_k, x>|^2 for every row of a sensing matrix."""
     return np.abs(rows.conj() @ x) ** 2
@@ -203,37 +195,3 @@ def cdp_adjoint(op: CdpOperator, y) -> np.ndarray:
 def cdp_intensities(op: CdpOperator, x) -> np.ndarray:
     return np.abs(cdp_apply(op, x)) ** 2
 
-
-Ensemble = Union[PairedEnsemble, PlainEnsemble, CdpOperator]
-
-_KINDS = {"paired": PairedEnsemble, "plain": PlainEnsemble, "cdp": CdpOperator}
-
-
-def ensemble_manifest(ens: Ensemble) -> dict:
-    """Header from which the ensemble regenerates exactly (rows not stored)."""
-    if isinstance(ens, PairedEnsemble):
-        return {"kind": "paired", "n": ens.n, "m": ens.m, "seed": ens.seed}
-    if isinstance(ens, PlainEnsemble):
-        return {"kind": "plain", "n": ens.n, "m": ens.m, "seed": ens.seed}
-    if isinstance(ens, CdpOperator):
-        return {"kind": "cdp", "n": ens.n, "r": ens.r, "seed": ens.seed}
-    raise TypeError(f"unknown ensemble type {type(ens).__name__}")
-
-
-def ensemble_from_manifest(header: dict) -> Ensemble:
-    kind = header.get("kind")
-    if kind == "paired":
-        return build_paired_ensemble(header["n"], header["m"], header["seed"])
-    if kind == "plain":
-        return build_plain_ensemble(header["n"], header["m"], header["seed"])
-    if kind == "cdp":
-        return build_cdp_operator(header["n"], header["r"], header["seed"])
-    raise ValueError(f"unknown ensemble kind {kind!r}")
-
-
-def save_ensemble(ens: Ensemble, path) -> None:
-    Path(path).write_text(json.dumps(ensemble_manifest(ens), sort_keys=True) + "\n")
-
-
-def load_ensemble(path) -> Ensemble:
-    return ensemble_from_manifest(json.loads(Path(path).read_text()))

@@ -32,10 +32,9 @@ from onebitphase.recovery import (
     alt_min,
     cdp_lsq_solver,
     dense_lsq_solver,
+    initial_estimate,
     one_bit_phase,
-    one_bit_terms,
     random_init,
-    spectral_estimate,
     subexp_phase,
     weighted_one_bit_phase,
 )
@@ -275,14 +274,9 @@ def cdp_noisy_runs():
         op_all = CdpOperator(n=n, r=2 * r, masks=np.vstack([op1.masks, op2.masks]), seed=0)
         b_all = np.concatenate([b1, b2])
         solver = cdp_lsq_solver(op_all)
-        terms = {
-            "subexp": [(op_all, b_all)],
-            "onebit": one_bit_terms(op1, op2, y),
-            "weighted1bit": one_bit_terms(op1, op2, y, ratio_weights(b1, b2)),
-        }
         for kind in finals:
-            xi = spectral_estimate(terms[kind], tol=1e-8, max_iters=2000,
-                                   seed=substream(seed, "pw", kind)).estimate
+            xi = initial_estimate(kind, op1, op2, b1, b2, y, (op_all, b_all),
+                                  substream(seed, "pw", kind), max_iters=2000).estimate
             rep = alt_min(op_all, b_all, xi, max_iters=100, tol=1e-12, lsq_solver=solver)
             finals[kind].append(dist_sq(rep.estimate, x0))
             traces.append([v for _, v in rep.trace])
@@ -340,6 +334,8 @@ def test_10_cli_reproducibility(tmp_path):
         ["recover", "--n", "16", "--ratio", "8", "--seed", "5"],
         ["altmin-convergence", "--n", "32", "--ratio", "4", "--trials", "2",
          "--init", "onebit,random", "--seed", "5"],
+        ["cdp-convergence", "--n", "16", "--ratio", "4", "--trials", "2",
+         "--model", "clipgauss:sigma=0.5", "--seed", "5"],
     ]
     for k, args in enumerate(runs):
         first = tmp_path / f"first_{k}.csv"
@@ -349,4 +345,4 @@ def test_10_cli_reproducibility(tmp_path):
         assert csv2.read_bytes() == first.read_bytes()
         assert cli.main(args + ["--out", str(again)]) == 0
         assert again.read_bytes() == first.read_bytes()
-    print("PASS reproducibility: manifest reruns byte-identical for 2 subcommands")
+    print(f"PASS reproducibility: manifest reruns byte-identical for {len(runs)} runs")

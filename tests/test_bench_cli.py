@@ -275,13 +275,15 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
 
     def test_non_finite_sweep_parameter_exits_2(self, tmp_path, capsys):
-        out = tmp_path / "lam.csv"
-        rc = cli.main([
-            "lambda-sweep", "--samples", "2000", "--sigmas", "nan", "--out", str(out),
-        ])
-        assert rc == 2
-        assert "finite" in capsys.readouterr().err
-        assert not out.exists()
+        for k, grid in enumerate([
+            ["--sigmas", "nan"],
+            ["--alphas", "nan,-1", "--sigmas", "1", "--etas", "1"],
+        ]):
+            out = tmp_path / f"lam{k}.csv"
+            rc = cli.main(["lambda-sweep", "--samples", "2000", *grid, "--out", str(out)])
+            assert rc == 2, grid
+            assert "finite" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_bad_init_exits_2(self, tmp_path, capsys):
         rc = cli.main([

@@ -14,10 +14,10 @@ from onebitphase.channels import (
     format_model,
     lambda_closed_form,
     lambda_monte_carlo,
+    observe_pairs,
     parse_model,
     quantize,
     quantize_signal,
-    quantized_from_intensities,
     ratio_weights,
 )
 from onebitphase.sensing import PairedEnsemble, build_paired_ensemble, substream
@@ -229,15 +229,6 @@ class TestQuantizeSignal:
         assert data.weights.shape == (50, 2)
         np.testing.assert_allclose(data.weights.sum(axis=1), 1.0, atol=1e-14)
 
-    def test_from_intensities_matches_direct_quantize(self):
-        ens = build_paired_ensemble(4, 100, seed=7)
-        rng = substream(0, "test-signal5")
-        b1 = rng.exponential(size=100)
-        b2 = rng.exponential(size=100)
-        data = quantized_from_intensities(ens, b1, b2, with_weights=True)
-        np.testing.assert_array_equal(data.y, np.sign(b1 - b2).astype(np.int8))
-        np.testing.assert_allclose(data.weights[:, 0], b1 / (b1 + b2), atol=1e-14)
-
     def test_zero_signal_rejected(self):
         ens = build_paired_ensemble(4, 10, seed=8)
         with pytest.raises(ValueError):
@@ -245,9 +236,8 @@ class TestQuantizeSignal:
 
     def test_non_finite_intensities_rejected(self):
         # a NaN difference used to become a tie through the int8 cast
-        ens = build_paired_ensemble(4, 3, seed=9)
         with pytest.raises(ValueError, match="finite"):
-            quantized_from_intensities(ens, [1.0, np.nan, 2.0], [0.5, 1.0, np.inf])
+            observe_pairs(Identity(), [1.0, np.nan, 2.0], [0.5, 1.0, np.inf])
 
 
 class TestLambdaClosedForm:

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from onebitphase.numkit import (
     cgls,
     dist_sq,
-    inner,
     phase_op,
     power_iteration,
 )
@@ -14,32 +13,6 @@ from onebitphase.numkit import (
 
 def _random_complex(rng, n):
     return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(0.5)
-
-
-class TestInner:
-    def test_worked_example(self):
-        assert inner([1 + 2j, 3], [2, 1 - 1j]) == 5 - 7j
-
-    def test_conjugate_linear_in_first_argument(self):
-        rng = np.random.default_rng(0)
-        a = _random_complex(rng, 6)
-        x = _random_complex(rng, 6)
-        alpha = 0.7 - 1.3j
-        assert inner(alpha * a, x) == pytest.approx(np.conj(alpha) * inner(a, x))
-        assert inner(a, alpha * x) == pytest.approx(alpha * inner(a, x))
-
-    def test_self_inner_is_squared_norm(self):
-        rng = np.random.default_rng(1)
-        a = _random_complex(rng, 9)
-        assert inner(a, a) == pytest.approx(np.linalg.norm(a) ** 2)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            inner([1.0, 2.0], [1.0, 2.0, 3.0])
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            inner([np.nan, 1.0], [1.0, 2.0])
 
 
 class TestPhaseOp:

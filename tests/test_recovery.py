@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from onebitphase import recovery
-from onebitphase.channels import QuantizedData, quantize_signal, quantized_from_intensities
+from onebitphase.channels import QuantizedData, quantize_signal
 from onebitphase.numkit import dist_sq, phase_op
 from onebitphase.recovery import (
     InitKind,
@@ -125,11 +125,6 @@ class TestOneBitPhase:
         data, _ = _quantized(4, 50, seed=9, with_weights=True)
         with pytest.raises(ValueError):
             one_bit_phase(data)
-
-    def test_negative_shift_rejected(self):
-        data, _ = _quantized(4, 50, seed=10)
-        with pytest.raises(ValueError):
-            one_bit_phase(data, shift=-1.0)
 
 
 class TestWeightedOneBitPhase:
@@ -337,9 +332,10 @@ class TestAltMinResampled:
     def test_single_stage_schedule(self):
         ens, rows, b, x0 = _altmin_system(8, 40, seed=27)
         b_inter = row_intensities(ens.interleaved_rows(), x0)
-        report = alt_min_resampled(ens, b_inter, epsilon=0.5, init=InitKind.ONEBIT)
-        assert report.iterations == 1
-        assert len(report.trace) == 1
+        for kind in InitKind:
+            report = alt_min_resampled(ens, b_inter, epsilon=0.5, init=kind)
+            assert report.iterations == 1, kind
+            assert len(report.trace) == 1, kind
 
     def test_insufficient_measurements_error_names_requirement(self):
         ens = build_paired_ensemble(16, 20, seed=28)

@@ -10,15 +10,10 @@ from onebitphase.sensing import (
     cdp_adjoint,
     cdp_apply,
     cdp_intensities,
-    ensemble_from_manifest,
-    ensemble_manifest,
-    intensity,
-    load_ensemble,
     paired_intensities,
     sample_complex_gaussian,
     sample_exponential,
     sample_poisson,
-    save_ensemble,
     substream,
 )
 
@@ -102,8 +97,8 @@ class TestEnsembles:
         rng = np.random.default_rng(2)
         x = _unit(rng, 6)
         b1, b2 = paired_intensities(ens, x)
-        assert b1[3] == pytest.approx(intensity(ens.rows1[3], x))
-        assert b2[7] == pytest.approx(intensity(ens.rows2[7], x))
+        assert b1[3] == pytest.approx(abs(np.vdot(ens.rows1[3], x)) ** 2)
+        assert b2[7] == pytest.approx(abs(np.vdot(ens.rows2[7], x)) ** 2)
 
 
 class TestMeasurementLaws:
@@ -241,31 +236,3 @@ class TestCdp:
         b = build_cdp_operator(8, 2, seed=30)
         np.testing.assert_array_equal(a.masks, b.masks)
 
-
-class TestSerialization:
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda: build_paired_ensemble(5, 12, seed=2),
-            lambda: build_plain_ensemble(5, 12, seed=2),
-            lambda: build_cdp_operator(8, 2, seed=2),
-        ],
-    )
-    def test_manifest_round_trip(self, build):
-        ens = build()
-        clone = ensemble_from_manifest(ensemble_manifest(ens))
-        for attr in ("rows", "rows1", "rows2", "masks"):
-            if hasattr(ens, attr):
-                np.testing.assert_array_equal(getattr(ens, attr), getattr(clone, attr))
-
-    def test_file_round_trip(self, tmp_path):
-        ens = build_paired_ensemble(4, 9, seed=77)
-        path = tmp_path / "ensemble.json"
-        save_ensemble(ens, path)
-        clone = load_ensemble(path)
-        np.testing.assert_array_equal(ens.rows1, clone.rows1)
-        np.testing.assert_array_equal(ens.rows2, clone.rows2)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            ensemble_from_manifest({"kind": "mystery", "n": 2, "m": 2, "seed": 0})
