@@ -2,7 +2,9 @@
 
 Vectors are plain 1-D complex128 ndarrays.  The inner product conjugates its
 first argument, <a, x> = ``a.conj() @ x``, so a rank-one matrix ``a a*`` acts
-on ``r`` as ``a * <a, r>``.
+on ``r`` as ``a * <a, r>``.  Dense operators evaluate it for all rows at once
+as ``conj(rows @ conj(x))``, which conjugates two vectors instead of making a
+conjugate copy of the rows.
 """
 
 from __future__ import annotations

@@ -57,7 +57,8 @@ class MatrixOperator:
     """Measurement operator from explicit sensing rows.
 
     apply(x)[k] = <row_k, x> = conj(row_k) . x, matching the inner-product
-    convention everywhere else.
+    convention everywhere else.  It is evaluated as conj(rows @ conj(x)), so
+    no conjugate copy of the rows is made.
     """
 
     rows: np.ndarray
@@ -79,13 +80,21 @@ class MatrixOperator:
         return float(np.sum(np.abs(self.rows) ** 2))
 
     def apply(self, x) -> np.ndarray:
-        return self.rows.conj() @ x
+        return np.conj(self.rows @ np.conj(x))
 
     def adjoint(self, y) -> np.ndarray:
         return self.rows.T @ y
 
 
 MeasurementOperator = Union[MatrixOperator, CdpOperator]
+
+
+def _checked_intensities(b) -> np.ndarray:
+    """``b`` as a float array, rejecting negative or non-finite entries."""
+    b = np.asarray(b, dtype=float)
+    if not np.all(np.isfinite(b)) or np.any(b < 0):
+        raise ValueError("intensities must be finite and non-negative")
+    return b
 
 
 def random_init(n: int, seed) -> np.ndarray:
@@ -233,9 +242,7 @@ def subexp_phase(
         rows = ensemble.stacked_rows()
     else:
         rows = ensemble.rows
-    b = np.asarray(b, dtype=float)
-    if np.any(b < 0):
-        raise ValueError("intensities must be non-negative")
+    b = _checked_intensities(b)
     return spectral_estimate([(MatrixOperator(rows), b)], tol, max_iters, seed)
 
 
@@ -347,9 +354,7 @@ def alt_min(
     ``estimate`` is that x.  The run stops, converged, once the fixed-point
     step is small, ||z_new - z||^2 <= tol ||z_new||^2.
     """
-    b = np.asarray(b, dtype=float)
-    if np.any(b < 0):
-        raise ValueError("intensities must be non-negative")
+    b = _checked_intensities(b)
     x = as_complex_vector(x_init).copy()
     if np.linalg.norm(x) == 0.0:
         raise ValueError("x_init must be nonzero")
@@ -469,11 +474,9 @@ def alt_min_resampled(
         rows = ensemble.interleaved_rows()
     else:
         rows = ensemble.rows
-    b = np.asarray(b, dtype=float)
+    b = _checked_intensities(b)
     if b.shape != (rows.shape[0],):
         raise ValueError(f"b has shape {b.shape}, expected ({rows.shape[0]},)")
-    if np.any(b < 0):
-        raise ValueError("intensities must be non-negative")
     init = InitKind(init)
     n = rows.shape[1]
     total = rows.shape[0]
@@ -522,13 +525,11 @@ def multi_init_select(
     """Pick the candidate with the smallest phase-consistency residual.
 
     The score is ||A x - Diag(sqrt(b)) Ph(A x)||^2; ties keep the earliest
-    candidate.
+    candidate.  Raises RuntimeError when no candidate has a finite score.
     """
     if len(candidates) == 0:
         raise ValueError("no candidates to select from")
-    b = np.asarray(b, dtype=float)
-    if np.any(b < 0):
-        raise ValueError("intensities must be non-negative")
+    b = _checked_intensities(b)
     sqrt_b = np.sqrt(b)
     best = None
     best_score = np.inf
@@ -538,4 +539,6 @@ def multi_init_select(
         if score < best_score:
             best = (kind, vec)
             best_score = score
+    if best is None:
+        raise RuntimeError("no candidate has a finite selection score")
     return best

@@ -122,8 +122,11 @@ def build_plain_ensemble(n: int, m: int, seed: int) -> PlainEnsemble:
 
 
 def row_intensities(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """|<row_k, x>|^2 for every row of a sensing matrix."""
-    return np.abs(rows.conj() @ x) ** 2
+    """|<row_k, x>|^2 for every row of a sensing matrix.
+
+    |<row_k, x>| = |row_k . conj(x)|, so no conjugate copy of the rows is made.
+    """
+    return np.abs(rows @ np.conj(x)) ** 2
 
 
 def paired_intensities(ens: PairedEnsemble, x) -> tuple[np.ndarray, np.ndarray]:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,30 @@ def _one_bit_surrogate(data):
     ens = data.ensemble
     ops = MatrixOperator(ens.rows1), MatrixOperator(ens.rows2)
     return surrogate_matvec(one_bit_terms(*ops, data.y))
+
+
+class TestMatrixOperator:
+    def test_apply_matches_conjugated_rows_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        rows = rng.standard_normal((64, 12)) + 1j * rng.standard_normal((64, 12))
+        x = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        for view in (rows, rows[0::2], rows[1::2]):
+            np.testing.assert_array_equal(
+                MatrixOperator(view).apply(x), view.conj() @ x
+            )
+
+    def test_apply_makes_no_copy_of_the_rows(self):
+        rng = np.random.default_rng(8)
+        rows = rng.standard_normal((1024, 256)) + 1j * rng.standard_normal((1024, 256))
+        x = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+        op = MatrixOperator(rows)
+        tracemalloc.start()
+        try:
+            op.apply(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < rows.nbytes / 8
 
 
 class TestOneBitMatvec:
@@ -212,6 +238,14 @@ class TestSubexpPhase:
         with pytest.raises(ValueError):
             subexp_phase(ens, -np.ones(10))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_intensities_rejected(self, bad):
+        ens = build_plain_ensemble(4, 10, seed=19)
+        b = np.ones(10)
+        b[3] = bad
+        with pytest.raises(ValueError, match="intensities must be finite"):
+            subexp_phase(ens, b)
+
     def test_length_mismatch_rejected(self):
         ens = build_plain_ensemble(4, 10, seed=20)
         with pytest.raises(ValueError):
@@ -327,6 +361,14 @@ class TestAltMin:
         with pytest.raises(ValueError):
             alt_min(op, b, np.zeros(4, dtype=complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_intensities_rejected(self, bad):
+        _, rows, b, _ = _altmin_system(4, 16, seed=26)
+        b = b.copy()
+        b[3] = bad
+        with pytest.raises(ValueError, match="intensities must be finite"):
+            alt_min(MatrixOperator(rows), b, np.ones(4, dtype=complex))
+
 
 class TestAltMinResampled:
     def test_single_stage_schedule(self):
@@ -429,6 +471,22 @@ class TestMultiInitSelect:
         _, rows, b, _ = _altmin_system(4, 16, seed=34)
         with pytest.raises(ValueError):
             multi_init_select([], MatrixOperator(rows), b)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_intensities_rejected(self, bad):
+        _, rows, b, x0 = _altmin_system(4, 16, seed=35)
+        b = b.copy()
+        b[3] = bad
+        with pytest.raises(ValueError, match="intensities must be finite"):
+            multi_init_select([(InitKind.ONEBIT, x0)], MatrixOperator(rows), b)
+
+    def test_no_finite_score_raises(self):
+        _, rows, b, _ = _altmin_system(4, 16, seed=36)
+        nan_vec = np.full(4, np.nan, dtype=complex)
+        candidates = [(InitKind.ONEBIT, nan_vec), (InitKind.SUBEXP, nan_vec)]
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(RuntimeError, match="finite"):
+                multi_init_select(candidates, MatrixOperator(rows), b)
 
 
 class TestParseInit:

@@ -11,6 +11,7 @@ from onebitphase.sensing import (
     cdp_apply,
     cdp_intensities,
     paired_intensities,
+    row_intensities,
     sample_complex_gaussian,
     sample_exponential,
     sample_poisson,
@@ -99,6 +100,14 @@ class TestEnsembles:
         b1, b2 = paired_intensities(ens, x)
         assert b1[3] == pytest.approx(abs(np.vdot(ens.rows1[3], x)) ** 2)
         assert b2[7] == pytest.approx(abs(np.vdot(ens.rows2[7], x)) ** 2)
+
+    def test_row_intensities_match_conjugated_rows_bit_for_bit(self):
+        rows = build_paired_ensemble(12, 64, seed=6).interleaved_rows()
+        x = _unit(np.random.default_rng(3), 12)
+        for view in (rows, rows[0::2], rows[1::2]):
+            np.testing.assert_array_equal(
+                row_intensities(view, x), np.abs(view.conj() @ x) ** 2
+            )
 
 
 class TestMeasurementLaws:
