@@ -15,8 +15,8 @@ import numpy as np
 
 from onebitphase.channels import quantize
 from onebitphase.numkit import dist_sq
-from onebitphase.recovery import CdpOperator, alt_min, cdp_lsq_solver, initial_estimate
-from onebitphase.sensing import build_cdp_operator, cdp_intensities, substream
+from onebitphase.recovery import alt_min, cdp_lsq_solver, initial_estimate
+from onebitphase.sensing import CdpOperator, build_cdp_operator, intensities, substream
 
 n, r, sigma, trials = 256, 4, 0.8, 5
 finals = {"subexp": [], "onebit": [], "weighted1bit": []}
@@ -30,15 +30,15 @@ for t in range(trials):
     # unnormalized signal keeps per-coordinate masked-DFT intensities at unit
     # scale, so sigma means the same thing it does for dense Gaussian sensing
     x0 = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(0.5)
-    b1_clean = cdp_intensities(op1, x0)
-    b2_clean = cdp_intensities(op2, x0)
+    b1_clean = intensities(op1, x0)
+    b2_clean = intensities(op2, x0)
     noise = sigma * np.maximum(substream(seed, "noise").standard_normal(n * r), 0.0)
     b1, b2 = b1_clean + noise, b2_clean + noise
 
     y = quantize(b1, b2)
     flips += int(np.sum(y != quantize(b1_clean, b2_clean)))
 
-    op_all = CdpOperator(n=n, r=2 * r, masks=np.vstack([op1.masks, op2.masks]), seed=0)
+    op_all = CdpOperator(np.vstack([op1.masks, op2.masks]))
     b_all = np.concatenate([b1, b2])
     solver = cdp_lsq_solver(op_all)
     for kind in finals:

@@ -30,27 +30,26 @@ from .channels import (
     model_param,
     observe_pairs,
     parse_model,
-    quantize_signal,
 )
 from .numkit import dist_sq
 from .recovery import (
     InitKind,
-    MatrixOperator,
     alt_min,
     alt_min_resampled,
     cdp_lsq_solver,
     dense_lsq_solver,
     initial_estimate,
     multi_init_select,
-    one_bit_phase,
+    one_bit_terms,
     parse_init,
-    subexp_phase,
+    spectral_estimate,
 )
 from .sensing import (
     CdpOperator,
+    MatrixOperator,
     build_cdp_operator,
     build_paired_ensemble,
-    cdp_intensities,
+    intensities,
     paired_intensities,
     substream,
 )
@@ -252,24 +251,18 @@ def run_distortion_sweep(cfg: ExperimentConfig) -> list[list]:
         x0 = _unit_signal(n, substream(cfg.seed, "signal", t))
         b1, b2 = paired_intensities(ens, x0)
         b_all = np.concatenate([b1, b2])
-        rep = one_bit_phase(
-            quantize_signal(ens, x0),
-            tol=tol,
-            max_iters=iters,
-            seed=substream(cfg.seed, "power-bit", t),
-            shift=cfg.shift,
-        )
+        _, _, y = observe_pairs(Identity(), b1, b2)
+        terms = one_bit_terms(MatrixOperator(ens.rows1), MatrixOperator(ens.rows2), y)
+        seed_bit = substream(cfg.seed, "power-bit", t)
+        rep = spectral_estimate(terms, tol, iters, seed_bit, cfg.shift)
         bit = dist_sq(rep.estimate, x0)
+        op_all = MatrixOperator(ens.stacked_rows())
         for alpha in cfg.alphas:
             model = TanhDistortion(alpha)
             err_bit[alpha].append(bit)
-            rep_sub = subexp_phase(
-                ens,
-                apply_model(model, b_all),
-                tol=tol,
-                max_iters=iters,
-                seed=substream(cfg.seed, "power-sub", t),
-            )
+            term_sub = (op_all, apply_model(model, b_all))
+            seed_sub = substream(cfg.seed, "power-sub", t)
+            rep_sub = spectral_estimate([term_sub], tol, iters, seed_sub)
             err_sub[alpha].append(dist_sq(rep_sub.estimate, x0))
     rows = []
     for alpha in cfg.alphas:
@@ -374,10 +367,10 @@ def _cdp_trial(cfg: ExperimentConfig, trial: int):
     r = cfg.ratio if cfg.ratio is not None else _DEFAULT_RATIO["cdp-convergence"]
     op1 = build_cdp_operator(n, r, _trial_seed(cfg.seed, "cdp-masks-1", trial))
     op2 = build_cdp_operator(n, r, _trial_seed(cfg.seed, "cdp-masks-2", trial))
-    op_all = CdpOperator(n=n, r=2 * r, masks=np.vstack([op1.masks, op2.masks]), seed=0)
+    op_all = CdpOperator(np.vstack([op1.masks, op2.masks]))
     x0 = _cdp_signal(n, substream(cfg.seed, "signal", trial))
-    b1c = cdp_intensities(op1, x0)
-    b2c = cdp_intensities(op2, x0)
+    b1c = intensities(op1, x0)
+    b2c = intensities(op2, x0)
     return op1, op2, op_all, x0, b1c, b2c, cdp_lsq_solver(op_all)
 
 

@@ -17,14 +17,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .numkit import as_complex_vector
-from .sensing import (
-    PairedEnsemble,
-    paired_intensities,
-    sample_exponential,
-    sample_poisson,
-    substream,
-)
+from .sensing import sample_exponential, sample_poisson, substream
 
 
 @dataclass(frozen=True)
@@ -173,43 +166,16 @@ def quantize(b1, b2):
 
 
 def ratio_weights(b1, b2) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized pair weights (b1, b2) / (b1 + b2); zero-sum pairs are errors."""
+    """Normalized pair weights (b1, b2) / (b1 + b2); non-finite entries and
+    zero-sum pairs are errors."""
     b1 = np.asarray(b1, dtype=float)
     b2 = np.asarray(b2, dtype=float)
+    if not (np.all(np.isfinite(b1)) and np.all(np.isfinite(b2))):
+        raise ValueError("intensities must be finite")
     total = b1 + b2
     if np.any(total <= 0):
         raise ValueError("ratio weights need b1 + b2 > 0 for every pair")
     return b1 / total, b2 / total
-
-
-@dataclass(frozen=True)
-class QuantizedData:
-    """One-bit comparisons of an ensemble's paired intensities.
-
-    ``weights`` (when present) stacks the pair ratio weights as an (m, 2)
-    array whose rows sum to one.
-    """
-
-    ensemble: PairedEnsemble
-    y: np.ndarray
-    weights: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        y = np.asarray(self.y)
-        if y.shape != (self.ensemble.m,):
-            raise ValueError(f"y has shape {y.shape}, expected ({self.ensemble.m},)")
-        if not np.all(np.isin(y, (-1, 0, 1))):
-            raise ValueError("y entries must lie in {-1, 0, +1}")
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float)
-            if w.shape != (self.ensemble.m, 2):
-                raise ValueError(
-                    f"weights have shape {w.shape}, expected ({self.ensemble.m}, 2)"
-                )
-            if np.any(w < 0) or np.any(w > 1):
-                raise ValueError("weights must lie in [0, 1]")
-            if np.max(np.abs(w.sum(axis=1) - 1.0)) > 1e-12:
-                raise ValueError("weight rows must sum to 1")
 
 
 def observe_pairs(
@@ -230,34 +196,6 @@ def observe_pairs(
     if isinstance(model, _RANK_PRESERVING):
         return b1_obs, b2_obs, quantize(b1, b2)
     return b1_obs, b2_obs, quantize(b1_obs, b2_obs)
-
-
-def quantize_signal(
-    ensemble: PairedEnsemble,
-    x0,
-    model: MeasurementModel = Identity(),
-    rng: Optional[np.random.Generator] = None,
-    with_weights: bool = False,
-) -> QuantizedData:
-    """Measure ``x0`` through the model and keep one bit per intensity pair
-    (see :func:`observe_pairs`).  Ratio weights always come from the clean
-    intensities and are only offered under the identity model.
-    """
-    x0 = as_complex_vector(x0)
-    if np.linalg.norm(x0) == 0.0:
-        raise ValueError("x0 must be nonzero")
-    if with_weights and not isinstance(model, Identity):
-        raise ValueError(
-            "ratio weights are only defined for the identity model; "
-            f"got {format_model(model)!r}"
-        )
-    b1, b2 = paired_intensities(ensemble, x0)
-    _, _, y = observe_pairs(model, b1, b2, rng)
-    weights = None
-    if with_weights:
-        r1, r2 = ratio_weights(b1, b2)
-        weights = np.stack([r1, r2], axis=1)
-    return QuantizedData(ensemble=ensemble, y=y.astype(np.int8), weights=weights)
 
 
 def lambda_closed_form(model: MeasurementModel) -> Optional[float]:

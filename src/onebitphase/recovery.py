@@ -16,9 +16,16 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .channels import QuantizedData, quantize, ratio_weights
+from .channels import quantize, ratio_weights
 from .numkit import as_complex_vector, cgls, phase_op, power_iteration
-from .sensing import CdpOperator, PairedEnsemble, PlainEnsemble, substream
+from .sensing import (
+    CdpOperator,
+    MatrixOperator,
+    MeasurementOperator,
+    PairedEnsemble,
+    PlainEnsemble,
+    substream,
+)
 
 
 @dataclass
@@ -50,43 +57,6 @@ def parse_init(name: str) -> InitKind:
     except ValueError:
         valid = ", ".join(k.value for k in InitKind)
         raise ValueError(f"unknown init kind {name!r}; expected one of {valid}")
-
-
-@dataclass(frozen=True)
-class MatrixOperator:
-    """Measurement operator from explicit sensing rows.
-
-    apply(x)[k] = <row_k, x> = conj(row_k) . x, matching the inner-product
-    convention everywhere else.  It is evaluated as conj(rows @ conj(x)), so
-    no conjugate copy of the rows is made.
-    """
-
-    rows: np.ndarray
-
-    def __post_init__(self):
-        if self.rows.ndim != 2:
-            raise ValueError(f"rows must be 2-D, got shape {self.rows.shape}")
-
-    @property
-    def n(self) -> int:
-        return self.rows.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def frobenius_sq(self) -> float:
-        return float(np.sum(np.abs(self.rows) ** 2))
-
-    def apply(self, x) -> np.ndarray:
-        return np.conj(self.rows @ np.conj(x))
-
-    def adjoint(self, y) -> np.ndarray:
-        return self.rows.T @ y
-
-
-MeasurementOperator = Union[MatrixOperator, CdpOperator]
 
 
 def _checked_intensities(b) -> np.ndarray:
@@ -192,60 +162,6 @@ def spectral_estimate(
     )
 
 
-def one_bit_phase(
-    data: QuantizedData,
-    tol: float = 1e-8,
-    max_iters: int = 1000,
-    seed: int = 0,
-    shift: bool = False,
-) -> RecoveryReport:
-    """Top eigenvector of the signed pair surrogate
-    (1/m) sum_i y_i (a1_i a1_i* - a2_i a2_i*); see :func:`spectral_estimate`
-    for ``shift``."""
-    if data.weights is not None:
-        raise ValueError("data carries ratio weights; use weighted_one_bit_phase")
-    ens = data.ensemble
-    terms = one_bit_terms(MatrixOperator(ens.rows1), MatrixOperator(ens.rows2), data.y)
-    return spectral_estimate(terms, tol, max_iters, seed, shift)
-
-
-def weighted_one_bit_phase(
-    data: QuantizedData,
-    tol: float = 1e-8,
-    max_iters: int = 1000,
-    seed: int = 0,
-    shift: bool = False,
-) -> RecoveryReport:
-    """Like :func:`one_bit_phase` but with pair ratio weights inside the sum."""
-    if data.weights is None:
-        raise ValueError("data carries no ratio weights; use one_bit_phase")
-    ens = data.ensemble
-    ops = MatrixOperator(ens.rows1), MatrixOperator(ens.rows2)
-    terms = one_bit_terms(*ops, data.y, data.weights.T)
-    return spectral_estimate(terms, tol, max_iters, seed, shift)
-
-
-def subexp_phase(
-    ensemble: Union[PlainEnsemble, PairedEnsemble],
-    b,
-    tol: float = 1e-8,
-    max_iters: int = 1000,
-    seed: int = 0,
-) -> RecoveryReport:
-    """Top eigenvector of the intensity-weighted covariance (1/m) sum b_i a_i a_i*.
-
-    The surrogate is positive semidefinite, so no spectral shift is needed.
-    Accepts a plain ensemble, or a paired one whose 2m stacked rows are
-    weighted by 2m intensities.
-    """
-    if isinstance(ensemble, PairedEnsemble):
-        rows = ensemble.stacked_rows()
-    else:
-        rows = ensemble.rows
-    b = _checked_intensities(b)
-    return spectral_estimate([(MatrixOperator(rows), b)], tol, max_iters, seed)
-
-
 def initial_estimate(
     kind: InitKind,
     op1,
@@ -267,8 +183,12 @@ def initial_estimate(
     surrogate, and the dimension of the random start.  ``seed`` drives the
     random vector or the power iteration; ``shift`` applies to the one-bit
     kinds only, since the subexp surrogate is positive semidefinite.
+    Negative or non-finite intensities are rejected here, before any power
+    iteration runs.
     """
     kind = InitKind(kind)
+    op_all, b_all = stacked
+    stacked = (op_all, _checked_intensities(b_all))
     if kind is InitKind.RANDOM:
         return RecoveryReport(
             estimate=random_init(stacked[0].n, seed),
@@ -279,7 +199,9 @@ def initial_estimate(
         )
     if kind is InitKind.SUBEXP:
         return spectral_estimate([stacked], tol, max_iters, seed)
-    weights = ratio_weights(b1, b2) if kind is InitKind.WEIGHTED_ONEBIT else None
+    weights = None
+    if kind is InitKind.WEIGHTED_ONEBIT:
+        weights = ratio_weights(_checked_intensities(b1), _checked_intensities(b2))
     terms = one_bit_terms(op1, op2, y, weights)
     return spectral_estimate(terms, tol, max_iters, seed, shift)
 

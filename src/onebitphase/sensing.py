@@ -1,14 +1,20 @@
-"""Seeded measurement ensembles: complex Gaussian rows and masked-DFT stacks.
+"""Seeded measurement ensembles and the measurement operators over them.
 
 All randomness flows through :func:`substream`, which derives an independent
 generator from a master seed plus purpose keys, so every ensemble can be
 regenerated bit-for-bit from its ``(n, m, seed)`` header.
+
+A measurement operator is anything with ``n``, ``out_dim``, ``frobenius_sq``,
+``apply`` and ``adjoint``: :class:`MatrixOperator` for explicit rows and
+:class:`CdpOperator` for masked-DFT stacks.  Each checks its array once, at
+construction; ``apply``/``adjoint`` check only the length of their input.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
@@ -121,45 +127,84 @@ def build_plain_ensemble(n: int, m: int, seed: int) -> PlainEnsemble:
     return PlainEnsemble(n=n, m=m, seed=seed, rows=rows)
 
 
-def row_intensities(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """|<row_k, x>|^2 for every row of a sensing matrix.
+def _checked_matrix(a: np.ndarray, name: str) -> None:
+    if a.ndim != 2:
+        raise ValueError(f"{name} must be 2-D, got shape {a.shape}")
+    # A NaN or inf entry makes the sum NaN or inf; one pass, no boolean copy.
+    if not np.isfinite(a.sum()):
+        raise ValueError(f"{name} entries must be finite")
 
-    |<row_k, x>| = |row_k . conj(x)|, so no conjugate copy of the rows is made.
+
+def _sized(v, size: int, name: str) -> np.ndarray:
+    """``v`` as an array of shape (size,); its entries are not inspected."""
+    v = np.asarray(v)
+    if v.shape != (size,):
+        raise ValueError(f"{name} has shape {v.shape}, operator expects ({size},)")
+    return v
+
+
+@dataclass(frozen=True)
+class MatrixOperator:
+    """Measurement operator from explicit sensing rows.
+
+    apply(x)[k] = <row_k, x> = conj(row_k) . x, matching the inner-product
+    convention everywhere else.  It is evaluated as conj(rows @ conj(x)), so
+    no conjugate copy of the rows is made.
     """
-    return np.abs(rows @ np.conj(x)) ** 2
 
+    rows: np.ndarray
 
-def paired_intensities(ens: PairedEnsemble, x) -> tuple[np.ndarray, np.ndarray]:
-    x = as_complex_vector(x)
-    if x.size != ens.n:
-        raise ValueError(f"x has dimension {x.size}, ensemble expects {ens.n}")
-    return row_intensities(ens.rows1, x), row_intensities(ens.rows2, x)
+    def __post_init__(self):
+        _checked_matrix(self.rows, "rows")
+
+    @property
+    def n(self) -> int:
+        return self.rows.shape[1]
+
+    @property
+    def out_dim(self) -> int:
+        return self.rows.shape[0]
+
+    @property
+    def frobenius_sq(self) -> float:
+        return float(np.sum(np.abs(self.rows) ** 2))
+
+    def apply(self, x) -> np.ndarray:
+        x = _sized(x, self.n, "x")
+        return np.conj(self.rows @ np.conj(x))
+
+    def adjoint(self, y) -> np.ndarray:
+        y = _sized(y, self.out_dim, "y")
+        return self.rows.T @ y
 
 
 @dataclass(frozen=True)
 class CdpOperator:
-    """Masked-DFT sensing: r blocks, block i maps x to DFT(w_i * x).
+    """Masked-DFT sensing with r masks of length n: block i maps x to
+    DFT(w_i * x), and the blocks stack to length r*n.
 
     The adjoint uses the unitary inverse DFT, so apply/adjoint form an exact
     adjoint pair and the normal matrix is Diag(sum_i |w_i|^2).
     """
 
-    n: int
-    r: int
     masks: np.ndarray
-    seed: int
 
     def __post_init__(self):
-        if self.n <= 0 or self.r <= 0:
-            raise ValueError("n and r must be positive")
-        if self.masks.shape != (self.r, self.n):
-            raise ValueError(
-                f"masks have shape {self.masks.shape}, expected {(self.r, self.n)}"
-            )
+        _checked_matrix(self.masks, "masks")
+        if self.masks.size == 0:
+            raise ValueError(f"masks have shape {self.masks.shape}; n and r must be positive")
+
+    @property
+    def r(self) -> int:
+        return self.masks.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.masks.shape[1]
 
     @property
     def out_dim(self) -> int:
-        return self.r * self.n
+        return self.masks.size
 
     @property
     def frobenius_sq(self) -> float:
@@ -167,34 +212,29 @@ class CdpOperator:
         return float(np.sum(np.abs(self.masks) ** 2))
 
     def apply(self, x) -> np.ndarray:
-        return cdp_apply(self, x)
+        x = _sized(x, self.n, "x")
+        blocks = np.fft.fft(self.masks * x[None, :], axis=1, norm="ortho")
+        return blocks.reshape(-1)
 
     def adjoint(self, y) -> np.ndarray:
-        return cdp_adjoint(self, y)
+        """sum_i conj(w_i) * idft(block_i)."""
+        y = _sized(y, self.out_dim, "y")
+        blocks = np.fft.ifft(y.reshape(self.r, self.n), axis=1, norm="ortho")
+        return np.sum(self.masks.conj() * blocks, axis=0)
+
+
+MeasurementOperator = Union[MatrixOperator, CdpOperator]
 
 
 def build_cdp_operator(n: int, r: int, seed: int) -> CdpOperator:
-    masks = _gaussian_rows(r, n, substream(seed, "cdp-masks"))
-    return CdpOperator(n=n, r=r, masks=masks, seed=seed)
+    return CdpOperator(_gaussian_rows(r, n, substream(seed, "cdp-masks")))
 
 
-def cdp_apply(op: CdpOperator, x) -> np.ndarray:
-    """Stacked masked DFTs of x, block i = dft(masks[i] * x), length r*n."""
+def intensities(op: MeasurementOperator, x) -> np.ndarray:
+    """|A x|^2 entrywise: the noiseless intensities of ``x`` through ``op``."""
+    return np.abs(op.apply(x)) ** 2
+
+
+def paired_intensities(ens: PairedEnsemble, x) -> tuple[np.ndarray, np.ndarray]:
     x = as_complex_vector(x)
-    if x.size != op.n:
-        raise ValueError(f"x has dimension {x.size}, operator expects {op.n}")
-    blocks = np.fft.fft(op.masks * x[None, :], axis=1, norm="ortho")
-    return blocks.reshape(-1)
-
-def cdp_adjoint(op: CdpOperator, y) -> np.ndarray:
-    """Adjoint of :func:`cdp_apply`: sum_i conj(w_i) * idft(block_i)."""
-    y = as_complex_vector(y)
-    if y.size != op.r * op.n:
-        raise ValueError(f"y has dimension {y.size}, expected {op.r * op.n}")
-    blocks = np.fft.ifft(y.reshape(op.r, op.n), axis=1, norm="ortho")
-    return np.sum(op.masks.conj() * blocks, axis=0)
-
-
-def cdp_intensities(op: CdpOperator, x) -> np.ndarray:
-    return np.abs(cdp_apply(op, x)) ** 2
-
+    return intensities(MatrixOperator(ens.rows1), x), intensities(MatrixOperator(ens.rows2), x)

@@ -18,34 +18,30 @@ from onebitphase import bench, cli
 from onebitphase.channels import (
     ExponentialNoise,
     Identity,
-    QuantizedData,
     TanhDistortion,
     lambda_closed_form,
     lambda_monte_carlo,
+    observe_pairs,
     quantize,
-    quantize_signal,
     ratio_weights,
 )
 from onebitphase.numkit import dist_sq
 from onebitphase.recovery import (
-    MatrixOperator,
     alt_min,
     cdp_lsq_solver,
     dense_lsq_solver,
     initial_estimate,
-    one_bit_phase,
-    random_init,
-    subexp_phase,
-    weighted_one_bit_phase,
+    one_bit_terms,
+    spectral_estimate,
 )
 from onebitphase.sensing import (
     CdpOperator,
+    MatrixOperator,
     build_cdp_operator,
     build_paired_ensemble,
     build_plain_ensemble,
-    cdp_intensities,
+    intensities,
     paired_intensities,
-    row_intensities,
     substream,
 )
 
@@ -55,6 +51,13 @@ from _oracles import dense_one_bit_matrix, dense_subexp_matrix, hermitian_top_ei
 def _unit(rng, n):
     v = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(0.5)
     return v / np.linalg.norm(v)
+
+
+def _one_bit_estimate(ens, x0, seed, model=Identity()):
+    """Onebit spectral estimate from the pairs of ``x0`` observed through ``model``."""
+    _, _, y = observe_pairs(model, *paired_intensities(ens, x0))
+    ops = MatrixOperator(ens.rows1), MatrixOperator(ens.rows2)
+    return spectral_estimate(one_bit_terms(*ops, y), seed=seed).estimate
 
 
 def test_01_channel_constant_oracles():
@@ -71,7 +74,7 @@ def test_01_channel_constant_oracles():
 def test_02_intensity_distribution_laws():
     ens = build_plain_ensemble(8, 100_000, seed=21)
     x0 = _unit(substream(21, "x0"), 8)
-    b = row_intensities(ens.rows, x0)
+    b = intensities(MatrixOperator(ens.rows), x0)
     ks_exp = stats.kstest(b, "expon").statistic
     assert ks_exp <= 0.01
 
@@ -144,25 +147,31 @@ def test_05_spectral_oracle_equivalence():
         seed = 500 + s
         ens = build_paired_ensemble(n, m, seed=seed)
         x0 = _unit(substream(seed, "x0"), n)
-        data = quantize_signal(ens, x0)
-        wdata = quantize_signal(ens, x0, with_weights=True)
+        b1, b2 = paired_intensities(ens, x0)
+        y = quantize(b1, b2)
+        ops = MatrixOperator(ens.rows1), MatrixOperator(ens.rows2)
+        rows = ens.stacked_rows()
+        b = intensities(MatrixOperator(rows), x0)
 
-        rep = one_bit_phase(data, tol=1e-13, max_iters=100_000, seed=1, shift=True)
-        dense = dense_one_bit_matrix(ens.rows1, ens.rows2, data.y)
+        def init(kind):
+            return initial_estimate(kind, *ops, b1, b2, y, (MatrixOperator(rows), b), 1,
+                                    tol=1e-13, max_iters=100_000, shift=True)
+
+        rep = init("onebit")
+        dense = dense_one_bit_matrix(ens.rows1, ens.rows2, y)
         val, vec = hermitian_top_eig(dense)
         worst = max(worst, dist_sq(rep.estimate, vec))
         assert dist_sq(rep.estimate, vec) <= 1e-8
         assert rep.lambda_hat == pytest.approx(val, abs=1e-6)
 
-        wrep = weighted_one_bit_phase(wdata, tol=1e-13, max_iters=100_000, seed=1, shift=True)
-        wdense = dense_one_bit_matrix(ens.rows1, ens.rows2, wdata.y, weights=wdata.weights)
+        wrep = init("weighted1bit")
+        weights = np.stack(ratio_weights(b1, b2), axis=1)
+        wdense = dense_one_bit_matrix(ens.rows1, ens.rows2, y, weights=weights)
         _, wvec = hermitian_top_eig(wdense)
         worst = max(worst, dist_sq(wrep.estimate, wvec))
         assert dist_sq(wrep.estimate, wvec) <= 1e-8
 
-        rows = ens.stacked_rows()
-        b = row_intensities(rows, x0)
-        srep = subexp_phase(ens, b, tol=1e-13, max_iters=100_000, seed=1)
+        srep = init("subexp")
         _, svec = hermitian_top_eig(dense_subexp_matrix(rows, b))
         worst = max(worst, dist_sq(srep.estimate, svec))
         assert dist_sq(srep.estimate, svec) <= 1e-8
@@ -179,8 +188,8 @@ def test_06_sample_complexity_scaling():
             seed = int(substream(100 + s, "c6").integers(0, 2**63))
             ens = build_paired_ensemble(n, m, seed=seed)
             x0 = _unit(substream(seed, "x0"), n)
-            rep = one_bit_phase(quantize_signal(ens, x0), seed=substream(seed, "pw"))
-            errs.append(dist_sq(rep.estimate, x0))
+            est = _one_bit_estimate(ens, x0, substream(seed, "pw"))
+            errs.append(dist_sq(est, x0))
         medians[m] = float(np.median(errs))
     ratio = medians[2048] / medians[8192]
     elapsed = time.monotonic() - t0
@@ -205,8 +214,7 @@ def test_07_distortion_robustness():
     ens = build_paired_ensemble(64, 256, seed=7)
     x0 = _unit(substream(7, "x0"), 64)
     estimates = [
-        one_bit_phase(quantize_signal(ens, x0, model=TanhDistortion(a)), seed=3).estimate
-        for a in (0.125, 1.0, 8.0)
+        _one_bit_estimate(ens, x0, 3, TanhDistortion(a)) for a in (0.125, 1.0, 8.0)
     ]
     for other in estimates[1:]:
         np.testing.assert_array_equal(estimates[0], other)
@@ -225,21 +233,24 @@ def gaussian_noiseless_runs():
         ens = build_paired_ensemble(n, pairs, seed=seed)
         x0 = _unit(substream(seed, "x0"), n)
         b1, b2 = paired_intensities(ens, x0)
-        y = quantize(b1, b2).astype(np.int8)
-        r1, r2 = ratio_weights(b1, b2)
-        data = QuantizedData(ensemble=ens, y=y)
-        wdata = QuantizedData(ensemble=ens, y=y, weights=np.stack([r1, r2], axis=1))
+        y = quantize(b1, b2)
         b_all = np.concatenate([b1, b2])
         rows = ens.stacked_rows()
         op = MatrixOperator(rows)
         solver = dense_lsq_solver(rows)
+        ops = MatrixOperator(ens.rows1), MatrixOperator(ens.rows2)
+
         # loose power tolerance: the iterate wobble at 1e-4 is orders of
         # magnitude below the statistical error of the initializers
+        def init(kind, stream):
+            return initial_estimate(kind, *ops, b1, b2, y, (op, b_all), substream(seed, stream),
+                                    tol=1e-4, max_iters=400).estimate
+
         ests = {
-            "onebit": one_bit_phase(data, tol=1e-4, max_iters=400, seed=substream(seed, "p1")).estimate,
-            "weighted1bit": weighted_one_bit_phase(wdata, tol=1e-4, max_iters=400, seed=substream(seed, "p2")).estimate,
-            "subexp": subexp_phase(ens, b_all, tol=1e-4, max_iters=400, seed=substream(seed, "p3")).estimate,
-            "random": random_init(n, substream(seed, "rand")),
+            "onebit": init("onebit", "p1"),
+            "weighted1bit": init("weighted1bit", "p2"),
+            "subexp": init("subexp", "p3"),
+            "random": init("random", "rand"),
         }
         for kind, xi in ests.items():
             errs = []
@@ -267,11 +278,11 @@ def cdp_noisy_runs():
         op2 = build_cdp_operator(n, r, int(substream(seed, "m2").integers(0, 2**63)))
         rng = substream(seed, "x0")
         x0 = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(0.5)
-        b1c, b2c = cdp_intensities(op1, x0), cdp_intensities(op2, x0)
+        b1c, b2c = intensities(op1, x0), intensities(op2, x0)
         noise = sigma * np.maximum(substream(seed, "noise").standard_normal(b1c.size), 0.0)
         b1, b2 = b1c + noise, b2c + noise
         y = quantize(b1, b2)
-        op_all = CdpOperator(n=n, r=2 * r, masks=np.vstack([op1.masks, op2.masks]), seed=0)
+        op_all = CdpOperator(np.vstack([op1.masks, op2.masks]))
         b_all = np.concatenate([b1, b2])
         solver = cdp_lsq_solver(op_all)
         for kind in finals:

@@ -9,7 +9,7 @@ from onebitphase.bench import ConfigError, ExperimentConfig
 from onebitphase.channels import quantize
 from onebitphase.numkit import dist_sq
 from onebitphase.recovery import one_bit_terms, surrogate_matvec
-from onebitphase.sensing import build_cdp_operator, cdp_intensities, substream
+from onebitphase.sensing import build_cdp_operator, intensities, substream
 
 from _oracles import dense_one_bit_matrix
 
@@ -150,7 +150,7 @@ class TestConvergenceRuns:
         op2 = build_cdp_operator(n, 2, seed=12)
         rng = substream(11, "x0")
         x0 = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(0.5)
-        y = quantize(cdp_intensities(op1, x0), cdp_intensities(op2, x0))
+        y = quantize(intensities(op1, x0), intensities(op2, x0))
         surrogate = surrogate_matvec(one_bit_terms(op1, op2, y))
 
         eye = np.eye(n, dtype=complex)

@@ -8,7 +8,6 @@ from onebitphase.channels import (
     ExponentialNoise,
     Identity,
     PoissonNoise,
-    QuantizedData,
     TanhDistortion,
     apply_model,
     format_model,
@@ -17,10 +16,14 @@ from onebitphase.channels import (
     observe_pairs,
     parse_model,
     quantize,
-    quantize_signal,
     ratio_weights,
 )
-from onebitphase.sensing import PairedEnsemble, build_paired_ensemble, substream
+from onebitphase.sensing import (
+    PairedEnsemble,
+    build_paired_ensemble,
+    paired_intensities,
+    substream,
+)
 
 
 class TestModelSpecs:
@@ -149,6 +152,13 @@ class TestRatioWeights:
         with pytest.raises(ValueError):
             ratio_weights(np.array([0.0]), np.array([0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ratio_weights(np.array([bad, 1.0]), np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            ratio_weights(np.array([1.0, 1.0]), np.array([1.0, bad]))
+
 
 def _tiny_ensemble():
     rows1 = np.array([[2.0 + 0.0j, 0.0]])
@@ -156,83 +166,49 @@ def _tiny_ensemble():
     return PairedEnsemble(n=2, m=1, seed=0, rows1=rows1, rows2=rows2)
 
 
-class TestQuantizedData:
-    def test_y_values_validated(self):
-        with pytest.raises(ValueError):
-            QuantizedData(ensemble=_tiny_ensemble(), y=np.array([2]))
-
-    def test_weight_rows_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            QuantizedData(
-                ensemble=_tiny_ensemble(),
-                y=np.array([1]),
-                weights=np.array([[0.6, 0.5]]),
-            )
-
-    def test_weight_shape_validated(self):
-        with pytest.raises(ValueError):
-            QuantizedData(
-                ensemble=_tiny_ensemble(), y=np.array([1]), weights=np.array([0.5, 0.5])
-            )
+def _signs(ens, x0, model=Identity(), rng=None):
+    """One bit per pair of ``x0``'s intensities measured through ``model``."""
+    return observe_pairs(model, *paired_intensities(ens, x0), rng)[2]
 
 
 class TestQuantizeSignal:
     def test_hand_worked_pair(self):
-        data = quantize_signal(_tiny_ensemble(), np.array([1.0 + 0.0j, 0.0]))
-        assert data.y[0] == 1
+        assert _signs(_tiny_ensemble(), np.array([1.0 + 0.0j, 0.0]))[0] == 1
 
     def test_scale_invariance(self):
         ens = build_paired_ensemble(6, 500, seed=1)
         rng = substream(0, "test-signal")
         x0 = (rng.standard_normal(6) + 1j * rng.standard_normal(6)) / np.sqrt(2)
-        y1 = quantize_signal(ens, x0).y
-        y2 = quantize_signal(ens, 5.0 * x0).y
-        np.testing.assert_array_equal(y1, y2)
+        np.testing.assert_array_equal(_signs(ens, x0), _signs(ens, 5.0 * x0))
 
     def test_no_ties_under_identity(self):
         ens = build_paired_ensemble(4, 100000, seed=2)
         rng = substream(0, "test-signal2")
         x0 = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) / np.sqrt(2)
-        data = quantize_signal(ens, x0)
-        assert np.all(data.y != 0)
+        assert np.all(_signs(ens, x0) != 0)
 
     def test_deterministic_distortion_cannot_flip_signs(self):
         ens = build_paired_ensemble(8, 2000, seed=3)
         rng = substream(0, "test-signal3")
         x0 = (rng.standard_normal(8) + 1j * rng.standard_normal(8)) / np.sqrt(2)
-        base = quantize_signal(ens, x0).y
+        base = _signs(ens, x0)
         for alpha in (0.125, 1.0, 8.0, 64.0):
-            np.testing.assert_array_equal(
-                quantize_signal(ens, x0, TanhDistortion(alpha)).y, base
-            )
+            np.testing.assert_array_equal(_signs(ens, x0, TanhDistortion(alpha)), base)
 
     def test_noise_flips_some_signs(self):
         ens = build_paired_ensemble(8, 2000, seed=4)
         rng = substream(0, "test-signal4")
         x0 = (rng.standard_normal(8) + 1j * rng.standard_normal(8)) / np.sqrt(2)
-        clean = quantize_signal(ens, x0).y
-        noisy = quantize_signal(
-            ens, x0, ExponentialNoise(4.0), rng=substream(0, "test-noise")
-        ).y
+        clean = _signs(ens, x0)
+        noisy = _signs(ens, x0, ExponentialNoise(4.0), substream(0, "test-noise"))
         assert np.any(clean != noisy)
-
-    def test_weights_require_identity_model(self):
-        ens = build_paired_ensemble(4, 50, seed=5)
-        x0 = np.ones(4, dtype=complex)
-        with pytest.raises(ValueError, match="identity"):
-            quantize_signal(ens, x0, TanhDistortion(1.0), with_weights=True)
 
     def test_weights_shape_and_sum(self):
         ens = build_paired_ensemble(4, 50, seed=6)
         x0 = np.ones(4, dtype=complex)
-        data = quantize_signal(ens, x0, with_weights=True)
-        assert data.weights.shape == (50, 2)
-        np.testing.assert_allclose(data.weights.sum(axis=1), 1.0, atol=1e-14)
-
-    def test_zero_signal_rejected(self):
-        ens = build_paired_ensemble(4, 10, seed=8)
-        with pytest.raises(ValueError):
-            quantize_signal(ens, np.zeros(4, dtype=complex))
+        weights = np.stack(ratio_weights(*paired_intensities(ens, x0)), axis=1)
+        assert weights.shape == (50, 2)
+        np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-14)
 
     def test_non_finite_intensities_rejected(self):
         # a NaN difference used to become a tie through the int8 cast

@@ -1,6 +1,8 @@
-"""Smoke test: every script in demos/ runs to completion."""
+"""Smoke tests: every script in demos/ and the README library example run to
+completion."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,3 +28,13 @@ def test_demo_runs(script, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_readme_library_example(capsys):
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(compile(blocks[0], "README.md", "exec"), namespace)
+    assert namespace["error"] < 1e-20
+    assert capsys.readouterr().out.strip()

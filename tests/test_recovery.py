@@ -4,31 +4,28 @@ import numpy as np
 import pytest
 
 from onebitphase import recovery
-from onebitphase.channels import QuantizedData, quantize_signal
+from onebitphase.channels import Identity, observe_pairs, quantize, ratio_weights
 from onebitphase.numkit import dist_sq, phase_op
 from onebitphase.recovery import (
     InitKind,
-    MatrixOperator,
     alt_min,
     alt_min_resampled,
     dense_lsq_solver,
+    initial_estimate,
     multi_init_select,
-    one_bit_phase,
     one_bit_terms,
     parse_init,
     random_init,
-    subexp_phase,
+    spectral_estimate,
     surrogate_matvec,
-    weighted_one_bit_phase,
 )
 from onebitphase.sensing import (
-    PlainEnsemble,
+    MatrixOperator,
     build_cdp_operator,
     build_paired_ensemble,
     build_plain_ensemble,
-    cdp_intensities,
+    intensities,
     paired_intensities,
-    row_intensities,
     substream,
 )
 
@@ -40,16 +37,35 @@ def _unit(rng, n):
     return v / np.linalg.norm(v)
 
 
-def _quantized(n, m, seed, with_weights=False):
+def _paired(n, m, seed):
     ens = build_paired_ensemble(n, m, seed=seed)
-    x0 = _unit(substream(seed, "x0"), n)
-    return quantize_signal(ens, x0, with_weights=with_weights), x0
+    return ens, _unit(substream(seed, "x0"), n)
 
 
-def _one_bit_surrogate(data):
-    ens = data.ensemble
-    ops = MatrixOperator(ens.rows1), MatrixOperator(ens.rows2)
-    return surrogate_matvec(one_bit_terms(*ops, data.y))
+def _pair_ops(ens):
+    return MatrixOperator(ens.rows1), MatrixOperator(ens.rows2)
+
+
+def _init(kind, ens, x0, seed, **kw):
+    """``initial_estimate`` from the noiseless measured pairs of ``x0``."""
+    b1, b2 = paired_intensities(ens, x0)
+    _, _, y = observe_pairs(Identity(), b1, b2)
+    stacked = (MatrixOperator(ens.stacked_rows()), np.concatenate([b1, b2]))
+    return initial_estimate(kind, *_pair_ops(ens), b1, b2, y, stacked, seed, **kw)
+
+
+def _subexp(rows, b, seed=0, **kw):
+    """The subexp init reads only its stacked term."""
+    stacked = (MatrixOperator(rows), b)
+    return initial_estimate(InitKind.SUBEXP, None, None, None, None, None, stacked, seed, **kw)
+
+
+def _signs(ens, x0):
+    return quantize(*paired_intensities(ens, x0))
+
+
+def _one_bit_surrogate(ens, y):
+    return surrogate_matvec(one_bit_terms(*_pair_ops(ens), y))
 
 
 class TestMatrixOperator:
@@ -80,39 +96,38 @@ class TestOneBitMatvec:
     def test_single_pair_by_hand(self):
         rows1 = np.array([[1.0 + 1.0j, 0.0]])
         rows2 = np.array([[0.0, 2.0 + 0.0j]])
-        ens = build_paired_ensemble(2, 1, seed=0)
-        ens = ens.__class__(n=2, m=1, seed=0, rows1=rows1, rows2=rows2)
-        data = QuantizedData(ensemble=ens, y=np.array([1], dtype=np.int8))
+        terms = one_bit_terms(MatrixOperator(rows1), MatrixOperator(rows2), np.array([1.0]))
         r = np.array([1.0 + 0.0j, 1.0 + 0.0j])
         a1, a2 = rows1[0], rows2[0]
         expected = a1 * np.vdot(a1, r) - a2 * np.vdot(a2, r)
-        np.testing.assert_allclose(_one_bit_surrogate(data)(r), expected, atol=1e-14)
+        np.testing.assert_allclose(surrogate_matvec(terms)(r), expected, atol=1e-14)
 
     def test_zero_vector_maps_to_zero(self):
-        data, _ = _quantized(4, 20, seed=1)
-        out = _one_bit_surrogate(data)(np.zeros(4, dtype=complex))
+        ens, x0 = _paired(4, 20, seed=1)
+        out = _one_bit_surrogate(ens, _signs(ens, x0))(np.zeros(4, dtype=complex))
         np.testing.assert_array_equal(out, np.zeros(4, dtype=complex))
 
     def test_matches_dense_assembly(self):
-        data, _ = _quantized(8, 50, seed=2)
-        dense = dense_one_bit_matrix(data.ensemble.rows1, data.ensemble.rows2, data.y)
+        ens, x0 = _paired(8, 50, seed=2)
+        y = _signs(ens, x0)
+        dense = dense_one_bit_matrix(ens.rows1, ens.rows2, y)
         rng = substream(2, "probe")
         for _ in range(5):
             r = _unit(rng, 8)
             np.testing.assert_allclose(
-                _one_bit_surrogate(data)(r), dense @ r, atol=1e-10
+                _one_bit_surrogate(ens, y)(r), dense @ r, atol=1e-10
             )
 
     def test_dimension_mismatch(self):
-        data, _ = _quantized(4, 10, seed=3)
+        ens, x0 = _paired(4, 10, seed=3)
         with pytest.raises(ValueError):
-            _one_bit_surrogate(data)(np.ones(5, dtype=complex))
+            _one_bit_surrogate(ens, _signs(ens, x0))(np.ones(5, dtype=complex))
 
 
 class TestOneBitPhase:
     def test_recovers_oversampled_signal(self):
-        data, x0 = _quantized(8, 5000, seed=4)
-        report = one_bit_phase(data, seed=1)
+        ens, x0 = _paired(8, 5000, seed=4)
+        report = _init("onebit", ens, x0, seed=1)
         assert dist_sq(report.estimate, x0) <= 0.05
         assert report.converged
         assert np.linalg.norm(report.estimate) == pytest.approx(1.0, abs=1e-10)
@@ -120,14 +135,14 @@ class TestOneBitPhase:
         assert len(report.trace) == report.iterations
 
     def test_lambda_hat_near_channel_constant(self):
-        data, _ = _quantized(8, 100000, seed=5)
-        report = one_bit_phase(data, seed=1)
+        ens, x0 = _paired(8, 100000, seed=5)
+        report = _init("onebit", ens, x0, seed=1)
         assert 0.9 <= report.lambda_hat <= 1.1
 
     def test_matches_dense_oracle_with_shift(self):
-        data, _ = _quantized(8, 200, seed=6)
-        report = one_bit_phase(data, tol=1e-12, max_iters=20000, seed=1, shift=True)
-        dense = dense_one_bit_matrix(data.ensemble.rows1, data.ensemble.rows2, data.y)
+        ens, x0 = _paired(8, 200, seed=6)
+        report = _init("onebit", ens, x0, 1, tol=1e-12, max_iters=20000, shift=True)
+        dense = dense_one_bit_matrix(ens.rows1, ens.rows2, _signs(ens, x0))
         top_val, top_vec = hermitian_top_eig(dense)
         assert dist_sq(report.estimate, top_vec) <= 1e-8
         assert report.lambda_hat == pytest.approx(top_val, abs=1e-6)
@@ -135,100 +150,97 @@ class TestOneBitPhase:
     def test_signal_scale_invariance(self):
         ens = build_paired_ensemble(6, 800, seed=7)
         x0 = _unit(substream(7, "x0"), 6)
-        rep1 = one_bit_phase(quantize_signal(ens, x0), seed=2)
-        rep2 = one_bit_phase(quantize_signal(ens, 3.0 * x0), seed=2)
+        rep1 = _init("onebit", ens, x0, seed=2)
+        rep2 = _init("onebit", ens, 3.0 * x0, seed=2)
         np.testing.assert_array_equal(rep1.estimate, rep2.estimate)
 
     def test_bitwise_reproducible(self):
-        data, _ = _quantized(6, 500, seed=8)
-        rep1 = one_bit_phase(data, seed=3)
-        rep2 = one_bit_phase(data, seed=3)
+        ens, x0 = _paired(6, 500, seed=8)
+        rep1 = _init("onebit", ens, x0, seed=3)
+        rep2 = _init("onebit", ens, x0, seed=3)
         np.testing.assert_array_equal(rep1.estimate, rep2.estimate)
         assert rep1.lambda_hat == rep2.lambda_hat
         assert rep1.iterations == rep2.iterations
 
-    def test_rejects_weighted_data(self):
-        data, _ = _quantized(4, 50, seed=9, with_weights=True)
-        with pytest.raises(ValueError):
-            one_bit_phase(data)
-
 
 class TestWeightedOneBitPhase:
     def test_recovers_oversampled_signal(self):
-        data, x0 = _quantized(8, 5000, seed=11, with_weights=True)
-        report = weighted_one_bit_phase(data, seed=1)
+        ens, x0 = _paired(8, 5000, seed=11)
+        report = _init("weighted1bit", ens, x0, seed=1)
         assert dist_sq(report.estimate, x0) <= 0.05
         assert np.linalg.norm(report.estimate) == pytest.approx(1.0, abs=1e-10)
 
     def test_matches_dense_oracle_with_shift(self):
-        data, _ = _quantized(8, 200, seed=12, with_weights=True)
-        report = weighted_one_bit_phase(data, tol=1e-12, max_iters=20000, seed=1, shift=True)
-        dense = dense_one_bit_matrix(
-            data.ensemble.rows1, data.ensemble.rows2, data.y, weights=data.weights
-        )
+        ens, x0 = _paired(8, 200, seed=12)
+        report = _init("weighted1bit", ens, x0, 1, tol=1e-12, max_iters=20000, shift=True)
+        b1, b2 = paired_intensities(ens, x0)
+        weights = np.stack(ratio_weights(b1, b2), axis=1)
+        dense = dense_one_bit_matrix(ens.rows1, ens.rows2, quantize(b1, b2), weights=weights)
         _, top_vec = hermitian_top_eig(dense)
         assert dist_sq(report.estimate, top_vec) <= 1e-8
 
     def test_uniform_weights_halve_the_eigenvalue(self):
         ens = build_paired_ensemble(6, 600, seed=13)
         x0 = _unit(substream(13, "x0"), 6)
-        plain = quantize_signal(ens, x0)
-        half = QuantizedData(
-            ensemble=ens, y=plain.y, weights=np.full((600, 2), 0.5)
-        )
-        rep_plain = one_bit_phase(plain, seed=4)
-        rep_half = weighted_one_bit_phase(half, seed=4)
+        y = _signs(ens, x0)
+        half = (np.full(600, 0.5), np.full(600, 0.5))
+        rep_plain = spectral_estimate(one_bit_terms(*_pair_ops(ens), y), seed=4)
+        rep_half = spectral_estimate(one_bit_terms(*_pair_ops(ens), y, half), seed=4)
         np.testing.assert_allclose(rep_half.estimate, rep_plain.estimate, atol=1e-12)
         assert rep_half.lambda_hat == pytest.approx(rep_plain.lambda_hat / 2, rel=1e-10)
 
-    def test_rejects_unweighted_data(self):
-        data, _ = _quantized(4, 50, seed=14)
-        with pytest.raises(ValueError):
-            weighted_one_bit_phase(data)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_bad_pair_intensities_rejected(self, bad):
+        ens, x0 = _paired(4, 10, seed=14)
+        b1, b2 = paired_intensities(ens, x0)
+        b1[3] = bad
+        stacked = (MatrixOperator(ens.stacked_rows()), np.ones(20))
+        with pytest.raises(ValueError, match="intensities must be finite"):
+            initial_estimate(
+                "weighted1bit", *_pair_ops(ens), b1, b2, np.ones(10), stacked, 0
+            )
 
 
 class TestSubexpPhase:
     def test_single_rank_one_measurement(self):
         rows = np.array([[1.0 + 0.0j, 0.0, 0.0]])
-        ens = PlainEnsemble(n=3, m=1, seed=0, rows=rows)
-        report = subexp_phase(ens, np.array([2.0]), seed=1)
+        report = _subexp(rows, np.array([2.0]), seed=1)
         assert report.lambda_hat == pytest.approx(2.0, rel=1e-8)
         assert abs(report.estimate[0]) == pytest.approx(1.0, abs=1e-8)
 
     def test_identity_intensities_recover_signal(self):
         ens = build_plain_ensemble(8, 5000, seed=15)
         x0 = _unit(substream(15, "x0"), 8)
-        b = row_intensities(ens.rows, x0)
-        report = subexp_phase(ens, b, seed=1)
+        b = intensities(MatrixOperator(ens.rows), x0)
+        report = _subexp(ens.rows, b, seed=1)
         assert dist_sq(report.estimate, x0) <= 0.05
         assert 1.8 <= report.lambda_hat <= 2.2
 
     def test_matches_dense_oracle(self):
         ens = build_plain_ensemble(8, 300, seed=16)
         x0 = _unit(substream(16, "x0"), 8)
-        b = row_intensities(ens.rows, x0)
-        report = subexp_phase(ens, b, tol=1e-12, max_iters=20000, seed=1)
+        b = intensities(MatrixOperator(ens.rows), x0)
+        report = _subexp(ens.rows, b, seed=1, tol=1e-12, max_iters=20000)
         _, top_vec = hermitian_top_eig(dense_subexp_matrix(ens.rows, b))
         assert dist_sq(report.estimate, top_vec) <= 1e-8
 
     def test_paired_ensemble_uses_both_arms(self):
-        ens = build_paired_ensemble(6, 2000, seed=17)
-        x0 = _unit(substream(17, "x0"), 6)
-        b1, b2 = paired_intensities(ens, x0)
-        report = subexp_phase(ens, np.concatenate([b1, b2]), seed=1)
+        ens, x0 = _paired(6, 2000, seed=17)
+        report = _init("subexp", ens, x0, seed=1)
         assert dist_sq(report.estimate, x0) <= 0.05
 
     def test_risk_gap_identity(self):
         # gap between the surrogate quadratic form at x0 and at x equals
         # 1 - |<x0, x>|^2 for unit vectors, up to sampling error
         ens = build_plain_ensemble(4, 1000000, seed=18)
+        op = MatrixOperator(ens.rows)
         x0 = _unit(substream(18, "x0"), 4)
-        b = row_intensities(ens.rows, x0)
+        b = intensities(op, x0)
         risk_x0 = np.mean(b * b)
         rng = substream(18, "probes")
         for _ in range(5):
             x = _unit(rng, 4)
-            risk_x = np.mean(b * row_intensities(ens.rows, x))
+            risk_x = np.mean(b * intensities(op, x))
             gap = risk_x0 - risk_x
             expected = 1.0 - np.abs(np.vdot(x0, x)) ** 2
             assert gap == pytest.approx(expected, abs=0.02)
@@ -236,7 +248,7 @@ class TestSubexpPhase:
     def test_negative_intensities_rejected(self):
         ens = build_plain_ensemble(4, 10, seed=19)
         with pytest.raises(ValueError):
-            subexp_phase(ens, -np.ones(10))
+            _subexp(ens.rows, -np.ones(10))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_intensities_rejected(self, bad):
@@ -244,19 +256,19 @@ class TestSubexpPhase:
         b = np.ones(10)
         b[3] = bad
         with pytest.raises(ValueError, match="intensities must be finite"):
-            subexp_phase(ens, b)
+            _subexp(ens.rows, b)
 
     def test_length_mismatch_rejected(self):
         ens = build_plain_ensemble(4, 10, seed=20)
         with pytest.raises(ValueError):
-            subexp_phase(ens, np.ones(11))
+            _subexp(ens.rows, np.ones(11))
 
 
 def _altmin_system(n, m, seed):
     ens = build_paired_ensemble(n, m, seed=seed)
     x0 = _unit(substream(seed, "x0"), n)
     rows = ens.stacked_rows()
-    b = row_intensities(rows, x0)
+    b = intensities(MatrixOperator(rows), x0)
     return ens, rows, b, x0
 
 
@@ -318,8 +330,7 @@ class TestAltMin:
         good = 0
         for seed in range(20):
             ens, rows, b, x0 = _altmin_system(n, 6 * n, seed=100 + seed)
-            data = quantize_signal(ens, x0)
-            init = one_bit_phase(data, seed=seed).estimate
+            init = _init("onebit", ens, x0, seed=seed).estimate
             report = alt_min(MatrixOperator(rows), b, init, max_iters=50)
             if dist_sq(report.estimate, x0) <= 1e-6:
                 good += 1
@@ -338,7 +349,7 @@ class TestAltMin:
     def test_masked_dft_operator(self):
         op = build_cdp_operator(16, 8, seed=24)
         x0 = _unit(substream(24, "x0"), 16)
-        b = cdp_intensities(op, x0)
+        b = intensities(op, x0)
         x_init = random_init(16, substream(24, "init"))
         report = alt_min(op, b, x_init, max_iters=200)
         assert dist_sq(report.estimate, x0) <= 1e-6
@@ -373,7 +384,7 @@ class TestAltMin:
 class TestAltMinResampled:
     def test_single_stage_schedule(self):
         ens, rows, b, x0 = _altmin_system(8, 40, seed=27)
-        b_inter = row_intensities(ens.interleaved_rows(), x0)
+        b_inter = intensities(MatrixOperator(ens.interleaved_rows()), x0)
         for kind in InitKind:
             report = alt_min_resampled(ens, b_inter, epsilon=0.5, init=kind)
             assert report.iterations == 1, kind
@@ -393,7 +404,7 @@ class TestAltMinResampled:
         for seed in range(20):
             ens = build_paired_ensemble(n, pairs, seed=200 + seed)
             x0 = _unit(substream(200 + seed, "x0"), n)
-            b = row_intensities(ens.interleaved_rows(), x0)
+            b = intensities(MatrixOperator(ens.interleaved_rows()), x0)
             report = alt_min_resampled(
                 ens, b, epsilon=eps, init=InitKind.ONEBIT, seed=seed
             )
@@ -409,7 +420,7 @@ class TestAltMinResampled:
         for seed in range(20):
             ens = build_paired_ensemble(n, pairs, seed=300 + seed)
             x0 = _unit(substream(300 + seed, "x0"), n)
-            b = row_intensities(ens.interleaved_rows(), x0)
+            b = intensities(MatrixOperator(ens.interleaved_rows()), x0)
             errs = []
             alt_min_resampled(
                 ens, b, epsilon=eps, init=InitKind.ONEBIT, seed=seed,
@@ -423,7 +434,7 @@ class TestAltMinResampled:
         n = 16
         ens = build_plain_ensemble(n, 40 * n, seed=29)
         x0 = _unit(substream(29, "x0"), n)
-        b = row_intensities(ens.rows, x0)
+        b = intensities(MatrixOperator(ens.rows), x0)
         report = alt_min_resampled(ens, b, epsilon=0.5, init=InitKind.WEIGHTED_ONEBIT)
         assert dist_sq(report.estimate, x0) <= 0.25
 

@@ -4,14 +4,12 @@ from scipy import stats
 
 from onebitphase.sensing import (
     CdpOperator,
+    MatrixOperator,
     build_cdp_operator,
     build_paired_ensemble,
     build_plain_ensemble,
-    cdp_adjoint,
-    cdp_apply,
-    cdp_intensities,
+    intensities,
     paired_intensities,
-    row_intensities,
     sample_complex_gaussian,
     sample_exponential,
     sample_poisson,
@@ -102,12 +100,16 @@ class TestEnsembles:
         assert b2[7] == pytest.approx(abs(np.vdot(ens.rows2[7], x)) ** 2)
 
     def test_row_intensities_match_conjugated_rows_bit_for_bit(self):
-        rows = build_paired_ensemble(12, 64, seed=6).interleaved_rows()
+        ens = build_paired_ensemble(12, 64, seed=6)
+        rows = ens.interleaved_rows()
         x = _unit(np.random.default_rng(3), 12)
-        for view in (rows, rows[0::2], rows[1::2]):
+        for view in (rows, rows[0::2], rows[1::2], ens.stacked_rows()):
             np.testing.assert_array_equal(
-                row_intensities(view, x), np.abs(view.conj() @ x) ** 2
+                intensities(MatrixOperator(view), x), np.abs(view.conj() @ x) ** 2
             )
+        b1, b2 = paired_intensities(ens, x)
+        np.testing.assert_array_equal(b1, np.abs(ens.rows1.conj() @ x) ** 2)
+        np.testing.assert_array_equal(b2, np.abs(ens.rows2.conj() @ x) ** 2)
 
 
 class TestMeasurementLaws:
@@ -189,10 +191,10 @@ class TestScalarSamplers:
 
 class TestCdp:
     def test_impulse_through_flat_masks(self):
-        op = CdpOperator(n=4, r=1, masks=np.ones((1, 4), dtype=complex), seed=0)
+        op = CdpOperator(np.ones((1, 4), dtype=complex))
         e1 = np.zeros(4, dtype=complex)
         e1[0] = 1.0
-        np.testing.assert_allclose(cdp_intensities(op, e1), np.full(4, 0.25), atol=1e-12)
+        np.testing.assert_allclose(intensities(op, e1), np.full(4, 0.25), atol=1e-12)
 
     def test_matches_explicit_masked_dft(self):
         op = build_cdp_operator(6, 3, seed=21)
@@ -201,43 +203,45 @@ class TestCdp:
         expected = np.concatenate(
             [np.fft.fft(op.masks[i] * x, norm="ortho") for i in range(3)]
         )
-        np.testing.assert_allclose(cdp_apply(op, x), expected, atol=1e-12)
+        assert (op.r, op.n, op.out_dim) == (3, 6, 18)
+        np.testing.assert_allclose(op.apply(x), expected, atol=1e-12)
+        np.testing.assert_array_equal(intensities(op, x), np.abs(expected) ** 2)
 
     def test_adjoint_identity(self):
         op = build_cdp_operator(8, 4, seed=22)
         rng = np.random.default_rng(13)
         x = sample_complex_gaussian(8, rng)
         y = sample_complex_gaussian(32, rng)
-        lhs = np.vdot(y, cdp_apply(op, x))
-        rhs = np.vdot(cdp_adjoint(op, y), x)
+        lhs = np.vdot(y, op.apply(x))
+        rhs = np.vdot(op.adjoint(y), x)
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_frobenius_sq_matches_explicit_matrix(self):
         op = build_cdp_operator(8, 3, seed=23)
-        mat = np.stack([cdp_apply(op, col) for col in np.eye(8, dtype=complex)], axis=1)
+        mat = np.stack([op.apply(col) for col in np.eye(8, dtype=complex)], axis=1)
         assert op.frobenius_sq == pytest.approx(np.sum(np.abs(mat) ** 2), rel=1e-12)
 
     def test_flat_single_mask_is_unitary(self):
-        op = CdpOperator(n=8, r=1, masks=np.ones((1, 8), dtype=complex), seed=0)
+        op = CdpOperator(np.ones((1, 8), dtype=complex))
         rng = np.random.default_rng(14)
         x = sample_complex_gaussian(8, rng)
-        np.testing.assert_allclose(cdp_adjoint(op, cdp_apply(op, x)), x, atol=1e-12)
+        np.testing.assert_allclose(op.adjoint(op.apply(x)), x, atol=1e-12)
 
     def test_repeated_mask_composition(self):
         rng = np.random.default_rng(15)
         w = sample_complex_gaussian(4, rng)
-        op = CdpOperator(n=4, r=2, masks=np.stack([w, w]), seed=0)
+        op = CdpOperator(np.stack([w, w]))
         x = sample_complex_gaussian(4, rng)
         np.testing.assert_allclose(
-            cdp_adjoint(op, cdp_apply(op, x)), 2.0 * np.abs(w) ** 2 * x, atol=1e-12
+            op.adjoint(op.apply(x)), 2.0 * np.abs(w) ** 2 * x, atol=1e-12
         )
 
     def test_unimodular_masks_preserve_energy(self):
         rng = np.random.default_rng(16)
         phases = np.exp(1j * rng.uniform(0, 2 * np.pi, (3, 8)))
-        op = CdpOperator(n=8, r=3, masks=phases, seed=0)
+        op = CdpOperator(phases)
         x = sample_complex_gaussian(8, rng)
-        total = np.sum(cdp_intensities(op, x))
+        total = np.sum(intensities(op, x))
         assert total == pytest.approx(3.0 * np.linalg.norm(x) ** 2, rel=1e-12)
 
     def test_regenerates_identically(self):
@@ -245,3 +249,42 @@ class TestCdp:
         b = build_cdp_operator(8, 2, seed=30)
         np.testing.assert_array_equal(a.masks, b.masks)
 
+
+
+def _operators():
+    rows = build_paired_ensemble(6, 10, seed=40).rows1
+    return [MatrixOperator(rows), build_cdp_operator(6, 3, seed=40)]
+
+
+class TestOperatorBoundary:
+    """Operators check their array once, at construction, and only the
+    length of each apply/adjoint input afterwards."""
+
+    @pytest.mark.parametrize("cls", [MatrixOperator, CdpOperator])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf)])
+    def test_non_finite_array_rejected(self, cls, bad):
+        array = np.ones((3, 4), dtype=complex)
+        array[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            cls(array)
+
+    @pytest.mark.parametrize("cls", [MatrixOperator, CdpOperator])
+    def test_non_matrix_rejected(self, cls):
+        with pytest.raises(ValueError, match="2-D"):
+            cls(np.ones(4, dtype=complex))
+
+    def test_empty_masks_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            CdpOperator(np.ones((0, 4), dtype=complex))
+
+    @pytest.mark.parametrize("op", _operators(), ids=["matrix", "cdp"])
+    @pytest.mark.parametrize("size", [1, 5, 7])
+    def test_wrong_length_apply_rejected(self, op, size):
+        with pytest.raises(ValueError, match="operator expects"):
+            op.apply(np.ones(size, dtype=complex))
+
+    @pytest.mark.parametrize("op", _operators(), ids=["matrix", "cdp"])
+    def test_wrong_length_adjoint_rejected(self, op):
+        for size in (1, op.out_dim - 1, op.out_dim + 1):
+            with pytest.raises(ValueError, match="operator expects"):
+                op.adjoint(np.ones(size, dtype=complex))
