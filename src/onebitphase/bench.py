@@ -42,6 +42,7 @@ from .recovery import (
     multi_init_select,
     one_bit_terms,
     parse_init,
+    resample_blocks,
     spectral_estimate,
 )
 from .sensing import (
@@ -394,9 +395,10 @@ def run_cdp_convergence(cfg: ExperimentConfig) -> list[list]:
 def run_recover(cfg: ExperimentConfig) -> tuple[list[list], list[str]]:
     """One full pipeline run: sense, quantize, initialize, refine.
 
-    Returns the per-iteration trace rows and console summary lines.  With
-    several init kinds the phase-consistency residual picks the one to
-    refine.
+    Returns the per-iteration trace rows and console summary lines.  Each
+    init kind runs once, on the data the refinement starts from: the full
+    ensemble, or block 0 of the resampled schedule.  With several kinds the
+    phase-consistency residual on that data picks the one to refine.
     """
     model = parse_model(cfg.model)
     kinds = [parse_init(name) for name in cfg.inits]
@@ -406,21 +408,26 @@ def run_recover(cfg: ExperimentConfig) -> tuple[list[list], list[str]]:
     x0 = _unit_signal(n, substream(cfg.seed, "signal", 0))
     b1c, b2c = paired_intensities(ens, x0)
     b1, b2, y = observe_pairs(model, b1c, b2c, substream(cfg.seed, "noise", 0))
-    rows_all = ens.stacked_rows()
-    b_all = np.concatenate([b1, b2])
-    op1, op2 = MatrixOperator(ens.rows1), MatrixOperator(ens.rows2)
-    op = MatrixOperator(rows_all)
+    if cfg.refine == "resampled":
+        b_inter = np.empty(2 * m)
+        b_inter[0::2] = b1
+        b_inter[1::2] = b2
+        init_args, stages = resample_blocks(ens.interleaved_rows(), b_inter, y, cfg.epsilon)
+    else:
+        op = MatrixOperator(ens.stacked_rows())
+        b_all = np.concatenate([b1, b2])
+        op1, op2 = MatrixOperator(ens.rows1), MatrixOperator(ens.rows2)
+        init_args = (op1, op2, b1, b2, y, (op, b_all))
 
     candidates = []
     lambda_hats = {}
     for kind in kinds:
-        rep = _init(kind, op1, op2, b1, b2, y, (op, b_all), cfg, 0)
+        rep = _init(kind, *init_args, cfg, 0)
         candidates.append((kind, rep.estimate))
         lambda_hats[kind] = rep.lambda_hat
-    chosen_kind, x_init = multi_init_select(candidates, op, b_all)
+    chosen_kind, x_init = multi_init_select(candidates, *init_args[-1])
 
     rows: list[list] = []
-    tol = _tol(cfg, 1e-12)
     if cfg.refine == "none":
         rows.append(["init", 0, dist_sq(x_init, x0)])
         final = x_init
@@ -432,25 +439,16 @@ def run_recover(cfg: ExperimentConfig) -> tuple[list[list], list[str]]:
             b_all,
             x_init,
             max_iters=_max_iters(cfg, 200),
-            tol=tol,
-            lsq_solver=dense_lsq_solver(rows_all),
+            tol=_tol(cfg, 1e-12),
+            lsq_solver=dense_lsq_solver(op.rows),
             callback=lambda k, x: rows.append(["altmin", k, dist_sq(x, x0)]),
         )
         final = report.estimate
     else:
-        # Staged refinement draws its own initializer from block 0; stage 0
-        # of the trace is that initial estimate.
-        b_inter = np.empty(2 * m)
-        b_inter[0::2] = b1
-        b_inter[1::2] = b2
+        # stage 0 of the trace is the block-0 init
         report = alt_min_resampled(
-            ens,
-            b_inter,
-            cfg.epsilon,
-            init=chosen_kind,
-            tol=1e-10,
-            seed=cfg.seed,
-            shift=cfg.shift,
+            stages,
+            x_init,
             callback=lambda t, x: rows.append(["resampled", t, dist_sq(x, x0)]),
         )
         final = report.estimate

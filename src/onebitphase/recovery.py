@@ -11,21 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from math import ceil, log
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .channels import quantize, ratio_weights
+from .channels import ratio_weights
 from .numkit import as_complex_vector, cgls, phase_op, power_iteration
-from .sensing import (
-    CdpOperator,
-    MatrixOperator,
-    MeasurementOperator,
-    PairedEnsemble,
-    PlainEnsemble,
-    substream,
-)
+from .sensing import CdpOperator, MatrixOperator, MeasurementOperator
 
 
 @dataclass
@@ -244,6 +237,10 @@ def cdp_lsq_solver(op: CdpOperator) -> Callable[[np.ndarray], np.ndarray]:
 # at iteration 100, so the fixed-point stop does not fire.
 RAAR_BETA = 0.8
 
+# Relative normal-equation residual at which every CGLS least-squares step of
+# :func:`alt_min` and :func:`alt_min_resampled` stops.
+CG_TOL = 1e-10
+
 
 def alt_min(
     op: MeasurementOperator,
@@ -251,8 +248,6 @@ def alt_min(
     x_init,
     max_iters: int = 200,
     tol: float = 1e-12,
-    cg_tol: float = 1e-10,
-    cg_max_iters: Optional[int] = None,
     lsq_solver: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     callback: Optional[Callable[[int, np.ndarray], None]] = None,
 ) -> RecoveryReport:
@@ -298,9 +293,7 @@ def alt_min(
         if lsq_solver is not None:
             x = lsq_solver(p)
         else:
-            x, info = cgls(
-                op.apply, op.adjoint, p, tol=cg_tol, max_iters=cg_max_iters, x0=x
-            )
+            x, info = cgls(op.apply, op.adjoint, p, tol=CG_TOL, x0=x)
             if info != 0:
                 ls_ok = False
         a_x = np.asarray(op.apply(x), dtype=np.complex128)
@@ -326,104 +319,74 @@ def alt_min(
     )
 
 
-def _block_bounds(total: int, blocks: int) -> list[tuple[int, int]]:
-    """Contiguous equal blocks; leftover measurements join block 0."""
-    size = total // blocks
-    first = size + (total - size * blocks)
-    bounds = [(0, first)]
-    for i in range(1, blocks):
-        start = first + (i - 1) * size
-        bounds.append((start, start + size))
-    return bounds
+def resample_blocks(rows, b, y, epsilon: float) -> tuple:
+    """Split paired measurements into an init block and ceil(log(1/epsilon))
+    disjoint refinement blocks.
 
-
-def _paired_view(rows, b):
-    pairs = rows.shape[0] // 2
-    even = slice(0, 2 * pairs, 2)
-    odd = slice(1, 2 * pairs, 2)
-    return rows[even], rows[odd], b[even], b[odd]
-
-
-def _init_from_block(rows, b, init: InitKind, seed, tol, max_iters, shift):
-    a1, a2, b1, b2 = _paired_view(rows, b)
-    y = None
-    if init in (InitKind.ONEBIT, InitKind.WEIGHTED_ONEBIT):
-        if a1.shape[0] == 0:
-            raise ValueError("initialization block has no measurement pairs")
-        y = quantize(b1, b2)
-    stream = "resample-random" if init is InitKind.RANDOM else "resample-power"
-    return initial_estimate(
-        init,
-        MatrixOperator(a1),
-        MatrixOperator(a2),
-        b1,
-        b2,
-        y,
-        (MatrixOperator(rows), b),
-        substream(seed, stream),
-        tol,
-        max_iters,
-        shift,
-    )
-
-
-def alt_min_resampled(
-    ensemble: Union[PlainEnsemble, PairedEnsemble],
-    b,
-    epsilon: float,
-    init: InitKind = InitKind.ONEBIT,
-    c_stages: float = 1.0,
-    tol: float = 1e-10,
-    seed: int = 0,
-    power_tol: float = 1e-8,
-    power_max_iters: int = 1000,
-    shift: bool = False,
-    callback: Optional[Callable[[int, np.ndarray], None]] = None,
-) -> RecoveryReport:
-    """Staged alternating minimization on disjoint measurement blocks.
-
-    Runs ceil(c_stages * log(1/epsilon)) refinement stages, each one exact
-    phase update plus one least-squares solve on a fresh block; block 0
-    (including any leftover rows) feeds the initializer.  Paired ensembles
-    contribute their rows interleaved so block pairing matches the original
-    pairs; ``b`` must follow the same order.
+    ``rows``/``b`` hold the pair members interleaved (a1_1, a2_1, a1_2, ...)
+    and ``y`` one sign per pair.  The blocks are contiguous and equal, with
+    any leftover rows in block 0.  Returns ``(init_args, stages)``:
+    ``init_args`` is block 0 as the ``(op1, op2, b1, b2, y, stacked)``
+    arguments of :func:`initial_estimate`, and ``stages`` holds the
+    ``(rows, b)`` of each later block, for :func:`alt_min_resampled`.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    if c_stages <= 0:
-        raise ValueError("c_stages must be positive")
-    if isinstance(ensemble, PairedEnsemble):
-        rows = ensemble.interleaved_rows()
-    else:
-        rows = ensemble.rows
+    rows = np.asarray(rows)
     b = _checked_intensities(b)
-    if b.shape != (rows.shape[0],):
-        raise ValueError(f"b has shape {b.shape}, expected ({rows.shape[0]},)")
-    init = InitKind(init)
-    n = rows.shape[1]
-    total = rows.shape[0]
-    stages = ceil(c_stages * log(1.0 / epsilon))
-    blocks = stages + 1
-    if total // blocks < n:
+    y = np.asarray(y, dtype=float)
+    if rows.ndim != 2:
+        raise ValueError(f"rows must be 2-D, got shape {rows.shape}")
+    total, n = rows.shape
+    if b.shape != (total,):
+        raise ValueError(f"b has shape {b.shape}, expected ({total},)")
+    if y.shape != (total // 2,):
+        raise ValueError(f"y has shape {y.shape}, expected ({total // 2},)")
+    blocks = ceil(log(1.0 / epsilon)) + 1
+    size = total // blocks
+    if size < n:
         raise ValueError(
             f"resampled schedule needs at least {blocks * n} measurements "
             f"({blocks} blocks of >= {n}); got {total}"
         )
-    bounds = _block_bounds(total, blocks)
-    lo, hi = bounds[0]
-    report0 = _init_from_block(
-        rows[lo:hi], b[lo:hi], init, seed, power_tol, power_max_iters, shift
+    first = total - size * (blocks - 1)
+    pairs = first // 2
+    if pairs == 0:
+        raise ValueError("initialization block has no measurement pairs")
+    init_args = (
+        MatrixOperator(rows[0 : 2 * pairs : 2]),
+        MatrixOperator(rows[1 : 2 * pairs : 2]),
+        b[0 : 2 * pairs : 2],
+        b[1 : 2 * pairs : 2],
+        y[:pairs],
+        (MatrixOperator(rows[:first]), b[:first]),
     )
-    x = report0.estimate
+    stages = [
+        (rows[lo : lo + size], b[lo : lo + size]) for lo in range(first, total, size)
+    ]
+    return init_args, stages
+
+
+def alt_min_resampled(
+    stages: Sequence[tuple],
+    x_init,
+    callback: Optional[Callable[[int, np.ndarray], None]] = None,
+) -> RecoveryReport:
+    """Staged alternating minimization from ``x_init`` on disjoint blocks.
+
+    Each ``(rows, b)`` stage of :func:`resample_blocks` is one exact phase
+    update plus one least-squares solve on fresh measurements.  ``callback``
+    sees ``(0, x_init)`` and then each stage's estimate.
+    """
+    x = as_complex_vector(x_init)
     if callback is not None:
         callback(0, x)
     trace: list = []
     converged = True
-    for t, (lo, hi) in enumerate(bounds[1:], start=1):
-        op = MatrixOperator(rows[lo:hi])
-        sqrt_b = np.sqrt(b[lo:hi])
-        rhs = sqrt_b * phase_op(op.apply(x))
-        x, info = cgls(op.apply, op.adjoint, rhs, tol=tol, x0=x)
+    for t, (rows, b) in enumerate(stages, start=1):
+        op = MatrixOperator(rows)
+        rhs = np.sqrt(b) * phase_op(op.apply(x))
+        x, info = cgls(op.apply, op.adjoint, rhs, tol=CG_TOL, x0=x)
         if info != 0:
             converged = False
         obj = float(np.linalg.norm(op.apply(x) - rhs) ** 2)
@@ -432,8 +395,8 @@ def alt_min_resampled(
             callback(t, x)
     return RecoveryReport(
         estimate=x,
-        lambda_hat=report0.lambda_hat,
-        iterations=stages,
+        lambda_hat=0.0,
+        iterations=len(stages),
         trace=trace,
         converged=converged,
     )

@@ -67,24 +67,31 @@ def sample_poisson(rate, rng: np.random.Generator, size=None):
     return rng.poisson(rate, size)
 
 
+def _checked_rows(rows: np.ndarray, shape=None) -> None:
+    if rows.ndim != 2 or rows.shape[0] <= 0 or rows.shape[1] <= 0:
+        raise ValueError(f"rows have shape {rows.shape}; n and m must be positive")
+    if shape is not None and rows.shape != shape:
+        raise ValueError(f"rows have shape {rows.shape}, expected {shape}")
+
+
 @dataclass(frozen=True)
 class PairedEnsemble:
     """m pairs of independent n-dimensional complex Gaussian sensing rows."""
 
-    n: int
-    m: int
-    seed: int
     rows1: np.ndarray
     rows2: np.ndarray
 
     def __post_init__(self):
-        if self.n <= 0 or self.m <= 0:
-            raise ValueError("n and m must be positive")
-        for rows in (self.rows1, self.rows2):
-            if rows.shape != (self.m, self.n):
-                raise ValueError(
-                    f"rows have shape {rows.shape}, expected {(self.m, self.n)}"
-                )
+        _checked_rows(self.rows1)
+        _checked_rows(self.rows2, self.rows1.shape)
+
+    @property
+    def m(self) -> int:
+        return self.rows1.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.rows1.shape[1]
 
     def interleaved_rows(self) -> np.ndarray:
         """All 2m rows with pair members adjacent: a1_1, a2_1, a1_2, ..."""
@@ -102,29 +109,28 @@ class PairedEnsemble:
 class PlainEnsemble:
     """m independent n-dimensional complex Gaussian sensing rows."""
 
-    n: int
-    m: int
-    seed: int
     rows: np.ndarray
 
     def __post_init__(self):
-        if self.n <= 0 or self.m <= 0:
-            raise ValueError("n and m must be positive")
-        if self.rows.shape != (self.m, self.n):
-            raise ValueError(
-                f"rows have shape {self.rows.shape}, expected {(self.m, self.n)}"
-            )
+        _checked_rows(self.rows)
+
+    @property
+    def m(self) -> int:
+        return self.rows.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.rows.shape[1]
 
 
 def build_paired_ensemble(n: int, m: int, seed: int) -> PairedEnsemble:
     rows1 = _gaussian_rows(m, n, substream(seed, "paired-rows", 1))
     rows2 = _gaussian_rows(m, n, substream(seed, "paired-rows", 2))
-    return PairedEnsemble(n=n, m=m, seed=seed, rows1=rows1, rows2=rows2)
+    return PairedEnsemble(rows1, rows2)
 
 
 def build_plain_ensemble(n: int, m: int, seed: int) -> PlainEnsemble:
-    rows = _gaussian_rows(m, n, substream(seed, "plain-rows"))
-    return PlainEnsemble(n=n, m=m, seed=seed, rows=rows)
+    return PlainEnsemble(_gaussian_rows(m, n, substream(seed, "plain-rows")))
 
 
 def _checked_matrix(a: np.ndarray, name: str) -> None:

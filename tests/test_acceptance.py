@@ -347,6 +347,8 @@ def test_10_cli_reproducibility(tmp_path):
          "--init", "onebit,random", "--seed", "5"],
         ["cdp-convergence", "--n", "16", "--ratio", "4", "--trials", "2",
          "--model", "clipgauss:sigma=0.5", "--seed", "5"],
+        ["recover", "--n", "16", "--ratio", "16", "--refine", "resampled",
+         "--epsilon", "0.5", "--init", "onebit,subexp", "--seed", "5"],
     ]
     for k, args in enumerate(runs):
         first = tmp_path / f"first_{k}.csv"

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -190,6 +191,16 @@ class TestRecoverRun:
         assert [r[1] for r in resampled] == [0, 1]
         assert resampled[-1][2] <= 0.25
         assert any("refine: resampled" in line for line in summary)
+        # the summary describes the init that was refined: stage 0
+        assert f"init dist_sq: {resampled[0][2]!r}" in summary
+        # onebit signs come from the clean intensities, so saturating the
+        # observed ones cannot move the block-0 init
+        stage0 = {}
+        for alpha in (1, 64):
+            rows, _ = bench.run_recover(replace(cfg, model=f"tanh:alpha={alpha}"))
+            stage0[alpha] = rows[0]
+        assert stage0[1][:2] == ["resampled", 0]
+        assert stage0[64] == stage0[1]
 
     def test_multi_init_selection_reported(self):
         cfg = _cfg(kind="recover", n=16, ratio=16, seed=4, refine="none")

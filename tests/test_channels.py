@@ -163,7 +163,7 @@ class TestRatioWeights:
 def _tiny_ensemble():
     rows1 = np.array([[2.0 + 0.0j, 0.0]])
     rows2 = np.array([[1.0 + 0.0j, 0.0]])
-    return PairedEnsemble(n=2, m=1, seed=0, rows1=rows1, rows2=rows2)
+    return PairedEnsemble(rows1, rows2)
 
 
 def _signs(ens, x0, model=Identity(), rng=None):

@@ -16,6 +16,7 @@ from onebitphase.recovery import (
     one_bit_terms,
     parse_init,
     random_init,
+    resample_blocks,
     spectral_estimate,
     surrogate_matvec,
 )
@@ -381,12 +382,21 @@ class TestAltMin:
             alt_min(MatrixOperator(rows), b, np.ones(4, dtype=complex))
 
 
+def _resampled_start(rows, b, epsilon, kind, seed=0):
+    """Stages of the resampled schedule and the block-0 init of ``kind``."""
+    y = observe_pairs(Identity(), b[0::2], b[1::2])[2]
+    init_args, stages = resample_blocks(rows, b, y, epsilon)
+    return stages, initial_estimate(kind, *init_args, seed).estimate
+
+
 class TestAltMinResampled:
     def test_single_stage_schedule(self):
         ens, rows, b, x0 = _altmin_system(8, 40, seed=27)
-        b_inter = intensities(MatrixOperator(ens.interleaved_rows()), x0)
+        rows_inter = ens.interleaved_rows()
+        b_inter = intensities(MatrixOperator(rows_inter), x0)
         for kind in InitKind:
-            report = alt_min_resampled(ens, b_inter, epsilon=0.5, init=kind)
+            stages, x_init = _resampled_start(rows_inter, b_inter, 0.5, kind)
+            report = alt_min_resampled(stages, x_init)
             assert report.iterations == 1, kind
             assert len(report.trace) == 1, kind
 
@@ -394,7 +404,7 @@ class TestAltMinResampled:
         ens = build_paired_ensemble(16, 20, seed=28)
         b = np.ones(40)
         with pytest.raises(ValueError, match="64"):
-            alt_min_resampled(ens, b, epsilon=0.1, init=InitKind.ONEBIT)
+            resample_blocks(ens.interleaved_rows(), b, np.ones(20), epsilon=0.1)
 
     def test_reaches_target_accuracy(self):
         n, eps = 32, 0.1
@@ -404,10 +414,10 @@ class TestAltMinResampled:
         for seed in range(20):
             ens = build_paired_ensemble(n, pairs, seed=200 + seed)
             x0 = _unit(substream(200 + seed, "x0"), n)
-            b = intensities(MatrixOperator(ens.interleaved_rows()), x0)
-            report = alt_min_resampled(
-                ens, b, epsilon=eps, init=InitKind.ONEBIT, seed=seed
-            )
+            rows = ens.interleaved_rows()
+            b = intensities(MatrixOperator(rows), x0)
+            blocks, x_init = _resampled_start(rows, b, eps, InitKind.ONEBIT, seed)
+            report = alt_min_resampled(blocks, x_init)
             assert report.iterations == stages
             if dist_sq(report.estimate, x0) <= eps**2:
                 good += 1
@@ -420,11 +430,12 @@ class TestAltMinResampled:
         for seed in range(20):
             ens = build_paired_ensemble(n, pairs, seed=300 + seed)
             x0 = _unit(substream(300 + seed, "x0"), n)
-            b = intensities(MatrixOperator(ens.interleaved_rows()), x0)
+            rows = ens.interleaved_rows()
+            b = intensities(MatrixOperator(rows), x0)
             errs = []
+            stages, x_init = _resampled_start(rows, b, eps, InitKind.ONEBIT, seed)
             alt_min_resampled(
-                ens, b, epsilon=eps, init=InitKind.ONEBIT, seed=seed,
-                callback=lambda t, x: errs.append(dist_sq(x, x0)),
+                stages, x_init, callback=lambda t, x: errs.append(dist_sq(x, x0))
             )
             if all(e2 < e1 for e1, e2 in zip(errs, errs[1:])):
                 good += 1
@@ -435,7 +446,8 @@ class TestAltMinResampled:
         ens = build_plain_ensemble(n, 40 * n, seed=29)
         x0 = _unit(substream(29, "x0"), n)
         b = intensities(MatrixOperator(ens.rows), x0)
-        report = alt_min_resampled(ens, b, epsilon=0.5, init=InitKind.WEIGHTED_ONEBIT)
+        stages, x_init = _resampled_start(ens.rows, b, 0.5, InitKind.WEIGHTED_ONEBIT)
+        report = alt_min_resampled(stages, x_init)
         assert dist_sq(report.estimate, x0) <= 0.25
 
     def test_epsilon_domain(self):
@@ -443,7 +455,7 @@ class TestAltMinResampled:
         b = np.ones(200)
         for eps in (0.0, 1.0, 1.5):
             with pytest.raises(ValueError):
-                alt_min_resampled(ens, b, epsilon=eps, init=InitKind.RANDOM)
+                resample_blocks(ens.interleaved_rows(), b, np.ones(100), eps)
 
 
 class TestMultiInitSelect:
