@@ -55,8 +55,6 @@ def _add_flags(sub: argparse.ArgumentParser, kind: str) -> None:
     sub.add_argument("--max-iters", type=int, default=None)
     sub.add_argument("--out", default=None, help="CSV output path")
     sub.add_argument("--refine", choices=("altmin", "resampled", "none"), default="altmin")
-    sub.add_argument("--shift", choices=("on", "off"), default="off",
-                     help="spectral shift for the sign-based initializers")
     sub.add_argument("--samples", type=int, default=1_000_000,
                      help="Monte-Carlo sample count for channel constants")
     sub.add_argument("--alphas", type=_float_list, default=None, help="tanh distortion grid")
@@ -99,7 +97,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         max_iters=args.max_iters,
         inits=inits,
         refine=args.refine,
-        shift=args.shift == "on",
         samples=args.samples,
         out=args.out,
         **overrides,

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 ComplexVec = np.ndarray
 
@@ -40,63 +41,71 @@ def phase_op(z) -> np.ndarray:
     return out
 
 
-def power_iteration(
+def lanczos(
     matvec: Callable[[np.ndarray], np.ndarray],
     n: int,
     tol: float = 1e-8,
     max_iters: int = 1000,
     seed: int = 0,
-    callback: Optional[Callable[[int, np.ndarray, float], None]] = None,
-) -> tuple[float, np.ndarray, int]:
-    """Power iteration on a Hermitian operator given only as a matvec.
+) -> tuple[float, np.ndarray, list, bool]:
+    """Algebraically largest eigenpair of a Hermitian operator given only as
+    a matvec, by Lanczos with full reorthogonalization.
 
-    Runs r <- matvec(r) / ||matvec(r)|| from a random complex start and stops
-    once min(||r_j - r_{j-1}||, ||r_j + r_{j-1}||) <= tol, which also detects
-    the sign-alternating convergence produced by a dominant negative
-    eigenvalue.  The magnitude estimate is the norm of the last operator
-    application before normalization.
+    The Krylov basis starts from a seeded random complex vector, and each new
+    vector is orthogonalized twice against every stored one, so the basis
+    grows by one vector per matvec.  After each matvec the top Ritz pair
+    (theta, s) of the tridiagonal projection comes from ``eigh_tridiagonal``;
+    the run stops, converged, once the Ritz residual beta_j |s_j| is at most
+    ``tol * |theta|`` or the Krylov space has dimension n, where the Ritz pair
+    is exact.  ``max_iters`` caps the matvecs; a run that spends them all
+    first returns the current Ritz vector unconverged.
 
     Returns:
-        (eigval_estimate, unit eigvec, iterations run)
+        (theta, unit Ritz vector, Ritz residual after each matvec, converged)
     """
     if n <= 0:
         raise ValueError("dimension must be positive")
     if tol < 0:
         raise ValueError("tol must be non-negative")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     rng = np.random.default_rng(seed)
-    restarts = 3
-    for attempt in range(restarts + 1):
-        r = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(0.5)
-        nrm = np.linalg.norm(r)
-        if nrm == 0.0:
-            continue
-        r /= nrm
-        eigval = 0.0
-        for j in range(1, max_iters + 1):
-            w = np.asarray(matvec(r), dtype=np.complex128)
-            if w.shape != (n,):
-                raise ValueError(f"matvec returned shape {w.shape}, expected ({n},)")
-            if not np.all(np.isfinite(w)):
-                raise RuntimeError("power iteration: matvec produced non-finite values")
-            wnrm = float(np.linalg.norm(w))
-            if wnrm == 0.0:
-                break  # restart from a fresh random vector
-            eigval = wnrm
-            r_new = w / wnrm
-            delta = min(
-                float(np.linalg.norm(r_new - r)), float(np.linalg.norm(r_new + r))
-            )
-            if callback is not None:
-                callback(j, r_new, delta)
-            r = r_new
-            if delta <= tol:
-                return eigval, r, j
-        else:
-            return eigval, r, max_iters
-    raise RuntimeError(
-        "power iteration: matvec returned the zero vector on "
-        f"{restarts + 1} random starts"
-    )
+    q = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(0.5)
+    size = min(n, max_iters)
+    basis = np.empty((min(size, 32), n), dtype=np.complex128)
+    basis[0] = q / np.linalg.norm(q)
+    alpha: list = []
+    beta: list = []
+    residuals: list = []
+    for j in range(1, size + 1):
+        w = np.asarray(matvec(basis[j - 1]), dtype=np.complex128)
+        if w.shape != (n,):
+            raise ValueError(f"matvec returned shape {w.shape}, expected ({n},)")
+        if not np.all(np.isfinite(w)):
+            raise RuntimeError("lanczos: matvec produced non-finite values")
+        q_j = basis[:j]
+        a = 0.0
+        for _ in range(2):
+            h = np.conj(q_j @ np.conj(w))
+            w = w - q_j.T @ h
+            a += h[-1].real
+        alpha.append(a)
+        beta.append(float(np.linalg.norm(w)))
+        top, vecs = eigh_tridiagonal(
+            alpha, beta[:-1], select="i", select_range=(j - 1, j - 1)
+        )
+        theta, s = float(top[0]), vecs[:, 0]
+        residuals.append(beta[-1] * float(abs(s[-1])))
+        converged = bool(residuals[-1] <= tol * abs(theta) or j == n)
+        if converged or j == size:
+            break
+        if j == basis.shape[0]:
+            grown = np.empty((min(size, 2 * j), n), dtype=np.complex128)
+            grown[:j] = basis
+            basis = grown
+        basis[j] = w / beta[-1]
+    vec = basis[:j].T @ s
+    return theta, vec / np.linalg.norm(vec), residuals, converged
 
 
 def cgls(

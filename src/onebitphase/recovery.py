@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .channels import ratio_weights
-from .numkit import as_complex_vector, cgls, phase_op, power_iteration
+from .numkit import as_complex_vector, cgls, lanczos, phase_op
 from .sensing import CdpOperator, MatrixOperator, MeasurementOperator
 
 
@@ -116,41 +116,24 @@ def spectral_estimate(
     tol: float = 1e-8,
     max_iters: int = 1000,
     seed: int = 0,
-    shift: bool = False,
 ) -> RecoveryReport:
-    """Top eigenvector of the surrogate of :func:`surrogate_matvec` by power
-    iteration.
+    """Algebraically top eigenvector of the surrogate of
+    :func:`surrogate_matvec`, by Lanczos (:func:`~onebitphase.numkit.lanczos`).
 
-    ``shift=True`` adds the operator-norm bound sum_k ||A_k||_F^2 / m times
-    identity, so the iteration finds the algebraically largest eigenvector
-    even when a negative eigenvalue dominates in magnitude.  The reported
-    eigenvalue subtracts the shift again.
+    ``tol`` bounds the relative Ritz residual and ``max_iters`` the matvecs;
+    the trace holds the Ritz residual after each matvec.  A negative
+    eigenvalue of larger magnitude does not capture the estimate, and
+    ``lambda_hat`` is the top eigenvalue clipped at 0.
     """
     terms = list(terms)
-    matvec = surrogate_matvec(terms)
-    op0, c0 = terms[0]
-    mu = sum(op.frobenius_sq for op, _ in terms) / len(c0) if shift else 0.0
-    if mu > 0.0:
-        base = matvec
-
-        def matvec(r):
-            return base(r) + mu * r
-
-    trace: list = []
-    eigval, vec, iters = power_iteration(
-        matvec,
-        op0.n,
-        tol=tol,
-        max_iters=max_iters,
-        seed=seed,
-        callback=lambda j, r, delta: trace.append((j, delta)),
+    theta, vec, residuals, converged = lanczos(
+        surrogate_matvec(terms), terms[0][0].n, tol, max_iters, seed
     )
-    converged = bool(trace) and trace[-1][1] <= tol
     return RecoveryReport(
         estimate=vec,
-        lambda_hat=max(eigval - mu, 0.0),
-        iterations=iters,
-        trace=trace,
+        lambda_hat=max(theta, 0.0),
+        iterations=len(residuals),
+        trace=list(enumerate(residuals, start=1)),
         converged=converged,
     )
 
@@ -166,7 +149,6 @@ def initial_estimate(
     seed,
     tol: float = 1e-8,
     max_iters: int = 1000,
-    shift: bool = False,
 ) -> RecoveryReport:
     """Initial estimate of the given kind from paired observations.
 
@@ -174,10 +156,8 @@ def initial_estimate(
     are the observed pair intensities and ``y`` their signs.  ``stacked`` is
     the (operator, intensities) term of all measurements at once: the subexp
     surrogate, and the dimension of the random start.  ``seed`` drives the
-    random vector or the power iteration; ``shift`` applies to the one-bit
-    kinds only, since the subexp surrogate is positive semidefinite.
-    Negative or non-finite intensities are rejected here, before any power
-    iteration runs.
+    random vector or the Lanczos start vector.  Negative or non-finite
+    intensities are rejected here, before the first matvec.
     """
     kind = InitKind(kind)
     op_all, b_all = stacked
@@ -196,7 +176,7 @@ def initial_estimate(
     if kind is InitKind.WEIGHTED_ONEBIT:
         weights = ratio_weights(_checked_intensities(b1), _checked_intensities(b2))
     terms = one_bit_terms(op1, op2, y, weights)
-    return spectral_estimate(terms, tol, max_iters, seed, shift)
+    return spectral_estimate(terms, tol, max_iters, seed)
 
 
 # ---------------------------------------------------------------------------

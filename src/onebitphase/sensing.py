@@ -4,8 +4,8 @@ All randomness flows through :func:`substream`, which derives an independent
 generator from a master seed plus purpose keys, so every ensemble can be
 regenerated bit-for-bit from its ``(n, m, seed)`` header.
 
-A measurement operator is anything with ``n``, ``out_dim``, ``frobenius_sq``,
-``apply`` and ``adjoint``: :class:`MatrixOperator` for explicit rows and
+A measurement operator is anything with ``n``, ``out_dim``, ``apply`` and
+``adjoint``: :class:`MatrixOperator` for explicit rows and
 :class:`CdpOperator` for masked-DFT stacks.  Each checks its array once, at
 construction; ``apply``/``adjoint`` check only the length of their input.
 """
@@ -171,10 +171,6 @@ class MatrixOperator:
     def out_dim(self) -> int:
         return self.rows.shape[0]
 
-    @property
-    def frobenius_sq(self) -> float:
-        return float(np.sum(np.abs(self.rows) ** 2))
-
     def apply(self, x) -> np.ndarray:
         x = _sized(x, self.n, "x")
         return np.conj(self.rows @ np.conj(x))
@@ -211,11 +207,6 @@ class CdpOperator:
     @property
     def out_dim(self) -> int:
         return self.masks.size
-
-    @property
-    def frobenius_sq(self) -> float:
-        # unitary DFT blocks: ||F Diag(w_i)||_F^2 = ||w_i||^2
-        return float(np.sum(np.abs(self.masks) ** 2))
 
     def apply(self, x) -> np.ndarray:
         x = _sized(x, self.n, "x")

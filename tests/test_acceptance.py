@@ -155,7 +155,7 @@ def test_05_spectral_oracle_equivalence():
 
         def init(kind):
             return initial_estimate(kind, *ops, b1, b2, y, (MatrixOperator(rows), b), 1,
-                                    tol=1e-13, max_iters=100_000, shift=True)
+                                    tol=1e-13, max_iters=100_000)
 
         rep = init("onebit")
         dense = dense_one_bit_matrix(ens.rows1, ens.rows2, y)
@@ -240,7 +240,7 @@ def gaussian_noiseless_runs():
         solver = dense_lsq_solver(rows)
         ops = MatrixOperator(ens.rows1), MatrixOperator(ens.rows2)
 
-        # loose power tolerance: the iterate wobble at 1e-4 is orders of
+        # loose tolerance: a relative Ritz residual of 1e-4 is orders of
         # magnitude below the statistical error of the initializers
         def init(kind, stream):
             return initial_estimate(kind, *ops, b1, b2, y, (op, b_all), substream(seed, stream),
@@ -267,9 +267,11 @@ def cdp_noisy_runs():
     """Refinement at n=512 with 8n masked-DFT measurements and clipped
     Gaussian readout noise added to both intensities of each pair (the noise
     source is common to the pair, so the sign comparison stays clean while
-    the raw intensities are corrupted), 20 seeds."""
+    the raw intensities are corrupted), 20 seeds.  Returns the refined and
+    the initial dist_sq of each kind, per seed."""
     n, r, sigma = 512, 4, 0.8
     finals = {k: [] for k in ("subexp", "onebit", "weighted1bit")}
+    inits = {k: [] for k in finals}
     traces = []
     t0 = time.monotonic()
     for s in range(20):
@@ -288,10 +290,11 @@ def cdp_noisy_runs():
         for kind in finals:
             xi = initial_estimate(kind, op1, op2, b1, b2, y, (op_all, b_all),
                                   substream(seed, "pw", kind), max_iters=2000).estimate
+            inits[kind].append(dist_sq(xi, x0))
             rep = alt_min(op_all, b_all, xi, max_iters=100, tol=1e-12, lsq_solver=solver)
             finals[kind].append(dist_sq(rep.estimate, x0))
             traces.append([v for _, v in rep.trace])
-    return finals, traces, time.monotonic() - t0
+    return finals, traces, time.monotonic() - t0, inits
 
 
 def test_08a_noiseless_spectral_inits_converge(gaussian_noiseless_runs):
@@ -316,7 +319,7 @@ def test_08b_noiseless_random_init_converges(gaussian_noiseless_runs):
 
 
 def test_08c_noisy_one_bit_inits_beat_intensity_init(cdp_noisy_runs):
-    finals, _, _ = cdp_noisy_runs
+    finals, _, _, _ = cdp_noisy_runs
     med = {k: float(np.median(v)) for k, v in finals.items()}
     assert med["onebit"] <= med["subexp"], med
     assert med["weighted1bit"] <= med["subexp"], med
@@ -325,14 +328,29 @@ def test_08c_noisy_one_bit_inits_beat_intensity_init(cdp_noisy_runs):
 
 def test_08d_runtime_budget(gaussian_noiseless_runs, cdp_noisy_runs):
     _, _, t_clean = gaussian_noiseless_runs
-    _, _, t_noisy = cdp_noisy_runs
+    _, _, t_noisy, _ = cdp_noisy_runs
     assert t_clean + t_noisy < 300.0
     print(f"PASS runtime budget: {t_clean:.0f}s + {t_noisy:.0f}s < 300s")
 
 
+def test_08e_noisy_one_bit_init_beats_intensity_init(cdp_noisy_runs):
+    """Before any refinement, under the pair-common readout noise of the
+    fixture, the onebit init lands closer to the signal than the subexp init
+    on at least 18 of 20 seeds: the signs stay clean while the intensities
+    that weight the subexp surrogate are corrupted.  The weighted1bit init is
+    not better than subexp's here (its ratio weights read the noisy
+    intensities; it wins on about 5 to 10 of 20 seeds), so it is not
+    asserted."""
+    _, _, _, inits = cdp_noisy_runs
+    wins = sum(bit < sub for bit, sub in zip(inits["onebit"], inits["subexp"]))
+    assert wins >= 18, f"onebit init beat subexp on {wins}/20 seeds"
+    med = {k: float(np.median(v)) for k, v in inits.items()}
+    print(f"PASS noisy init: onebit beats subexp on {wins}/20 seeds, medians {med}")
+
+
 def test_09_objective_monotonicity(gaussian_noiseless_runs, cdp_noisy_runs):
     _, clean_traces, _ = gaussian_noiseless_runs
-    _, noisy_traces, _ = cdp_noisy_runs
+    _, noisy_traces, _, _ = cdp_noisy_runs
     checked = 0
     for objectives in clean_traces + noisy_traces:
         assert all(b <= a for a, b in zip(objectives, objectives[1:]))

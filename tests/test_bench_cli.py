@@ -28,6 +28,11 @@ class TestConfig:
         cfg = _cfg(kind="lambda-sweep", samples=5000, sigmas=(0.5,), out="x.csv")
         path = bench.write_manifest(cfg, tmp_path / "x.csv")
         assert bench.load_manifest(path) == cfg
+        # manifests written while the spectral shift existed still load
+        payload = json.loads(path.read_text())
+        payload["config"]["shift"] = True
+        path.write_text(json.dumps(payload))
+        assert bench.load_manifest(path) == cfg
 
     @pytest.mark.parametrize(
         "kw",

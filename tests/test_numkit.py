@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from onebitphase.numkit import (
     cgls,
     dist_sq,
+    lanczos,
     phase_op,
-    power_iteration,
 )
 
 
@@ -40,13 +40,14 @@ class TestPhaseOp:
         np.testing.assert_allclose(phase_op(z) * np.abs(z), z, atol=1e-12)
 
 
-class TestPowerIteration:
+class TestLanczos:
     def test_diagonal_example(self):
         mat = np.diag([3.0, 1.0]).astype(complex)
-        eigval, vec, iters = power_iteration(lambda r: mat @ r, 2, tol=1e-10, seed=0)
+        eigval, vec, residuals, converged = lanczos(lambda r: mat @ r, 2, tol=1e-10, seed=0)
         assert eigval == pytest.approx(3.0, abs=1e-6)
         assert abs(vec[0]) == pytest.approx(1.0, abs=1e-6)
-        assert iters >= 1
+        assert len(residuals) >= 1
+        assert converged
 
     def test_rank_one(self):
         rng = np.random.default_rng(3)
@@ -55,16 +56,17 @@ class TestPowerIteration:
         def matvec(r):
             return a * np.vdot(a, r)
 
-        eigval, vec, _ = power_iteration(matvec, 7, tol=1e-12, seed=1)
+        eigval, vec, _, _ = lanczos(matvec, 7, tol=1e-12, seed=1)
         assert eigval == pytest.approx(np.linalg.norm(a) ** 2, rel=1e-8)
         assert dist_sq(vec, a) < 1e-12
 
-    def test_negative_dominant_eigenvalue_still_converges(self):
+    def test_negative_dominant_eigenvalue_is_not_selected(self):
         mat = np.diag([-3.0, 1.0]).astype(complex)
-        eigval, vec, _ = power_iteration(lambda r: mat @ r, 2, tol=1e-10, seed=0)
-        # sign-alternating iterates are caught by the +/- stopping rule
-        assert eigval == pytest.approx(3.0, abs=1e-6)
-        assert abs(vec[0]) == pytest.approx(1.0, abs=1e-6)
+        eigval, vec, _, converged = lanczos(lambda r: mat @ r, 2, tol=1e-10, seed=0)
+        # algebraically largest, not largest in magnitude
+        assert eigval == pytest.approx(1.0, abs=1e-6)
+        assert abs(vec[1]) == pytest.approx(1.0, abs=1e-6)
+        assert converged
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_dense_oracle(self, seed):
@@ -72,7 +74,7 @@ class TestPowerIteration:
         basis, _ = np.linalg.qr(_random_complex(rng, 64).reshape(8, 8))
         eigs = np.array([1.0, 0.7, 0.5, 0.4, 0.3, 0.2, 0.1, 0.05])
         mat = (basis * eigs) @ basis.conj().T
-        eigval, vec, _ = power_iteration(lambda r: mat @ r, 8, tol=1e-12, seed=seed)
+        eigval, vec, _, _ = lanczos(lambda r: mat @ r, 8, tol=1e-12, seed=seed)
         w, v = np.linalg.eigh(mat)
         assert eigval == pytest.approx(w[-1], rel=1e-8)
         assert dist_sq(vec, v[:, -1]) < 1e-10
@@ -85,7 +87,7 @@ class TestPowerIteration:
         eigs = np.concatenate([[1.0], rng.uniform(0.0, 0.9, n - 1)])
         mat = (basis * eigs) @ basis.conj().T
         tol = 1e-8
-        eigval, vec, _ = power_iteration(lambda r: mat @ r, n, tol=tol, seed=seed)
+        eigval, vec, _, _ = lanczos(lambda r: mat @ r, n, tol=tol, seed=seed)
         residual = np.linalg.norm(mat @ vec - eigval * vec)
         assert residual <= 10 * tol * max(eigval, 1.0)
 
@@ -94,16 +96,51 @@ class TestPowerIteration:
             return r * np.nan
 
         with pytest.raises(RuntimeError):
-            power_iteration(matvec, 3, seed=0)
+            lanczos(matvec, 3, seed=0)
 
-    def test_zero_matvec_raises_after_restarts(self):
-        with pytest.raises(RuntimeError):
-            power_iteration(lambda r: np.zeros_like(r), 3, seed=0)
+    def test_zero_matvec_converges_at_zero(self):
+        eigval, vec, residuals, converged = lanczos(lambda r: np.zeros_like(r), 3, seed=0)
+        assert eigval == 0.0
+        assert converged
+        assert len(residuals) == 1
+        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+
+    def test_one_dimensional_operator(self):
+        eigval, vec, residuals, converged = lanczos(lambda r: -2.5 * r, 1, tol=0.0, seed=4)
+        assert eigval == pytest.approx(-2.5, abs=1e-12)
+        assert abs(vec[0]) == pytest.approx(1.0, abs=1e-12)
+        assert converged
+        assert len(residuals) == 1
+
+    def test_krylov_dimension_n_is_exact(self):
+        rng = np.random.default_rng(8)
+        basis, _ = np.linalg.qr(_random_complex(rng, 36).reshape(6, 6))
+        mat = (basis * np.linspace(0.0, 1.0, 6)) @ basis.conj().T
+        eigval, vec, residuals, converged = lanczos(lambda r: mat @ r, 6, tol=0.0, seed=8)
+        assert converged
+        assert len(residuals) <= 6
+        assert eigval == pytest.approx(1.0, abs=1e-12)
+        assert dist_sq(vec, basis[:, -1]) < 1e-12
 
     def test_max_iters_bounds_work(self):
-        mat = np.diag([1.0, 0.999]).astype(complex)
-        _, _, iters = power_iteration(lambda r: mat @ r, 2, tol=0.0, max_iters=17, seed=0)
-        assert iters == 17
+        rng = np.random.default_rng(9)
+        n = 64
+        basis, _ = np.linalg.qr(_random_complex(rng, n * n).reshape(n, n))
+        mat = (basis * np.linspace(0.0, 1.0, n)) @ basis.conj().T
+        _, _, residuals, _ = lanczos(lambda r: mat @ r, n, tol=0.0, max_iters=17, seed=0)
+        assert len(residuals) == 17
+
+    def test_budget_too_small_reports_unconverged(self):
+        rng = np.random.default_rng(10)
+        n = 64
+        basis, _ = np.linalg.qr(_random_complex(rng, n * n).reshape(n, n))
+        mat = (basis * np.linspace(0.0, 1.0, n)) @ basis.conj().T
+        _, vec, residuals, converged = lanczos(
+            lambda r: mat @ r, n, tol=1e-12, max_iters=3, seed=0
+        )
+        assert converged is False
+        assert len(residuals) == 3
+        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCgls:

@@ -142,7 +142,7 @@ class TestOneBitPhase:
 
     def test_matches_dense_oracle_with_shift(self):
         ens, x0 = _paired(8, 200, seed=6)
-        report = _init("onebit", ens, x0, 1, tol=1e-12, max_iters=20000, shift=True)
+        report = _init("onebit", ens, x0, 1, tol=1e-12, max_iters=20000)
         dense = dense_one_bit_matrix(ens.rows1, ens.rows2, _signs(ens, x0))
         top_val, top_vec = hermitian_top_eig(dense)
         assert dist_sq(report.estimate, top_vec) <= 1e-8
@@ -173,7 +173,7 @@ class TestWeightedOneBitPhase:
 
     def test_matches_dense_oracle_with_shift(self):
         ens, x0 = _paired(8, 200, seed=12)
-        report = _init("weighted1bit", ens, x0, 1, tol=1e-12, max_iters=20000, shift=True)
+        report = _init("weighted1bit", ens, x0, 1, tol=1e-12, max_iters=20000)
         b1, b2 = paired_intensities(ens, x0)
         weights = np.stack(ratio_weights(b1, b2), axis=1)
         dense = dense_one_bit_matrix(ens.rows1, ens.rows2, quantize(b1, b2), weights=weights)

@@ -216,11 +216,6 @@ class TestCdp:
         rhs = np.vdot(op.adjoint(y), x)
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
-    def test_frobenius_sq_matches_explicit_matrix(self):
-        op = build_cdp_operator(8, 3, seed=23)
-        mat = np.stack([op.apply(col) for col in np.eye(8, dtype=complex)], axis=1)
-        assert op.frobenius_sq == pytest.approx(np.sum(np.abs(mat) ** 2), rel=1e-12)
-
     def test_flat_single_mask_is_unitary(self):
         op = CdpOperator(np.ones((1, 8), dtype=complex))
         rng = np.random.default_rng(14)
