@@ -15,7 +15,7 @@ import numpy as np
 
 from onebitphase.channels import quantize
 from onebitphase.numkit import dist_sq
-from onebitphase.recovery import alt_min, cdp_lsq_solver, initial_estimate
+from onebitphase.recovery import alt_min, initial_estimate
 from onebitphase.sensing import CdpOperator, build_cdp_operator, intensities, substream
 
 n, r, sigma, trials = 256, 4, 0.8, 5
@@ -40,11 +40,10 @@ for t in range(trials):
 
     op_all = CdpOperator(np.vstack([op1.masks, op2.masks]))
     b_all = np.concatenate([b1, b2])
-    solver = cdp_lsq_solver(op_all)
     for kind in finals:
         pw = substream(seed, "pw", kind)
         xi = initial_estimate(kind, op1, op2, b1, b2, y, (op_all, b_all), pw).estimate
-        rep = alt_min(op_all, b_all, xi, max_iters=100, lsq_solver=solver)
+        rep = alt_min(op_all, b_all, xi, max_iters=100)
         finals[kind].append(dist_sq(rep.estimate, x0))
 
 print(f"masked-DFT sensing, n={n}, {2 * r} masks ({2 * r}n intensities),")

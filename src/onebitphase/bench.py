@@ -36,8 +36,6 @@ from .recovery import (
     InitKind,
     alt_min,
     alt_min_resampled,
-    cdp_lsq_solver,
-    dense_lsq_solver,
     initial_estimate,
     multi_init_select,
     one_bit_terms,
@@ -51,7 +49,6 @@ from .sensing import (
     build_cdp_operator,
     build_paired_ensemble,
     intensities,
-    paired_intensities,
     substream,
 )
 
@@ -158,6 +155,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("m must be positive")
     if cfg.ratio is not None and cfg.ratio <= 0:
         raise ConfigError("ratio must be positive")
+    if cfg.tol is not None and not (np.isfinite(cfg.tol) and cfg.tol >= 0):
+        raise ConfigError("tol must be finite and non-negative")
     try:
         model = parse_model(cfg.model)
     except ValueError as exc:
@@ -250,10 +249,11 @@ def run_distortion_sweep(cfg: ExperimentConfig) -> list[list]:
     for t in range(cfg.trials):
         ens = build_paired_ensemble(n, m, _trial_seed(cfg.seed, "ensemble", t))
         x0 = _unit_signal(n, substream(cfg.seed, "signal", t))
-        b1, b2 = paired_intensities(ens, x0)
+        op1, op2 = MatrixOperator(ens.rows1), MatrixOperator(ens.rows2)
+        b1, b2 = intensities(op1, x0), intensities(op2, x0)
         b_all = np.concatenate([b1, b2])
         _, _, y = observe_pairs(Identity(), b1, b2)
-        terms = one_bit_terms(MatrixOperator(ens.rows1), MatrixOperator(ens.rows2), y)
+        terms = one_bit_terms(op1, op2, y)
         seed_bit = substream(cfg.seed, "power-bit", t)
         rep = spectral_estimate(terms, tol, iters, seed_bit)
         bit = dist_sq(rep.estimate, x0)
@@ -310,9 +310,9 @@ def _convergence_rows(cfg: ExperimentConfig, setup) -> list[list]:
     """Median error-vs-iteration curve of alt-min from each init kind.
 
     ``setup(cfg, trial)`` returns the trial's pair operators, their stacked
-    operator, the signal, its clean pair intensities and the exact LS solver
-    of the stacked operator.  One-bit inits quantize the observed intensities,
-    and the weighted variant draws its ratio weights from the same values.
+    operator, the signal and its clean pair intensities.  One-bit inits
+    quantize the observed intensities, and the weighted variant draws its
+    ratio weights from the same values.
     """
     model = parse_model(cfg.model)
     kinds = [parse_init(name) for name in cfg.inits]
@@ -320,7 +320,7 @@ def _convergence_rows(cfg: ExperimentConfig, setup) -> list[list]:
     tol = _tol(cfg, 1e-12)
     curves: dict[InitKind, list[list[float]]] = {k: [] for k in kinds}
     for t in range(cfg.trials):
-        op1, op2, op_all, x0, b1c, b2c, solver = setup(cfg, t)
+        op1, op2, op_all, x0, b1c, b2c = setup(cfg, t)
         b1, b2, y = observe_pairs(model, b1c, b2c, substream(cfg.seed, "noise", t))
         b_all = np.concatenate([b1, b2])
         for kind in kinds:
@@ -332,7 +332,6 @@ def _convergence_rows(cfg: ExperimentConfig, setup) -> list[list]:
                 init_rep.estimate,
                 max_iters=iters,
                 tol=tol,
-                lsq_solver=solver,
                 callback=lambda k, x: errs.append(dist_sq(x, x0)),
             )
             curves[kind].append(errs)
@@ -347,10 +346,9 @@ def _convergence_rows(cfg: ExperimentConfig, setup) -> list[list]:
 def _gaussian_trial(cfg: ExperimentConfig, trial: int):
     ens = build_paired_ensemble(cfg.n, _pairs(cfg), _trial_seed(cfg.seed, "ensemble", trial))
     x0 = _unit_signal(cfg.n, substream(cfg.seed, "signal", trial))
-    b1c, b2c = paired_intensities(ens, x0)
-    rows_all = ens.stacked_rows()
     op1, op2 = MatrixOperator(ens.rows1), MatrixOperator(ens.rows2)
-    return op1, op2, MatrixOperator(rows_all), x0, b1c, b2c, dense_lsq_solver(rows_all)
+    op_all = MatrixOperator(ens.stacked_rows())
+    return op1, op2, op_all, x0, intensities(op1, x0), intensities(op2, x0)
 
 
 def run_altmin_convergence(cfg: ExperimentConfig) -> list[list]:
@@ -370,9 +368,7 @@ def _cdp_trial(cfg: ExperimentConfig, trial: int):
     op2 = build_cdp_operator(n, r, _trial_seed(cfg.seed, "cdp-masks-2", trial))
     op_all = CdpOperator(np.vstack([op1.masks, op2.masks]))
     x0 = _cdp_signal(n, substream(cfg.seed, "signal", trial))
-    b1c = intensities(op1, x0)
-    b2c = intensities(op2, x0)
-    return op1, op2, op_all, x0, b1c, b2c, cdp_lsq_solver(op_all)
+    return op1, op2, op_all, x0, intensities(op1, x0), intensities(op2, x0)
 
 
 def run_cdp_convergence(cfg: ExperimentConfig) -> list[list]:
@@ -380,7 +376,8 @@ def run_cdp_convergence(cfg: ExperimentConfig) -> list[list]:
 
     Each trial draws ``ratio`` mask pairs; pairing is coordinate-wise across
     the two masked DFTs, giving n one-bit values per mask pair.  The least
-    squares step exploits the diagonal normal matrix of unitary DFT blocks.
+    squares step of :meth:`CdpOperator.lsq_solve` exploits the diagonal normal
+    matrix of unitary DFT blocks.
     The signal is left unnormalized so per-coordinate intensities keep unit
     scale and ``--model`` noise levels mean the same thing as for Gaussian
     sensing.
@@ -406,7 +403,8 @@ def run_recover(cfg: ExperimentConfig) -> tuple[list[list], list[str]]:
     m = _pairs(cfg)
     ens = build_paired_ensemble(n, m, _trial_seed(cfg.seed, "ensemble", 0))
     x0 = _unit_signal(n, substream(cfg.seed, "signal", 0))
-    b1c, b2c = paired_intensities(ens, x0)
+    op1, op2 = MatrixOperator(ens.rows1), MatrixOperator(ens.rows2)
+    b1c, b2c = intensities(op1, x0), intensities(op2, x0)
     b1, b2, y = observe_pairs(model, b1c, b2c, substream(cfg.seed, "noise", 0))
     if cfg.refine == "resampled":
         b_inter = np.empty(2 * m)
@@ -416,7 +414,6 @@ def run_recover(cfg: ExperimentConfig) -> tuple[list[list], list[str]]:
     else:
         op = MatrixOperator(ens.stacked_rows())
         b_all = np.concatenate([b1, b2])
-        op1, op2 = MatrixOperator(ens.rows1), MatrixOperator(ens.rows2)
         init_args = (op1, op2, b1, b2, y, (op, b_all))
 
     candidates = []
@@ -440,7 +437,6 @@ def run_recover(cfg: ExperimentConfig) -> tuple[list[list], list[str]]:
             x_init,
             max_iters=_max_iters(cfg, 200),
             tol=_tol(cfg, 1e-12),
-            lsq_solver=dense_lsq_solver(op.rows),
             callback=lambda k, x: rows.append(["altmin", k, dist_sq(x, x0)]),
         )
         final = report.estimate

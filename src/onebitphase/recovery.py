@@ -14,11 +14,10 @@ from math import ceil, log
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .channels import ratio_weights
 from .numkit import as_complex_vector, cgls, lanczos, phase_op
-from .sensing import CdpOperator, MatrixOperator, MeasurementOperator
+from .sensing import MatrixOperator, MeasurementOperator
 
 
 @dataclass
@@ -183,42 +182,15 @@ def initial_estimate(
 # alternating minimization
 
 
-def dense_lsq_solver(rows: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Exact least-squares step for explicit rows, via a cached Cholesky
-    factorization of the normal matrix."""
-    gram = rows.T @ rows.conj()
-    factor = cho_factor(gram, lower=False)
-
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        return cho_solve(factor, rows.T @ rhs)
-
-    return solve
-
-
-def cdp_lsq_solver(op: CdpOperator) -> Callable[[np.ndarray], np.ndarray]:
-    """Exact least-squares step for masked-DFT stacks.
-
-    Unitary DFT blocks make the normal matrix Diag(sum_i |w_i|^2), so the
-    minimizer is one adjoint plus a pointwise division.
-    """
-    diag = np.sum(np.abs(op.masks) ** 2, axis=0)
-    if np.any(diag <= 0):
-        raise ValueError("masks leave some coordinate unobserved")
-
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        return op.adjoint(rhs) / diag
-
-    return solve
-
-
 # RAAR relaxation parameter of :func:`alt_min`; 1/2 gives plain alternating
 # minimization.  0.8 lets random starts converge within 100 iterations while
 # halving the noisy masked-DFT error of 1/2; at 0.9 the iterates still move
 # at iteration 100, so the fixed-point stop does not fire.
 RAAR_BETA = 0.8
 
-# Relative normal-equation residual at which every CGLS least-squares step of
-# :func:`alt_min` and :func:`alt_min_resampled` stops.
+# Relative normal-equation residual at which each CGLS least-squares step of
+# :func:`alt_min_resampled` stops.  A resampled block serves one solve, so
+# there is no factor to reuse and an iterative solve is the cheaper one.
 CG_TOL = 1e-10
 
 
@@ -228,7 +200,6 @@ def alt_min(
     x_init,
     max_iters: int = 200,
     tol: float = 1e-12,
-    lsq_solver: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     callback: Optional[Callable[[int, np.ndarray], None]] = None,
 ) -> RecoveryReport:
     """Minimize ||A x - Diag(sqrt(b)) u||, |u_k| = 1, by relaxed averaged
@@ -236,8 +207,7 @@ def alt_min(
 
     The iterate z lives in measurement space.  Each iteration projects it onto
     the measured magnitudes, p = sqrt(b) Ph(z), solves the least-squares
-    problem x = A^+ p (warm-started CGLS by default, or an injected exact
-    solver), and relaxes
+    problem x = A^+ p exactly with the operator's ``lsq_solve``, and relaxes
 
         z <- beta z + (1 - 2 beta) p + beta (2 A x - A w),  w = A^+ z,
 
@@ -259,7 +229,6 @@ def alt_min(
         raise ValueError("max_iters must be at least 1")
     sqrt_b = np.sqrt(b)
     beta = RAAR_BETA
-    ls_ok = True
     converged = False
     trace: list = []
     z = np.asarray(op.apply(x), dtype=np.complex128)
@@ -270,12 +239,7 @@ def alt_min(
     iters = 0
     for k in range(1, max_iters + 1):
         p = sqrt_b * phase_op(z)
-        if lsq_solver is not None:
-            x = lsq_solver(p)
-        else:
-            x, info = cgls(op.apply, op.adjoint, p, tol=CG_TOL, x0=x)
-            if info != 0:
-                ls_ok = False
+        x = op.lsq_solve(p)
         a_x = np.asarray(op.apply(x), dtype=np.complex128)
         obj = float(np.sum((np.abs(a_x) - sqrt_b) ** 2))
         if obj < best_obj:
@@ -295,7 +259,7 @@ def alt_min(
         lambda_hat=0.0,
         iterations=iters,
         trace=trace,
-        converged=converged and ls_ok,
+        converged=converged,
     )
 
 

@@ -4,19 +4,23 @@ All randomness flows through :func:`substream`, which derives an independent
 generator from a master seed plus purpose keys, so every ensemble can be
 regenerated bit-for-bit from its ``(n, m, seed)`` header.
 
-A measurement operator is anything with ``n``, ``out_dim``, ``apply`` and
-``adjoint``: :class:`MatrixOperator` for explicit rows and
+A measurement operator is anything with ``n``, ``out_dim``, ``apply``,
+``adjoint`` and ``lsq_solve``: :class:`MatrixOperator` for explicit rows and
 :class:`CdpOperator` for masked-DFT stacks.  Each checks its array once, at
 construction; ``apply``/``adjoint`` check only the length of their input.
+``lsq_solve(y)`` is the exact least-squares step argmin_x ||A x - y||, whose
+normal-matrix work each operator caches on first use.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .numkit import as_complex_vector
 
@@ -179,6 +183,15 @@ class MatrixOperator:
         y = _sized(y, self.out_dim, "y")
         return self.rows.T @ y
 
+    @cached_property
+    def _normal_factor(self):
+        """Cholesky factor of the normal matrix A*A = rows^T conj(rows)."""
+        return cho_factor(self.rows.T @ self.rows.conj())
+
+    def lsq_solve(self, y) -> np.ndarray:
+        """argmin_x ||A x - y||, from the cached Cholesky factor."""
+        return cho_solve(self._normal_factor, self.adjoint(y))
+
 
 @dataclass(frozen=True)
 class CdpOperator:
@@ -218,6 +231,18 @@ class CdpOperator:
         y = _sized(y, self.out_dim, "y")
         blocks = np.fft.ifft(y.reshape(self.r, self.n), axis=1, norm="ortho")
         return np.sum(self.masks.conj() * blocks, axis=0)
+
+    @cached_property
+    def _normal_diag(self) -> np.ndarray:
+        diag = np.sum(np.abs(self.masks) ** 2, axis=0)
+        if np.any(diag <= 0):
+            raise ValueError("masks leave some coordinate unobserved")
+        return diag
+
+    def lsq_solve(self, y) -> np.ndarray:
+        """argmin_x ||A x - y||: the normal matrix is diagonal, so one adjoint
+        and a pointwise division."""
+        return self.adjoint(y) / self._normal_diag
 
 
 MeasurementOperator = Union[MatrixOperator, CdpOperator]

@@ -28,8 +28,6 @@ from onebitphase.channels import (
 from onebitphase.numkit import dist_sq
 from onebitphase.recovery import (
     alt_min,
-    cdp_lsq_solver,
-    dense_lsq_solver,
     initial_estimate,
     one_bit_terms,
     spectral_estimate,
@@ -235,9 +233,7 @@ def gaussian_noiseless_runs():
         b1, b2 = paired_intensities(ens, x0)
         y = quantize(b1, b2)
         b_all = np.concatenate([b1, b2])
-        rows = ens.stacked_rows()
-        op = MatrixOperator(rows)
-        solver = dense_lsq_solver(rows)
+        op = MatrixOperator(ens.stacked_rows())
         ops = MatrixOperator(ens.rows1), MatrixOperator(ens.rows2)
 
         # loose tolerance: a relative Ritz residual of 1e-4 is orders of
@@ -254,7 +250,7 @@ def gaussian_noiseless_runs():
         }
         for kind, xi in ests.items():
             errs = []
-            rep = alt_min(op, b_all, xi, max_iters=100, tol=1e-12, lsq_solver=solver,
+            rep = alt_min(op, b_all, xi, max_iters=100, tol=1e-12,
                           callback=lambda k, x: errs.append(dist_sq(x, x0)))
             if min(errs) <= 1e-6:
                 hits[kind] += 1
@@ -286,12 +282,11 @@ def cdp_noisy_runs():
         y = quantize(b1, b2)
         op_all = CdpOperator(np.vstack([op1.masks, op2.masks]))
         b_all = np.concatenate([b1, b2])
-        solver = cdp_lsq_solver(op_all)
         for kind in finals:
             xi = initial_estimate(kind, op1, op2, b1, b2, y, (op_all, b_all),
                                   substream(seed, "pw", kind), max_iters=2000).estimate
             inits[kind].append(dist_sq(xi, x0))
-            rep = alt_min(op_all, b_all, xi, max_iters=100, tol=1e-12, lsq_solver=solver)
+            rep = alt_min(op_all, b_all, xi, max_iters=100, tol=1e-12)
             finals[kind].append(dist_sq(rep.estimate, x0))
             traces.append([v for _, v in rep.trace])
     return finals, traces, time.monotonic() - t0, inits

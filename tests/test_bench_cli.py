@@ -54,6 +54,9 @@ class TestConfig:
             {"kind": "recover", "n": 8, "model": "clipgauss:sigma=inf", "inits": ("onebit",)},
             {"kind": "recover", "n": 8, "model": "tanh:alpha=inf", "inits": ("onebit",)},
             {"kind": "recover", "n": 8, "model": "poisson:eta=inf", "inits": ("onebit",)},
+            {"kind": "recover", "n": 8, "tol": float("nan")},
+            {"kind": "recover", "n": 8, "tol": float("inf")},
+            {"kind": "recover", "n": 8, "tol": -1.0},
         ],
     )
     def test_invalid_configs(self, kw):
@@ -300,6 +303,13 @@ class TestCli:
             assert rc == 2, grid
             assert "finite" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_non_finite_tol_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = cli.main(["recover", "--n", "8", "--tol", "nan", "--out", str(out)])
+        assert rc == 2
+        assert "tol" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_init_exits_2(self, tmp_path, capsys):
         rc = cli.main([

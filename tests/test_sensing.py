@@ -283,3 +283,12 @@ class TestOperatorBoundary:
         for size in (1, op.out_dim - 1, op.out_dim + 1):
             with pytest.raises(ValueError, match="operator expects"):
                 op.adjoint(np.ones(size, dtype=complex))
+
+    @pytest.mark.parametrize("op", _operators(), ids=["matrix", "cdp"])
+    def test_lsq_solve_matches_dense_lstsq(self, op):
+        dense = np.stack([op.apply(e) for e in np.eye(op.n, dtype=complex)], axis=1)
+        y = sample_complex_gaussian(op.out_dim, np.random.default_rng(41))
+        expected = np.linalg.lstsq(dense, y, rcond=None)[0]
+        np.testing.assert_allclose(op.lsq_solve(y), expected, atol=1e-12)
+        # the cached factor serves a second right-hand side
+        np.testing.assert_allclose(op.lsq_solve(2 * y), 2 * expected, atol=1e-12)
