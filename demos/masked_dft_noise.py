@@ -14,7 +14,7 @@ Run:  python3 demos/masked_dft_noise.py
 import numpy as np
 
 from onebitphase.channels import quantize
-from onebitphase.numkit import dist_sq
+from onebitphase.numkit import dist_sq, sample_complex_gaussian
 from onebitphase.recovery import alt_min, initial_estimate
 from onebitphase.sensing import CdpOperator, build_cdp_operator, intensities, substream
 
@@ -26,10 +26,9 @@ for t in range(trials):
     seed = 40 + t
     op1 = build_cdp_operator(n, r, int(substream(seed, "m1").integers(0, 2**63)))
     op2 = build_cdp_operator(n, r, int(substream(seed, "m2").integers(0, 2**63)))
-    rng = substream(seed, "x0")
     # unnormalized signal keeps per-coordinate masked-DFT intensities at unit
     # scale, so sigma means the same thing it does for dense Gaussian sensing
-    x0 = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(0.5)
+    x0 = sample_complex_gaussian(n, substream(seed, "x0"))
     b1_clean = intensities(op1, x0)
     b2_clean = intensities(op2, x0)
     noise = sigma * np.maximum(substream(seed, "noise").standard_normal(n * r), 0.0)

@@ -31,17 +31,16 @@ from .channels import (
     observe_pairs,
     parse_model,
 )
-from .numkit import dist_sq
+from .numkit import dist_sq, sample_complex_gaussian
 from .recovery import (
     InitKind,
     alt_min,
     alt_min_resampled,
     initial_estimate,
     multi_init_select,
-    one_bit_terms,
     parse_init,
+    random_init,
     resample_blocks,
-    spectral_estimate,
 )
 from .sensing import (
     CdpOperator,
@@ -157,6 +156,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("ratio must be positive")
     if cfg.tol is not None and not (np.isfinite(cfg.tol) and cfg.tol >= 0):
         raise ConfigError("tol must be finite and non-negative")
+    refines = cfg.kind == "altmin-convergence" or (cfg.kind, cfg.refine) == ("recover", "altmin")
+    if refines and 2 * _pairs(cfg) < cfg.n:
+        raise ConfigError(
+            f"the least-squares step needs at least n = {cfg.n} measurements "
+            f"(2 per pair); got {2 * _pairs(cfg)}"
+        )
     try:
         model = parse_model(cfg.model)
     except ValueError as exc:
@@ -194,15 +199,12 @@ def _trial_seed(master: int, tag: str, index: int) -> int:
     return int(substream(master, tag, index).integers(0, 2**63))
 
 
-def _unit_signal(n: int, rng) -> np.ndarray:
-    v = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(0.5)
-    return v / np.linalg.norm(v)
-
-
-def _cdp_signal(n: int, rng) -> np.ndarray:
-    # unnormalized: per-coordinate masked-DFT intensities then have mean
-    # ||x0||^2/n ~ 1, the same scale the noise sigmas are calibrated against
-    return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(0.5)
+def _gaussian_pairs(cfg: ExperimentConfig, trial: int):
+    """Pair operators, unit signal and its clean pair intensities of a
+    Gaussian trial."""
+    op1, op2 = build_paired_ensemble(cfg.n, _pairs(cfg), _trial_seed(cfg.seed, "ensemble", trial))
+    x0 = random_init(cfg.n, substream(cfg.seed, "signal", trial))
+    return op1, op2, x0, intensities(op1, x0), intensities(op2, x0)
 
 
 # ---------------------------------------------------------------------------
@@ -240,30 +242,27 @@ def run_distortion_sweep(cfg: ExperimentConfig) -> list[list]:
     intensities, so it runs once per trial and its column is bit-identical
     across the sweep while the intensity-weighted method degrades.
     """
-    n = cfg.n
-    m = _pairs(cfg)
     tol = _tol(cfg, 1e-8)
     iters = _max_iters(cfg, 1000)
     err_bit = {a: [] for a in cfg.alphas}
     err_sub = {a: [] for a in cfg.alphas}
     for t in range(cfg.trials):
-        ens = build_paired_ensemble(n, m, _trial_seed(cfg.seed, "ensemble", t))
-        x0 = _unit_signal(n, substream(cfg.seed, "signal", t))
-        op1, op2 = MatrixOperator(ens.rows1), MatrixOperator(ens.rows2)
-        b1, b2 = intensities(op1, x0), intensities(op2, x0)
+        op1, op2, x0, b1, b2 = _gaussian_pairs(cfg, t)
+        op_all = MatrixOperator(np.vstack([op1.rows, op2.rows]))
         b_all = np.concatenate([b1, b2])
         _, _, y = observe_pairs(Identity(), b1, b2)
-        terms = one_bit_terms(op1, op2, y)
         seed_bit = substream(cfg.seed, "power-bit", t)
-        rep = spectral_estimate(terms, tol, iters, seed_bit)
+        rep = initial_estimate(
+            InitKind.ONEBIT, op1, op2, b1, b2, y, (op_all, b_all), seed_bit, tol, iters
+        )
         bit = dist_sq(rep.estimate, x0)
-        op_all = MatrixOperator(ens.stacked_rows())
         for alpha in cfg.alphas:
-            model = TanhDistortion(alpha)
             err_bit[alpha].append(bit)
-            term_sub = (op_all, apply_model(model, b_all))
+            stacked = (op_all, apply_model(TanhDistortion(alpha), b_all))
             seed_sub = substream(cfg.seed, "power-sub", t)
-            rep_sub = spectral_estimate([term_sub], tol, iters, seed_sub)
+            rep_sub = initial_estimate(
+                InitKind.SUBEXP, op1, op2, b1, b2, y, stacked, seed_sub, tol, iters
+            )
             err_sub[alpha].append(dist_sq(rep_sub.estimate, x0))
     rows = []
     for alpha in cfg.alphas:
@@ -344,11 +343,8 @@ def _convergence_rows(cfg: ExperimentConfig, setup) -> list[list]:
 
 
 def _gaussian_trial(cfg: ExperimentConfig, trial: int):
-    ens = build_paired_ensemble(cfg.n, _pairs(cfg), _trial_seed(cfg.seed, "ensemble", trial))
-    x0 = _unit_signal(cfg.n, substream(cfg.seed, "signal", trial))
-    op1, op2 = MatrixOperator(ens.rows1), MatrixOperator(ens.rows2)
-    op_all = MatrixOperator(ens.stacked_rows())
-    return op1, op2, op_all, x0, intensities(op1, x0), intensities(op2, x0)
+    op1, op2, x0, b1c, b2c = _gaussian_pairs(cfg, trial)
+    return op1, op2, MatrixOperator(np.vstack([op1.rows, op2.rows])), x0, b1c, b2c
 
 
 def run_altmin_convergence(cfg: ExperimentConfig) -> list[list]:
@@ -367,7 +363,9 @@ def _cdp_trial(cfg: ExperimentConfig, trial: int):
     op1 = build_cdp_operator(n, r, _trial_seed(cfg.seed, "cdp-masks-1", trial))
     op2 = build_cdp_operator(n, r, _trial_seed(cfg.seed, "cdp-masks-2", trial))
     op_all = CdpOperator(np.vstack([op1.masks, op2.masks]))
-    x0 = _cdp_signal(n, substream(cfg.seed, "signal", trial))
+    # unnormalized: per-coordinate masked-DFT intensities then have mean
+    # ||x0||^2/n ~ 1, the same scale the noise sigmas are calibrated against
+    x0 = sample_complex_gaussian(n, substream(cfg.seed, "signal", trial))
     return op1, op2, op_all, x0, intensities(op1, x0), intensities(op2, x0)
 
 
@@ -399,20 +397,12 @@ def run_recover(cfg: ExperimentConfig) -> tuple[list[list], list[str]]:
     """
     model = parse_model(cfg.model)
     kinds = [parse_init(name) for name in cfg.inits]
-    n = cfg.n
-    m = _pairs(cfg)
-    ens = build_paired_ensemble(n, m, _trial_seed(cfg.seed, "ensemble", 0))
-    x0 = _unit_signal(n, substream(cfg.seed, "signal", 0))
-    op1, op2 = MatrixOperator(ens.rows1), MatrixOperator(ens.rows2)
-    b1c, b2c = intensities(op1, x0), intensities(op2, x0)
+    op1, op2, x0, b1c, b2c = _gaussian_pairs(cfg, 0)
     b1, b2, y = observe_pairs(model, b1c, b2c, substream(cfg.seed, "noise", 0))
     if cfg.refine == "resampled":
-        b_inter = np.empty(2 * m)
-        b_inter[0::2] = b1
-        b_inter[1::2] = b2
-        init_args, stages = resample_blocks(ens.interleaved_rows(), b_inter, y, cfg.epsilon)
+        init_args, stages = resample_blocks(op1, op2, b1, b2, y, cfg.epsilon)
     else:
-        op = MatrixOperator(ens.stacked_rows())
+        op = MatrixOperator(np.vstack([op1.rows, op2.rows]))
         b_all = np.concatenate([b1, b2])
         init_args = (op1, op2, b1, b2, y, (op, b_all))
 

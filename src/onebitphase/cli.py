@@ -109,12 +109,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = config_from_args(args)
         csv_path, mpath, summary = write_outputs(cfg)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # LinAlgError is a ValueError, so the numerical failures come first
     except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except (ConfigError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     for line in summary:
         print(line)
     print(f"wrote {csv_path} and {mpath}")

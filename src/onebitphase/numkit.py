@@ -32,6 +32,13 @@ def as_complex_vector(x) -> np.ndarray:
     return v
 
 
+def sample_complex_gaussian(shape, rng: np.random.Generator) -> np.ndarray:
+    """Standard complex Gaussian array: each entry has E|a_k|^2 = 1."""
+    if np.prod(shape) <= 0:
+        raise ValueError("dimensions must be positive")
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(0.5)
+
+
 def phase_op(z) -> np.ndarray:
     """Entrywise phase z / |z|, mapping (near-)zero entries to 1 + 0j."""
     z = np.asarray(z, dtype=np.complex128)
@@ -69,8 +76,7 @@ def lanczos(
         raise ValueError("tol must be non-negative")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    rng = np.random.default_rng(seed)
-    q = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(0.5)
+    q = sample_complex_gaussian(n, np.random.default_rng(seed))
     size = min(n, max_iters)
     basis = np.empty((min(size, 32), n), dtype=np.complex128)
     basis[0] = q / np.linalg.norm(q)

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .channels import ratio_weights
-from .numkit import as_complex_vector, cgls, lanczos, phase_op
+from .numkit import as_complex_vector, cgls, lanczos, phase_op, sample_complex_gaussian
 from .sensing import MatrixOperator, MeasurementOperator
 
 
@@ -61,8 +61,7 @@ def _checked_intensities(b) -> np.ndarray:
 
 def random_init(n: int, seed) -> np.ndarray:
     """Uniformly random unit vector on the complex sphere."""
-    rng = np.random.default_rng(seed)
-    v = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(0.5)
+    v = sample_complex_gaussian(n, np.random.default_rng(seed))
     return v / np.linalg.norm(v)
 
 
@@ -263,29 +262,30 @@ def alt_min(
     )
 
 
-def resample_blocks(rows, b, y, epsilon: float) -> tuple:
+def resample_blocks(op1, op2, b1, b2, y, epsilon: float) -> tuple:
     """Split paired measurements into an init block and ceil(log(1/epsilon))
     disjoint refinement blocks.
 
-    ``rows``/``b`` hold the pair members interleaved (a1_1, a2_1, a1_2, ...)
-    and ``y`` one sign per pair.  The blocks are contiguous and equal, with
-    any leftover rows in block 0.  Returns ``(init_args, stages)``:
+    ``op1``/``op2`` are the :class:`MatrixOperator` of each pair family,
+    ``b1``/``b2`` their intensities and ``y`` one sign per pair.  The blocks
+    are contiguous and equal in the interleaved sequence a1_1, a2_1, a1_2,
+    ..., with any leftover rows in block 0.  Returns ``(init_args, stages)``:
     ``init_args`` is block 0 as the ``(op1, op2, b1, b2, y, stacked)``
     arguments of :func:`initial_estimate`, and ``stages`` holds the
-    ``(rows, b)`` of each later block, for :func:`alt_min_resampled`.
+    ``(operator, b)`` of each later block, for :func:`alt_min_resampled`.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    rows = np.asarray(rows)
-    b = _checked_intensities(b)
+    rows1, rows2 = op1.rows, op2.rows
+    if rows1.shape != rows2.shape:
+        raise ValueError(f"pair families have shapes {rows1.shape} and {rows2.shape}")
+    m, n = rows1.shape
+    total = 2 * m
+    b1, b2 = _checked_intensities(b1), _checked_intensities(b2)
     y = np.asarray(y, dtype=float)
-    if rows.ndim != 2:
-        raise ValueError(f"rows must be 2-D, got shape {rows.shape}")
-    total, n = rows.shape
-    if b.shape != (total,):
-        raise ValueError(f"b has shape {b.shape}, expected ({total},)")
-    if y.shape != (total // 2,):
-        raise ValueError(f"y has shape {y.shape}, expected ({total // 2},)")
+    for name, v in (("b1", b1), ("b2", b2), ("y", y)):
+        if v.shape != (m,):
+            raise ValueError(f"{name} has shape {v.shape}, expected ({m},)")
     blocks = ceil(log(1.0 / epsilon)) + 1
     size = total // blocks
     if size < n:
@@ -297,16 +297,21 @@ def resample_blocks(rows, b, y, epsilon: float) -> tuple:
     pairs = first // 2
     if pairs == 0:
         raise ValueError("initialization block has no measurement pairs")
+    rows = np.empty((total, n), dtype=np.complex128)
+    rows[0::2], rows[1::2] = rows1, rows2
+    b = np.empty(total)
+    b[0::2], b[1::2] = b1, b2
     init_args = (
-        MatrixOperator(rows[0 : 2 * pairs : 2]),
-        MatrixOperator(rows[1 : 2 * pairs : 2]),
-        b[0 : 2 * pairs : 2],
-        b[1 : 2 * pairs : 2],
+        MatrixOperator(rows1[:pairs]),
+        MatrixOperator(rows2[:pairs]),
+        b1[:pairs],
+        b2[:pairs],
         y[:pairs],
         (MatrixOperator(rows[:first]), b[:first]),
     )
     stages = [
-        (rows[lo : lo + size], b[lo : lo + size]) for lo in range(first, total, size)
+        (MatrixOperator(rows[lo : lo + size]), b[lo : lo + size])
+        for lo in range(first, total, size)
     ]
     return init_args, stages
 
@@ -318,7 +323,7 @@ def alt_min_resampled(
 ) -> RecoveryReport:
     """Staged alternating minimization from ``x_init`` on disjoint blocks.
 
-    Each ``(rows, b)`` stage of :func:`resample_blocks` is one exact phase
+    Each ``(operator, b)`` stage of :func:`resample_blocks` is one exact phase
     update plus one least-squares solve on fresh measurements.  ``callback``
     sees ``(0, x_init)`` and then each stage's estimate.
     """
@@ -327,8 +332,7 @@ def alt_min_resampled(
         callback(0, x)
     trace: list = []
     converged = True
-    for t, (rows, b) in enumerate(stages, start=1):
-        op = MatrixOperator(rows)
+    for t, (op, b) in enumerate(stages, start=1):
         rhs = np.sqrt(b) * phase_op(op.apply(x))
         x, info = cgls(op.apply, op.adjoint, rhs, tol=CG_TOL, x0=x)
         if info != 0:

@@ -1,8 +1,8 @@
-"""Seeded measurement ensembles and the measurement operators over them.
+"""Seeded measurement operators: complex Gaussian rows and masked DFTs.
 
 All randomness flows through :func:`substream`, which derives an independent
-generator from a master seed plus purpose keys, so every ensemble can be
-regenerated bit-for-bit from its ``(n, m, seed)`` header.
+generator from a master seed plus purpose keys, so every builder returns the
+same operator, bit for bit, from the same ``(n, m, seed)``.
 
 A measurement operator is anything with ``n``, ``out_dim``, ``apply``,
 ``adjoint`` and ``lsq_solve``: :class:`MatrixOperator` for explicit rows and
@@ -22,7 +22,7 @@ from typing import Union
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .numkit import as_complex_vector
+from .numkit import sample_complex_gaussian
 
 
 def _key_word(key) -> int:
@@ -38,19 +38,6 @@ def substream(seed: int, *keys) -> np.random.Generator:
     """Generator derived from (seed, *keys); distinct keys never collide."""
     entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF] + [_key_word(k) for k in keys]
     return np.random.default_rng(np.random.SeedSequence(entropy))
-
-
-def sample_complex_gaussian(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Standard complex Gaussian vector: each coordinate has E|a_k|^2 = 1."""
-    if n <= 0:
-        raise ValueError("dimension must be positive")
-    return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(0.5)
-
-
-def _gaussian_rows(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    re = rng.standard_normal((m, n))
-    im = rng.standard_normal((m, n))
-    return (re + 1j * im) * np.sqrt(0.5)
 
 
 def sample_exponential(mean: float, rng: np.random.Generator, size=None):
@@ -69,72 +56,6 @@ def sample_poisson(rate, rng: np.random.Generator, size=None):
     if np.any(rate < 0):
         raise ValueError("rate must be non-negative")
     return rng.poisson(rate, size)
-
-
-def _checked_rows(rows: np.ndarray, shape=None) -> None:
-    if rows.ndim != 2 or rows.shape[0] <= 0 or rows.shape[1] <= 0:
-        raise ValueError(f"rows have shape {rows.shape}; n and m must be positive")
-    if shape is not None and rows.shape != shape:
-        raise ValueError(f"rows have shape {rows.shape}, expected {shape}")
-
-
-@dataclass(frozen=True)
-class PairedEnsemble:
-    """m pairs of independent n-dimensional complex Gaussian sensing rows."""
-
-    rows1: np.ndarray
-    rows2: np.ndarray
-
-    def __post_init__(self):
-        _checked_rows(self.rows1)
-        _checked_rows(self.rows2, self.rows1.shape)
-
-    @property
-    def m(self) -> int:
-        return self.rows1.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.rows1.shape[1]
-
-    def interleaved_rows(self) -> np.ndarray:
-        """All 2m rows with pair members adjacent: a1_1, a2_1, a1_2, ..."""
-        out = np.empty((2 * self.m, self.n), dtype=np.complex128)
-        out[0::2] = self.rows1
-        out[1::2] = self.rows2
-        return out
-
-    def stacked_rows(self) -> np.ndarray:
-        """All 2m rows, first family then second."""
-        return np.vstack([self.rows1, self.rows2])
-
-
-@dataclass(frozen=True)
-class PlainEnsemble:
-    """m independent n-dimensional complex Gaussian sensing rows."""
-
-    rows: np.ndarray
-
-    def __post_init__(self):
-        _checked_rows(self.rows)
-
-    @property
-    def m(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.rows.shape[1]
-
-
-def build_paired_ensemble(n: int, m: int, seed: int) -> PairedEnsemble:
-    rows1 = _gaussian_rows(m, n, substream(seed, "paired-rows", 1))
-    rows2 = _gaussian_rows(m, n, substream(seed, "paired-rows", 2))
-    return PairedEnsemble(rows1, rows2)
-
-
-def build_plain_ensemble(n: int, m: int, seed: int) -> PlainEnsemble:
-    return PlainEnsemble(_gaussian_rows(m, n, substream(seed, "plain-rows")))
 
 
 def _checked_matrix(a: np.ndarray, name: str) -> None:
@@ -248,15 +169,24 @@ class CdpOperator:
 MeasurementOperator = Union[MatrixOperator, CdpOperator]
 
 
+def build_paired_ensemble(n: int, m: int, seed: int) -> tuple[MatrixOperator, MatrixOperator]:
+    """The two families of m pairs of complex Gaussian sensing rows in C^n,
+    one operator each: pair k measures rows k of both."""
+    return tuple(
+        MatrixOperator(sample_complex_gaussian((m, n), substream(seed, "paired-rows", k)))
+        for k in (1, 2)
+    )
+
+
+def build_plain_ensemble(n: int, m: int, seed: int) -> MatrixOperator:
+    """m independent complex Gaussian sensing rows in C^n."""
+    return MatrixOperator(sample_complex_gaussian((m, n), substream(seed, "plain-rows")))
+
+
 def build_cdp_operator(n: int, r: int, seed: int) -> CdpOperator:
-    return CdpOperator(_gaussian_rows(r, n, substream(seed, "cdp-masks")))
+    return CdpOperator(sample_complex_gaussian((r, n), substream(seed, "cdp-masks")))
 
 
 def intensities(op: MeasurementOperator, x) -> np.ndarray:
     """|A x|^2 entrywise: the noiseless intensities of ``x`` through ``op``."""
     return np.abs(op.apply(x)) ** 2
-
-
-def paired_intensities(ens: PairedEnsemble, x) -> tuple[np.ndarray, np.ndarray]:
-    x = as_complex_vector(x)
-    return intensities(MatrixOperator(ens.rows1), x), intensities(MatrixOperator(ens.rows2), x)

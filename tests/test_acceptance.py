@@ -39,7 +39,6 @@ from onebitphase.sensing import (
     build_paired_ensemble,
     build_plain_ensemble,
     intensities,
-    paired_intensities,
     substream,
 )
 
@@ -51,10 +50,9 @@ def _unit(rng, n):
     return v / np.linalg.norm(v)
 
 
-def _one_bit_estimate(ens, x0, seed, model=Identity()):
+def _one_bit_estimate(ops, x0, seed, model=Identity()):
     """Onebit spectral estimate from the pairs of ``x0`` observed through ``model``."""
-    _, _, y = observe_pairs(model, *paired_intensities(ens, x0))
-    ops = MatrixOperator(ens.rows1), MatrixOperator(ens.rows2)
+    _, _, y = observe_pairs(model, *(intensities(op, x0) for op in ops))
     return spectral_estimate(one_bit_terms(*ops, y), seed=seed).estimate
 
 
@@ -70,15 +68,15 @@ def test_01_channel_constant_oracles():
 
 
 def test_02_intensity_distribution_laws():
-    ens = build_plain_ensemble(8, 100_000, seed=21)
+    op = build_plain_ensemble(8, 100_000, seed=21)
     x0 = _unit(substream(21, "x0"), 8)
-    b = intensities(MatrixOperator(ens.rows), x0)
+    b = intensities(op, x0)
     ks_exp = stats.kstest(b, "expon").statistic
     assert ks_exp <= 0.01
 
-    pens = build_paired_ensemble(4, 100_000, seed=22)
+    op1, op2 = build_paired_ensemble(4, 100_000, seed=22)
     px0 = _unit(substream(22, "x0"), 4)
-    b1, b2 = paired_intensities(pens, px0)
+    b1, b2 = intensities(op1, px0), intensities(op2, px0)
     ks_uni = stats.kstest(b1 / (b1 + b2), "uniform").statistic
     assert ks_uni <= 0.01
     print(f"PASS distribution laws: KS exp {ks_exp:.4f}, KS uniform {ks_uni:.4f}")
@@ -87,19 +85,18 @@ def test_02_intensity_distribution_laws():
 @pytest.fixture(scope="module")
 def mc_pairs():
     n, m = 4, 1_000_000
-    ens = build_paired_ensemble(n, m, seed=33)
+    op1, op2 = build_paired_ensemble(n, m, seed=33)
     x0 = _unit(substream(33, "x0"), n)
-    b1, b2 = paired_intensities(ens, x0)
+    b1, b2 = intensities(op1, x0), intensities(op2, x0)
     y = quantize(b1, b2)
     r1, r2 = ratio_weights(b1, b2)
     probes = [x0] + [_unit(substream(33, "probe", k), n) for k in range(5)]
-    return ens, x0, y, r1, r2, probes
+    return (op1.rows, op2.rows), x0, y, r1, r2, probes
 
 
 def test_03_expectation_identities(mc_pairs):
-    ens, x0, y, r1, r2, probes = mc_pairs
-    a1, a2 = ens.rows1, ens.rows2
-    m = ens.m
+    (a1, a2), x0, y, r1, r2, probes = mc_pairs
+    m = a1.shape[0]
     surrogate = ((a1 * y[:, None]).T @ a1.conj() - (a2 * y[:, None]).T @ a2.conj()) / m
     target = np.outer(x0, x0.conj())
     worst = np.max(np.abs(surrogate - target))
@@ -117,8 +114,7 @@ def test_03_expectation_identities(mc_pairs):
 
 
 def test_04_excess_risk_identities(mc_pairs):
-    ens, x0, y, r1, r2, probes = mc_pairs
-    a1, a2 = ens.rows1, ens.rows2
+    (a1, a2), x0, y, r1, r2, probes = mc_pairs
 
     def risk_bit(x):
         return np.mean(y * (np.abs(a1.conj() @ x) ** 2 - np.abs(a2.conj() @ x) ** 2))
@@ -143,20 +139,19 @@ def test_05_spectral_oracle_equivalence():
     worst = 0.0
     for s in range(20):
         seed = 500 + s
-        ens = build_paired_ensemble(n, m, seed=seed)
+        op1, op2 = build_paired_ensemble(n, m, seed=seed)
         x0 = _unit(substream(seed, "x0"), n)
-        b1, b2 = paired_intensities(ens, x0)
+        b1, b2 = intensities(op1, x0), intensities(op2, x0)
         y = quantize(b1, b2)
-        ops = MatrixOperator(ens.rows1), MatrixOperator(ens.rows2)
-        rows = ens.stacked_rows()
-        b = intensities(MatrixOperator(rows), x0)
+        op = MatrixOperator(np.vstack([op1.rows, op2.rows]))
+        b = intensities(op, x0)
 
         def init(kind):
-            return initial_estimate(kind, *ops, b1, b2, y, (MatrixOperator(rows), b), 1,
+            return initial_estimate(kind, op1, op2, b1, b2, y, (op, b), 1,
                                     tol=1e-13, max_iters=100_000)
 
         rep = init("onebit")
-        dense = dense_one_bit_matrix(ens.rows1, ens.rows2, y)
+        dense = dense_one_bit_matrix(op1.rows, op2.rows, y)
         val, vec = hermitian_top_eig(dense)
         worst = max(worst, dist_sq(rep.estimate, vec))
         assert dist_sq(rep.estimate, vec) <= 1e-8
@@ -164,13 +159,13 @@ def test_05_spectral_oracle_equivalence():
 
         wrep = init("weighted1bit")
         weights = np.stack(ratio_weights(b1, b2), axis=1)
-        wdense = dense_one_bit_matrix(ens.rows1, ens.rows2, y, weights=weights)
+        wdense = dense_one_bit_matrix(op1.rows, op2.rows, y, weights=weights)
         _, wvec = hermitian_top_eig(wdense)
         worst = max(worst, dist_sq(wrep.estimate, wvec))
         assert dist_sq(wrep.estimate, wvec) <= 1e-8
 
         srep = init("subexp")
-        _, svec = hermitian_top_eig(dense_subexp_matrix(rows, b))
+        _, svec = hermitian_top_eig(dense_subexp_matrix(op.rows, b))
         worst = max(worst, dist_sq(srep.estimate, svec))
         assert dist_sq(srep.estimate, svec) <= 1e-8
     print(f"PASS oracle equivalence: worst dist_sq {worst:.2e} over 20 seeds x 3 methods")
@@ -184,9 +179,9 @@ def test_06_sample_complexity_scaling():
         errs = []
         for s in range(50):
             seed = int(substream(100 + s, "c6").integers(0, 2**63))
-            ens = build_paired_ensemble(n, m, seed=seed)
+            ops = build_paired_ensemble(n, m, seed=seed)
             x0 = _unit(substream(seed, "x0"), n)
-            est = _one_bit_estimate(ens, x0, substream(seed, "pw"))
+            est = _one_bit_estimate(ops, x0, substream(seed, "pw"))
             errs.append(dist_sq(est, x0))
         medians[m] = float(np.median(errs))
     ratio = medians[2048] / medians[8192]
@@ -209,10 +204,10 @@ def test_07_distortion_robustness():
     assert med[(0.125, "1bitPhase")] == med[(8.0, "1bitPhase")]
 
     # sign-based estimates are bitwise invariant to the distortion strength
-    ens = build_paired_ensemble(64, 256, seed=7)
+    ops = build_paired_ensemble(64, 256, seed=7)
     x0 = _unit(substream(7, "x0"), 64)
     estimates = [
-        _one_bit_estimate(ens, x0, 3, TanhDistortion(a)) for a in (0.125, 1.0, 8.0)
+        _one_bit_estimate(ops, x0, 3, TanhDistortion(a)) for a in (0.125, 1.0, 8.0)
     ]
     for other in estimates[1:]:
         np.testing.assert_array_equal(estimates[0], other)
@@ -228,18 +223,17 @@ def gaussian_noiseless_runs():
     t0 = time.monotonic()
     for s in range(20):
         seed = int(substream(8800 + s, "trial").integers(0, 2**63))
-        ens = build_paired_ensemble(n, pairs, seed=seed)
+        op1, op2 = build_paired_ensemble(n, pairs, seed=seed)
         x0 = _unit(substream(seed, "x0"), n)
-        b1, b2 = paired_intensities(ens, x0)
+        b1, b2 = intensities(op1, x0), intensities(op2, x0)
         y = quantize(b1, b2)
         b_all = np.concatenate([b1, b2])
-        op = MatrixOperator(ens.stacked_rows())
-        ops = MatrixOperator(ens.rows1), MatrixOperator(ens.rows2)
+        op = MatrixOperator(np.vstack([op1.rows, op2.rows]))
 
         # loose tolerance: a relative Ritz residual of 1e-4 is orders of
         # magnitude below the statistical error of the initializers
         def init(kind, stream):
-            return initial_estimate(kind, *ops, b1, b2, y, (op, b_all), substream(seed, stream),
+            return initial_estimate(kind, op1, op2, b1, b2, y, (op, b_all), substream(seed, stream),
                                     tol=1e-4, max_iters=400).estimate
 
         ests = {

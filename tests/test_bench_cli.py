@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from onebitphase import bench, cli
+from onebitphase import bench, cli, sensing
 from onebitphase.bench import ConfigError, ExperimentConfig
 from onebitphase.channels import quantize
 from onebitphase.numkit import dist_sq
@@ -57,6 +57,7 @@ class TestConfig:
             {"kind": "recover", "n": 8, "tol": float("nan")},
             {"kind": "recover", "n": 8, "tol": float("inf")},
             {"kind": "recover", "n": 8, "tol": -1.0},
+            {"kind": "recover", "n": 16, "m": 4},
         ],
     )
     def test_invalid_configs(self, kw):
@@ -310,6 +311,27 @@ class TestCli:
         assert rc == 2
         assert "tol" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_too_few_measurements_exits_2(self, tmp_path, capsys):
+        for kind in ("recover", "altmin-convergence"):
+            out = tmp_path / f"{kind}.csv"
+            rc = cli.main([kind, "--n", "16", "--m", "4", "--trials", "1", "--out", str(out)])
+            assert rc == 2, kind
+            assert "least-squares step needs at least n = 16" in capsys.readouterr().err
+            assert not out.exists()
+        # a spectral-only run solves no least-squares problem
+        out = tmp_path / "none.csv"
+        assert cli.main(["recover", "--n", "16", "--m", "4", "--refine", "none",
+                         "--out", str(out)]) == 0
+
+    def test_linalg_failure_exits_3(self, tmp_path, monkeypatch, capsys):
+        def failing_factor(*args, **kwargs):
+            raise np.linalg.LinAlgError("leading minor not positive definite")
+
+        monkeypatch.setattr(sensing, "cho_factor", failing_factor)
+        rc = cli.main(["recover", "--n", "16", "--ratio", "8", "--out", str(tmp_path / "x.csv")])
+        assert rc == 3
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_bad_init_exits_2(self, tmp_path, capsys):
         rc = cli.main([

@@ -19,9 +19,9 @@ from onebitphase.channels import (
     ratio_weights,
 )
 from onebitphase.sensing import (
-    PairedEnsemble,
+    MatrixOperator,
     build_paired_ensemble,
-    paired_intensities,
+    intensities,
     substream,
 )
 
@@ -161,14 +161,13 @@ class TestRatioWeights:
 
 
 def _tiny_ensemble():
-    rows1 = np.array([[2.0 + 0.0j, 0.0]])
-    rows2 = np.array([[1.0 + 0.0j, 0.0]])
-    return PairedEnsemble(rows1, rows2)
+    return MatrixOperator(np.array([[2.0 + 0.0j, 0.0]])), MatrixOperator(np.array([[1.0 + 0.0j, 0.0]]))
 
 
 def _signs(ens, x0, model=Identity(), rng=None):
-    """One bit per pair of ``x0``'s intensities measured through ``model``."""
-    return observe_pairs(model, *paired_intensities(ens, x0), rng)[2]
+    """One bit per pair of ``x0``'s intensities measured through ``model``;
+    ``ens`` holds the two pair-family operators."""
+    return observe_pairs(model, *(intensities(op, x0) for op in ens), rng)[2]
 
 
 class TestQuantizeSignal:
@@ -206,7 +205,7 @@ class TestQuantizeSignal:
     def test_weights_shape_and_sum(self):
         ens = build_paired_ensemble(4, 50, seed=6)
         x0 = np.ones(4, dtype=complex)
-        weights = np.stack(ratio_weights(*paired_intensities(ens, x0)), axis=1)
+        weights = np.stack(ratio_weights(*(intensities(op, x0) for op in ens)), axis=1)
         assert weights.shape == (50, 2)
         np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-14)
 

@@ -26,7 +26,6 @@ from onebitphase.sensing import (
     build_paired_ensemble,
     build_plain_ensemble,
     intensities,
-    paired_intensities,
     substream,
 )
 
@@ -39,20 +38,25 @@ def _unit(rng, n):
 
 
 def _paired(n, m, seed):
-    ens = build_paired_ensemble(n, m, seed=seed)
-    return ens, _unit(substream(seed, "x0"), n)
+    ops = build_paired_ensemble(n, m, seed=seed)
+    return ops, _unit(substream(seed, "x0"), n)
 
 
-def _pair_ops(ens):
-    return MatrixOperator(ens.rows1), MatrixOperator(ens.rows2)
+def _stacked(ops):
+    """Both pair families as one operator, first family then second."""
+    return MatrixOperator(np.vstack([op.rows for op in ops]))
 
 
-def _init(kind, ens, x0, seed, **kw):
+def _pair_intensities(ops, x0):
+    return tuple(intensities(op, x0) for op in ops)
+
+
+def _init(kind, ops, x0, seed, **kw):
     """``initial_estimate`` from the noiseless measured pairs of ``x0``."""
-    b1, b2 = paired_intensities(ens, x0)
+    b1, b2 = _pair_intensities(ops, x0)
     _, _, y = observe_pairs(Identity(), b1, b2)
-    stacked = (MatrixOperator(ens.stacked_rows()), np.concatenate([b1, b2]))
-    return initial_estimate(kind, *_pair_ops(ens), b1, b2, y, stacked, seed, **kw)
+    stacked = (_stacked(ops), np.concatenate([b1, b2]))
+    return initial_estimate(kind, *ops, b1, b2, y, stacked, seed, **kw)
 
 
 def _subexp(rows, b, seed=0, **kw):
@@ -61,12 +65,12 @@ def _subexp(rows, b, seed=0, **kw):
     return initial_estimate(InitKind.SUBEXP, None, None, None, None, None, stacked, seed, **kw)
 
 
-def _signs(ens, x0):
-    return quantize(*paired_intensities(ens, x0))
+def _signs(ops, x0):
+    return quantize(*_pair_intensities(ops, x0))
 
 
-def _one_bit_surrogate(ens, y):
-    return surrogate_matvec(one_bit_terms(*_pair_ops(ens), y))
+def _one_bit_surrogate(ops, y):
+    return surrogate_matvec(one_bit_terms(*ops, y))
 
 
 class TestMatrixOperator:
@@ -104,31 +108,31 @@ class TestOneBitMatvec:
         np.testing.assert_allclose(surrogate_matvec(terms)(r), expected, atol=1e-14)
 
     def test_zero_vector_maps_to_zero(self):
-        ens, x0 = _paired(4, 20, seed=1)
-        out = _one_bit_surrogate(ens, _signs(ens, x0))(np.zeros(4, dtype=complex))
+        ops, x0 = _paired(4, 20, seed=1)
+        out = _one_bit_surrogate(ops, _signs(ops, x0))(np.zeros(4, dtype=complex))
         np.testing.assert_array_equal(out, np.zeros(4, dtype=complex))
 
     def test_matches_dense_assembly(self):
-        ens, x0 = _paired(8, 50, seed=2)
-        y = _signs(ens, x0)
-        dense = dense_one_bit_matrix(ens.rows1, ens.rows2, y)
+        ops, x0 = _paired(8, 50, seed=2)
+        y = _signs(ops, x0)
+        dense = dense_one_bit_matrix(ops[0].rows, ops[1].rows, y)
         rng = substream(2, "probe")
         for _ in range(5):
             r = _unit(rng, 8)
             np.testing.assert_allclose(
-                _one_bit_surrogate(ens, y)(r), dense @ r, atol=1e-10
+                _one_bit_surrogate(ops, y)(r), dense @ r, atol=1e-10
             )
 
     def test_dimension_mismatch(self):
-        ens, x0 = _paired(4, 10, seed=3)
+        ops, x0 = _paired(4, 10, seed=3)
         with pytest.raises(ValueError):
-            _one_bit_surrogate(ens, _signs(ens, x0))(np.ones(5, dtype=complex))
+            _one_bit_surrogate(ops, _signs(ops, x0))(np.ones(5, dtype=complex))
 
 
 class TestOneBitPhase:
     def test_recovers_oversampled_signal(self):
-        ens, x0 = _paired(8, 5000, seed=4)
-        report = _init("onebit", ens, x0, seed=1)
+        ops, x0 = _paired(8, 5000, seed=4)
+        report = _init("onebit", ops, x0, seed=1)
         assert dist_sq(report.estimate, x0) <= 0.05
         assert report.converged
         assert np.linalg.norm(report.estimate) == pytest.approx(1.0, abs=1e-10)
@@ -136,29 +140,29 @@ class TestOneBitPhase:
         assert len(report.trace) == report.iterations
 
     def test_lambda_hat_near_channel_constant(self):
-        ens, x0 = _paired(8, 100000, seed=5)
-        report = _init("onebit", ens, x0, seed=1)
+        ops, x0 = _paired(8, 100000, seed=5)
+        report = _init("onebit", ops, x0, seed=1)
         assert 0.9 <= report.lambda_hat <= 1.1
 
     def test_matches_dense_oracle_with_shift(self):
-        ens, x0 = _paired(8, 200, seed=6)
-        report = _init("onebit", ens, x0, 1, tol=1e-12, max_iters=20000)
-        dense = dense_one_bit_matrix(ens.rows1, ens.rows2, _signs(ens, x0))
+        ops, x0 = _paired(8, 200, seed=6)
+        report = _init("onebit", ops, x0, 1, tol=1e-12, max_iters=20000)
+        dense = dense_one_bit_matrix(ops[0].rows, ops[1].rows, _signs(ops, x0))
         top_val, top_vec = hermitian_top_eig(dense)
         assert dist_sq(report.estimate, top_vec) <= 1e-8
         assert report.lambda_hat == pytest.approx(top_val, abs=1e-6)
 
     def test_signal_scale_invariance(self):
-        ens = build_paired_ensemble(6, 800, seed=7)
+        ops = build_paired_ensemble(6, 800, seed=7)
         x0 = _unit(substream(7, "x0"), 6)
-        rep1 = _init("onebit", ens, x0, seed=2)
-        rep2 = _init("onebit", ens, 3.0 * x0, seed=2)
+        rep1 = _init("onebit", ops, x0, seed=2)
+        rep2 = _init("onebit", ops, 3.0 * x0, seed=2)
         np.testing.assert_array_equal(rep1.estimate, rep2.estimate)
 
     def test_bitwise_reproducible(self):
-        ens, x0 = _paired(6, 500, seed=8)
-        rep1 = _init("onebit", ens, x0, seed=3)
-        rep2 = _init("onebit", ens, x0, seed=3)
+        ops, x0 = _paired(6, 500, seed=8)
+        rep1 = _init("onebit", ops, x0, seed=3)
+        rep2 = _init("onebit", ops, x0, seed=3)
         np.testing.assert_array_equal(rep1.estimate, rep2.estimate)
         assert rep1.lambda_hat == rep2.lambda_hat
         assert rep1.iterations == rep2.iterations
@@ -166,40 +170,38 @@ class TestOneBitPhase:
 
 class TestWeightedOneBitPhase:
     def test_recovers_oversampled_signal(self):
-        ens, x0 = _paired(8, 5000, seed=11)
-        report = _init("weighted1bit", ens, x0, seed=1)
+        ops, x0 = _paired(8, 5000, seed=11)
+        report = _init("weighted1bit", ops, x0, seed=1)
         assert dist_sq(report.estimate, x0) <= 0.05
         assert np.linalg.norm(report.estimate) == pytest.approx(1.0, abs=1e-10)
 
     def test_matches_dense_oracle_with_shift(self):
-        ens, x0 = _paired(8, 200, seed=12)
-        report = _init("weighted1bit", ens, x0, 1, tol=1e-12, max_iters=20000)
-        b1, b2 = paired_intensities(ens, x0)
+        ops, x0 = _paired(8, 200, seed=12)
+        report = _init("weighted1bit", ops, x0, 1, tol=1e-12, max_iters=20000)
+        b1, b2 = _pair_intensities(ops, x0)
         weights = np.stack(ratio_weights(b1, b2), axis=1)
-        dense = dense_one_bit_matrix(ens.rows1, ens.rows2, quantize(b1, b2), weights=weights)
+        dense = dense_one_bit_matrix(ops[0].rows, ops[1].rows, quantize(b1, b2), weights=weights)
         _, top_vec = hermitian_top_eig(dense)
         assert dist_sq(report.estimate, top_vec) <= 1e-8
 
     def test_uniform_weights_halve_the_eigenvalue(self):
-        ens = build_paired_ensemble(6, 600, seed=13)
+        ops = build_paired_ensemble(6, 600, seed=13)
         x0 = _unit(substream(13, "x0"), 6)
-        y = _signs(ens, x0)
+        y = _signs(ops, x0)
         half = (np.full(600, 0.5), np.full(600, 0.5))
-        rep_plain = spectral_estimate(one_bit_terms(*_pair_ops(ens), y), seed=4)
-        rep_half = spectral_estimate(one_bit_terms(*_pair_ops(ens), y, half), seed=4)
+        rep_plain = spectral_estimate(one_bit_terms(*ops, y), seed=4)
+        rep_half = spectral_estimate(one_bit_terms(*ops, y, half), seed=4)
         np.testing.assert_allclose(rep_half.estimate, rep_plain.estimate, atol=1e-12)
         assert rep_half.lambda_hat == pytest.approx(rep_plain.lambda_hat / 2, rel=1e-10)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
     def test_bad_pair_intensities_rejected(self, bad):
-        ens, x0 = _paired(4, 10, seed=14)
-        b1, b2 = paired_intensities(ens, x0)
+        ops, x0 = _paired(4, 10, seed=14)
+        b1, b2 = _pair_intensities(ops, x0)
         b1[3] = bad
-        stacked = (MatrixOperator(ens.stacked_rows()), np.ones(20))
+        stacked = (_stacked(ops), np.ones(20))
         with pytest.raises(ValueError, match="intensities must be finite"):
-            initial_estimate(
-                "weighted1bit", *_pair_ops(ens), b1, b2, np.ones(10), stacked, 0
-            )
+            initial_estimate("weighted1bit", *ops, b1, b2, np.ones(10), stacked, 0)
 
 
 class TestSubexpPhase:
@@ -210,31 +212,30 @@ class TestSubexpPhase:
         assert abs(report.estimate[0]) == pytest.approx(1.0, abs=1e-8)
 
     def test_identity_intensities_recover_signal(self):
-        ens = build_plain_ensemble(8, 5000, seed=15)
+        op = build_plain_ensemble(8, 5000, seed=15)
         x0 = _unit(substream(15, "x0"), 8)
-        b = intensities(MatrixOperator(ens.rows), x0)
-        report = _subexp(ens.rows, b, seed=1)
+        b = intensities(op, x0)
+        report = _subexp(op.rows, b, seed=1)
         assert dist_sq(report.estimate, x0) <= 0.05
         assert 1.8 <= report.lambda_hat <= 2.2
 
     def test_matches_dense_oracle(self):
-        ens = build_plain_ensemble(8, 300, seed=16)
+        op = build_plain_ensemble(8, 300, seed=16)
         x0 = _unit(substream(16, "x0"), 8)
-        b = intensities(MatrixOperator(ens.rows), x0)
-        report = _subexp(ens.rows, b, seed=1, tol=1e-12, max_iters=20000)
-        _, top_vec = hermitian_top_eig(dense_subexp_matrix(ens.rows, b))
+        b = intensities(op, x0)
+        report = _subexp(op.rows, b, seed=1, tol=1e-12, max_iters=20000)
+        _, top_vec = hermitian_top_eig(dense_subexp_matrix(op.rows, b))
         assert dist_sq(report.estimate, top_vec) <= 1e-8
 
     def test_paired_ensemble_uses_both_arms(self):
-        ens, x0 = _paired(6, 2000, seed=17)
-        report = _init("subexp", ens, x0, seed=1)
+        ops, x0 = _paired(6, 2000, seed=17)
+        report = _init("subexp", ops, x0, seed=1)
         assert dist_sq(report.estimate, x0) <= 0.05
 
     def test_risk_gap_identity(self):
         # gap between the surrogate quadratic form at x0 and at x equals
         # 1 - |<x0, x>|^2 for unit vectors, up to sampling error
-        ens = build_plain_ensemble(4, 1000000, seed=18)
-        op = MatrixOperator(ens.rows)
+        op = build_plain_ensemble(4, 1000000, seed=18)
         x0 = _unit(substream(18, "x0"), 4)
         b = intensities(op, x0)
         risk_x0 = np.mean(b * b)
@@ -247,30 +248,29 @@ class TestSubexpPhase:
             assert gap == pytest.approx(expected, abs=0.02)
 
     def test_negative_intensities_rejected(self):
-        ens = build_plain_ensemble(4, 10, seed=19)
+        op = build_plain_ensemble(4, 10, seed=19)
         with pytest.raises(ValueError):
-            _subexp(ens.rows, -np.ones(10))
+            _subexp(op.rows, -np.ones(10))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_intensities_rejected(self, bad):
-        ens = build_plain_ensemble(4, 10, seed=19)
+        op = build_plain_ensemble(4, 10, seed=19)
         b = np.ones(10)
         b[3] = bad
         with pytest.raises(ValueError, match="intensities must be finite"):
-            _subexp(ens.rows, b)
+            _subexp(op.rows, b)
 
     def test_length_mismatch_rejected(self):
-        ens = build_plain_ensemble(4, 10, seed=20)
+        op = build_plain_ensemble(4, 10, seed=20)
         with pytest.raises(ValueError):
-            _subexp(ens.rows, np.ones(11))
+            _subexp(op.rows, np.ones(11))
 
 
 def _altmin_system(n, m, seed):
-    ens = build_paired_ensemble(n, m, seed=seed)
+    ops = build_paired_ensemble(n, m, seed=seed)
     x0 = _unit(substream(seed, "x0"), n)
-    rows = ens.stacked_rows()
-    b = intensities(MatrixOperator(rows), x0)
-    return ens, rows, b, x0
+    op = _stacked(ops)
+    return ops, op.rows, intensities(op, x0), x0
 
 
 class TestAltMin:
@@ -325,8 +325,8 @@ class TestAltMin:
         n = 64
         good = 0
         for seed in range(20):
-            ens, rows, b, x0 = _altmin_system(n, 6 * n, seed=100 + seed)
-            init = _init("onebit", ens, x0, seed=seed).estimate
+            ops, rows, b, x0 = _altmin_system(n, 6 * n, seed=100 + seed)
+            init = _init("onebit", ops, x0, seed=seed).estimate
             report = alt_min(MatrixOperator(rows), b, init, max_iters=50)
             if dist_sq(report.estimate, x0) <= 1e-6:
                 good += 1
@@ -376,29 +376,28 @@ class TestAltMin:
             alt_min(MatrixOperator(rows), b, np.ones(4, dtype=complex))
 
 
-def _resampled_start(rows, b, epsilon, kind, seed=0):
-    """Stages of the resampled schedule and the block-0 init of ``kind``."""
-    y = observe_pairs(Identity(), b[0::2], b[1::2])[2]
-    init_args, stages = resample_blocks(rows, b, y, epsilon)
+def _resampled_start(ops, x0, epsilon, kind, seed=0):
+    """Stages of the resampled schedule over the noiseless pairs of ``x0``
+    and the block-0 init of ``kind``."""
+    b1, b2, y = observe_pairs(Identity(), *_pair_intensities(ops, x0))
+    init_args, stages = resample_blocks(*ops, b1, b2, y, epsilon)
     return stages, initial_estimate(kind, *init_args, seed).estimate
 
 
 class TestAltMinResampled:
     def test_single_stage_schedule(self):
-        ens, rows, b, x0 = _altmin_system(8, 40, seed=27)
-        rows_inter = ens.interleaved_rows()
-        b_inter = intensities(MatrixOperator(rows_inter), x0)
+        ops, _, _, x0 = _altmin_system(8, 40, seed=27)
         for kind in InitKind:
-            stages, x_init = _resampled_start(rows_inter, b_inter, 0.5, kind)
+            stages, x_init = _resampled_start(ops, x0, 0.5, kind)
             report = alt_min_resampled(stages, x_init)
             assert report.iterations == 1, kind
             assert len(report.trace) == 1, kind
 
     def test_insufficient_measurements_error_names_requirement(self):
-        ens = build_paired_ensemble(16, 20, seed=28)
-        b = np.ones(40)
+        ops = build_paired_ensemble(16, 20, seed=28)
+        ones = np.ones(20)
         with pytest.raises(ValueError, match="64"):
-            resample_blocks(ens.interleaved_rows(), b, np.ones(20), epsilon=0.1)
+            resample_blocks(*ops, ones, ones, ones, epsilon=0.1)
 
     def test_reaches_target_accuracy(self):
         n, eps = 32, 0.1
@@ -406,11 +405,9 @@ class TestAltMinResampled:
         pairs = 40 * n * stages // 2
         good = 0
         for seed in range(20):
-            ens = build_paired_ensemble(n, pairs, seed=200 + seed)
+            ops = build_paired_ensemble(n, pairs, seed=200 + seed)
             x0 = _unit(substream(200 + seed, "x0"), n)
-            rows = ens.interleaved_rows()
-            b = intensities(MatrixOperator(rows), x0)
-            blocks, x_init = _resampled_start(rows, b, eps, InitKind.ONEBIT, seed)
+            blocks, x_init = _resampled_start(ops, x0, eps, InitKind.ONEBIT, seed)
             report = alt_min_resampled(blocks, x_init)
             assert report.iterations == stages
             if dist_sq(report.estimate, x0) <= eps**2:
@@ -422,12 +419,10 @@ class TestAltMinResampled:
         pairs = 40 * n * 3 // 2
         good = 0
         for seed in range(20):
-            ens = build_paired_ensemble(n, pairs, seed=300 + seed)
+            ops = build_paired_ensemble(n, pairs, seed=300 + seed)
             x0 = _unit(substream(300 + seed, "x0"), n)
-            rows = ens.interleaved_rows()
-            b = intensities(MatrixOperator(rows), x0)
             errs = []
-            stages, x_init = _resampled_start(rows, b, eps, InitKind.ONEBIT, seed)
+            stages, x_init = _resampled_start(ops, x0, eps, InitKind.ONEBIT, seed)
             alt_min_resampled(
                 stages, x_init, callback=lambda t, x: errs.append(dist_sq(x, x0))
             )
@@ -437,19 +432,52 @@ class TestAltMinResampled:
 
     def test_plain_ensemble_pairs_consecutive_rows(self):
         n = 16
-        ens = build_plain_ensemble(n, 40 * n, seed=29)
+        rows = build_plain_ensemble(n, 40 * n, seed=29).rows
         x0 = _unit(substream(29, "x0"), n)
-        b = intensities(MatrixOperator(ens.rows), x0)
-        stages, x_init = _resampled_start(ens.rows, b, 0.5, InitKind.WEIGHTED_ONEBIT)
+        ops = MatrixOperator(rows[0::2]), MatrixOperator(rows[1::2])
+        stages, x_init = _resampled_start(ops, x0, 0.5, InitKind.WEIGHTED_ONEBIT)
         report = alt_min_resampled(stages, x_init)
         assert dist_sq(report.estimate, x0) <= 0.25
 
     def test_epsilon_domain(self):
-        ens = build_paired_ensemble(4, 100, seed=30)
-        b = np.ones(200)
+        ops = build_paired_ensemble(4, 100, seed=30)
+        ones = np.ones(100)
         for eps in (0.0, 1.0, 1.5):
             with pytest.raises(ValueError):
-                resample_blocks(ens.interleaved_rows(), b, np.ones(100), eps)
+                resample_blocks(*ops, ones, ones, ones, eps)
+
+    def test_block_layout(self):
+        # 15 pairs in 4 blocks: block 0 takes 9 of the 30 interleaved
+        # measurements, an odd count, and each stage takes 7
+        ops = build_paired_ensemble(3, 15, seed=31)
+        b1, b2, y = np.arange(15.0), np.arange(15.0) + 15, np.sign(np.arange(15.0) - 7)
+        init_args, stages = resample_blocks(*ops, b1, b2, y, epsilon=0.1)
+
+        def assert_interleaved(op, b, lo):
+            """``op``/``b`` hold measurements lo, lo+1, ... of a1_1, a2_1, a1_2, ..."""
+            assert len(b) == op.out_dim
+            for i, j in enumerate(range(lo, lo + op.out_dim)):
+                np.testing.assert_array_equal(op.rows[i], ops[j % 2].rows[j // 2])
+                assert b[i] == (b1, b2)[j % 2][j // 2]
+
+        op1, op2, c1, c2, y0, (op_all, b_all) = init_args
+        np.testing.assert_array_equal(op1.rows, ops[0].rows[:4])
+        np.testing.assert_array_equal(op2.rows, ops[1].rows[:4])
+        for got, want in ((c1, b1), (c2, b2), (y0, y)):
+            np.testing.assert_array_equal(got, want[:4])
+        assert op_all.out_dim == 9
+        assert_interleaved(op_all, b_all, 0)
+        assert [op.out_dim for op, _ in stages] == [7, 7, 7]
+        for k, (op, b_stage) in enumerate(stages):
+            assert_interleaved(op, b_stage, 9 + 7 * k)
+
+    @pytest.mark.parametrize("bad", ["op2", "b1", "b2", "y"])
+    def test_shape_mismatch_rejected(self, bad):
+        op1, op2 = build_paired_ensemble(4, 40, seed=32)
+        args = dict(op2=op2, b1=np.ones(40), b2=np.ones(40), y=np.ones(40))
+        args[bad] = MatrixOperator(op2.rows[:-1]) if bad == "op2" else np.ones(39)
+        with pytest.raises(ValueError, match="shape"):
+            resample_blocks(op1, epsilon=0.5, **args)
 
 
 class TestMultiInitSelect:

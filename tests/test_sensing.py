@@ -9,7 +9,6 @@ from onebitphase.sensing import (
     build_paired_ensemble,
     build_plain_ensemble,
     intensities,
-    paired_intensities,
     sample_complex_gaussian,
     sample_exponential,
     sample_poisson,
@@ -57,18 +56,19 @@ class TestComplexGaussian:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             sample_complex_gaussian(0, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            sample_complex_gaussian((3, 0), np.random.default_rng(0))
 
 
 class TestEnsembles:
     def test_paired_regenerates_identically(self):
-        e1 = build_paired_ensemble(6, 40, seed=3)
-        e2 = build_paired_ensemble(6, 40, seed=3)
-        np.testing.assert_array_equal(e1.rows1, e2.rows1)
-        np.testing.assert_array_equal(e1.rows2, e2.rows2)
+        first, again = build_paired_ensemble(6, 40, seed=3), build_paired_ensemble(6, 40, seed=3)
+        for op, same in zip(first, again):
+            np.testing.assert_array_equal(op.rows, same.rows)
 
     def test_pair_families_differ(self):
-        ens = build_paired_ensemble(6, 40, seed=3)
-        assert not np.array_equal(ens.rows1, ens.rows2)
+        op1, op2 = build_paired_ensemble(6, 40, seed=3)
+        assert not np.array_equal(op1.rows, op2.rows)
 
     def test_plain_regenerates_identically(self):
         e1 = build_plain_ensemble(5, 30, seed=9)
@@ -82,34 +82,27 @@ class TestEnsembles:
 
     def test_row_covariance_is_identity(self):
         ens = build_plain_ensemble(4, 25000, seed=11)
-        cov = ens.rows.conj().T @ ens.rows / ens.m
+        cov = ens.rows.conj().T @ ens.rows / ens.out_dim
         assert np.max(np.abs(cov - np.eye(4))) < 0.05
 
-    def test_interleaved_rows_alternate_families(self):
-        ens = build_paired_ensemble(3, 5, seed=0)
-        inter = ens.interleaved_rows()
-        np.testing.assert_array_equal(inter[0::2], ens.rows1)
-        np.testing.assert_array_equal(inter[1::2], ens.rows2)
-
     def test_intensity_matches_vectorized_path(self):
-        ens = build_paired_ensemble(6, 20, seed=5)
+        op1, op2 = build_paired_ensemble(6, 20, seed=5)
         rng = np.random.default_rng(2)
         x = _unit(rng, 6)
-        b1, b2 = paired_intensities(ens, x)
-        assert b1[3] == pytest.approx(abs(np.vdot(ens.rows1[3], x)) ** 2)
-        assert b2[7] == pytest.approx(abs(np.vdot(ens.rows2[7], x)) ** 2)
+        b1, b2 = intensities(op1, x), intensities(op2, x)
+        assert b1[3] == pytest.approx(abs(np.vdot(op1.rows[3], x)) ** 2)
+        assert b2[7] == pytest.approx(abs(np.vdot(op2.rows[7], x)) ** 2)
 
     def test_row_intensities_match_conjugated_rows_bit_for_bit(self):
-        ens = build_paired_ensemble(12, 64, seed=6)
-        rows = ens.interleaved_rows()
+        op1, op2 = build_paired_ensemble(12, 64, seed=6)
+        rows = np.vstack([op1.rows, op2.rows])
         x = _unit(np.random.default_rng(3), 12)
-        for view in (rows, rows[0::2], rows[1::2], ens.stacked_rows()):
+        for view in (rows, rows[0::2], rows[1::2]):
             np.testing.assert_array_equal(
                 intensities(MatrixOperator(view), x), np.abs(view.conj() @ x) ** 2
             )
-        b1, b2 = paired_intensities(ens, x)
-        np.testing.assert_array_equal(b1, np.abs(ens.rows1.conj() @ x) ** 2)
-        np.testing.assert_array_equal(b2, np.abs(ens.rows2.conj() @ x) ** 2)
+        for op in (op1, op2):
+            np.testing.assert_array_equal(intensities(op, x), np.abs(op.rows.conj() @ x) ** 2)
 
 
 class TestMeasurementLaws:
@@ -134,18 +127,18 @@ class TestMeasurementLaws:
         assert stat <= 0.015
 
     def test_pair_gap_is_exponential(self):
-        ens = build_paired_ensemble(8, 100000, seed=15)
+        op1, op2 = build_paired_ensemble(8, 100000, seed=15)
         rng = np.random.default_rng(5)
         x = _unit(rng, 8)
-        b1, b2 = paired_intensities(ens, x)
+        b1, b2 = intensities(op1, x), intensities(op2, x)
         stat = stats.kstest(np.abs(b1 - b2), "expon").statistic
         assert stat <= 0.01
 
     def test_pair_ratio_is_uniform(self):
-        ens = build_paired_ensemble(8, 100000, seed=16)
+        op1, op2 = build_paired_ensemble(8, 100000, seed=16)
         rng = np.random.default_rng(6)
         x = _unit(rng, 8)
-        b1, b2 = paired_intensities(ens, x)
+        b1, b2 = intensities(op1, x), intensities(op2, x)
         stat = stats.kstest(b1 / (b1 + b2), "uniform").statistic
         assert stat <= 0.01
 
@@ -247,8 +240,7 @@ class TestCdp:
 
 
 def _operators():
-    rows = build_paired_ensemble(6, 10, seed=40).rows1
-    return [MatrixOperator(rows), build_cdp_operator(6, 3, seed=40)]
+    return [build_paired_ensemble(6, 10, seed=40)[0], build_cdp_operator(6, 3, seed=40)]
 
 
 class TestOperatorBoundary:
