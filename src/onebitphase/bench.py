@@ -44,7 +44,6 @@ from .recovery import (
 )
 from .sensing import (
     CdpOperator,
-    MatrixOperator,
     build_cdp_operator,
     build_paired_ensemble,
     intensities,
@@ -199,12 +198,14 @@ def _trial_seed(master: int, tag: str, index: int) -> int:
     return int(substream(master, tag, index).integers(0, 2**63))
 
 
-def _gaussian_pairs(cfg: ExperimentConfig, trial: int):
-    """Pair operators, unit signal and its clean pair intensities of a
-    Gaussian trial."""
-    op1, op2 = build_paired_ensemble(cfg.n, _pairs(cfg), _trial_seed(cfg.seed, "ensemble", trial))
+def _gaussian_pairs(cfg: ExperimentConfig, trial: int, layout: str = "stacked"):
+    """Pair operators, their operator over all rows (views of one array in
+    ``layout``), unit signal and its clean pair intensities of a Gaussian
+    trial."""
+    seed = _trial_seed(cfg.seed, "ensemble", trial)
+    op1, op2, op_all = build_paired_ensemble(cfg.n, _pairs(cfg), seed, layout)
     x0 = random_init(cfg.n, substream(cfg.seed, "signal", trial))
-    return op1, op2, x0, intensities(op1, x0), intensities(op2, x0)
+    return op1, op2, op_all, x0, intensities(op1, x0), intensities(op2, x0)
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +248,7 @@ def run_distortion_sweep(cfg: ExperimentConfig) -> list[list]:
     err_bit = {a: [] for a in cfg.alphas}
     err_sub = {a: [] for a in cfg.alphas}
     for t in range(cfg.trials):
-        op1, op2, x0, b1, b2 = _gaussian_pairs(cfg, t)
-        op_all = MatrixOperator(np.vstack([op1.rows, op2.rows]))
+        op1, op2, op_all, x0, b1, b2 = _gaussian_pairs(cfg, t)
         b_all = np.concatenate([b1, b2])
         _, _, y = observe_pairs(Identity(), b1, b2)
         seed_bit = substream(cfg.seed, "power-bit", t)
@@ -342,11 +342,6 @@ def _convergence_rows(cfg: ExperimentConfig, setup) -> list[list]:
     return rows
 
 
-def _gaussian_trial(cfg: ExperimentConfig, trial: int):
-    op1, op2, x0, b1c, b2c = _gaussian_pairs(cfg, trial)
-    return op1, op2, MatrixOperator(np.vstack([op1.rows, op2.rows])), x0, b1c, b2c
-
-
 def run_altmin_convergence(cfg: ExperimentConfig) -> list[list]:
     """Error-vs-iteration curves of refined recovery for each initializer.
 
@@ -354,7 +349,7 @@ def run_altmin_convergence(cfg: ExperimentConfig) -> list[list]:
     for the noiseless baseline, clipgauss:sigma=... for one-sided Gaussian
     readout noise).
     """
-    return _convergence_rows(cfg, _gaussian_trial)
+    return _convergence_rows(cfg, _gaussian_pairs)
 
 
 def _cdp_trial(cfg: ExperimentConfig, trial: int):
@@ -397,14 +392,14 @@ def run_recover(cfg: ExperimentConfig) -> tuple[list[list], list[str]]:
     """
     model = parse_model(cfg.model)
     kinds = [parse_init(name) for name in cfg.inits]
-    op1, op2, x0, b1c, b2c = _gaussian_pairs(cfg, 0)
+    layout = "interleaved" if cfg.refine == "resampled" else "stacked"
+    op1, op2, op_all, x0, b1c, b2c = _gaussian_pairs(cfg, 0, layout)
     b1, b2, y = observe_pairs(model, b1c, b2c, substream(cfg.seed, "noise", 0))
     if cfg.refine == "resampled":
-        init_args, stages = resample_blocks(op1, op2, b1, b2, y, cfg.epsilon)
+        init_args, stages = resample_blocks(op_all, b1, b2, y, cfg.epsilon)
     else:
-        op = MatrixOperator(np.vstack([op1.rows, op2.rows]))
         b_all = np.concatenate([b1, b2])
-        init_args = (op1, op2, b1, b2, y, (op, b_all))
+        init_args = (op1, op2, b1, b2, y, (op_all, b_all))
 
     candidates = []
     lambda_hats = {}
@@ -422,7 +417,7 @@ def run_recover(cfg: ExperimentConfig) -> tuple[list[list], list[str]]:
     elif cfg.refine == "altmin":
         rows.append(["init", 0, dist_sq(x_init, x0)])
         report = alt_min(
-            op,
+            op_all,
             b_all,
             x_init,
             max_iters=_max_iters(cfg, 200),

@@ -17,7 +17,7 @@ import numpy as np
 
 from .channels import ratio_weights
 from .numkit import as_complex_vector, cgls, lanczos, phase_op, sample_complex_gaussian
-from .sensing import MatrixOperator, MeasurementOperator
+from .sensing import MeasurementOperator
 
 
 @dataclass
@@ -262,25 +262,26 @@ def alt_min(
     )
 
 
-def resample_blocks(op1, op2, b1, b2, y, epsilon: float) -> tuple:
+def resample_blocks(op_all, b1, b2, y, epsilon: float) -> tuple:
     """Split paired measurements into an init block and ceil(log(1/epsilon))
-    disjoint refinement blocks.
+    disjoint refinement blocks, every one a view of ``op_all``.
 
-    ``op1``/``op2`` are the :class:`MatrixOperator` of each pair family,
-    ``b1``/``b2`` their intensities and ``y`` one sign per pair.  The blocks
-    are contiguous and equal in the interleaved sequence a1_1, a2_1, a1_2,
-    ..., with any leftover rows in block 0.  Returns ``(init_args, stages)``:
-    ``init_args`` is block 0 as the ``(op1, op2, b1, b2, y, stacked)``
-    arguments of :func:`initial_estimate`, and ``stages`` holds the
-    ``(operator, b)`` of each later block, for :func:`alt_min_resampled`.
+    ``op_all`` is the :class:`MatrixOperator` of all 2m rows in the
+    interleaved sequence a1_1, a2_1, a1_2, ... of
+    ``build_paired_ensemble(..., layout="interleaved")``; ``b1``/``b2`` are
+    the intensities of each pair family and ``y`` one sign per pair.  The
+    blocks are contiguous and equal in that sequence, with any leftover rows
+    in block 0.  Returns ``(init_args, stages)``: ``init_args`` is block 0 as
+    the ``(op1, op2, b1, b2, y, stacked)`` arguments of
+    :func:`initial_estimate`, and ``stages`` holds the ``(operator, b)`` of
+    each later block, for :func:`alt_min_resampled`.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    rows1, rows2 = op1.rows, op2.rows
-    if rows1.shape != rows2.shape:
-        raise ValueError(f"pair families have shapes {rows1.shape} and {rows2.shape}")
-    m, n = rows1.shape
-    total = 2 * m
+    total, n = op_all.rows.shape
+    if total % 2:
+        raise ValueError(f"op_all has shape {op_all.rows.shape}; pairs need an even row count")
+    m = total // 2
     b1, b2 = _checked_intensities(b1), _checked_intensities(b2)
     y = np.asarray(y, dtype=float)
     for name, v in (("b1", b1), ("b2", b2), ("y", y)):
@@ -297,22 +298,17 @@ def resample_blocks(op1, op2, b1, b2, y, epsilon: float) -> tuple:
     pairs = first // 2
     if pairs == 0:
         raise ValueError("initialization block has no measurement pairs")
-    rows = np.empty((total, n), dtype=np.complex128)
-    rows[0::2], rows[1::2] = rows1, rows2
     b = np.empty(total)
     b[0::2], b[1::2] = b1, b2
     init_args = (
-        MatrixOperator(rows1[:pairs]),
-        MatrixOperator(rows2[:pairs]),
+        op_all[0 : 2 * pairs : 2],
+        op_all[1 : 2 * pairs : 2],
         b1[:pairs],
         b2[:pairs],
         y[:pairs],
-        (MatrixOperator(rows[:first]), b[:first]),
+        (op_all[:first], b[:first]),
     )
-    stages = [
-        (MatrixOperator(rows[lo : lo + size]), b[lo : lo + size])
-        for lo in range(first, total, size)
-    ]
+    stages = [(op_all[lo : lo + size], b[lo : lo + size]) for lo in range(first, total, size)]
     return init_args, stages
 
 

@@ -7,7 +7,8 @@ same operator, bit for bit, from the same ``(n, m, seed)``.
 A measurement operator is anything with ``n``, ``out_dim``, ``apply``,
 ``adjoint`` and ``lsq_solve``: :class:`MatrixOperator` for explicit rows and
 :class:`CdpOperator` for masked-DFT stacks.  Each checks its array once, at
-construction; ``apply``/``adjoint`` check only the length of their input.
+construction, and a view ``op[key]`` over some of its rows is not checked
+again; ``apply``/``adjoint`` check only the length of their input.
 ``lsq_solve(y)`` is the exact least-squares step argmin_x ||A x - y||, whose
 normal-matrix work each operator caches on first use.
 """
@@ -104,6 +105,16 @@ class MatrixOperator:
         y = _sized(y, self.out_dim, "y")
         return self.rows.T @ y
 
+    def __getitem__(self, key) -> "MatrixOperator":
+        """The operator over ``rows[key]``.  Those rows were checked when this
+        operator was built, so the view is not scanned again."""
+        rows = self.rows[key]
+        if rows.ndim != 2:
+            raise ValueError(f"rows[{key!r}] has shape {rows.shape}; an operator needs 2-D rows")
+        view = object.__new__(MatrixOperator)
+        object.__setattr__(view, "rows", rows)
+        return view
+
     @cached_property
     def _normal_factor(self):
         """Cholesky factor of the normal matrix A*A = rows^T conj(rows)."""
@@ -169,13 +180,28 @@ class CdpOperator:
 MeasurementOperator = Union[MatrixOperator, CdpOperator]
 
 
-def build_paired_ensemble(n: int, m: int, seed: int) -> tuple[MatrixOperator, MatrixOperator]:
-    """The two families of m pairs of complex Gaussian sensing rows in C^n,
-    one operator each: pair k measures rows k of both."""
-    return tuple(
-        MatrixOperator(sample_complex_gaussian((m, n), substream(seed, "paired-rows", k)))
-        for k in (1, 2)
-    )
+def build_paired_ensemble(
+    n: int, m: int, seed: int, layout: str = "stacked"
+) -> tuple[MatrixOperator, MatrixOperator, MatrixOperator]:
+    """m pairs of complex Gaussian sensing rows in C^n, drawn into one
+    (2m, n) array: pair k measures row k of each family.
+
+    Returns ``(op1, op2, op_all)``, all views of that array: one operator
+    per family and one over all 2m rows.  ``layout`` places the families:
+    ``"stacked"`` at ``rows[:m]`` and ``rows[m:]``, ``"interleaved"`` at
+    ``rows[0::2]`` and ``rows[1::2]`` (a1_1, a2_1, a1_2, ...).
+    """
+    if layout == "stacked":
+        families = (slice(None, m), slice(m, None))
+    elif layout == "interleaved":
+        families = (slice(0, None, 2), slice(1, None, 2))
+    else:
+        raise ValueError(f"unknown pair layout {layout!r}; expected stacked or interleaved")
+    rows = np.empty((2 * m, n), dtype=np.complex128)
+    for k, family in enumerate(families, start=1):
+        rows[family] = sample_complex_gaussian((m, n), substream(seed, "paired-rows", k))
+    op_all = MatrixOperator(rows)
+    return op_all[families[0]], op_all[families[1]], op_all
 
 
 def build_plain_ensemble(n: int, m: int, seed: int) -> MatrixOperator:

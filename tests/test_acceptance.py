@@ -34,7 +34,6 @@ from onebitphase.recovery import (
 )
 from onebitphase.sensing import (
     CdpOperator,
-    MatrixOperator,
     build_cdp_operator,
     build_paired_ensemble,
     build_plain_ensemble,
@@ -51,9 +50,11 @@ def _unit(rng, n):
 
 
 def _one_bit_estimate(ops, x0, seed, model=Identity()):
-    """Onebit spectral estimate from the pairs of ``x0`` observed through ``model``."""
-    _, _, y = observe_pairs(model, *(intensities(op, x0) for op in ops))
-    return spectral_estimate(one_bit_terms(*ops, y), seed=seed).estimate
+    """Onebit spectral estimate from the pairs of ``x0`` observed through ``model``;
+    ``ops`` is the ``(op1, op2, op_all)`` of a paired ensemble."""
+    op1, op2, _ = ops
+    _, _, y = observe_pairs(model, intensities(op1, x0), intensities(op2, x0))
+    return spectral_estimate(one_bit_terms(op1, op2, y), seed=seed).estimate
 
 
 def test_01_channel_constant_oracles():
@@ -74,7 +75,7 @@ def test_02_intensity_distribution_laws():
     ks_exp = stats.kstest(b, "expon").statistic
     assert ks_exp <= 0.01
 
-    op1, op2 = build_paired_ensemble(4, 100_000, seed=22)
+    op1, op2, _ = build_paired_ensemble(4, 100_000, seed=22)
     px0 = _unit(substream(22, "x0"), 4)
     b1, b2 = intensities(op1, px0), intensities(op2, px0)
     ks_uni = stats.kstest(b1 / (b1 + b2), "uniform").statistic
@@ -85,7 +86,7 @@ def test_02_intensity_distribution_laws():
 @pytest.fixture(scope="module")
 def mc_pairs():
     n, m = 4, 1_000_000
-    op1, op2 = build_paired_ensemble(n, m, seed=33)
+    op1, op2, _ = build_paired_ensemble(n, m, seed=33)
     x0 = _unit(substream(33, "x0"), n)
     b1, b2 = intensities(op1, x0), intensities(op2, x0)
     y = quantize(b1, b2)
@@ -139,11 +140,10 @@ def test_05_spectral_oracle_equivalence():
     worst = 0.0
     for s in range(20):
         seed = 500 + s
-        op1, op2 = build_paired_ensemble(n, m, seed=seed)
+        op1, op2, op = build_paired_ensemble(n, m, seed=seed)
         x0 = _unit(substream(seed, "x0"), n)
         b1, b2 = intensities(op1, x0), intensities(op2, x0)
         y = quantize(b1, b2)
-        op = MatrixOperator(np.vstack([op1.rows, op2.rows]))
         b = intensities(op, x0)
 
         def init(kind):
@@ -223,12 +223,11 @@ def gaussian_noiseless_runs():
     t0 = time.monotonic()
     for s in range(20):
         seed = int(substream(8800 + s, "trial").integers(0, 2**63))
-        op1, op2 = build_paired_ensemble(n, pairs, seed=seed)
+        op1, op2, op = build_paired_ensemble(n, pairs, seed=seed)
         x0 = _unit(substream(seed, "x0"), n)
         b1, b2 = intensities(op1, x0), intensities(op2, x0)
         y = quantize(b1, b2)
         b_all = np.concatenate([b1, b2])
-        op = MatrixOperator(np.vstack([op1.rows, op2.rows]))
 
         # loose tolerance: a relative Ritz residual of 1e-4 is orders of
         # magnitude below the statistical error of the initializers

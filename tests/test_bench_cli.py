@@ -217,6 +217,19 @@ class TestRecoverRun:
         line = next(l for l in summary if l.startswith("init:"))
         assert "(of random, subexp, onebit, weighted1bit)" in line
 
+    @pytest.mark.parametrize("refine", ["altmin", "resampled"])
+    def test_rows_are_scanned_once(self, monkeypatch, refine):
+        scans = []
+        checked = sensing._checked_matrix
+
+        def counting(a, name):
+            scans.append(a.shape)
+            checked(a, name)
+
+        monkeypatch.setattr(sensing, "_checked_matrix", counting)
+        bench.run_recover(_cfg(kind="recover", n=16, ratio=16, refine=refine, seed=3))
+        assert scans == [(2 * 16 * 16, 16)]
+
 
 class TestCsvAndManifest:
     def test_format_cell(self):

@@ -175,19 +175,19 @@ class TestQuantizeSignal:
         assert _signs(_tiny_ensemble(), np.array([1.0 + 0.0j, 0.0]))[0] == 1
 
     def test_scale_invariance(self):
-        ens = build_paired_ensemble(6, 500, seed=1)
+        ens = build_paired_ensemble(6, 500, seed=1)[:2]
         rng = substream(0, "test-signal")
         x0 = (rng.standard_normal(6) + 1j * rng.standard_normal(6)) / np.sqrt(2)
         np.testing.assert_array_equal(_signs(ens, x0), _signs(ens, 5.0 * x0))
 
     def test_no_ties_under_identity(self):
-        ens = build_paired_ensemble(4, 100000, seed=2)
+        ens = build_paired_ensemble(4, 100000, seed=2)[:2]
         rng = substream(0, "test-signal2")
         x0 = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) / np.sqrt(2)
         assert np.all(_signs(ens, x0) != 0)
 
     def test_deterministic_distortion_cannot_flip_signs(self):
-        ens = build_paired_ensemble(8, 2000, seed=3)
+        ens = build_paired_ensemble(8, 2000, seed=3)[:2]
         rng = substream(0, "test-signal3")
         x0 = (rng.standard_normal(8) + 1j * rng.standard_normal(8)) / np.sqrt(2)
         base = _signs(ens, x0)
@@ -195,7 +195,7 @@ class TestQuantizeSignal:
             np.testing.assert_array_equal(_signs(ens, x0, TanhDistortion(alpha)), base)
 
     def test_noise_flips_some_signs(self):
-        ens = build_paired_ensemble(8, 2000, seed=4)
+        ens = build_paired_ensemble(8, 2000, seed=4)[:2]
         rng = substream(0, "test-signal4")
         x0 = (rng.standard_normal(8) + 1j * rng.standard_normal(8)) / np.sqrt(2)
         clean = _signs(ens, x0)
@@ -203,7 +203,7 @@ class TestQuantizeSignal:
         assert np.any(clean != noisy)
 
     def test_weights_shape_and_sum(self):
-        ens = build_paired_ensemble(4, 50, seed=6)
+        ens = build_paired_ensemble(4, 50, seed=6)[:2]
         x0 = np.ones(4, dtype=complex)
         weights = np.stack(ratio_weights(*(intensities(op, x0) for op in ens)), axis=1)
         assert weights.shape == (50, 2)

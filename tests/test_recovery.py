@@ -38,25 +38,22 @@ def _unit(rng, n):
 
 
 def _paired(n, m, seed):
+    """``(op1, op2, op_all)`` of a stacked paired ensemble, and a unit signal."""
     ops = build_paired_ensemble(n, m, seed=seed)
     return ops, _unit(substream(seed, "x0"), n)
 
 
-def _stacked(ops):
-    """Both pair families as one operator, first family then second."""
-    return MatrixOperator(np.vstack([op.rows for op in ops]))
-
-
 def _pair_intensities(ops, x0):
-    return tuple(intensities(op, x0) for op in ops)
+    return tuple(intensities(op, x0) for op in ops[:2])
 
 
 def _init(kind, ops, x0, seed, **kw):
     """``initial_estimate`` from the noiseless measured pairs of ``x0``."""
+    op1, op2, op_all = ops
     b1, b2 = _pair_intensities(ops, x0)
     _, _, y = observe_pairs(Identity(), b1, b2)
-    stacked = (_stacked(ops), np.concatenate([b1, b2]))
-    return initial_estimate(kind, *ops, b1, b2, y, stacked, seed, **kw)
+    stacked = (op_all, np.concatenate([b1, b2]))
+    return initial_estimate(kind, op1, op2, b1, b2, y, stacked, seed, **kw)
 
 
 def _subexp(rows, b, seed=0, **kw):
@@ -70,7 +67,7 @@ def _signs(ops, x0):
 
 
 def _one_bit_surrogate(ops, y):
-    return surrogate_matvec(one_bit_terms(*ops, y))
+    return surrogate_matvec(one_bit_terms(*ops[:2], y))
 
 
 class TestMatrixOperator:
@@ -189,8 +186,8 @@ class TestWeightedOneBitPhase:
         x0 = _unit(substream(13, "x0"), 6)
         y = _signs(ops, x0)
         half = (np.full(600, 0.5), np.full(600, 0.5))
-        rep_plain = spectral_estimate(one_bit_terms(*ops, y), seed=4)
-        rep_half = spectral_estimate(one_bit_terms(*ops, y, half), seed=4)
+        rep_plain = spectral_estimate(one_bit_terms(*ops[:2], y), seed=4)
+        rep_half = spectral_estimate(one_bit_terms(*ops[:2], y, half), seed=4)
         np.testing.assert_allclose(rep_half.estimate, rep_plain.estimate, atol=1e-12)
         assert rep_half.lambda_hat == pytest.approx(rep_plain.lambda_hat / 2, rel=1e-10)
 
@@ -199,9 +196,9 @@ class TestWeightedOneBitPhase:
         ops, x0 = _paired(4, 10, seed=14)
         b1, b2 = _pair_intensities(ops, x0)
         b1[3] = bad
-        stacked = (_stacked(ops), np.ones(20))
+        stacked = (ops[2], np.ones(20))
         with pytest.raises(ValueError, match="intensities must be finite"):
-            initial_estimate("weighted1bit", *ops, b1, b2, np.ones(10), stacked, 0)
+            initial_estimate("weighted1bit", *ops[:2], b1, b2, np.ones(10), stacked, 0)
 
 
 class TestSubexpPhase:
@@ -269,7 +266,7 @@ class TestSubexpPhase:
 def _altmin_system(n, m, seed):
     ops = build_paired_ensemble(n, m, seed=seed)
     x0 = _unit(substream(seed, "x0"), n)
-    op = _stacked(ops)
+    op = ops[2]
     return ops, op.rows, intensities(op, x0), x0
 
 
@@ -376,28 +373,35 @@ class TestAltMin:
             alt_min(MatrixOperator(rows), b, np.ones(4, dtype=complex))
 
 
-def _resampled_start(ops, x0, epsilon, kind, seed=0):
-    """Stages of the resampled schedule over the noiseless pairs of ``x0``
-    and the block-0 init of ``kind``."""
-    b1, b2, y = observe_pairs(Identity(), *_pair_intensities(ops, x0))
-    init_args, stages = resample_blocks(*ops, b1, b2, y, epsilon)
+def _interleaved(n, m, seed):
+    """``op_all`` of an interleaved paired ensemble, and a unit signal."""
+    op_all = build_paired_ensemble(n, m, seed=seed, layout="interleaved")[2]
+    return op_all, _unit(substream(seed, "x0"), n)
+
+
+def _resampled_start(op_all, x0, epsilon, kind, seed=0):
+    """Stages of the resampled schedule over the noiseless pairs of ``x0``,
+    measured by the interleaved rows of ``op_all``, and the block-0 init of
+    ``kind``."""
+    b1, b2, y = observe_pairs(Identity(), *_pair_intensities((op_all[0::2], op_all[1::2]), x0))
+    init_args, stages = resample_blocks(op_all, b1, b2, y, epsilon)
     return stages, initial_estimate(kind, *init_args, seed).estimate
 
 
 class TestAltMinResampled:
     def test_single_stage_schedule(self):
-        ops, _, _, x0 = _altmin_system(8, 40, seed=27)
+        op_all, x0 = _interleaved(8, 40, seed=27)
         for kind in InitKind:
-            stages, x_init = _resampled_start(ops, x0, 0.5, kind)
+            stages, x_init = _resampled_start(op_all, x0, 0.5, kind)
             report = alt_min_resampled(stages, x_init)
             assert report.iterations == 1, kind
             assert len(report.trace) == 1, kind
 
     def test_insufficient_measurements_error_names_requirement(self):
-        ops = build_paired_ensemble(16, 20, seed=28)
+        op_all, _ = _interleaved(16, 20, seed=28)
         ones = np.ones(20)
         with pytest.raises(ValueError, match="64"):
-            resample_blocks(*ops, ones, ones, ones, epsilon=0.1)
+            resample_blocks(op_all, ones, ones, ones, epsilon=0.1)
 
     def test_reaches_target_accuracy(self):
         n, eps = 32, 0.1
@@ -405,9 +409,8 @@ class TestAltMinResampled:
         pairs = 40 * n * stages // 2
         good = 0
         for seed in range(20):
-            ops = build_paired_ensemble(n, pairs, seed=200 + seed)
-            x0 = _unit(substream(200 + seed, "x0"), n)
-            blocks, x_init = _resampled_start(ops, x0, eps, InitKind.ONEBIT, seed)
+            op_all, x0 = _interleaved(n, pairs, seed=200 + seed)
+            blocks, x_init = _resampled_start(op_all, x0, eps, InitKind.ONEBIT, seed)
             report = alt_min_resampled(blocks, x_init)
             assert report.iterations == stages
             if dist_sq(report.estimate, x0) <= eps**2:
@@ -419,10 +422,9 @@ class TestAltMinResampled:
         pairs = 40 * n * 3 // 2
         good = 0
         for seed in range(20):
-            ops = build_paired_ensemble(n, pairs, seed=300 + seed)
-            x0 = _unit(substream(300 + seed, "x0"), n)
+            op_all, x0 = _interleaved(n, pairs, seed=300 + seed)
             errs = []
-            stages, x_init = _resampled_start(ops, x0, eps, InitKind.ONEBIT, seed)
+            stages, x_init = _resampled_start(op_all, x0, eps, InitKind.ONEBIT, seed)
             alt_min_resampled(
                 stages, x_init, callback=lambda t, x: errs.append(dist_sq(x, x0))
             )
@@ -434,35 +436,39 @@ class TestAltMinResampled:
         n = 16
         rows = build_plain_ensemble(n, 40 * n, seed=29).rows
         x0 = _unit(substream(29, "x0"), n)
-        ops = MatrixOperator(rows[0::2]), MatrixOperator(rows[1::2])
-        stages, x_init = _resampled_start(ops, x0, 0.5, InitKind.WEIGHTED_ONEBIT)
+        stages, x_init = _resampled_start(
+            MatrixOperator(rows), x0, 0.5, InitKind.WEIGHTED_ONEBIT
+        )
         report = alt_min_resampled(stages, x_init)
         assert dist_sq(report.estimate, x0) <= 0.25
 
     def test_epsilon_domain(self):
-        ops = build_paired_ensemble(4, 100, seed=30)
+        op_all, _ = _interleaved(4, 100, seed=30)
         ones = np.ones(100)
         for eps in (0.0, 1.0, 1.5):
             with pytest.raises(ValueError):
-                resample_blocks(*ops, ones, ones, ones, eps)
+                resample_blocks(op_all, ones, ones, ones, eps)
 
     def test_block_layout(self):
         # 15 pairs in 4 blocks: block 0 takes 9 of the 30 interleaved
         # measurements, an odd count, and each stage takes 7
-        ops = build_paired_ensemble(3, 15, seed=31)
+        ops = build_paired_ensemble(3, 15, seed=31, layout="interleaved")
         b1, b2, y = np.arange(15.0), np.arange(15.0) + 15, np.sign(np.arange(15.0) - 7)
-        init_args, stages = resample_blocks(*ops, b1, b2, y, epsilon=0.1)
+        init_args, stages = resample_blocks(ops[2], b1, b2, y, epsilon=0.1)
 
         def assert_interleaved(op, b, lo):
-            """``op``/``b`` hold measurements lo, lo+1, ... of a1_1, a2_1, a1_2, ..."""
+            """``op``/``b`` hold measurements lo, lo+1, ... of a1_1, a2_1, a1_2, ...,
+            and ``op`` is a view of the ensemble's rows."""
+            assert np.shares_memory(op.rows, ops[2].rows)
             assert len(b) == op.out_dim
             for i, j in enumerate(range(lo, lo + op.out_dim)):
                 np.testing.assert_array_equal(op.rows[i], ops[j % 2].rows[j // 2])
                 assert b[i] == (b1, b2)[j % 2][j // 2]
 
         op1, op2, c1, c2, y0, (op_all, b_all) = init_args
-        np.testing.assert_array_equal(op1.rows, ops[0].rows[:4])
-        np.testing.assert_array_equal(op2.rows, ops[1].rows[:4])
+        for op, family in ((op1, ops[0]), (op2, ops[1])):
+            assert np.shares_memory(op.rows, ops[2].rows)
+            np.testing.assert_array_equal(op.rows, family.rows[:4])
         for got, want in ((c1, b1), (c2, b2), (y0, y)):
             np.testing.assert_array_equal(got, want[:4])
         assert op_all.out_dim == 9
@@ -473,11 +479,14 @@ class TestAltMinResampled:
 
     @pytest.mark.parametrize("bad", ["op2", "b1", "b2", "y"])
     def test_shape_mismatch_rejected(self, bad):
-        op1, op2 = build_paired_ensemble(4, 40, seed=32)
-        args = dict(op2=op2, b1=np.ones(40), b2=np.ones(40), y=np.ones(40))
-        args[bad] = MatrixOperator(op2.rows[:-1]) if bad == "op2" else np.ones(39)
+        op_all, _ = _interleaved(4, 40, seed=32)
+        args = dict(op_all=op_all, b1=np.ones(40), b2=np.ones(40), y=np.ones(40))
+        if bad == "op2":
+            args["op_all"] = op_all[:-1]  # the second family is a row short
+        else:
+            args[bad] = np.ones(39)
         with pytest.raises(ValueError, match="shape"):
-            resample_blocks(op1, epsilon=0.5, **args)
+            resample_blocks(epsilon=0.5, **args)
 
 
 class TestMultiInitSelect:

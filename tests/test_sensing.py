@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from onebitphase import sensing
 from onebitphase.sensing import (
     CdpOperator,
     MatrixOperator,
@@ -67,8 +68,22 @@ class TestEnsembles:
             np.testing.assert_array_equal(op.rows, same.rows)
 
     def test_pair_families_differ(self):
-        op1, op2 = build_paired_ensemble(6, 40, seed=3)
+        op1, op2, _ = build_paired_ensemble(6, 40, seed=3)
         assert not np.array_equal(op1.rows, op2.rows)
+
+    @pytest.mark.parametrize("layout", ["stacked", "interleaved"])
+    def test_layout_places_the_same_families(self, layout):
+        n, m, seed = 5, 12, 4
+        op1, op2, op_all = build_paired_ensemble(n, m, seed, layout)
+        assert op_all.rows.shape == (2 * m, n)
+        for k, op in enumerate((op1, op2), start=1):
+            want = sample_complex_gaussian((m, n), substream(seed, "paired-rows", k))
+            np.testing.assert_array_equal(op.rows, want)
+            assert np.shares_memory(op.rows, op_all.rows)
+
+    def test_unknown_layout_rejected(self):
+        with pytest.raises(ValueError, match="layout"):
+            build_paired_ensemble(4, 8, 0, "shuffled")
 
     def test_plain_regenerates_identically(self):
         e1 = build_plain_ensemble(5, 30, seed=9)
@@ -86,7 +101,7 @@ class TestEnsembles:
         assert np.max(np.abs(cov - np.eye(4))) < 0.05
 
     def test_intensity_matches_vectorized_path(self):
-        op1, op2 = build_paired_ensemble(6, 20, seed=5)
+        op1, op2, _ = build_paired_ensemble(6, 20, seed=5)
         rng = np.random.default_rng(2)
         x = _unit(rng, 6)
         b1, b2 = intensities(op1, x), intensities(op2, x)
@@ -94,8 +109,8 @@ class TestEnsembles:
         assert b2[7] == pytest.approx(abs(np.vdot(op2.rows[7], x)) ** 2)
 
     def test_row_intensities_match_conjugated_rows_bit_for_bit(self):
-        op1, op2 = build_paired_ensemble(12, 64, seed=6)
-        rows = np.vstack([op1.rows, op2.rows])
+        op1, op2, op_all = build_paired_ensemble(12, 64, seed=6)
+        rows = op_all.rows
         x = _unit(np.random.default_rng(3), 12)
         for view in (rows, rows[0::2], rows[1::2]):
             np.testing.assert_array_equal(
@@ -127,7 +142,7 @@ class TestMeasurementLaws:
         assert stat <= 0.015
 
     def test_pair_gap_is_exponential(self):
-        op1, op2 = build_paired_ensemble(8, 100000, seed=15)
+        op1, op2, _ = build_paired_ensemble(8, 100000, seed=15)
         rng = np.random.default_rng(5)
         x = _unit(rng, 8)
         b1, b2 = intensities(op1, x), intensities(op2, x)
@@ -135,7 +150,7 @@ class TestMeasurementLaws:
         assert stat <= 0.01
 
     def test_pair_ratio_is_uniform(self):
-        op1, op2 = build_paired_ensemble(8, 100000, seed=16)
+        op1, op2, _ = build_paired_ensemble(8, 100000, seed=16)
         rng = np.random.default_rng(6)
         x = _unit(rng, 8)
         b1, b2 = intensities(op1, x), intensities(op2, x)
@@ -259,6 +274,22 @@ class TestOperatorBoundary:
     def test_non_matrix_rejected(self, cls):
         with pytest.raises(ValueError, match="2-D"):
             cls(np.ones(4, dtype=complex))
+
+    def test_view_is_not_scanned_again(self, monkeypatch):
+        op = build_plain_ensemble(4, 10, seed=42)
+        scans = []
+        monkeypatch.setattr(sensing, "_checked_matrix", lambda *args: scans.append(args))
+        view = op[1::3]
+        assert scans == []
+        np.testing.assert_array_equal(view.rows, op.rows[1::3])
+        x = _unit(np.random.default_rng(7), 4)
+        np.testing.assert_array_equal(view.apply(x), op.apply(x)[1::3])
+
+    @pytest.mark.parametrize("key", [0, (slice(None), 1), None], ids=["row", "column", "newaxis"])
+    def test_view_must_stay_a_matrix(self, key):
+        op = build_plain_ensemble(4, 10, seed=43)
+        with pytest.raises(ValueError, match="2-D"):
+            op[key]
 
     def test_empty_masks_rejected(self):
         with pytest.raises(ValueError, match="positive"):
