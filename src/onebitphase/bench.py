@@ -401,12 +401,8 @@ def run_recover(cfg: ExperimentConfig) -> tuple[list[list], list[str]]:
         b_all = np.concatenate([b1, b2])
         init_args = (op1, op2, b1, b2, y, (op_all, b_all))
 
-    candidates = []
-    lambda_hats = {}
-    for kind in kinds:
-        rep = _init(kind, *init_args, cfg, 0)
-        candidates.append((kind, rep.estimate))
-        lambda_hats[kind] = rep.lambda_hat
+    inits = {kind: _init(kind, *init_args, cfg, 0) for kind in kinds}
+    candidates = [(kind, rep.estimate) for kind, rep in inits.items()]
     chosen_kind, x_init = multi_init_select(candidates, *init_args[-1])
 
     rows: list[list] = []
@@ -438,7 +434,8 @@ def run_recover(cfg: ExperimentConfig) -> tuple[list[list], list[str]]:
         f"model: {format_model(model)}",
         f"init: {chosen_kind.value} (of {', '.join(k.value for k in kinds)})",
         f"init dist_sq: {dist_sq(x_init, x0)!r}",
-        f"init lambda_hat: {lambda_hats[chosen_kind]!r}",
+        f"init lambda_hat: {inits[chosen_kind].lambda_hat!r}",
+        f"init converged: {inits[chosen_kind].converged}",
         f"refine: {cfg.refine}",
         f"final dist_sq: {dist_sq(final, x0)!r}",
     ]

@@ -9,7 +9,7 @@ conjugate copy of the rows.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -112,64 +112,6 @@ def lanczos(
         basis[j] = w / beta[-1]
     vec = basis[:j].T @ s
     return theta, vec / np.linalg.norm(vec), residuals, converged
-
-
-def cgls(
-    apply_A: Callable[[np.ndarray], np.ndarray],
-    apply_A_adjoint: Callable[[np.ndarray], np.ndarray],
-    rhs: np.ndarray,
-    tol: float = 1e-10,
-    max_iters: Optional[int] = None,
-    x0: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, int]:
-    """Conjugate gradient on the normal equations for min_x ||A x - rhs||_2.
-
-    Stops when the normal-equation residual ||A*(rhs - A x)|| falls below
-    ``tol`` times its starting value measured from the zero vector.  The
-    least-squares objective is non-increasing across iterations, so warm
-    starts via ``x0`` never lose ground.
-
-    Returns:
-        (x, info) with info == 0 on convergence, 1 if max_iters was reached
-        (x is then the best iterate found).
-    """
-    rhs = as_complex_vector(rhs)
-    s_ref = np.asarray(apply_A_adjoint(rhs), dtype=np.complex128)
-    n = s_ref.size
-    target = tol * float(np.linalg.norm(s_ref))
-    if max_iters is None:
-        max_iters = 4 * n
-
-    if x0 is None:
-        x = np.zeros(n, dtype=np.complex128)
-        resid = rhs.copy()
-        s = s_ref.copy()
-    else:
-        x = np.array(x0, dtype=np.complex128)
-        if x.shape != (n,):
-            raise ValueError(f"x0 has shape {x.shape}, expected ({n},)")
-        resid = rhs - np.asarray(apply_A(x), dtype=np.complex128)
-        s = np.asarray(apply_A_adjoint(resid), dtype=np.complex128)
-
-    gamma = float(np.vdot(s, s).real)
-    if np.sqrt(gamma) <= target:
-        return x, 0
-    p = s.copy()
-    for _ in range(max_iters):
-        q = np.asarray(apply_A(p), dtype=np.complex128)
-        qq = float(np.vdot(q, q).real)
-        if qq == 0.0:
-            break
-        alpha = gamma / qq
-        x = x + alpha * p
-        resid = resid - alpha * q
-        s = np.asarray(apply_A_adjoint(resid), dtype=np.complex128)
-        gamma_new = float(np.vdot(s, s).real)
-        if np.sqrt(gamma_new) <= target:
-            return x, 0
-        p = s + (gamma_new / gamma) * p
-        gamma = gamma_new
-    return x, 1
 
 
 def dist_sq(x, x0) -> float:

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from onebitphase import bench, cli, sensing
+from onebitphase import bench, cli, numkit, recovery, sensing
 from onebitphase.bench import ConfigError, ExperimentConfig
 from onebitphase.channels import quantize
 from onebitphase.numkit import dist_sq
@@ -217,6 +217,18 @@ class TestRecoverRun:
         line = next(l for l in summary if l.startswith("init:"))
         assert "(of random, subexp, onebit, weighted1bit)" in line
 
+    def test_init_convergence_reported(self, monkeypatch):
+        cfg = _cfg(kind="recover", n=16, ratio=16, inits=("onebit",), refine="none", seed=2)
+        _, summary = bench.run_recover(cfg)
+        assert "init converged: True" in summary
+        # one Lanczos matvec cannot resolve the top eigenvector at n = 16
+        monkeypatch.setattr(
+            recovery, "lanczos", lambda matvec, n, tol, max_iters, seed:
+            numkit.lanczos(matvec, n, tol, 1, seed),
+        )
+        _, summary = bench.run_recover(cfg)
+        assert "init converged: False" in summary
+
     @pytest.mark.parametrize("refine", ["altmin", "resampled"])
     def test_rows_are_scanned_once(self, monkeypatch, refine):
         scans = []
@@ -342,9 +354,13 @@ class TestCli:
             raise np.linalg.LinAlgError("leading minor not positive definite")
 
         monkeypatch.setattr(sensing, "cho_factor", failing_factor)
-        rc = cli.main(["recover", "--n", "16", "--ratio", "8", "--out", str(tmp_path / "x.csv")])
-        assert rc == 3
-        assert "numerical failure" in capsys.readouterr().err
+        for refine in ("altmin", "resampled"):
+            out = tmp_path / f"{refine}.csv"
+            rc = cli.main(["recover", "--n", "16", "--ratio", "8", "--refine", refine,
+                           "--out", str(out)])
+            assert rc == 3, refine
+            assert "numerical failure" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_bad_init_exits_2(self, tmp_path, capsys):
         rc = cli.main([

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onebitphase.numkit import (
-    cgls,
     dist_sq,
     lanczos,
     phase_op,
@@ -144,70 +143,6 @@ class TestPowerIteration:
         assert converged is False
         assert len(residuals) == 3
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
-
-
-class TestCgls:
-    def test_overdetermined_example(self):
-        rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
-        rhs = np.array([1.0, 1.0, 2.0, 0.0], dtype=complex)
-        x, info = cgls(lambda v: rows @ v, lambda y: rows.T @ y, rhs)
-        assert info == 0
-        np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-10)
-
-    def test_identity_system(self):
-        rhs = np.array([1.0 + 2j, -3.0], dtype=complex)
-        x, info = cgls(lambda v: v, lambda y: y, rhs)
-        assert info == 0
-        np.testing.assert_allclose(x, rhs, atol=1e-12)
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_full_rank_square_system_exact(self, seed):
-        rng = np.random.default_rng(seed)
-        n = 10
-        mat = _random_complex(rng, n * n).reshape(n, n) + 2.0 * np.eye(n)
-        x_true = _random_complex(rng, n)
-        rhs = mat @ x_true
-        x, info = cgls(lambda v: mat @ v, lambda y: mat.conj().T @ y, rhs, tol=1e-13)
-        assert info == 0
-        np.testing.assert_allclose(x, x_true, atol=1e-7)
-
-    def test_warm_start_at_solution_converges_immediately(self):
-        rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
-        rhs = np.array([1.0, 1.0, 2.0, 0.0], dtype=complex)
-        x, info = cgls(
-            lambda v: rows @ v,
-            lambda y: rows.T @ y,
-            rhs,
-            x0=np.array([1.0, 1.0], dtype=complex),
-        )
-        assert info == 0
-        np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-12)
-
-    def test_iteration_cap_sets_warning_flag(self):
-        rng = np.random.default_rng(4)
-        mat = _random_complex(rng, 400).reshape(20, 20) + 2.0 * np.eye(20)
-        rhs = _random_complex(rng, 20)
-        x, info = cgls(
-            lambda v: mat @ v, lambda y: mat.conj().T @ y, rhs, tol=1e-14, max_iters=1
-        )
-        assert info == 1
-        assert np.all(np.isfinite(x))
-
-    def test_objective_never_increases_across_iterations(self):
-        rng = np.random.default_rng(5)
-        rows = _random_complex(rng, 30 * 6).reshape(30, 6)
-        rhs = _random_complex(rng, 30)
-        objectives = []
-        for iters in range(1, 10):
-            x, _ = cgls(
-                lambda v: rows @ v,
-                lambda y: rows.conj().T @ y,
-                rhs,
-                tol=0.0,
-                max_iters=iters,
-            )
-            objectives.append(np.linalg.norm(rows @ x - rhs) ** 2)
-        assert all(b <= a + 1e-12 for a, b in zip(objectives, objectives[1:]))
 
 
 class TestDistSq:

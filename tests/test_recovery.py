@@ -432,6 +432,18 @@ class TestAltMinResampled:
                 good += 1
         assert good >= 18
 
+    def test_each_stage_is_the_exact_least_squares_step(self):
+        op_all, x0 = _interleaved(8, 96, seed=33)
+        stages, x_init = _resampled_start(op_all, x0, 0.1, InitKind.ONEBIT)
+        seen = []
+        report = alt_min_resampled(stages, x_init, callback=lambda t, x: seen.append(x))
+        x = x_init
+        for (op, b), got in zip(stages, seen[1:]):
+            x = op.lsq_solve(np.sqrt(b) * phase_op(op.apply(x)))
+            np.testing.assert_array_equal(got, x)
+        assert len(seen) == len(stages) + 1
+        assert report.converged
+
     def test_plain_ensemble_pairs_consecutive_rows(self):
         n = 16
         rows = build_plain_ensemble(n, 40 * n, seed=29).rows
