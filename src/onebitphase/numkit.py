@@ -32,11 +32,20 @@ def as_complex_vector(x) -> np.ndarray:
     return v
 
 
-def sample_complex_gaussian(shape, rng: np.random.Generator) -> np.ndarray:
-    """Standard complex Gaussian array: each entry has E|a_k|^2 = 1."""
+def sample_complex_gaussian(shape, rng: np.random.Generator, out=None) -> np.ndarray:
+    """Standard complex Gaussian array: each entry has E|a_k|^2 = 1.
+
+    All real parts are drawn first, then all imaginary parts, each scaled
+    straight into ``out`` when given: a complex128 array of ``shape``, which
+    may be a strided view such as one pair family of a paired ensemble.
+    """
     if np.prod(shape) <= 0:
         raise ValueError("dimensions must be positive")
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(0.5)
+    if out is None:
+        out = np.empty(shape, dtype=np.complex128)
+    np.multiply(rng.standard_normal(shape), np.sqrt(0.5), out=out.real)
+    np.multiply(rng.standard_normal(shape), np.sqrt(0.5), out=out.imag)
+    return out
 
 
 def phase_op(z) -> np.ndarray:

@@ -199,7 +199,7 @@ def build_paired_ensemble(
         raise ValueError(f"unknown pair layout {layout!r}; expected stacked or interleaved")
     rows = np.empty((2 * m, n), dtype=np.complex128)
     for k, family in enumerate(families, start=1):
-        rows[family] = sample_complex_gaussian((m, n), substream(seed, "paired-rows", k))
+        sample_complex_gaussian((m, n), substream(seed, "paired-rows", k), out=rows[family])
     op_all = MatrixOperator(rows)
     return op_all[families[0]], op_all[families[1]], op_all
 

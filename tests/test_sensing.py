@@ -54,6 +54,17 @@ class TestComplexGaussian:
         assert np.var(draws.real) == pytest.approx(0.5, abs=0.01)
         assert np.var(draws.imag) == pytest.approx(0.5, abs=0.01)
 
+    def test_draw_order_and_out_view(self):
+        # real parts first, then imaginary parts: seeded ensembles depend on it
+        rng = np.random.default_rng(2)
+        want = (rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))) * np.sqrt(0.5)
+        np.testing.assert_array_equal(sample_complex_gaussian((6, 3), np.random.default_rng(2)), want)
+        slots = np.zeros((12, 3), dtype=complex)
+        got = sample_complex_gaussian((6, 3), np.random.default_rng(2), out=slots[1::2])
+        assert np.shares_memory(got, slots)
+        np.testing.assert_array_equal(slots[1::2], want)
+        assert not np.any(slots[0::2])
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             sample_complex_gaussian(0, np.random.default_rng(0))
