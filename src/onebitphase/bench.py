@@ -153,6 +153,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("m must be positive")
     if cfg.ratio is not None and cfg.ratio <= 0:
         raise ConfigError("ratio must be positive")
+    if cfg.kind == "cdp-convergence" and cfg.m is not None:
+        raise ConfigError("cdp-convergence draws --ratio mask pairs per trial; it takes no --m")
+    if cfg.max_iters is not None and cfg.max_iters < 1:
+        raise ConfigError("max_iters must be at least 1")
     if cfg.tol is not None and not (np.isfinite(cfg.tol) and cfg.tol >= 0):
         raise ConfigError("tol must be finite and non-negative")
     refines = cfg.kind == "altmin-convergence" or (cfg.kind, cfg.refine) == ("recover", "altmin")

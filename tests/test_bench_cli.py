@@ -349,6 +349,26 @@ class TestCli:
         assert cli.main(["recover", "--n", "16", "--m", "4", "--refine", "none",
                          "--out", str(out)]) == 0
 
+    def test_max_iters_below_one_exits_2(self, tmp_path, capsys):
+        runs = [
+            ["recover", "--n", "16", "--ratio", "8", "--refine", "none", "--max-iters", "-3"],
+            ["recover", "--n", "16", "--ratio", "8", "--refine", "resampled", "--max-iters", "-7"],
+            ["altmin-convergence", "--n", "8", "--trials", "1", "--max-iters", "0"],
+        ]
+        for k, args in enumerate(runs):
+            out = tmp_path / f"run{k}.csv"
+            assert cli.main(args + ["--out", str(out)]) == 2, args
+            assert "max_iters must be at least 1" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_cdp_convergence_rejects_m(self, tmp_path, capsys):
+        out = tmp_path / "cdp.csv"
+        rc = cli.main(["cdp-convergence", "--n", "16", "--ratio", "4", "--m", "3",
+                       "--trials", "1", "--out", str(out)])
+        assert rc == 2
+        assert "--ratio" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_linalg_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         def failing_factor(*args, **kwargs):
             raise np.linalg.LinAlgError("leading minor not positive definite")
