@@ -19,6 +19,10 @@ ComplexVec = np.ndarray
 # Magnitudes below this are treated as zero by the phase operator.
 PHASE_FLOOR = 1e-300
 
+# Doubles per chunk of a Gaussian draw: 512 KiB, small next to any dense
+# ensemble and large enough that the per-chunk call overhead does not show.
+GAUSS_CHUNK = 1 << 16
+
 
 def as_complex_vector(x) -> np.ndarray:
     """Validate and convert ``x`` to a 1-D complex128 array."""
@@ -38,13 +42,25 @@ def sample_complex_gaussian(shape, rng: np.random.Generator, out=None) -> np.nda
     All real parts are drawn first, then all imaginary parts, each scaled
     straight into ``out`` when given: a complex128 array of ``shape``, which
     may be a strided view such as one pair family of a paired ensemble.
+    The normals are drawn in chunks of about ``GAUSS_CHUNK`` doubles along
+    the leading axis into one reused buffer, so no full-size float temporary
+    is made; the stream is consumed in the same order, so the values are the
+    same bits as one ``rng.standard_normal(shape)`` per part.
     """
     if np.prod(shape) <= 0:
         raise ValueError("dimensions must be positive")
     if out is None:
         out = np.empty(shape, dtype=np.complex128)
-    np.multiply(rng.standard_normal(shape), np.sqrt(0.5), out=out.real)
-    np.multiply(rng.standard_normal(shape), np.sqrt(0.5), out=out.imag)
+    elif out.shape != tuple(np.atleast_1d(shape)):
+        raise ValueError(f"out has shape {out.shape}, expected {shape}")
+    lead, trail = out.shape[0], out.shape[1:]
+    step = max(1, GAUSS_CHUNK // int(np.prod(trail)))
+    buf = np.empty((min(step, lead),) + trail)
+    for part in (out.real, out.imag):
+        for start in range(0, lead, step):
+            chunk = buf[: min(step, lead - start)]
+            rng.standard_normal(out=chunk)
+            np.multiply(chunk, np.sqrt(0.5), out=part[start : start + len(chunk)])
     return out
 
 

@@ -16,12 +16,14 @@ normal-matrix work each operator caches on first use.
 from __future__ import annotations
 
 import hashlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import zherk
 
 from .numkit import sample_complex_gaussian
 
@@ -117,8 +119,15 @@ class MatrixOperator:
 
     @cached_property
     def _normal_factor(self):
-        """Cholesky factor of the normal matrix A*A = rows^T conj(rows)."""
-        return cho_factor(self.rows.T @ self.rows.conj())
+        """Cholesky factor of the normal matrix A*A = rows^T conj(rows).
+
+        The Gram is one Hermitian rank-k update, ``zherk`` on ``rows.T``: half
+        the flops of the full product and no conjugate copy, and ``rows.T`` of
+        C-ordered rows is Fortran-ordered, so it is passed without a copy.
+        ``zherk`` fills only the upper triangle, which is the one
+        ``cho_factor(lower=False)`` and ``cho_solve`` read.
+        """
+        return cho_factor(zherk(1.0, self.rows.T), lower=False)
 
     def lsq_solve(self, y) -> np.ndarray:
         """argmin_x ||A x - y||, from the cached Cholesky factor."""
@@ -190,6 +199,10 @@ def build_paired_ensemble(
     per family and one over all 2m rows.  ``layout`` places the families:
     ``"stacked"`` at ``rows[:m]`` and ``rows[m:]``, ``"interleaved"`` at
     ``rows[0::2]`` and ``rows[1::2]`` (a1_1, a2_1, a1_2, ...).
+
+    Family 2 is drawn on one short-lived worker thread while the caller
+    draws family 1.  Each family has its own generator, so the rows are the
+    same bits as drawing them one after the other.
     """
     if layout == "stacked":
         families = (slice(None, m), slice(m, None))
@@ -198,8 +211,14 @@ def build_paired_ensemble(
     else:
         raise ValueError(f"unknown pair layout {layout!r}; expected stacked or interleaved")
     rows = np.empty((2 * m, n), dtype=np.complex128)
-    for k, family in enumerate(families, start=1):
-        sample_complex_gaussian((m, n), substream(seed, "paired-rows", k), out=rows[family])
+
+    def draw(k: int) -> None:
+        sample_complex_gaussian((m, n), substream(seed, "paired-rows", k), out=rows[families[k - 1]])
+
+    with ThreadPoolExecutor(1) as worker:
+        second = worker.submit(draw, 2)
+        draw(1)
+        second.result()
     op_all = MatrixOperator(rows)
     return op_all[families[0]], op_all[families[1]], op_all
 

@@ -1,8 +1,11 @@
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from onebitphase import sensing
+from onebitphase import numkit, sensing
 from onebitphase.sensing import (
     CdpOperator,
     MatrixOperator,
@@ -20,6 +23,12 @@ from onebitphase.sensing import (
 def _unit(rng, n):
     v = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(0.5)
     return v / np.linalg.norm(v)
+
+
+def _reference_gaussian(shape, rng):
+    """The draw order of every seeded ensemble: all real parts, then all
+    imaginary parts, each one full ``standard_normal`` call."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(0.5)
 
 
 class TestSubstream:
@@ -55,15 +64,23 @@ class TestComplexGaussian:
         assert np.var(draws.imag) == pytest.approx(0.5, abs=0.01)
 
     def test_draw_order_and_out_view(self):
-        # real parts first, then imaginary parts: seeded ensembles depend on it
-        rng = np.random.default_rng(2)
-        want = (rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))) * np.sqrt(0.5)
-        np.testing.assert_array_equal(sample_complex_gaussian((6, 3), np.random.default_rng(2)), want)
-        slots = np.zeros((12, 3), dtype=complex)
-        got = sample_complex_gaussian((6, 3), np.random.default_rng(2), out=slots[1::2])
-        assert np.shares_memory(got, slots)
-        np.testing.assert_array_equal(slots[1::2], want)
-        assert not np.any(slots[0::2])
+        # real parts first, then imaginary parts: seeded ensembles depend on
+        # it, and drawing in chunks must not change the order
+        chunk = numkit.GAUSS_CHUNK
+        shapes = [(6, 3), (3 * chunk + 123,), (4 * (chunk // 300) + 57, 300), (3, chunk + 5)]
+        for shape in shapes:
+            want = _reference_gaussian(shape, np.random.default_rng(2))
+            got = sample_complex_gaussian(shape, np.random.default_rng(2))
+            np.testing.assert_array_equal(got, want, err_msg=str(shape))
+            slots = np.zeros((2 * shape[0],) + shape[1:], dtype=complex)
+            got = sample_complex_gaussian(shape, np.random.default_rng(2), out=slots[1::2])
+            assert np.shares_memory(got, slots)
+            np.testing.assert_array_equal(slots[1::2], want, err_msg=str(shape))
+            assert not np.any(slots[0::2])
+
+    def test_out_shape_must_match(self):
+        with pytest.raises(ValueError, match="shape"):
+            sample_complex_gaussian((4, 3), np.random.default_rng(0), out=np.empty((3,), dtype=complex))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -78,19 +95,25 @@ class TestEnsembles:
         for op, same in zip(first, again):
             np.testing.assert_array_equal(op.rows, same.rows)
 
+    def test_build_leaves_no_thread_running(self):
+        before = threading.enumerate()
+        build_paired_ensemble(6, 40, seed=3)
+        assert threading.enumerate() == before
+
     def test_pair_families_differ(self):
         op1, op2, _ = build_paired_ensemble(6, 40, seed=3)
         assert not np.array_equal(op1.rows, op2.rows)
 
     @pytest.mark.parametrize("layout", ["stacked", "interleaved"])
     def test_layout_places_the_same_families(self, layout):
-        n, m, seed = 5, 12, 4
-        op1, op2, op_all = build_paired_ensemble(n, m, seed, layout)
-        assert op_all.rows.shape == (2 * m, n)
-        for k, op in enumerate((op1, op2), start=1):
-            want = sample_complex_gaussian((m, n), substream(seed, "paired-rows", k))
-            np.testing.assert_array_equal(op.rows, want)
-            assert np.shares_memory(op.rows, op_all.rows)
+        # (300, 700) spans several draw chunks and ends in a ragged one
+        for n, m, seed in [(5, 12, 4), (300, 700, 5)]:
+            op1, op2, op_all = build_paired_ensemble(n, m, seed, layout)
+            assert op_all.rows.shape == (2 * m, n)
+            for k, op in enumerate((op1, op2), start=1):
+                want = _reference_gaussian((m, n), substream(seed, "paired-rows", k))
+                np.testing.assert_array_equal(op.rows, want)
+                assert np.shares_memory(op.rows, op_all.rows)
 
     def test_unknown_layout_rejected(self):
         with pytest.raises(ValueError, match="layout"):
@@ -265,6 +288,9 @@ class TestCdp:
 
 
 
+MIB = 2**20
+
+
 def _operators():
     return [build_paired_ensemble(6, 10, seed=40)[0], build_cdp_operator(6, 3, seed=40)]
 
@@ -318,7 +344,17 @@ class TestOperatorBoundary:
             with pytest.raises(ValueError, match="operator expects"):
                 op.adjoint(np.ones(size, dtype=complex))
 
-    @pytest.mark.parametrize("op", _operators(), ids=["matrix", "cdp"])
+    @pytest.mark.parametrize(
+        "op",
+        _operators() + [
+            # a strided family: rows.T is not Fortran-ordered, so the Gram
+            # update works on a copy
+            build_paired_ensemble(6, 10, seed=44, layout="interleaved")[2][0::2],
+            # real rows, which the constructor accepts
+            MatrixOperator(np.random.default_rng(45).standard_normal((14, 6))),
+        ],
+        ids=["matrix", "cdp", "strided-family", "real-rows"],
+    )
     def test_lsq_solve_matches_dense_lstsq(self, op):
         dense = np.stack([op.apply(e) for e in np.eye(op.n, dtype=complex)], axis=1)
         y = sample_complex_gaussian(op.out_dim, np.random.default_rng(41))
@@ -326,3 +362,30 @@ class TestOperatorBoundary:
         np.testing.assert_allclose(op.lsq_solve(y), expected, atol=1e-12)
         # the cached factor serves a second right-hand side
         np.testing.assert_allclose(op.lsq_solve(2 * y), 2 * expected, atol=1e-12)
+
+
+class TestPeakMemory:
+    """Traced allocation peaks of the ensemble build and the first solve."""
+
+    @pytest.mark.parametrize("layout", ["stacked", "interleaved"])
+    def test_paired_build_allocates_little_beyond_its_rows(self, layout):
+        tracemalloc.start()
+        try:
+            *_, op_all = build_paired_ensemble(256, 4096, 12, layout)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= op_all.rows.nbytes + 2 * MIB
+
+    def test_first_lsq_solve_makes_no_copy_of_the_rows(self):
+        *_, op_all = build_paired_ensemble(256, 2048, 13, "interleaved")
+        stage = op_all[:2730]
+        y = np.ones(stage.out_dim, dtype=complex)
+        tracemalloc.start()
+        try:
+            stage.lsq_solve(y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stage.rows.nbytes > 10 * MIB
+        assert peak <= 4 * MIB
