@@ -19,6 +19,8 @@ from onebitphase.sensing import (
     substream,
 )
 
+MIB = 2**20
+
 
 def _unit(rng, n):
     v = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(0.5)
@@ -286,9 +288,6 @@ class TestCdp:
         b = build_cdp_operator(8, 2, seed=30)
         np.testing.assert_array_equal(a.masks, b.masks)
 
-
-
-MIB = 2**20
 
 
 def _operators():
