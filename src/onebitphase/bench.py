@@ -13,7 +13,7 @@ import csv
 import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -54,46 +54,6 @@ from .sensing import (
 class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
 
-
-KINDS = (
-    "lambda-sweep",
-    "distortion-sweep",
-    "recover",
-    "altmin-convergence",
-    "cdp-convergence",
-)
-
-HEADERS = {
-    "lambda-sweep": ["model", "param", "lambda_estimate", "std_error", "closed_form"],
-    "distortion-sweep": ["alpha", "method", "median_dist_sq", "iqr", "trials"],
-    "recover": ["stage", "iteration", "dist_sq"],
-    "altmin-convergence": ["init", "iteration", "median_dist_sq"],
-    "cdp-convergence": ["init", "iteration", "median_dist_sq"],
-}
-
-_DEFAULT_OUT = {
-    "lambda-sweep": "lambda_sweep.csv",
-    "distortion-sweep": "distortion_sweep.csv",
-    "recover": "recover_trace.csv",
-    "altmin-convergence": "altmin_convergence.csv",
-    "cdp-convergence": "cdp_convergence.csv",
-}
-
-# pairs (or mask pairs) per signal dimension when --m/--ratio are omitted
-_DEFAULT_RATIO = {
-    "distortion-sweep": 64,
-    "recover": 16,
-    "altmin-convergence": 4,
-    "cdp-convergence": 4,
-}
-
-_DEFAULT_N = {
-    "lambda-sweep": 0,
-    "distortion-sweep": 128,
-    "recover": 64,
-    "altmin-convergence": 512,
-    "cdp-convergence": 256,
-}
 
 ALL_INITS = ("random", "subexp", "onebit", "weighted1bit")
 
@@ -137,7 +97,7 @@ class ExperimentConfig:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    if cfg.kind not in KINDS:
+    if cfg.kind not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment kind {cfg.kind!r}")
     if cfg.kind != "lambda-sweep" and cfg.n <= 0:
         raise ConfigError("n must be positive")
@@ -159,6 +119,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("max_iters must be at least 1")
     if cfg.tol is not None and not (np.isfinite(cfg.tol) and cfg.tol >= 0):
         raise ConfigError("tol must be finite and non-negative")
+    if len(set(cfg.alphas)) < len(cfg.alphas):
+        raise ConfigError(f"alphas must be distinct; got {list(cfg.alphas)}")
+    if cfg.kind == "distortion-sweep" and not cfg.alphas:
+        raise ConfigError("distortion-sweep needs at least one alpha")
     refines = cfg.kind == "altmin-convergence" or (cfg.kind, cfg.refine) == ("recover", "altmin")
     if refines and 2 * _pairs(cfg) < cfg.n:
         raise ConfigError(
@@ -183,19 +147,13 @@ def validate_config(cfg: ExperimentConfig) -> None:
             )
 
 
+def _or(value, default):
+    """A config value, or ``default`` where the config leaves it unset."""
+    return default if value is None else value
+
+
 def _pairs(cfg: ExperimentConfig) -> int:
-    if cfg.m is not None:
-        return cfg.m
-    ratio = cfg.ratio if cfg.ratio is not None else _DEFAULT_RATIO[cfg.kind]
-    return ratio * cfg.n
-
-
-def _tol(cfg: ExperimentConfig, default: float) -> float:
-    return cfg.tol if cfg.tol is not None else default
-
-
-def _max_iters(cfg: ExperimentConfig, default: int) -> int:
-    return cfg.max_iters if cfg.max_iters is not None else default
+    return _or(cfg.m, _or(cfg.ratio, EXPERIMENTS[cfg.kind].ratio) * cfg.n)
 
 
 def _trial_seed(master: int, tag: str, index: int) -> int:
@@ -247,8 +205,8 @@ def run_distortion_sweep(cfg: ExperimentConfig) -> list[list]:
     intensities, so it runs once per trial and its column is bit-identical
     across the sweep while the intensity-weighted method degrades.
     """
-    tol = _tol(cfg, 1e-8)
-    iters = _max_iters(cfg, 1000)
+    tol = _or(cfg.tol, 1e-8)
+    iters = _or(cfg.max_iters, 1000)
     err_bit = {a: [] for a in cfg.alphas}
     err_sub = {a: [] for a in cfg.alphas}
     for t in range(cfg.trials):
@@ -319,8 +277,8 @@ def _convergence_rows(cfg: ExperimentConfig, setup) -> list[list]:
     """
     model = parse_model(cfg.model)
     kinds = [parse_init(name) for name in cfg.inits]
-    iters = _max_iters(cfg, 100)
-    tol = _tol(cfg, 1e-12)
+    iters = _or(cfg.max_iters, 100)
+    tol = _or(cfg.tol, 1e-12)
     curves: dict[InitKind, list[list[float]]] = {k: [] for k in kinds}
     for t in range(cfg.trials):
         op1, op2, op_all, x0, b1c, b2c = setup(cfg, t)
@@ -357,8 +315,7 @@ def run_altmin_convergence(cfg: ExperimentConfig) -> list[list]:
 
 
 def _cdp_trial(cfg: ExperimentConfig, trial: int):
-    n = cfg.n
-    r = cfg.ratio if cfg.ratio is not None else _DEFAULT_RATIO["cdp-convergence"]
+    n, r = cfg.n, _or(cfg.ratio, EXPERIMENTS[cfg.kind].ratio)
     op1 = build_cdp_operator(n, r, _trial_seed(cfg.seed, "cdp-masks-1", trial))
     op2 = build_cdp_operator(n, r, _trial_seed(cfg.seed, "cdp-masks-2", trial))
     op_all = CdpOperator(np.vstack([op1.masks, op2.masks]))
@@ -420,8 +377,8 @@ def run_recover(cfg: ExperimentConfig) -> tuple[list[list], list[str]]:
             op_all,
             b_all,
             x_init,
-            max_iters=_max_iters(cfg, 200),
-            tol=_tol(cfg, 1e-12),
+            max_iters=_or(cfg.max_iters, 200),
+            tol=_or(cfg.tol, 1e-12),
             callback=lambda k, x: rows.append(["altmin", k, dist_sq(x, x0)]),
         )
         final = report.estimate
@@ -453,20 +410,76 @@ def run_recover(cfg: ExperimentConfig) -> tuple[list[list], list[str]]:
 # dispatch and serialization
 
 
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment kind.  Its subcommand takes ``--seed``, ``--out`` and a
+    flag per config field the runner reads (``fields``), with defaults ``n``
+    and ``inits``; ``ratio`` is the pairs (or mask pairs) per signal dimension
+    of a config that sets neither m nor ratio."""
+
+    runner: Callable[[ExperimentConfig], tuple[list[list], list[str]]]
+    header: list[str]
+    out: str
+    help: str
+    fields: tuple[str, ...]
+    n: int = 0
+    ratio: Optional[int] = None
+    inits: tuple = ALL_INITS
+
+
+def _rows_only(runner):
+    return lambda cfg: (runner(cfg), [])
+
+
+EXPERIMENTS = {
+    "lambda-sweep": Experiment(
+        _rows_only(run_lambda_sweep),
+        header=["model", "param", "lambda_estimate", "std_error", "closed_form"],
+        out="lambda_sweep.csv",
+        help="Monte-Carlo channel constants over the model grids",
+        fields=("samples", "alphas", "sigmas", "etas"),
+    ),
+    "distortion-sweep": Experiment(
+        _rows_only(run_distortion_sweep),
+        header=["alpha", "method", "median_dist_sq", "iqr", "trials"],
+        out="distortion_sweep.csv",
+        help="spectral recovery error under tanh distortion",
+        fields=("n", "m", "ratio", "trials", "tol", "max_iters", "alphas"),
+        n=128, ratio=64,
+    ),
+    "recover": Experiment(
+        run_recover,
+        header=["stage", "iteration", "dist_sq"],
+        out="recover_trace.csv",
+        help="single-shot recovery pipeline with a trace CSV",
+        fields=("n", "m", "ratio", "model", "inits", "epsilon", "tol", "max_iters", "refine"),
+        n=64, ratio=16, inits=("onebit",),
+    ),
+    "altmin-convergence": Experiment(
+        _rows_only(run_altmin_convergence),
+        header=["init", "iteration", "median_dist_sq"],
+        out="altmin_convergence.csv",
+        help="error-vs-iteration curves, Gaussian sensing",
+        fields=("n", "m", "ratio", "model", "inits", "trials", "tol", "max_iters"),
+        n=512, ratio=4,
+    ),
+    "cdp-convergence": Experiment(
+        _rows_only(run_cdp_convergence),
+        header=["init", "iteration", "median_dist_sq"],
+        out="cdp_convergence.csv",
+        help="error-vs-iteration curves, masked-DFT sensing",
+        fields=("n", "ratio", "model", "inits", "trials", "tol", "max_iters"),
+        n=256, ratio=4,
+    ),
+}
+
+
 def run(cfg: ExperimentConfig) -> tuple[list[str], list[list], list[str]]:
     """Run a validated config; returns (header, rows, summary lines)."""
     validate_config(cfg)
-    header = HEADERS[cfg.kind]
-    if cfg.kind == "lambda-sweep":
-        return header, run_lambda_sweep(cfg), []
-    if cfg.kind == "distortion-sweep":
-        return header, run_distortion_sweep(cfg), []
-    if cfg.kind == "altmin-convergence":
-        return header, run_altmin_convergence(cfg), []
-    if cfg.kind == "cdp-convergence":
-        return header, run_cdp_convergence(cfg), []
-    rows, summary = run_recover(cfg)
-    return header, rows, summary
+    spec = EXPERIMENTS[cfg.kind]
+    rows, summary = spec.runner(cfg)
+    return spec.header, rows, summary
 
 
 def _format_cell(value) -> str:
@@ -503,7 +516,7 @@ def write_manifest(cfg: ExperimentConfig, csv_path) -> Path:
 def write_outputs(cfg: ExperimentConfig) -> tuple[Path, Path, list[str]]:
     """Run the experiment and write its CSV plus reproduction manifest."""
     header, rows, summary = run(cfg)
-    out = Path(cfg.out if cfg.out is not None else _DEFAULT_OUT[cfg.kind])
+    out = Path(_or(cfg.out, EXPERIMENTS[cfg.kind].out))
     write_csv(out, header, rows)
     mpath = write_manifest(cfg, out)
     return out, mpath, summary

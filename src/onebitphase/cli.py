@@ -1,5 +1,9 @@
 """Command-line front end for the benchmark harness.
 
+Each subcommand takes ``--seed``, ``--out`` and a flag for each config field
+its experiment reads (``bench.EXPERIMENTS``); any other flag, or an
+abbreviation of one, is a usage error.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
@@ -11,22 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bench import (
-    _DEFAULT_N,
-    ALL_INITS,
-    ConfigError,
-    ExperimentConfig,
-    KINDS,
-    write_outputs,
-)
-
-_DESCRIPTIONS = {
-    "lambda-sweep": "Monte-Carlo channel constants over the model grids",
-    "distortion-sweep": "spectral recovery error under tanh distortion",
-    "recover": "single-shot recovery pipeline with a trace CSV",
-    "altmin-convergence": "error-vs-iteration curves, Gaussian sensing",
-    "cdp-convergence": "error-vs-iteration curves, masked-DFT sensing",
-}
+from .bench import EXPERIMENTS, ConfigError, ExperimentConfig, write_outputs
 
 
 def _float_list(text: str) -> tuple:
@@ -36,30 +25,42 @@ def _float_list(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats: {text!r}")
 
 
-def _add_flags(sub: argparse.ArgumentParser, kind: str) -> None:
-    sub.add_argument("--n", type=int, default=_DEFAULT_N[kind], help="signal dimension")
-    sub.add_argument("--m", type=int, default=None, help="measurement pairs (overrides --ratio)")
-    sub.add_argument(
-        "--ratio", type=int, default=None,
-        help="pairs (or mask pairs) per signal dimension",
-    )
-    sub.add_argument("--model", default="identity", help="measurement model spec")
-    sub.add_argument(
-        "--init", default=None,
+def _name_list(text: str) -> tuple:
+    return tuple(name.strip() for name in text.split(",") if name.strip())
+
+
+# config field -> its flag and argparse options
+_FLAGS = {
+    "n": ("--n", dict(type=int, help="signal dimension")),
+    "m": ("--m", dict(type=int, help="measurement pairs (overrides --ratio)")),
+    "ratio": ("--ratio", dict(type=int, help="pairs (or mask pairs) per signal dimension")),
+    "model": ("--model", dict(help="measurement model spec")),
+    "inits": ("--init", dict(
+        type=_name_list, metavar="INIT",
         help="comma-separated init kinds: random, subexp, onebit, weighted1bit",
-    )
-    sub.add_argument("--epsilon", type=float, default=0.25, help="target accuracy for staged refinement")
-    sub.add_argument("--trials", type=int, default=20)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--tol", type=float, default=None, help="main-loop stopping tolerance")
-    sub.add_argument("--max-iters", type=int, default=None)
-    sub.add_argument("--out", default=None, help="CSV output path")
-    sub.add_argument("--refine", choices=("altmin", "resampled", "none"), default="altmin")
-    sub.add_argument("--samples", type=int, default=1_000_000,
-                     help="Monte-Carlo sample count for channel constants")
-    sub.add_argument("--alphas", type=_float_list, default=None, help="tanh distortion grid")
-    sub.add_argument("--sigmas", type=_float_list, default=None, help="exponential-noise variance grid")
-    sub.add_argument("--etas", type=_float_list, default=None, help="Poisson period grid")
+    )),
+    "epsilon": ("--epsilon", dict(type=float, help="target accuracy for staged refinement")),
+    "trials": ("--trials", dict(type=int)),
+    "seed": ("--seed", dict(type=int)),
+    "tol": ("--tol", dict(type=float, help="main-loop stopping tolerance")),
+    "max_iters": ("--max-iters", dict(type=int)),
+    "out": ("--out", dict(help="CSV output path")),
+    "refine": ("--refine", dict(choices=("altmin", "resampled", "none"))),
+    "samples": ("--samples", dict(type=int, help="Monte-Carlo sample count for channel constants")),
+    "alphas": ("--alphas", dict(type=_float_list, help="tanh distortion grid")),
+    "sigmas": ("--sigmas", dict(type=_float_list, help="exponential-noise variance grid")),
+    "etas": ("--etas", dict(type=_float_list, help="Poisson period grid")),
+}
+
+
+class _Subcommand(argparse.ArgumentParser):
+    """Reports a flag it does not take with its own usage line."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,45 +68,29 @@ def build_parser() -> argparse.ArgumentParser:
         prog="onebitphase",
         description="Benchmarks for phase retrieval from one-bit intensity comparisons.",
     )
-    subparsers = parser.add_subparsers(dest="kind", required=True)
-    for kind in KINDS:
-        sub = subparsers.add_parser(kind, help=_DESCRIPTIONS[kind])
-        _add_flags(sub, kind)
+    subparsers = parser.add_subparsers(dest="kind", required=True, parser_class=_Subcommand)
+    for kind, spec in EXPERIMENTS.items():
+        # an omitted flag keeps the config default, or the table's n and inits
+        sub = subparsers.add_parser(
+            kind, help=spec.help, allow_abbrev=False, argument_default=argparse.SUPPRESS
+        )
+        for field in (*spec.fields, "seed", "out"):
+            flag, options = _FLAGS[field]
+            sub.add_argument(flag, dest=field, **options)
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    if args.init is None:
-        inits = ("onebit",) if args.kind == "recover" else ALL_INITS
-    else:
-        inits = tuple(name.strip() for name in args.init.split(",") if name.strip())
-    overrides = {}
-    for key in ("alphas", "sigmas", "etas"):
-        value = getattr(args, key)
-        if value is not None:
-            overrides[key] = value
-    return ExperimentConfig(
-        kind=args.kind,
-        n=args.n,
-        m=args.m,
-        ratio=args.ratio,
-        model=args.model,
-        epsilon=args.epsilon,
-        trials=args.trials,
-        seed=args.seed,
-        tol=args.tol,
-        max_iters=args.max_iters,
-        inits=inits,
-        refine=args.refine,
-        samples=args.samples,
-        out=args.out,
-        **overrides,
-    )
+    spec = EXPERIMENTS[args.kind]
+    return ExperimentConfig(**{"n": spec.n, "inits": spec.inits, **vars(args)})
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # a usage error (2) or --help (0)
+        return exc.code
     try:
         cfg = config_from_args(args)
         csv_path, mpath, summary = write_outputs(cfg)

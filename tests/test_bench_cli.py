@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,29 @@ from _oracles import dense_one_bit_matrix
 
 def _cfg(**kw):
     return ExperimentConfig(**kw)
+
+
+# the flags each subcommand takes besides --seed and --out
+SUBCOMMAND_FLAGS = {
+    "lambda-sweep": {"--samples", "--sigmas", "--alphas", "--etas"},
+    "distortion-sweep": {"--n", "--m", "--ratio", "--trials", "--tol", "--max-iters", "--alphas"},
+    "recover": {"--n", "--m", "--ratio", "--tol", "--max-iters", "--model", "--init",
+                "--refine", "--epsilon"},
+    "altmin-convergence": {"--n", "--m", "--ratio", "--trials", "--tol", "--max-iters",
+                           "--model", "--init"},
+    "cdp-convergence": {"--n", "--ratio", "--trials", "--tol", "--max-iters", "--model",
+                        "--init"},
+}
+FLAG_VALUES = {
+    "--n": "8", "--m": "64", "--ratio": "8", "--model": "identity", "--init": "onebit",
+    "--epsilon": "0.5", "--trials": "1", "--tol": "1e-6", "--max-iters": "5",
+    "--refine": "none", "--samples": "2000", "--alphas": "1", "--sigmas": "1", "--etas": "1",
+}
+UNREAD_FLAGS = [
+    (kind, flag)
+    for kind, flags in SUBCOMMAND_FLAGS.items()
+    for flag in sorted(FLAG_VALUES.keys() - flags)
+]
 
 
 class TestConfig:
@@ -71,6 +95,15 @@ class TestConfig:
 
     def test_weighted_init_fine_with_identity(self):
         bench.validate_config(_cfg(kind="recover", n=8, inits=("weighted1bit",)))
+
+    def test_alpha_grid_distinct_and_nonempty(self):
+        for alphas in ((0.5, 2.0, 0.5), ()):
+            with pytest.raises(ConfigError, match="alpha"):
+                bench.validate_config(_cfg(kind="distortion-sweep", n=8, alphas=alphas))
+        with pytest.raises(ConfigError, match="distinct"):
+            bench.validate_config(_cfg(kind="lambda-sweep", alphas=(1.0, 1.0)))
+        # the channel sweep has identity, noise and Poisson rows without alphas
+        bench.validate_config(_cfg(kind="lambda-sweep", alphas=()))
 
 
 class TestLambdaSweep:
@@ -338,9 +371,9 @@ class TestCli:
         assert not out.exists()
 
     def test_too_few_measurements_exits_2(self, tmp_path, capsys):
-        for kind in ("recover", "altmin-convergence"):
+        for kind, *extra in (["recover"], ["altmin-convergence", "--trials", "1"]):
             out = tmp_path / f"{kind}.csv"
-            rc = cli.main([kind, "--n", "16", "--m", "4", "--trials", "1", "--out", str(out)])
+            rc = cli.main([kind, "--n", "16", "--m", "4", *extra, "--out", str(out)])
             assert rc == 2, kind
             assert "least-squares step needs at least n = 16" in capsys.readouterr().err
             assert not out.exists()
@@ -396,3 +429,46 @@ class TestCli:
         assert cli.config_from_args(args).inits == ("onebit",)
         args = parser.parse_args(["altmin-convergence", "--n", "8"])
         assert cli.config_from_args(args).inits == bench.ALL_INITS
+
+    def test_repeated_or_empty_alpha_grid_exits_2(self, tmp_path, capsys):
+        for alphas in ("0.5,2,0.5", ""):
+            out = tmp_path / "d.csv"
+            rc = cli.main(["distortion-sweep", "--n", "8", "--ratio", "8", "--trials", "2",
+                           "--alphas", alphas, "--out", str(out)])
+            assert rc == 2, alphas
+            assert "alpha" in capsys.readouterr().err
+            assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind,flag", UNREAD_FLAGS)
+    def test_unread_flag_is_a_usage_error(self, tmp_path, monkeypatch, capsys, kind, flag):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([kind, flag, FLAG_VALUES[flag], "--out", "x.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: onebitphase {kind} ")
+        assert f"unrecognized arguments: {flag} " in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", list(SUBCOMMAND_FLAGS))
+    def test_subcommand_flags_follow_the_table(self, capsys, kind):
+        assert cli.main([kind, "--help"]) == 0
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert set(re.findall(r"--[a-z-]+", usage)) == {"--seed", "--out"} | SUBCOMMAND_FLAGS[kind]
+        fields = bench.EXPERIMENTS[kind].fields
+        flags = {"--init" if f == "inits" else "--" + f.replace("_", "-") for f in fields}
+        assert flags == SUBCOMMAND_FLAGS[kind]
+
+    def test_every_subcommand_is_in_the_table(self):
+        assert list(bench.EXPERIMENTS) == list(SUBCOMMAND_FLAGS)
+        assert sum(2 + len(flags) for flags in SUBCOMMAND_FLAGS.values()) == 45
+
+    @pytest.mark.parametrize("args", [
+        ["recover", "--to", "1e-3"],
+        ["recover", "--max", "3"],
+        ["distortion-sweep", "--alpha", "1"],
+        ["lambda-sweep", "--sample", "2000"],
+    ], ids=" ".join)
+    def test_flag_prefix_is_a_usage_error(self, tmp_path, monkeypatch, capsys, args):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(args) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

@@ -1,13 +1,16 @@
 """Smoke tests: every script in demos/ and the README library example run to
-completion."""
+completion, and every README command line parses."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from onebitphase import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -38,3 +41,22 @@ def test_readme_library_example(capsys):
     exec(compile(blocks[0], "README.md", "exec"), namespace)
     assert namespace["error"] < 1e-20
     assert capsys.readouterr().out.strip()
+
+
+def test_readme_commands_parse():
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.S | re.M)
+    commands = [
+        shlex.split(line, comments=True)
+        for block in blocks
+        for line in block.splitlines()
+        if line.startswith("onebitphase ")
+    ]
+    assert len(commands) == 5
+    parser = cli.build_parser()
+    for words in commands:
+        # parse only: some examples run for minutes
+        try:
+            parser.parse_args(words[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(words)}")
