@@ -24,25 +24,27 @@ flips = 0
 
 for t in range(trials):
     seed = 40 + t
-    op1 = build_cdp_operator(n, r, int(substream(seed, "m1").integers(0, 2**63)))
-    op2 = build_cdp_operator(n, r, int(substream(seed, "m2").integers(0, 2**63)))
+    # one operator over both mask families: family 1 fills the first r*n
+    # outputs, family 2 the rest, and pair k compares output k of each
+    masks = [
+        build_cdp_operator(n, r, int(substream(seed, key).integers(0, 2**63))).masks
+        for key in ("m1", "m2")
+    ]
+    op = CdpOperator(np.vstack(masks))
+    pairs = (slice(None, r * n), slice(r * n, None))
     # unnormalized signal keeps per-coordinate masked-DFT intensities at unit
     # scale, so sigma means the same thing it does for dense Gaussian sensing
     x0 = sample_complex_gaussian(n, substream(seed, "x0"))
-    b1_clean = intensities(op1, x0)
-    b2_clean = intensities(op2, x0)
+    b_clean = intensities(op, x0)
     noise = sigma * np.maximum(substream(seed, "noise").standard_normal(n * r), 0.0)
-    b1, b2 = b1_clean + noise, b2_clean + noise
+    b = b_clean + np.tile(noise, 2)  # the same offset on both members of a pair
 
-    y = quantize(b1, b2)
-    flips += int(np.sum(y != quantize(b1_clean, b2_clean)))
+    y = quantize(b[pairs[0]], b[pairs[1]])
+    flips += int(np.sum(y != quantize(b_clean[pairs[0]], b_clean[pairs[1]])))
 
-    op_all = CdpOperator(np.vstack([op1.masks, op2.masks]))
-    b_all = np.concatenate([b1, b2])
     for kind in finals:
-        pw = substream(seed, "pw", kind)
-        xi = initial_estimate(kind, op1, op2, b1, b2, y, (op_all, b_all), pw).estimate
-        rep = alt_min(op_all, b_all, xi, max_iters=100)
+        xi = initial_estimate(kind, op, b, y, pairs, substream(seed, "pw", kind)).estimate
+        rep = alt_min(op, b, xi, max_iters=100)
         finals[kind].append(dist_sq(rep.estimate, x0))
 
 print(f"masked-DFT sensing, n={n}, {2 * r} masks ({2 * r}n intensities),")

@@ -119,8 +119,13 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("max_iters must be at least 1")
     if cfg.tol is not None and not (np.isfinite(cfg.tol) and cfg.tol >= 0):
         raise ConfigError("tol must be finite and non-negative")
-    if len(set(cfg.alphas)) < len(cfg.alphas):
-        raise ConfigError(f"alphas must be distinct; got {list(cfg.alphas)}")
+    for name in ("alphas", "sigmas", "etas"):
+        grid = getattr(cfg, name)
+        if len(set(grid)) < len(grid):
+            raise ConfigError(f"{name} must be distinct; got {list(grid)}")
+    unread = cfg.tol is not None or cfg.max_iters is not None
+    if cfg.kind == "recover" and cfg.refine != "altmin" and unread:
+        raise ConfigError(f"recover --refine {cfg.refine} reads neither --tol nor --max-iters")
     if cfg.kind == "distortion-sweep" and not cfg.alphas:
         raise ConfigError("distortion-sweep needs at least one alpha")
     refines = cfg.kind == "altmin-convergence" or (cfg.kind, cfg.refine) == ("recover", "altmin")
@@ -161,13 +166,12 @@ def _trial_seed(master: int, tag: str, index: int) -> int:
 
 
 def _gaussian_pairs(cfg: ExperimentConfig, trial: int, layout: str = "stacked"):
-    """Pair operators, their operator over all rows (views of one array in
-    ``layout``), unit signal and its clean pair intensities of a Gaussian
-    trial."""
+    """Operator over all rows, its pair slices (in ``layout``), unit signal
+    and clean intensities of a Gaussian trial."""
     seed = _trial_seed(cfg.seed, "ensemble", trial)
-    op1, op2, op_all = build_paired_ensemble(cfg.n, _pairs(cfg), seed, layout)
+    op, pairs = build_paired_ensemble(cfg.n, _pairs(cfg), seed, layout)
     x0 = random_init(cfg.n, substream(cfg.seed, "signal", trial))
-    return op1, op2, op_all, x0, intensities(op1, x0), intensities(op2, x0)
+    return op, pairs, x0, intensities(op, x0)
 
 
 # ---------------------------------------------------------------------------
@@ -210,20 +214,17 @@ def run_distortion_sweep(cfg: ExperimentConfig) -> list[list]:
     err_bit = {a: [] for a in cfg.alphas}
     err_sub = {a: [] for a in cfg.alphas}
     for t in range(cfg.trials):
-        op1, op2, op_all, x0, b1, b2 = _gaussian_pairs(cfg, t)
-        b_all = np.concatenate([b1, b2])
-        _, _, y = observe_pairs(Identity(), b1, b2)
+        op, pairs, x0, b = _gaussian_pairs(cfg, t)
+        _, y = observe_pairs(Identity(), b, pairs)
         seed_bit = substream(cfg.seed, "power-bit", t)
-        rep = initial_estimate(
-            InitKind.ONEBIT, op1, op2, b1, b2, y, (op_all, b_all), seed_bit, tol, iters
-        )
+        rep = initial_estimate(InitKind.ONEBIT, op, b, y, pairs, seed_bit, tol, iters)
         bit = dist_sq(rep.estimate, x0)
         for alpha in cfg.alphas:
             err_bit[alpha].append(bit)
-            stacked = (op_all, apply_model(TanhDistortion(alpha), b_all))
+            distorted = apply_model(TanhDistortion(alpha), b)
             seed_sub = substream(cfg.seed, "power-sub", t)
             rep_sub = initial_estimate(
-                InitKind.SUBEXP, op1, op2, b1, b2, y, stacked, seed_sub, tol, iters
+                InitKind.SUBEXP, op, distorted, y, pairs, seed_sub, tol, iters
             )
             err_sub[alpha].append(dist_sq(rep_sub.estimate, x0))
     rows = []
@@ -247,10 +248,10 @@ _INIT_STREAMS = {
 }
 
 
-def _init(kind: InitKind, op1, op2, b1, b2, y, stacked, cfg, trial: int):
+def _init(kind: InitKind, op, b, y, pairs, cfg, trial: int):
     """Init estimate of trial ``trial``, seeded from the kind's own stream."""
     seed = substream(cfg.seed, _INIT_STREAMS[kind], trial)
-    return initial_estimate(kind, op1, op2, b1, b2, y, stacked, seed)
+    return initial_estimate(kind, op, b, y, pairs, seed)
 
 
 def _median_curves(curves: Sequence[Sequence[float]]) -> list[float]:
@@ -270,10 +271,10 @@ def _median_curves(curves: Sequence[Sequence[float]]) -> list[float]:
 def _convergence_rows(cfg: ExperimentConfig, setup) -> list[list]:
     """Median error-vs-iteration curve of alt-min from each init kind.
 
-    ``setup(cfg, trial)`` returns the trial's pair operators, their stacked
-    operator, the signal and its clean pair intensities.  One-bit inits
-    quantize the observed intensities, and the weighted variant draws its
-    ratio weights from the same values.
+    ``setup(cfg, trial)`` returns the trial's operator, its pair slices,
+    the signal and its clean intensities.  One-bit inits quantize the
+    observed intensities, and the weighted variant draws its ratio weights
+    from the same values.
     """
     model = parse_model(cfg.model)
     kinds = [parse_init(name) for name in cfg.inits]
@@ -281,15 +282,14 @@ def _convergence_rows(cfg: ExperimentConfig, setup) -> list[list]:
     tol = _or(cfg.tol, 1e-12)
     curves: dict[InitKind, list[list[float]]] = {k: [] for k in kinds}
     for t in range(cfg.trials):
-        op1, op2, op_all, x0, b1c, b2c = setup(cfg, t)
-        b1, b2, y = observe_pairs(model, b1c, b2c, substream(cfg.seed, "noise", t))
-        b_all = np.concatenate([b1, b2])
+        op, pairs, x0, b_clean = setup(cfg, t)
+        b, y = observe_pairs(model, b_clean, pairs, substream(cfg.seed, "noise", t))
         for kind in kinds:
-            init_rep = _init(kind, op1, op2, b1, b2, y, (op_all, b_all), cfg, t)
+            init_rep = _init(kind, op, b, y, pairs, cfg, t)
             errs = [dist_sq(init_rep.estimate, x0)]
             alt_min(
-                op_all,
-                b_all,
+                op,
+                b,
                 init_rep.estimate,
                 max_iters=iters,
                 tol=tol,
@@ -315,14 +315,18 @@ def run_altmin_convergence(cfg: ExperimentConfig) -> list[list]:
 
 
 def _cdp_trial(cfg: ExperimentConfig, trial: int):
+    """One operator over both mask families, stacked; pair k compares
+    output k of family 1 with output k of family 2."""
     n, r = cfg.n, _or(cfg.ratio, EXPERIMENTS[cfg.kind].ratio)
-    op1 = build_cdp_operator(n, r, _trial_seed(cfg.seed, "cdp-masks-1", trial))
-    op2 = build_cdp_operator(n, r, _trial_seed(cfg.seed, "cdp-masks-2", trial))
-    op_all = CdpOperator(np.vstack([op1.masks, op2.masks]))
+    families = [
+        build_cdp_operator(n, r, _trial_seed(cfg.seed, f"cdp-masks-{k}", trial)).masks
+        for k in (1, 2)
+    ]
+    op = CdpOperator(np.vstack(families))
     # unnormalized: per-coordinate masked-DFT intensities then have mean
     # ||x0||^2/n ~ 1, the same scale the noise sigmas are calibrated against
     x0 = sample_complex_gaussian(n, substream(cfg.seed, "signal", trial))
-    return op1, op2, op_all, x0, intensities(op1, x0), intensities(op2, x0)
+    return op, (slice(None, r * n), slice(r * n, None)), x0, intensities(op, x0)
 
 
 def run_cdp_convergence(cfg: ExperimentConfig) -> list[list]:
@@ -354,17 +358,15 @@ def run_recover(cfg: ExperimentConfig) -> tuple[list[list], list[str]]:
     model = parse_model(cfg.model)
     kinds = [parse_init(name) for name in cfg.inits]
     layout = "interleaved" if cfg.refine == "resampled" else "stacked"
-    op1, op2, op_all, x0, b1c, b2c = _gaussian_pairs(cfg, 0, layout)
-    b1, b2, y = observe_pairs(model, b1c, b2c, substream(cfg.seed, "noise", 0))
+    op, pairs, x0, b_clean = _gaussian_pairs(cfg, 0, layout)
+    b, y = observe_pairs(model, b_clean, pairs, substream(cfg.seed, "noise", 0))
+    data = (op, b, y, pairs)
     if cfg.refine == "resampled":
-        init_args, stages = resample_blocks(op_all, b1, b2, y, cfg.epsilon)
-    else:
-        b_all = np.concatenate([b1, b2])
-        init_args = (op1, op2, b1, b2, y, (op_all, b_all))
+        data, stages = resample_blocks(op, b, y, cfg.epsilon)
 
-    inits = {kind: _init(kind, *init_args, cfg, 0) for kind in kinds}
+    inits = {kind: _init(kind, *data, cfg, 0) for kind in kinds}
     candidates = [(kind, rep.estimate) for kind, rep in inits.items()]
-    chosen_kind, x_init = multi_init_select(candidates, *init_args[-1])
+    chosen_kind, x_init = multi_init_select(candidates, data[0], data[1])
 
     rows: list[list] = []
     if cfg.refine == "none":
@@ -374,8 +376,8 @@ def run_recover(cfg: ExperimentConfig) -> tuple[list[list], list[str]]:
     elif cfg.refine == "altmin":
         rows.append(["init", 0, dist_sq(x_init, x0)])
         report = alt_min(
-            op_all,
-            b_all,
+            op,
+            b,
             x_init,
             max_iters=_or(cfg.max_iters, 200),
             tol=_or(cfg.tol, 1e-12),

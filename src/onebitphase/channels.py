@@ -180,22 +180,28 @@ def ratio_weights(b1, b2) -> tuple[np.ndarray, np.ndarray]:
 
 def observe_pairs(
     model: MeasurementModel,
-    b1,
-    b2,
+    b,
+    pairs: tuple[slice, slice],
     rng: Optional[np.random.Generator] = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Push clean pair intensities through the model and keep one bit per pair.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Push clean intensities through the model and keep one bit per pair.
 
-    Returns the observed intensities and their signs ``(b1_obs, b2_obs, y)``.
-    Deterministic strictly increasing distortions cannot change any pair
-    comparison, so their signs are taken from the clean intensities
+    ``pairs`` places the two members of each pair in ``b`` (see
+    :func:`~onebitphase.sensing.build_paired_ensemble`).  The model is applied
+    to family 1 and then to family 2, and ``(b_obs, y)`` are the observed
+    intensities, in the order of ``b``, and the sign of each pair
+    difference.  Deterministic strictly increasing distortions cannot change
+    any pair comparison, so their signs are taken from the clean intensities
     (identical by monotonicity, and immune to float saturation).
     """
-    b1_obs = apply_model(model, b1, rng)
-    b2_obs = apply_model(model, b2, rng)
-    if isinstance(model, _RANK_PRESERVING):
-        return b1_obs, b2_obs, quantize(b1, b2)
-    return b1_obs, b2_obs, quantize(b1_obs, b2_obs)
+    b = np.asarray(b, dtype=float)
+    if not 2 * b[pairs[0]].size == 2 * b[pairs[1]].size == b.size:
+        raise ValueError(f"pairs {pairs} do not split {b.shape} intensities into two families")
+    b_obs = np.empty_like(b)
+    for family in pairs:
+        b_obs[family] = apply_model(model, b[family], rng)
+    signed = b if isinstance(model, _RANK_PRESERVING) else b_obs
+    return b_obs, quantize(signed[pairs[0]], signed[pairs[1]])
 
 
 def lambda_closed_form(model: MeasurementModel) -> Optional[float]:

@@ -69,48 +69,22 @@ def random_init(n: int, seed) -> np.ndarray:
 # spectral estimators
 
 
-def one_bit_terms(op1, op2, y, weights=None) -> list:
-    """Surrogate terms of the sign data: (A1, y w1) and (A2, -y w2).
-
-    ``weights`` is the pair (w1, w2) of ratio weights; without it both are 1.
-    """
-    y = np.asarray(y, dtype=float)
-    if weights is None:
-        return [(op1, y), (op2, -y)]
-    w1, w2 = weights
-    return [(op1, y * w1), (op2, -(y * w2))]
-
-
-def surrogate_matvec(terms) -> Callable[[np.ndarray], np.ndarray]:
-    """Action of S = (1/m) sum_k A_k* Diag(c_k) A_k on r, in O(cost of A_k).
-
-    ``terms`` holds (operator, coefficients) pairs; any operator with
-    ``apply``/``adjoint`` serves, and m is the common coefficient length.
-    """
-    terms = [(op, np.asarray(c, dtype=float)) for op, c in terms]
-    if not terms:
-        raise ValueError("the surrogate needs at least one term")
-    (op0, c0), rest = terms[0], terms[1:]
-    m = c0.size
-    for op, c in terms:
-        if op.n != op0.n:
-            raise ValueError(f"operators act on dimensions {op.n} and {op0.n}")
-        if c.shape != (op.out_dim,):
-            raise ValueError(f"coefficients have shape {c.shape}, expected ({op.out_dim},)")
-        if c.size != m:
-            raise ValueError(f"coefficient lengths {c.size} and {m} differ")
+def surrogate_matvec(op, c) -> Callable[[np.ndarray], np.ndarray]:
+    """Action of S = (1/M) A* Diag(c) A on r, M = ``op.out_dim``: one apply
+    and one adjoint of any operator with ``apply``/``adjoint``."""
+    c = np.asarray(c, dtype=float)
+    if c.shape != (op.out_dim,):
+        raise ValueError(f"coefficients have shape {c.shape}, expected ({op.out_dim},)")
 
     def matvec(r):
-        out = op0.adjoint(c0 * op0.apply(r))
-        for op, c in rest:
-            out = out + op.adjoint(c * op.apply(r))
-        return out / m
+        return op.adjoint(c * op.apply(r)) / c.size
 
     return matvec
 
 
 def spectral_estimate(
-    terms,
+    op,
+    c,
     tol: float = 1e-8,
     max_iters: int = 1000,
     seed: int = 0,
@@ -123,9 +97,8 @@ def spectral_estimate(
     eigenvalue of larger magnitude does not capture the estimate, and
     ``lambda_hat`` is the top eigenvalue clipped at 0.
     """
-    terms = list(terms)
     theta, vec, residuals, converged = lanczos(
-        surrogate_matvec(terms), terms[0][0].n, tol, max_iters, seed
+        surrogate_matvec(op, c), op.n, tol, max_iters, seed
     )
     return RecoveryReport(
         estimate=vec,
@@ -138,43 +111,47 @@ def spectral_estimate(
 
 def initial_estimate(
     kind: InitKind,
-    op1,
-    op2,
-    b1,
-    b2,
+    op,
+    b,
     y,
-    stacked,
+    pairs,
     seed,
     tol: float = 1e-8,
     max_iters: int = 1000,
 ) -> RecoveryReport:
     """Initial estimate of the given kind from paired observations.
 
-    ``op1`` and ``op2`` measure the two members of each pair, ``b1``/``b2``
-    are the observed pair intensities and ``y`` their signs.  ``stacked`` is
-    the (operator, intensities) term of all measurements at once: the subexp
-    surrogate, and the dimension of the random start.  ``seed`` drives the
+    ``op`` measures all M measurements, ``b`` holds their observed
+    intensities in ``op``'s output order, ``y`` one sign per pair, and
+    ``pairs`` the two slices of ``b`` that hold the members of each pair.
+    Each spectral kind is one surrogate (1/M) A* Diag(c) A: c = b for
+    subexp, and c = 2 y w1 on family 1 and -2 y w2 on family 2 for the
+    one-bit kinds (w = 1 for onebit, the pair ratio weights for
+    weighted1bit).  With M = 2m the factor 2 makes that the paper's
+    (1/m) sum_i y_i (w1_i a1_i a1_i* - w2_i a2_i a2_i*).  ``seed`` drives the
     random vector or the Lanczos start vector.  Negative or non-finite
     intensities are rejected here, before the first matvec.
     """
     kind = InitKind(kind)
-    op_all, b_all = stacked
-    stacked = (op_all, _checked_intensities(b_all))
+    b = _checked_intensities(b)
     if kind is InitKind.RANDOM:
         return RecoveryReport(
-            estimate=random_init(stacked[0].n, seed),
+            estimate=random_init(op.n, seed),
             lambda_hat=0.0,
             iterations=0,
             trace=[],
             converged=True,
         )
     if kind is InitKind.SUBEXP:
-        return spectral_estimate([stacked], tol, max_iters, seed)
-    weights = None
+        return spectral_estimate(op, b, tol, max_iters, seed)
+    w1, w2 = 1.0, 1.0
     if kind is InitKind.WEIGHTED_ONEBIT:
-        weights = ratio_weights(_checked_intensities(b1), _checked_intensities(b2))
-    terms = one_bit_terms(op1, op2, y, weights)
-    return spectral_estimate(terms, tol, max_iters, seed)
+        w1, w2 = ratio_weights(b[pairs[0]], b[pairs[1]])
+    two_y = 2.0 * np.asarray(y, dtype=float)
+    c = np.zeros(b.shape)
+    c[pairs[0]] = two_y * w1
+    c[pairs[1]] = -two_y * w2
+    return spectral_estimate(op, c, tol, max_iters, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -257,31 +234,31 @@ def alt_min(
     )
 
 
-def resample_blocks(op_all, b1, b2, y, epsilon: float) -> tuple:
+def resample_blocks(op, b, y, epsilon: float) -> tuple:
     """Split paired measurements into an init block and ceil(log(1/epsilon))
-    disjoint refinement blocks, every one a view of ``op_all``.
+    disjoint refinement blocks, every one a view of ``op``.
 
-    ``op_all`` is the :class:`MatrixOperator` of all 2m rows in the
-    interleaved sequence a1_1, a2_1, a1_2, ... of
-    ``build_paired_ensemble(..., layout="interleaved")``; ``b1``/``b2`` are
-    the intensities of each pair family and ``y`` one sign per pair.  The
-    blocks are contiguous and equal in that sequence, with any leftover rows
-    in block 0.  Returns ``(init_args, stages)``: ``init_args`` is block 0 as
-    the ``(op1, op2, b1, b2, y, stacked)`` arguments of
-    :func:`initial_estimate`, and ``stages`` holds the ``(operator, b)`` of
-    each later block, for :func:`alt_min_resampled`.
+    ``op`` is the :class:`MatrixOperator` of all 2m rows in the interleaved
+    sequence a1_1, a2_1, a1_2, ... of
+    ``build_paired_ensemble(..., layout="interleaved")``, ``b`` their
+    intensities in that order and ``y`` one sign per pair.  The blocks are
+    contiguous and equal in that sequence, with any leftover rows in block
+    0.  Returns ``(init_data, stages)``: ``init_data`` is block 0 as the
+    ``(op, b, y, pairs)`` arguments of :func:`initial_estimate`, and
+    ``stages`` holds the ``(operator, b)`` of each later block, for
+    :func:`alt_min_resampled`.  An odd leftover measurement of block 0 has
+    no partner, so the one-bit surrogates give it coefficient 0.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    total, n = op_all.rows.shape
+    total, n = op.rows.shape
     if total % 2:
-        raise ValueError(f"op_all has shape {op_all.rows.shape}; pairs need an even row count")
-    m = total // 2
-    b1, b2 = _checked_intensities(b1), _checked_intensities(b2)
+        raise ValueError(f"op has shape {op.rows.shape}; pairs need an even row count")
+    b = _checked_intensities(b)
     y = np.asarray(y, dtype=float)
-    for name, v in (("b1", b1), ("b2", b2), ("y", y)):
-        if v.shape != (m,):
-            raise ValueError(f"{name} has shape {v.shape}, expected ({m},)")
+    for name, v, length in (("b", b, total), ("y", y, total // 2)):
+        if v.shape != (length,):
+            raise ValueError(f"{name} has shape {v.shape}, expected ({length},)")
     blocks = ceil(log(1.0 / epsilon)) + 1
     size = total // blocks
     if size < n:
@@ -290,21 +267,13 @@ def resample_blocks(op_all, b1, b2, y, epsilon: float) -> tuple:
             f"({blocks} blocks of >= {n}); got {total}"
         )
     first = total - size * (blocks - 1)
-    pairs = first // 2
-    if pairs == 0:
+    m0 = first // 2  # pairs in block 0
+    if m0 == 0:
         raise ValueError("initialization block has no measurement pairs")
-    b = np.empty(total)
-    b[0::2], b[1::2] = b1, b2
-    init_args = (
-        op_all[0 : 2 * pairs : 2],
-        op_all[1 : 2 * pairs : 2],
-        b1[:pairs],
-        b2[:pairs],
-        y[:pairs],
-        (op_all[:first], b[:first]),
-    )
-    stages = [(op_all[lo : lo + size], b[lo : lo + size]) for lo in range(first, total, size)]
-    return init_args, stages
+    pairs = (slice(0, 2 * m0, 2), slice(1, 2 * m0, 2))
+    init_data = (op[:first], b[:first], y[:m0], pairs)
+    stages = [(op[lo : lo + size], b[lo : lo + size]) for lo in range(first, total, size)]
+    return init_data, stages
 
 
 def alt_min_resampled(

@@ -191,36 +191,36 @@ MeasurementOperator = Union[MatrixOperator, CdpOperator]
 
 def build_paired_ensemble(
     n: int, m: int, seed: int, layout: str = "stacked"
-) -> tuple[MatrixOperator, MatrixOperator, MatrixOperator]:
+) -> tuple[MatrixOperator, tuple[slice, slice]]:
     """m pairs of complex Gaussian sensing rows in C^n, drawn into one
     (2m, n) array: pair k measures row k of each family.
 
-    Returns ``(op1, op2, op_all)``, all views of that array: one operator
-    per family and one over all 2m rows.  ``layout`` places the families:
-    ``"stacked"`` at ``rows[:m]`` and ``rows[m:]``, ``"interleaved"`` at
-    ``rows[0::2]`` and ``rows[1::2]`` (a1_1, a2_1, a1_2, ...).
+    Returns ``(op, pairs)``: the operator over all 2m rows and the two
+    slices that place the families in its rows and outputs.  ``layout``
+    places them: ``"stacked"`` at ``[:m]`` and ``[m:]``, ``"interleaved"`` at
+    ``[0::2]`` and ``[1::2]`` (a1_1, a2_1, a1_2, ...); ``op[pairs[k]]`` is a
+    view of one family.
 
     Family 2 is drawn on one short-lived worker thread while the caller
     draws family 1.  Each family has its own generator, so the rows are the
     same bits as drawing them one after the other.
     """
     if layout == "stacked":
-        families = (slice(None, m), slice(m, None))
+        pairs = (slice(None, m), slice(m, None))
     elif layout == "interleaved":
-        families = (slice(0, None, 2), slice(1, None, 2))
+        pairs = (slice(0, None, 2), slice(1, None, 2))
     else:
         raise ValueError(f"unknown pair layout {layout!r}; expected stacked or interleaved")
     rows = np.empty((2 * m, n), dtype=np.complex128)
 
     def draw(k: int) -> None:
-        sample_complex_gaussian((m, n), substream(seed, "paired-rows", k), out=rows[families[k - 1]])
+        sample_complex_gaussian((m, n), substream(seed, "paired-rows", k), out=rows[pairs[k - 1]])
 
     with ThreadPoolExecutor(1) as worker:
         second = worker.submit(draw, 2)
         draw(1)
         second.result()
-    op_all = MatrixOperator(rows)
-    return op_all[families[0]], op_all[families[1]], op_all
+    return MatrixOperator(rows), pairs
 
 
 def build_plain_ensemble(n: int, m: int, seed: int) -> MatrixOperator:

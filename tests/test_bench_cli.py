@@ -10,8 +10,8 @@ from onebitphase import bench, cli, numkit, recovery, sensing
 from onebitphase.bench import ConfigError, ExperimentConfig
 from onebitphase.channels import quantize
 from onebitphase.numkit import dist_sq
-from onebitphase.recovery import one_bit_terms, surrogate_matvec
-from onebitphase.sensing import build_cdp_operator, intensities, substream
+from onebitphase.recovery import surrogate_matvec
+from onebitphase.sensing import CdpOperator, build_cdp_operator, intensities, substream
 
 from _oracles import dense_one_bit_matrix
 
@@ -191,10 +191,13 @@ class TestConvergenceRuns:
         n = 8
         op1 = build_cdp_operator(n, 2, seed=11)
         op2 = build_cdp_operator(n, 2, seed=12)
+        # one operator over both mask families: family 1 fills outputs [:2n]
+        op = CdpOperator(np.vstack([op1.masks, op2.masks]))
         rng = substream(11, "x0")
         x0 = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(0.5)
-        y = quantize(intensities(op1, x0), intensities(op2, x0))
-        surrogate = surrogate_matvec(one_bit_terms(op1, op2, y))
+        b = intensities(op, x0)
+        y = quantize(b[: 2 * n], b[2 * n :])
+        surrogate = surrogate_matvec(op, np.concatenate([2 * y, -2 * y]))
 
         eye = np.eye(n, dtype=complex)
         mat1 = np.stack([op1.apply(eye[:, j]) for j in range(n)], axis=1)
@@ -382,6 +385,16 @@ class TestCli:
         assert cli.main(["recover", "--n", "16", "--m", "4", "--refine", "none",
                          "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("refine", ["none", "resampled"])
+    @pytest.mark.parametrize("flag,value", [("--tol", "1e-3"), ("--max-iters", "5")])
+    def test_unread_stopping_rule_exits_2(self, tmp_path, capsys, refine, flag, value):
+        out = tmp_path / "x.csv"
+        rc = cli.main(["recover", "--n", "16", "--ratio", "16", "--refine", refine,
+                       flag, value, "--out", str(out)])
+        assert rc == 2
+        assert f"--refine {refine} reads neither --tol nor --max-iters" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_max_iters_below_one_exits_2(self, tmp_path, capsys):
         runs = [
             ["recover", "--n", "16", "--ratio", "8", "--refine", "none", "--max-iters", "-3"],
@@ -429,6 +442,16 @@ class TestCli:
         assert cli.config_from_args(args).inits == ("onebit",)
         args = parser.parse_args(["altmin-convergence", "--n", "8"])
         assert cli.config_from_args(args).inits == bench.ALL_INITS
+
+    @pytest.mark.parametrize("grid", ["--sigmas", "--alphas", "--etas"])
+    def test_repeated_lambda_grid_exits_2(self, tmp_path, capsys, grid):
+        grids = {"--sigmas": "1", "--alphas": "1", "--etas": "1", grid: "1,2,1"}
+        out = tmp_path / "lam.csv"
+        rc = cli.main(["lambda-sweep", "--samples", "2000",
+                       *(word for item in grids.items() for word in item), "--out", str(out)])
+        assert rc == 2
+        assert f"{grid[2:]} must be distinct" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_repeated_or_empty_alpha_grid_exits_2(self, tmp_path, capsys):
         for alphas in ("0.5,2,0.5", ""):

@@ -22,6 +22,7 @@ from onebitphase.sensing import (
     MatrixOperator,
     build_paired_ensemble,
     intensities,
+    sample_exponential,
     substream,
 )
 
@@ -161,13 +162,18 @@ class TestRatioWeights:
 
 
 def _tiny_ensemble():
-    return MatrixOperator(np.array([[2.0 + 0.0j, 0.0]])), MatrixOperator(np.array([[1.0 + 0.0j, 0.0]]))
+    rows = np.array([[2.0 + 0.0j, 0.0], [1.0 + 0.0j, 0.0]])
+    return MatrixOperator(rows), (slice(None, 1), slice(1, None))
 
 
 def _signs(ens, x0, model=Identity(), rng=None):
     """One bit per pair of ``x0``'s intensities measured through ``model``;
-    ``ens`` holds the two pair-family operators."""
-    return observe_pairs(model, *(intensities(op, x0) for op in ens), rng)[2]
+    ``ens`` is the ``(op, pairs)`` of a paired ensemble."""
+    op, pairs = ens
+    return observe_pairs(model, intensities(op, x0), pairs, rng)[1]
+
+
+STACKED3 = (slice(None, 3), slice(3, None))
 
 
 class TestQuantizeSignal:
@@ -175,19 +181,19 @@ class TestQuantizeSignal:
         assert _signs(_tiny_ensemble(), np.array([1.0 + 0.0j, 0.0]))[0] == 1
 
     def test_scale_invariance(self):
-        ens = build_paired_ensemble(6, 500, seed=1)[:2]
+        ens = build_paired_ensemble(6, 500, seed=1)
         rng = substream(0, "test-signal")
         x0 = (rng.standard_normal(6) + 1j * rng.standard_normal(6)) / np.sqrt(2)
         np.testing.assert_array_equal(_signs(ens, x0), _signs(ens, 5.0 * x0))
 
     def test_no_ties_under_identity(self):
-        ens = build_paired_ensemble(4, 100000, seed=2)[:2]
+        ens = build_paired_ensemble(4, 100000, seed=2)
         rng = substream(0, "test-signal2")
         x0 = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) / np.sqrt(2)
         assert np.all(_signs(ens, x0) != 0)
 
     def test_deterministic_distortion_cannot_flip_signs(self):
-        ens = build_paired_ensemble(8, 2000, seed=3)[:2]
+        ens = build_paired_ensemble(8, 2000, seed=3)
         rng = substream(0, "test-signal3")
         x0 = (rng.standard_normal(8) + 1j * rng.standard_normal(8)) / np.sqrt(2)
         base = _signs(ens, x0)
@@ -195,7 +201,7 @@ class TestQuantizeSignal:
             np.testing.assert_array_equal(_signs(ens, x0, TanhDistortion(alpha)), base)
 
     def test_noise_flips_some_signs(self):
-        ens = build_paired_ensemble(8, 2000, seed=4)[:2]
+        ens = build_paired_ensemble(8, 2000, seed=4)
         rng = substream(0, "test-signal4")
         x0 = (rng.standard_normal(8) + 1j * rng.standard_normal(8)) / np.sqrt(2)
         clean = _signs(ens, x0)
@@ -203,16 +209,33 @@ class TestQuantizeSignal:
         assert np.any(clean != noisy)
 
     def test_weights_shape_and_sum(self):
-        ens = build_paired_ensemble(4, 50, seed=6)[:2]
-        x0 = np.ones(4, dtype=complex)
-        weights = np.stack(ratio_weights(*(intensities(op, x0) for op in ens)), axis=1)
+        op, pairs = build_paired_ensemble(4, 50, seed=6)
+        b = intensities(op, np.ones(4, dtype=complex))
+        weights = np.stack(ratio_weights(b[pairs[0]], b[pairs[1]]), axis=1)
         assert weights.shape == (50, 2)
         np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-14)
 
     def test_non_finite_intensities_rejected(self):
         # a NaN difference used to become a tie through the int8 cast
         with pytest.raises(ValueError, match="finite"):
-            observe_pairs(Identity(), [1.0, np.nan, 2.0], [0.5, 1.0, np.inf])
+            observe_pairs(Identity(), [1.0, np.nan, 2.0, 0.5, 1.0, np.inf], STACKED3)
+
+    @pytest.mark.parametrize(
+        "pairs", [STACKED3, (slice(0, None, 2), slice(1, None, 2))], ids=["stacked", "interleaved"]
+    )
+    @pytest.mark.parametrize("model", [ExponentialNoise(1.0), PoissonNoise(2.0), ClippedGaussianNoise(0.5)])
+    def test_stochastic_model_draws_family_by_family(self, pairs, model):
+        b = sample_exponential(1.0, substream(0, "clean"), size=6)
+        b_obs, y = observe_pairs(model, b, pairs, substream(0, "noise"))
+        rng = substream(0, "noise")
+        b1, b2 = apply_model(model, b[pairs[0]], rng), apply_model(model, b[pairs[1]], rng)
+        np.testing.assert_array_equal(b_obs[pairs[0]], b1)
+        np.testing.assert_array_equal(b_obs[pairs[1]], b2)
+        np.testing.assert_array_equal(y, quantize(b1, b2))
+
+    def test_pairs_must_split_the_intensities(self):
+        with pytest.raises(ValueError, match="two families"):
+            observe_pairs(Identity(), np.ones(7), (slice(None, 3), slice(3, 6)))
 
 
 class TestLambdaClosedForm:

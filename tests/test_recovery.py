@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from onebitphase import recovery
-from onebitphase.channels import Identity, observe_pairs, quantize, ratio_weights
+from onebitphase.channels import Identity, observe_pairs, ratio_weights
 from onebitphase.numkit import dist_sq, phase_op
 from onebitphase.recovery import (
     InitKind,
@@ -12,7 +12,6 @@ from onebitphase.recovery import (
     alt_min_resampled,
     initial_estimate,
     multi_init_select,
-    one_bit_terms,
     parse_init,
     random_init,
     resample_blocks,
@@ -37,37 +36,48 @@ def _unit(rng, n):
     return v / np.linalg.norm(v)
 
 
-def _paired(n, m, seed):
-    """``(op1, op2, op_all)`` of a stacked paired ensemble, and a unit signal."""
-    ops = build_paired_ensemble(n, m, seed=seed)
-    return ops, _unit(substream(seed, "x0"), n)
+def _paired(n, m, seed, layout="stacked"):
+    """``(op, pairs)`` of a paired ensemble, and a unit signal."""
+    return build_paired_ensemble(n, m, seed, layout), _unit(substream(seed, "x0"), n)
 
 
-def _pair_intensities(ops, x0):
-    return tuple(intensities(op, x0) for op in ops[:2])
+def _observed(ens, x0):
+    """The noiseless ``(b, y)`` of ``x0`` measured by ``ens = (op, pairs)``."""
+    op, pairs = ens
+    return observe_pairs(Identity(), intensities(op, x0), pairs)
 
 
-def _init(kind, ops, x0, seed, **kw):
+def _family_rows(ens):
+    op, pairs = ens
+    return op.rows[pairs[0]], op.rows[pairs[1]]
+
+
+def _init(kind, ens, x0, seed, **kw):
     """``initial_estimate`` from the noiseless measured pairs of ``x0``."""
-    op1, op2, op_all = ops
-    b1, b2 = _pair_intensities(ops, x0)
-    _, _, y = observe_pairs(Identity(), b1, b2)
-    stacked = (op_all, np.concatenate([b1, b2]))
-    return initial_estimate(kind, op1, op2, b1, b2, y, stacked, seed, **kw)
+    op, pairs = ens
+    b, y = _observed(ens, x0)
+    return initial_estimate(kind, op, b, y, pairs, seed, **kw)
 
 
 def _subexp(rows, b, seed=0, **kw):
-    """The subexp init reads only its stacked term."""
-    stacked = (MatrixOperator(rows), b)
-    return initial_estimate(InitKind.SUBEXP, None, None, None, None, None, stacked, seed, **kw)
+    """The subexp init reads only the operator and its intensities."""
+    return initial_estimate(InitKind.SUBEXP, MatrixOperator(rows), b, None, None, seed, **kw)
 
 
-def _signs(ops, x0):
-    return quantize(*_pair_intensities(ops, x0))
+def _signs(ens, x0):
+    return _observed(ens, x0)[1]
 
 
-def _one_bit_surrogate(ops, y):
-    return surrogate_matvec(one_bit_terms(*ops[:2], y))
+def _one_bit_coefficients(ens, y):
+    """The onebit surrogate's coefficients: 2y on family 1, -2y on family 2."""
+    op, pairs = ens
+    c = np.zeros(op.out_dim)
+    c[pairs[0]], c[pairs[1]] = 2 * y, -2 * y
+    return c
+
+
+def _one_bit_surrogate(ens, y):
+    return surrogate_matvec(ens[0], _one_bit_coefficients(ens, y))
 
 
 class TestMatrixOperator:
@@ -96,13 +106,14 @@ class TestMatrixOperator:
 
 class TestOneBitMatvec:
     def test_single_pair_by_hand(self):
-        rows1 = np.array([[1.0 + 1.0j, 0.0]])
-        rows2 = np.array([[0.0, 2.0 + 0.0j]])
-        terms = one_bit_terms(MatrixOperator(rows1), MatrixOperator(rows2), np.array([1.0]))
+        rows = np.array([[1.0 + 1.0j, 0.0], [0.0, 2.0 + 0.0j]])
+        ens = (MatrixOperator(rows), (slice(None, 1), slice(1, None)))
         r = np.array([1.0 + 0.0j, 1.0 + 0.0j])
-        a1, a2 = rows1[0], rows2[0]
+        a1, a2 = rows
         expected = a1 * np.vdot(a1, r) - a2 * np.vdot(a2, r)
-        np.testing.assert_allclose(surrogate_matvec(terms)(r), expected, atol=1e-14)
+        np.testing.assert_allclose(
+            _one_bit_surrogate(ens, np.array([1.0]))(r), expected, atol=1e-14
+        )
 
     def test_zero_vector_maps_to_zero(self):
         ops, x0 = _paired(4, 20, seed=1)
@@ -112,7 +123,7 @@ class TestOneBitMatvec:
     def test_matches_dense_assembly(self):
         ops, x0 = _paired(8, 50, seed=2)
         y = _signs(ops, x0)
-        dense = dense_one_bit_matrix(ops[0].rows, ops[1].rows, y)
+        dense = dense_one_bit_matrix(*_family_rows(ops), y)
         rng = substream(2, "probe")
         for _ in range(5):
             r = _unit(rng, 8)
@@ -144,14 +155,13 @@ class TestOneBitPhase:
     def test_matches_dense_oracle_with_shift(self):
         ops, x0 = _paired(8, 200, seed=6)
         report = _init("onebit", ops, x0, 1, tol=1e-12, max_iters=20000)
-        dense = dense_one_bit_matrix(ops[0].rows, ops[1].rows, _signs(ops, x0))
+        dense = dense_one_bit_matrix(*_family_rows(ops), _signs(ops, x0))
         top_val, top_vec = hermitian_top_eig(dense)
         assert dist_sq(report.estimate, top_vec) <= 1e-8
         assert report.lambda_hat == pytest.approx(top_val, abs=1e-6)
 
     def test_signal_scale_invariance(self):
-        ops = build_paired_ensemble(6, 800, seed=7)
-        x0 = _unit(substream(7, "x0"), 6)
+        ops, x0 = _paired(6, 800, seed=7)
         rep1 = _init("onebit", ops, x0, seed=2)
         rep2 = _init("onebit", ops, 3.0 * x0, seed=2)
         np.testing.assert_array_equal(rep1.estimate, rep2.estimate)
@@ -175,30 +185,71 @@ class TestWeightedOneBitPhase:
     def test_matches_dense_oracle_with_shift(self):
         ops, x0 = _paired(8, 200, seed=12)
         report = _init("weighted1bit", ops, x0, 1, tol=1e-12, max_iters=20000)
-        b1, b2 = _pair_intensities(ops, x0)
-        weights = np.stack(ratio_weights(b1, b2), axis=1)
-        dense = dense_one_bit_matrix(ops[0].rows, ops[1].rows, quantize(b1, b2), weights=weights)
+        b, y = _observed(ops, x0)
+        pairs = ops[1]
+        weights = np.stack(ratio_weights(b[pairs[0]], b[pairs[1]]), axis=1)
+        dense = dense_one_bit_matrix(*_family_rows(ops), y, weights=weights)
         _, top_vec = hermitian_top_eig(dense)
         assert dist_sq(report.estimate, top_vec) <= 1e-8
 
     def test_uniform_weights_halve_the_eigenvalue(self):
-        ops = build_paired_ensemble(6, 600, seed=13)
-        x0 = _unit(substream(13, "x0"), 6)
-        y = _signs(ops, x0)
-        half = (np.full(600, 0.5), np.full(600, 0.5))
-        rep_plain = spectral_estimate(one_bit_terms(*ops[:2], y), seed=4)
-        rep_half = spectral_estimate(one_bit_terms(*ops[:2], y, half), seed=4)
+        ops, x0 = _paired(6, 600, seed=13)
+        c = _one_bit_coefficients(ops, _signs(ops, x0))
+        rep_plain = spectral_estimate(ops[0], c, seed=4)
+        rep_half = spectral_estimate(ops[0], 0.5 * c, seed=4)
         np.testing.assert_allclose(rep_half.estimate, rep_plain.estimate, atol=1e-12)
         assert rep_half.lambda_hat == pytest.approx(rep_plain.lambda_hat / 2, rel=1e-10)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
     def test_bad_pair_intensities_rejected(self, bad):
-        ops, x0 = _paired(4, 10, seed=14)
-        b1, b2 = _pair_intensities(ops, x0)
-        b1[3] = bad
-        stacked = (ops[2], np.ones(20))
+        (op, pairs), x0 = _paired(4, 10, seed=14)
+        b, y = _observed((op, pairs), x0)
+        b[3] = bad
         with pytest.raises(ValueError, match="intensities must be finite"):
-            initial_estimate("weighted1bit", *ops[:2], b1, b2, np.ones(10), stacked, 0)
+            initial_estimate("weighted1bit", op, b, y, pairs, 0)
+
+
+class _CountingOperator:
+    """Forwards to ``op`` and counts its applies and adjoints."""
+
+    def __init__(self, op):
+        self.op, self.n, self.out_dim = op, op.n, op.out_dim
+        self.applies = self.adjoints = 0
+
+    def apply(self, x):
+        self.applies += 1
+        return self.op.apply(x)
+
+    def adjoint(self, y):
+        self.adjoints += 1
+        return self.op.adjoint(y)
+
+
+class TestOneSurrogate:
+    @pytest.mark.parametrize("kind", ["onebit", "weighted1bit"])
+    def test_layouts_hold_the_same_pairs(self, kind):
+        # both layouts draw the same family rows from one seed, so only the
+        # order of the summands differs
+        stacked = _init(kind, *_paired(8, 300, seed=9), seed=2, tol=1e-12, max_iters=20000)
+        interleaved = _init(
+            kind, *_paired(8, 300, seed=9, layout="interleaved"), seed=2, tol=1e-12, max_iters=20000
+        )
+        assert dist_sq(stacked.estimate, interleaved.estimate) <= 1e-12
+        assert stacked.lambda_hat == pytest.approx(interleaved.lambda_hat, abs=1e-10)
+
+    @pytest.mark.parametrize("kind", ["subexp", "onebit", "weighted1bit"])
+    @pytest.mark.parametrize("sensing", ["matrix", "cdp"])
+    def test_one_apply_and_one_adjoint_per_matvec(self, kind, sensing):
+        if sensing == "matrix":
+            (op, pairs), x0 = _paired(8, 64, seed=10)
+        else:
+            op = build_cdp_operator(8, 4, seed=10)
+            pairs, x0 = (slice(None, 16), slice(16, None)), _unit(substream(10, "x0"), 8)
+        counting = _CountingOperator(op)
+        b, y = _observed((op, pairs), x0)
+        report = initial_estimate(kind, counting, b, y, pairs, seed=1)
+        assert report.iterations > 1
+        assert counting.applies == counting.adjoints == report.iterations
 
 
 class TestSubexpPhase:
@@ -264,10 +315,8 @@ class TestSubexpPhase:
 
 
 def _altmin_system(n, m, seed):
-    ops = build_paired_ensemble(n, m, seed=seed)
-    x0 = _unit(substream(seed, "x0"), n)
-    op = ops[2]
-    return ops, op.rows, intensities(op, x0), x0
+    ens, x0 = _paired(n, m, seed)
+    return ens, ens[0].rows, intensities(ens[0], x0), x0
 
 
 class TestAltMin:
@@ -373,35 +422,36 @@ class TestAltMin:
             alt_min(MatrixOperator(rows), b, np.ones(4, dtype=complex))
 
 
+INTERLEAVED = (slice(0, None, 2), slice(1, None, 2))
+
+
 def _interleaved(n, m, seed):
-    """``op_all`` of an interleaved paired ensemble, and a unit signal."""
-    op_all = build_paired_ensemble(n, m, seed=seed, layout="interleaved")[2]
-    return op_all, _unit(substream(seed, "x0"), n)
+    """The operator of an interleaved paired ensemble, and a unit signal."""
+    (op, _), x0 = _paired(n, m, seed, "interleaved")
+    return op, x0
 
 
-def _resampled_start(op_all, x0, epsilon, kind, seed=0):
+def _resampled_start(op, x0, epsilon, kind, seed=0):
     """Stages of the resampled schedule over the noiseless pairs of ``x0``,
-    measured by the interleaved rows of ``op_all``, and the block-0 init of
+    measured by the interleaved rows of ``op``, and the block-0 init of
     ``kind``."""
-    b1, b2, y = observe_pairs(Identity(), *_pair_intensities((op_all[0::2], op_all[1::2]), x0))
-    init_args, stages = resample_blocks(op_all, b1, b2, y, epsilon)
-    return stages, initial_estimate(kind, *init_args, seed).estimate
+    init_data, stages = resample_blocks(op, *_observed((op, INTERLEAVED), x0), epsilon)
+    return stages, initial_estimate(kind, *init_data, seed).estimate
 
 
 class TestAltMinResampled:
     def test_single_stage_schedule(self):
-        op_all, x0 = _interleaved(8, 40, seed=27)
+        op, x0 = _interleaved(8, 40, seed=27)
         for kind in InitKind:
-            stages, x_init = _resampled_start(op_all, x0, 0.5, kind)
+            stages, x_init = _resampled_start(op, x0, 0.5, kind)
             report = alt_min_resampled(stages, x_init)
             assert report.iterations == 1, kind
             assert len(report.trace) == 1, kind
 
     def test_insufficient_measurements_error_names_requirement(self):
-        op_all, _ = _interleaved(16, 20, seed=28)
-        ones = np.ones(20)
+        op, _ = _interleaved(16, 20, seed=28)
         with pytest.raises(ValueError, match="64"):
-            resample_blocks(op_all, ones, ones, ones, epsilon=0.1)
+            resample_blocks(op, np.ones(40), np.ones(20), epsilon=0.1)
 
     def test_reaches_target_accuracy(self):
         n, eps = 32, 0.1
@@ -409,8 +459,8 @@ class TestAltMinResampled:
         pairs = 40 * n * stages // 2
         good = 0
         for seed in range(20):
-            op_all, x0 = _interleaved(n, pairs, seed=200 + seed)
-            blocks, x_init = _resampled_start(op_all, x0, eps, InitKind.ONEBIT, seed)
+            op, x0 = _interleaved(n, pairs, seed=200 + seed)
+            blocks, x_init = _resampled_start(op, x0, eps, InitKind.ONEBIT, seed)
             report = alt_min_resampled(blocks, x_init)
             assert report.iterations == stages
             if dist_sq(report.estimate, x0) <= eps**2:
@@ -422,9 +472,9 @@ class TestAltMinResampled:
         pairs = 40 * n * 3 // 2
         good = 0
         for seed in range(20):
-            op_all, x0 = _interleaved(n, pairs, seed=300 + seed)
+            op, x0 = _interleaved(n, pairs, seed=300 + seed)
             errs = []
-            stages, x_init = _resampled_start(op_all, x0, eps, InitKind.ONEBIT, seed)
+            stages, x_init = _resampled_start(op, x0, eps, InitKind.ONEBIT, seed)
             alt_min_resampled(
                 stages, x_init, callback=lambda t, x: errs.append(dist_sq(x, x0))
             )
@@ -433,8 +483,8 @@ class TestAltMinResampled:
         assert good >= 18
 
     def test_each_stage_is_the_exact_least_squares_step(self):
-        op_all, x0 = _interleaved(8, 96, seed=33)
-        stages, x_init = _resampled_start(op_all, x0, 0.1, InitKind.ONEBIT)
+        op, x0 = _interleaved(8, 96, seed=33)
+        stages, x_init = _resampled_start(op, x0, 0.1, InitKind.ONEBIT)
         seen = []
         report = alt_min_resampled(stages, x_init, callback=lambda t, x: seen.append(x))
         x = x_init
@@ -455,48 +505,51 @@ class TestAltMinResampled:
         assert dist_sq(report.estimate, x0) <= 0.25
 
     def test_epsilon_domain(self):
-        op_all, _ = _interleaved(4, 100, seed=30)
-        ones = np.ones(100)
+        op, _ = _interleaved(4, 100, seed=30)
         for eps in (0.0, 1.0, 1.5):
             with pytest.raises(ValueError):
-                resample_blocks(op_all, ones, ones, ones, eps)
+                resample_blocks(op, np.ones(200), np.ones(100), eps)
 
     def test_block_layout(self):
         # 15 pairs in 4 blocks: block 0 takes 9 of the 30 interleaved
         # measurements, an odd count, and each stage takes 7
-        ops = build_paired_ensemble(3, 15, seed=31, layout="interleaved")
+        op, pairs = build_paired_ensemble(3, 15, seed=31, layout="interleaved")
         b1, b2, y = np.arange(15.0), np.arange(15.0) + 15, np.sign(np.arange(15.0) - 7)
-        init_args, stages = resample_blocks(ops[2], b1, b2, y, epsilon=0.1)
+        b = np.empty(30)
+        b[pairs[0]], b[pairs[1]] = b1, b2
+        init_data, stages = resample_blocks(op, b, y, epsilon=0.1)
+        families = (op[pairs[0]], op[pairs[1]])
 
-        def assert_interleaved(op, b, lo):
-            """``op``/``b`` hold measurements lo, lo+1, ... of a1_1, a2_1, a1_2, ...,
-            and ``op`` is a view of the ensemble's rows."""
-            assert np.shares_memory(op.rows, ops[2].rows)
-            assert len(b) == op.out_dim
-            for i, j in enumerate(range(lo, lo + op.out_dim)):
-                np.testing.assert_array_equal(op.rows[i], ops[j % 2].rows[j // 2])
-                assert b[i] == (b1, b2)[j % 2][j // 2]
+        def assert_interleaved(block, b_block, lo):
+            """``block``/``b_block`` hold measurements lo, lo+1, ... of
+            a1_1, a2_1, a1_2, ..., and ``block`` is a view of the ensemble's
+            rows."""
+            assert np.shares_memory(block.rows, op.rows)
+            assert len(b_block) == block.out_dim
+            for i, j in enumerate(range(lo, lo + block.out_dim)):
+                np.testing.assert_array_equal(block.rows[i], families[j % 2].rows[j // 2])
+                assert b_block[i] == (b1, b2)[j % 2][j // 2]
 
-        op1, op2, c1, c2, y0, (op_all, b_all) = init_args
-        for op, family in ((op1, ops[0]), (op2, ops[1])):
-            assert np.shares_memory(op.rows, ops[2].rows)
-            np.testing.assert_array_equal(op.rows, family.rows[:4])
-        for got, want in ((c1, b1), (c2, b2), (y0, y)):
-            np.testing.assert_array_equal(got, want[:4])
-        assert op_all.out_dim == 9
-        assert_interleaved(op_all, b_all, 0)
+        op0, b0, y0, pairs0 = init_data
+        assert op0.out_dim == 9
+        assert_interleaved(op0, b0, 0)
+        # the 9th measurement has no partner in block 0
+        for family, clean, block in zip(families, (b1, b2), pairs0):
+            np.testing.assert_array_equal(op0.rows[block], family.rows[:4])
+            np.testing.assert_array_equal(b0[block], clean[:4])
+        np.testing.assert_array_equal(y0, y[:4])
         assert [op.out_dim for op, _ in stages] == [7, 7, 7]
-        for k, (op, b_stage) in enumerate(stages):
-            assert_interleaved(op, b_stage, 9 + 7 * k)
+        for k, (stage, b_stage) in enumerate(stages):
+            assert_interleaved(stage, b_stage, 9 + 7 * k)
 
-    @pytest.mark.parametrize("bad", ["op2", "b1", "b2", "y"])
+    @pytest.mark.parametrize("bad", ["op2", "b", "y"])
     def test_shape_mismatch_rejected(self, bad):
-        op_all, _ = _interleaved(4, 40, seed=32)
-        args = dict(op_all=op_all, b1=np.ones(40), b2=np.ones(40), y=np.ones(40))
+        op, _ = _interleaved(4, 40, seed=32)
+        args = dict(op=op, b=np.ones(80), y=np.ones(40))
         if bad == "op2":
-            args["op_all"] = op_all[:-1]  # the second family is a row short
+            args["op"] = op[:-1]  # the second family is a row short
         else:
-            args[bad] = np.ones(39)
+            args[bad] = np.ones(args[bad].size - 1)
         with pytest.raises(ValueError, match="shape"):
             resample_blocks(epsilon=0.5, **args)
 

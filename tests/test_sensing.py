@@ -27,6 +27,12 @@ def _unit(rng, n):
     return v / np.linalg.norm(v)
 
 
+def _families(seed, n, m, layout="stacked"):
+    """The two pair families of a paired ensemble, as views of its rows."""
+    op, pairs = build_paired_ensemble(n, m, seed, layout)
+    return op[pairs[0]], op[pairs[1]]
+
+
 def _reference_gaussian(shape, rng):
     """The draw order of every seeded ensemble: all real parts, then all
     imaginary parts, each one full ``standard_normal`` call."""
@@ -93,9 +99,9 @@ class TestComplexGaussian:
 
 class TestEnsembles:
     def test_paired_regenerates_identically(self):
-        first, again = build_paired_ensemble(6, 40, seed=3), build_paired_ensemble(6, 40, seed=3)
-        for op, same in zip(first, again):
-            np.testing.assert_array_equal(op.rows, same.rows)
+        (first, pairs), (again, same_pairs) = (build_paired_ensemble(6, 40, seed=3) for _ in "ab")
+        np.testing.assert_array_equal(first.rows, again.rows)
+        assert pairs == same_pairs
 
     def test_build_leaves_no_thread_running(self):
         before = threading.enumerate()
@@ -103,19 +109,18 @@ class TestEnsembles:
         assert threading.enumerate() == before
 
     def test_pair_families_differ(self):
-        op1, op2, _ = build_paired_ensemble(6, 40, seed=3)
+        op1, op2 = _families(3, 6, 40)
         assert not np.array_equal(op1.rows, op2.rows)
 
     @pytest.mark.parametrize("layout", ["stacked", "interleaved"])
     def test_layout_places_the_same_families(self, layout):
         # (300, 700) spans several draw chunks and ends in a ragged one
         for n, m, seed in [(5, 12, 4), (300, 700, 5)]:
-            op1, op2, op_all = build_paired_ensemble(n, m, seed, layout)
+            op_all, pairs = build_paired_ensemble(n, m, seed, layout)
             assert op_all.rows.shape == (2 * m, n)
-            for k, op in enumerate((op1, op2), start=1):
+            for k, family in enumerate(pairs, start=1):
                 want = _reference_gaussian((m, n), substream(seed, "paired-rows", k))
-                np.testing.assert_array_equal(op.rows, want)
-                assert np.shares_memory(op.rows, op_all.rows)
+                np.testing.assert_array_equal(op_all.rows[family], want)
 
     def test_unknown_layout_rejected(self):
         with pytest.raises(ValueError, match="layout"):
@@ -137,7 +142,7 @@ class TestEnsembles:
         assert np.max(np.abs(cov - np.eye(4))) < 0.05
 
     def test_intensity_matches_vectorized_path(self):
-        op1, op2, _ = build_paired_ensemble(6, 20, seed=5)
+        op1, op2 = _families(5, 6, 20)
         rng = np.random.default_rng(2)
         x = _unit(rng, 6)
         b1, b2 = intensities(op1, x), intensities(op2, x)
@@ -145,14 +150,14 @@ class TestEnsembles:
         assert b2[7] == pytest.approx(abs(np.vdot(op2.rows[7], x)) ** 2)
 
     def test_row_intensities_match_conjugated_rows_bit_for_bit(self):
-        op1, op2, op_all = build_paired_ensemble(12, 64, seed=6)
+        op_all, pairs = build_paired_ensemble(12, 64, seed=6)
         rows = op_all.rows
         x = _unit(np.random.default_rng(3), 12)
         for view in (rows, rows[0::2], rows[1::2]):
             np.testing.assert_array_equal(
                 intensities(MatrixOperator(view), x), np.abs(view.conj() @ x) ** 2
             )
-        for op in (op1, op2):
+        for op in (op_all, op_all[pairs[0]], op_all[pairs[1]]):
             np.testing.assert_array_equal(intensities(op, x), np.abs(op.rows.conj() @ x) ** 2)
 
 
@@ -178,7 +183,7 @@ class TestMeasurementLaws:
         assert stat <= 0.015
 
     def test_pair_gap_is_exponential(self):
-        op1, op2, _ = build_paired_ensemble(8, 100000, seed=15)
+        op1, op2 = _families(15, 8, 100000)
         rng = np.random.default_rng(5)
         x = _unit(rng, 8)
         b1, b2 = intensities(op1, x), intensities(op2, x)
@@ -186,7 +191,7 @@ class TestMeasurementLaws:
         assert stat <= 0.01
 
     def test_pair_ratio_is_uniform(self):
-        op1, op2, _ = build_paired_ensemble(8, 100000, seed=16)
+        op1, op2 = _families(16, 8, 100000)
         rng = np.random.default_rng(6)
         x = _unit(rng, 8)
         b1, b2 = intensities(op1, x), intensities(op2, x)
@@ -348,7 +353,7 @@ class TestOperatorBoundary:
         _operators() + [
             # a strided family: rows.T is not Fortran-ordered, so the Gram
             # update works on a copy
-            build_paired_ensemble(6, 10, seed=44, layout="interleaved")[2][0::2],
+            _families(44, 6, 10, "interleaved")[0],
             # real rows, which the constructor accepts
             MatrixOperator(np.random.default_rng(45).standard_normal((14, 6))),
         ],
@@ -370,14 +375,14 @@ class TestPeakMemory:
     def test_paired_build_allocates_little_beyond_its_rows(self, layout):
         tracemalloc.start()
         try:
-            *_, op_all = build_paired_ensemble(256, 4096, 12, layout)
+            op_all, _ = build_paired_ensemble(256, 4096, 12, layout)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= op_all.rows.nbytes + 2 * MIB
 
     def test_first_lsq_solve_makes_no_copy_of_the_rows(self):
-        *_, op_all = build_paired_ensemble(256, 2048, 13, "interleaved")
+        op_all, _ = build_paired_ensemble(256, 2048, 13, "interleaved")
         stage = op_all[:2730]
         y = np.ones(stage.out_dim, dtype=complex)
         tracemalloc.start()
