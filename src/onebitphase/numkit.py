@@ -9,10 +9,11 @@ conjugate copy of the rows.
 
 from __future__ import annotations
 
+from math import isfinite
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz, dstein
 
 ComplexVec = np.ndarray
 
@@ -65,12 +66,47 @@ def sample_complex_gaussian(shape, rng: np.random.Generator, out=None) -> np.nda
 
 
 def phase_op(z) -> np.ndarray:
-    """Entrywise phase z / |z|, mapping (near-)zero entries to 1 + 0j."""
+    """Entrywise phase z / |z|, mapping (near-)zero entries to 1 + 0j.
+
+    One divide: the magnitudes below ``PHASE_FLOOR`` become 1 in place before
+    it and their quotients 1 + 0j after it, so ``z`` itself is never written.
+    """
     z = np.asarray(z, dtype=np.complex128)
     mag = np.abs(z)
     tiny = mag < PHASE_FLOOR
-    out = np.where(tiny, 1.0 + 0.0j, z / np.where(tiny, 1.0, mag))
+    mag[tiny] = 1.0
+    out = z / mag
+    out[tiny] = 1.0
     return out
+
+
+def _check_lapack(info: int, routine: str) -> None:
+    """Raise on a LAPACK ``info`` code as ``scipy.linalg`` does: an illegal
+    argument is a ValueError, a failure to converge a LinAlgError."""
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine}")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{routine} did not converge (LAPACK info={info})")
+
+
+def _top_ritz_pair(d: np.ndarray, e: np.ndarray) -> tuple[float, np.ndarray]:
+    """Largest eigenpair of the symmetric tridiagonal matrix with diagonal
+    ``d`` and off-diagonal ``e``: bisection (``dstebz``) for the eigenvalue,
+    inverse iteration (``dstein``) for its unit eigenvector.
+
+    These are the routines ``scipy.linalg.eigh_tridiagonal(select="i")``
+    calls, with the same arguments, so the pair is the same bits; calling
+    them directly skips its per-call argument checks.  The entries are not
+    inspected here.
+    """
+    j = d.size
+    if j == 1:
+        return float(d[0]), np.ones(1)
+    m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, j, j, 0.0, "B")
+    _check_lapack(info, "stebz")
+    vecs, info = dstein(d, e, w[:m], iblock, isplit)
+    _check_lapack(info, "stein")
+    return float(w[0]), vecs[:, 0]
 
 
 def lanczos(
@@ -86,11 +122,14 @@ def lanczos(
     The Krylov basis starts from a seeded random complex vector, and each new
     vector is orthogonalized twice against every stored one, so the basis
     grows by one vector per matvec.  After each matvec the top Ritz pair
-    (theta, s) of the tridiagonal projection comes from ``eigh_tridiagonal``;
-    the run stops, converged, once the Ritz residual beta_j |s_j| is at most
-    ``tol * |theta|`` or the Krylov space has dimension n, where the Ritz pair
-    is exact.  ``max_iters`` caps the matvecs; a run that spends them all
-    first returns the current Ritz vector unconverged.
+    (theta, s) of the tridiagonal projection comes from LAPACK bisection and
+    inverse iteration (``stebz``/``stein``, the routines behind
+    ``scipy.linalg.eigh_tridiagonal(select="i")``); a non-finite tridiagonal
+    entry raises ValueError and a LAPACK failure LinAlgError.  The run stops,
+    converged, once the Ritz residual beta_j |s_j| is at most ``tol *
+    |theta|`` or the Krylov space has dimension n, where the Ritz pair is
+    exact.  ``max_iters`` caps the matvecs; a run that spends them all first
+    returns the current Ritz vector unconverged.
 
     Returns:
         (theta, unit Ritz vector, Ritz residual after each matvec, converged)
@@ -105,8 +144,8 @@ def lanczos(
     size = min(n, max_iters)
     basis = np.empty((min(size, 32), n), dtype=np.complex128)
     basis[0] = q / np.linalg.norm(q)
-    alpha: list = []
-    beta: list = []
+    alpha = np.empty(size)
+    beta = np.empty(size)
     residuals: list = []
     for j in range(1, size + 1):
         w = np.asarray(matvec(basis[j - 1]), dtype=np.complex128)
@@ -120,13 +159,12 @@ def lanczos(
             h = np.conj(q_j @ np.conj(w))
             w = w - q_j.T @ h
             a += h[-1].real
-        alpha.append(a)
-        beta.append(float(np.linalg.norm(w)))
-        top, vecs = eigh_tridiagonal(
-            alpha, beta[:-1], select="i", select_range=(j - 1, j - 1)
-        )
-        theta, s = float(top[0]), vecs[:, 0]
-        residuals.append(beta[-1] * float(abs(s[-1])))
+        b = float(np.linalg.norm(w))
+        if not (isfinite(a) and isfinite(b)):
+            raise ValueError("lanczos: tridiagonal entries must be finite")
+        alpha[j - 1], beta[j - 1] = a, b
+        theta, s = _top_ritz_pair(alpha[:j], beta[: j - 1])
+        residuals.append(b * float(abs(s[-1])))
         converged = bool(residuals[-1] <= tol * abs(theta) or j == n)
         if converged or j == size:
             break
@@ -134,7 +172,7 @@ def lanczos(
             grown = np.empty((min(size, 2 * j), n), dtype=np.complex128)
             grown[:j] = basis
             basis = grown
-        basis[j] = w / beta[-1]
+        basis[j] = w / b
     vec = basis[:j].T @ s
     return theta, vec / np.linalg.norm(vec), residuals, converged
 

@@ -202,26 +202,39 @@ def alt_min(
     beta = RAAR_BETA
     converged = False
     trace: list = []
-    z = np.asarray(op.apply(x), dtype=np.complex128)
+    # a copy, so that z is this loop's own buffer (see below)
+    z = np.array(op.apply(x), dtype=np.complex128)
     if z.shape != b.shape:
         raise ValueError(f"operator output {z.shape} does not match b {b.shape}")
     a_w = z
     best_obj, best_x = np.inf, x
     iters = 0
+    # The relaxation z_new = beta z + (1 - 2 beta) p + beta (2 a_x - a_w) is
+    # written in place: z and ``spare`` swap roles each iteration, and ``tmp``
+    # holds each intermediate.  Every product keeps its operand order, so the
+    # iterates are the same bits as the expression.
+    spare, tmp = np.empty_like(z), np.empty_like(z)
     for k in range(1, max_iters + 1):
-        p = sqrt_b * phase_op(z)
+        p = phase_op(z)
+        np.multiply(sqrt_b, p, out=p)
         x = op.lsq_solve(p)
         a_x = np.asarray(op.apply(x), dtype=np.complex128)
-        obj = float(np.sum((np.abs(a_x) - sqrt_b) ** 2))
+        mag = np.abs(a_x)
+        np.subtract(mag, sqrt_b, out=mag)
+        obj = float(np.sum(np.square(mag, out=mag)))
         if obj < best_obj:
             best_obj, best_x = obj, x
         iters = k
         trace.append((k, best_obj))
         if callback is not None:
             callback(k, best_x)
-        z_new = beta * z + (1.0 - 2.0 * beta) * p + beta * (2.0 * a_x - a_w)
-        step = float(np.linalg.norm(z_new - z) ** 2)
-        z, a_w = z_new, a_x
+        z_new = np.multiply(beta, z, out=spare)
+        z_new += np.multiply(1.0 - 2.0 * beta, p, out=tmp)
+        np.multiply(2.0, a_x, out=tmp)
+        np.subtract(tmp, a_w, out=tmp)
+        z_new += np.multiply(beta, tmp, out=tmp)
+        step = float(np.linalg.norm(np.subtract(z_new, z, out=tmp)) ** 2)
+        spare, z, a_w = z, z_new, a_x
         if step <= tol * float(np.linalg.norm(z) ** 2):
             converged = True
             break

@@ -10,7 +10,8 @@ A measurement operator is anything with ``n``, ``out_dim``, ``apply``,
 construction, and a view ``op[key]`` over some of its rows is not checked
 again; ``apply``/``adjoint`` check only the length of their input.
 ``lsq_solve(y)`` is the exact least-squares step argmin_x ||A x - y||, whose
-normal-matrix work each operator caches on first use.
+normal-matrix work each operator caches on first use; it rejects a
+non-finite ``y``.
 """
 
 from __future__ import annotations
@@ -67,6 +68,19 @@ def _checked_matrix(a: np.ndarray, name: str) -> None:
     # A NaN or inf entry makes the sum NaN or inf; one pass, no boolean copy.
     if not np.isfinite(a.sum()):
         raise ValueError(f"{name} entries must be finite")
+
+
+def _finite_normal_rhs(op, y) -> np.ndarray:
+    """A* y for a least-squares step, rejecting a non-finite ``y``.
+
+    The operator's entries were checked finite at construction, so a NaN or
+    inf in ``y`` always makes A* y non-finite: the n-vector is checked in
+    place of the longer ``y``.
+    """
+    rhs = op.adjoint(y)
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("y entries must be finite")
+    return rhs
 
 
 def _sized(v, size: int, name: str) -> np.ndarray:
@@ -130,8 +144,10 @@ class MatrixOperator:
         return cho_factor(zherk(1.0, self.rows.T), lower=False)
 
     def lsq_solve(self, y) -> np.ndarray:
-        """argmin_x ||A x - y||, from the cached Cholesky factor."""
-        return cho_solve(self._normal_factor, self.adjoint(y))
+        """argmin_x ||A x - y||, from the cached Cholesky factor.  The
+        factor comes from checked rows and A* y is checked here, so
+        ``cho_solve`` scans neither again."""
+        return cho_solve(self._normal_factor, _finite_normal_rhs(self, y), check_finite=False)
 
 
 @dataclass(frozen=True)
@@ -182,8 +198,8 @@ class CdpOperator:
 
     def lsq_solve(self, y) -> np.ndarray:
         """argmin_x ||A x - y||: the normal matrix is diagonal, so one adjoint
-        and a pointwise division."""
-        return self.adjoint(y) / self._normal_diag
+        and a pointwise division.  A non-finite ``y`` is rejected."""
+        return _finite_normal_rhs(self, y) / self._normal_diag
 
 
 MeasurementOperator = Union[MatrixOperator, CdpOperator]

@@ -428,6 +428,21 @@ class TestCli:
             assert "numerical failure" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_ritz_step_failure_exits_3(self, tmp_path, monkeypatch, capsys):
+        real = numkit.dstebz
+
+        def failing_bisection(*args):
+            return (*real(*args)[:-1], 1)
+
+        monkeypatch.setattr(numkit, "dstebz", failing_bisection)
+        for refine in ("altmin", "resampled"):
+            out = tmp_path / f"{refine}.csv"
+            rc = cli.main(["recover", "--n", "16", "--ratio", "8", "--refine", refine,
+                           "--out", str(out)])
+            assert rc == 3, refine
+            assert "numerical failure: stebz did not converge" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_bad_init_exits_2(self, tmp_path, capsys):
         rc = cli.main([
             "altmin-convergence", "--n", "8", "--trials", "1",

@@ -3,7 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.linalg import eigh_tridiagonal
+
+from onebitphase import numkit
 from onebitphase.numkit import (
+    PHASE_FLOOR,
     dist_sq,
     lanczos,
     phase_op,
@@ -37,6 +41,22 @@ class TestPhaseOp:
         rng = np.random.default_rng(2)
         z = _random_complex(rng, 20)
         np.testing.assert_allclose(phase_op(z) * np.abs(z), z, atol=1e-12)
+
+    def test_matches_two_pass_formula_bit_for_bit(self):
+        below = np.nextafter(PHASE_FLOOR, 0.0)
+        above = np.nextafter(PHASE_FLOOR, 1.0)
+        z = np.concatenate([
+            [0.0, -0.0j, 1e-320, -1e-320j, PHASE_FLOOR, -1j * PHASE_FLOOR, below, above],
+            [PHASE_FLOOR * (0.6 + 0.8j), 1e-300 * (1 + 1j), 3 + 4j, -2.5, 1e300j],
+            _random_complex(np.random.default_rng(11), 64),
+        ])
+        before = z.copy()
+        mag = np.abs(z)
+        tiny = mag < PHASE_FLOOR
+        expected = np.where(tiny, 1.0 + 0.0j, z / np.where(tiny, 1.0, mag))
+        assert tiny[:8].tolist() == [True] * 4 + [False, False, True, False]
+        assert phase_op(z).tobytes() == expected.tobytes()
+        assert z.tobytes() == before.tobytes()
 
 
 class TestPowerIteration:
@@ -143,6 +163,71 @@ class TestPowerIteration:
         assert converged is False
         assert len(residuals) == 3
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+
+
+def _tridiagonal(rng, j, zeros=()):
+    d = rng.standard_normal(j)
+    e = np.abs(rng.standard_normal(j - 1))
+    e[[k for k in zeros if k < j - 1]] = 0.0
+    return d, e
+
+
+class TestTopRitzPair:
+    """``numkit._top_ritz_pair`` calls the LAPACK routines behind
+    ``eigh_tridiagonal(select="i")`` directly, and Lanczos maps their
+    failures the way scipy does."""
+
+    @pytest.mark.parametrize("zeros", [(), (0, 5, 6, 30)], ids=["unreduced", "split"])
+    def test_matches_eigh_tridiagonal_bit_for_bit(self, zeros):
+        rng = np.random.default_rng(12)
+        for j in range(1, 61):
+            d, e = _tridiagonal(rng, j, zeros)
+            w, v = eigh_tridiagonal(d, e, select="i", select_range=(j - 1, j - 1))
+            theta, s = numkit._top_ritz_pair(d, e)
+            assert theta == float(w[0]), j
+            assert s.tobytes() == v[:, 0].tobytes(), j
+
+    def test_lanczos_takes_the_same_steps_as_eigh_tridiagonal(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        basis, _ = np.linalg.qr(_random_complex(rng, 40 * 40).reshape(40, 40))
+        mat = (basis * np.linspace(-1.0, 1.0, 40)) @ basis.conj().T
+        direct = lanczos(lambda r: mat @ r, 40, tol=1e-10, seed=3)
+
+        def via_scipy(d, e):
+            j = d.size
+            w, v = eigh_tridiagonal(d, e, select="i", select_range=(j - 1, j - 1))
+            return float(w[0]), v[:, 0]
+
+        monkeypatch.setattr(numkit, "_top_ritz_pair", via_scipy)
+        wrapped = lanczos(lambda r: mat @ r, 40, tol=1e-10, seed=3)
+        assert direct[0] == wrapped[0]
+        assert direct[1].tobytes() == wrapped[1].tobytes()
+        assert direct[2:] == wrapped[2:]
+
+    @staticmethod
+    def _lanczos_on_diagonal():
+        mat = np.diag(np.arange(1.0, 6.0)).astype(complex)
+        return lanczos(lambda r: mat @ r, 5, tol=0.0, seed=0)
+
+    @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+    @pytest.mark.parametrize("info, error", [(2, np.linalg.LinAlgError), (-3, ValueError)])
+    def test_lapack_info_raises(self, monkeypatch, routine, info, error):
+        real = getattr(numkit, routine)
+
+        def failing(*args):
+            return (*real(*args)[:-1], info)
+
+        monkeypatch.setattr(numkit, routine, failing)
+        with pytest.raises(ValueError, match=routine[1:]) as raised:
+            self._lanczos_on_diagonal()
+        # LinAlgError subclasses ValueError, and the CLI tells them apart
+        assert raised.type is error
+
+    def test_non_finite_tridiagonal_entry_rejected(self):
+        big = np.diag([1e308, 1e308, 1.0]).astype(complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="finite"):
+                lanczos(lambda r: big @ r, 3, seed=0)
 
 
 class TestDistSq:

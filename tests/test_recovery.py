@@ -210,11 +210,11 @@ class TestWeightedOneBitPhase:
 
 
 class _CountingOperator:
-    """Forwards to ``op`` and counts its applies and adjoints."""
+    """Forwards to ``op`` and counts its applies, adjoints and solves."""
 
     def __init__(self, op):
         self.op, self.n, self.out_dim = op, op.n, op.out_dim
-        self.applies = self.adjoints = 0
+        self.applies = self.adjoints = self.solves = 0
 
     def apply(self, x):
         self.applies += 1
@@ -223,6 +223,10 @@ class _CountingOperator:
     def adjoint(self, y):
         self.adjoints += 1
         return self.op.adjoint(y)
+
+    def lsq_solve(self, y):
+        self.solves += 1
+        return self.op.lsq_solve(y)
 
 
 class TestOneSurrogate:
@@ -366,6 +370,57 @@ class TestAltMin:
         assert objectives[-1] > objectives[-2]
         assert [v for _, v in report.trace] == np.minimum.accumulate(objectives).tolist()
         np.testing.assert_array_equal(report.estimate, iterates[int(np.argmin(objectives))])
+
+    def test_estimate_is_the_best_iterate_as_solved(self, monkeypatch):
+        # copies taken at each solve: a later in-place write to the returned
+        # array would show here, where the references of the test above
+        # would follow it
+        _, rows, b, _ = _altmin_system(16, 64, seed=28)
+        x_init = random_init(16, substream(28, "init"))
+        solve = MatrixOperator.lsq_solve
+        iterates = []
+
+        def copying_solve(op, rhs):
+            x = solve(op, rhs)
+            iterates.append(x.copy())
+            return x
+
+        monkeypatch.setattr(MatrixOperator, "lsq_solve", copying_solve)
+        report = alt_min(MatrixOperator(rows), b, x_init, max_iters=14, tol=0.0)
+        objectives = [
+            float(np.sum((np.abs(rows.conj() @ x) - np.sqrt(b)) ** 2)) for x in iterates
+        ]
+        assert [v for _, v in report.trace] == np.minimum.accumulate(objectives).tolist()
+        best = iterates[int(np.argmin(objectives))]
+        assert report.estimate.tobytes() == best.tobytes()
+
+    @pytest.mark.parametrize("sensing", ["matrix", "cdp"])
+    def test_one_solve_and_one_apply_per_iteration(self, sensing):
+        if sensing == "matrix":
+            _, rows, b, _ = _altmin_system(8, 48, seed=37)
+            op = MatrixOperator(rows)
+        else:
+            op = build_cdp_operator(8, 4, seed=37)
+            b = intensities(op, _unit(substream(37, "x0"), 8))
+        counting = _CountingOperator(op)
+        report = alt_min(counting, b, random_init(8, substream(37, "init")), max_iters=9, tol=0.0)
+        assert report.iterations == 9
+        assert counting.solves == 9
+        assert counting.applies == 9 + 1
+
+    @pytest.mark.parametrize("sensing", ["matrix", "cdp"])
+    def test_inputs_are_not_written(self, sensing):
+        if sensing == "matrix":
+            _, rows, b, _ = _altmin_system(8, 48, seed=38)
+            op = MatrixOperator(rows)
+        else:
+            op = build_cdp_operator(8, 4, seed=38)
+            b = intensities(op, _unit(substream(38, "x0"), 8))
+        x_init = random_init(8, substream(38, "init"))
+        b_bytes, x_bytes = b.tobytes(), x_init.tobytes()
+        alt_min(op, b, x_init, max_iters=5, tol=0.0)
+        assert b.tobytes() == b_bytes
+        assert x_init.tobytes() == x_bytes
 
     def test_converges_from_spectral_init(self):
         n = 64
@@ -554,6 +609,15 @@ class TestAltMinResampled:
             resample_blocks(epsilon=0.5, **args)
 
 
+    def test_inputs_are_not_written(self):
+        op, x0 = _interleaved(8, 120, seed=39)
+        _, stages = resample_blocks(op, *_observed((op, INTERLEAVED), x0), 0.25)
+        x_init = random_init(8, substream(39, "init"))
+        snapshot = [b.tobytes() for _, b in stages] + [x_init.tobytes()]
+        alt_min_resampled(stages, x_init)
+        assert [b.tobytes() for _, b in stages] + [x_init.tobytes()] == snapshot
+
+
 class TestMultiInitSelect:
     def test_picks_the_true_signal(self):
         _, rows, b, x0 = _altmin_system(8, 80, seed=31)
@@ -585,6 +649,14 @@ class TestMultiInitSelect:
             [(InitKind.SUBEXP, x0)], MatrixOperator(rows), b
         )
         assert kind is InitKind.SUBEXP
+
+    def test_inputs_are_not_written(self):
+        _, rows, b, x0 = _altmin_system(8, 80, seed=40)
+        rng = substream(40, "decoys")
+        candidates = [(InitKind.RANDOM, _unit(rng, 8)), (InitKind.ONEBIT, x0.copy())]
+        snapshot = [vec.tobytes() for _, vec in candidates] + [b.tobytes()]
+        multi_init_select(candidates, MatrixOperator(rows), b)
+        assert [vec.tobytes() for _, vec in candidates] + [b.tobytes()] == snapshot
 
     def test_empty_candidates_rejected(self):
         _, rows, b, _ = _altmin_system(4, 16, seed=34)

@@ -367,6 +367,35 @@ class TestOperatorBoundary:
         # the cached factor serves a second right-hand side
         np.testing.assert_allclose(op.lsq_solve(2 * y), 2 * expected, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "op",
+        _operators() + [_families(46, 6, 10, "interleaved")[1]],
+        ids=["matrix", "cdp", "strided-family"],
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(-np.inf, 1.0)])
+    def test_lsq_solve_rejects_non_finite_y(self, op, bad):
+        y = sample_complex_gaussian(op.out_dim, np.random.default_rng(47))
+        y[op.out_dim // 2] = bad
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="y entries must be finite"):
+                op.lsq_solve(y)
+
+    @pytest.mark.parametrize(
+        "op",
+        _operators() + [_families(48, 6, 10, "interleaved")[0]],
+        ids=["matrix", "cdp", "strided-family"],
+    )
+    def test_arguments_are_not_written(self, op):
+        rng = np.random.default_rng(49)
+        x = sample_complex_gaussian(op.n, rng)
+        y = sample_complex_gaussian(op.out_dim, rng)
+        x_bytes, y_bytes = x.tobytes(), y.tobytes()
+        op.apply(x)
+        op.adjoint(y)
+        op.lsq_solve(y)
+        assert x.tobytes() == x_bytes
+        assert y.tobytes() == y_bytes
+
 
 class TestPeakMemory:
     """Traced allocation peaks of the ensemble build and the first solve."""
