@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -27,7 +27,7 @@ from .channels import (
     format_model,
     lambda_closed_form,
     lambda_monte_carlo,
-    model_param,
+    model_family,
     observe_pairs,
     parse_model,
 )
@@ -56,76 +56,103 @@ class ConfigError(ValueError):
 
 
 ALL_INITS = ("random", "subexp", "onebit", "weighted1bit")
+ALPHAS = (0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Complete, serializable description of one benchmark run."""
+    """Complete, serializable description of one benchmark run.  A setting
+    the run reads and leaves ``None`` takes its kind's default from
+    :data:`EXPERIMENTS` when the config is built; the others stay ``None``
+    (``trials=1`` too, on a kind that does not read ``trials``)."""
 
     kind: str
-    n: int = 0
+    n: Optional[int] = None
     m: Optional[int] = None
     ratio: Optional[int] = None
-    model: str = "identity"
-    epsilon: float = 0.25
-    trials: int = 20
+    model: Optional[str] = None
+    epsilon: Optional[float] = None
+    trials: Optional[int] = None
     seed: int = 0
     tol: Optional[float] = None
     max_iters: Optional[int] = None
-    inits: tuple = ALL_INITS
-    refine: str = "altmin"
-    samples: int = 1_000_000
-    alphas: tuple = (0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
-    sigmas: tuple = (0.25, 0.5, 1.0, 2.0, 4.0)
-    etas: tuple = (0.5, 1.0, 2.0, 4.0)
+    inits: Optional[tuple] = None
+    refine: Optional[str] = None
+    samples: Optional[int] = None
+    alphas: Optional[tuple] = None
+    sigmas: Optional[tuple] = None
+    etas: Optional[tuple] = None
     out: Optional[str] = None
 
+    def __post_init__(self):
+        if self.kind not in EXPERIMENTS:
+            raise ConfigError(f"unknown experiment kind {self.kind!r}")
+        spec = EXPERIMENTS[self.kind]
+        for name in spec.reads(self.refine):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, spec.fields[name])
+        if self.trials == 1 and "trials" not in spec.fields:
+            object.__setattr__(self, "trials", None)
+
+    def reads(self) -> tuple[str, ...]:
+        """The settings this run reads."""
+        return EXPERIMENTS[self.kind].reads(self.refine)
+
     def to_dict(self) -> dict:
-        d = asdict(self)
-        for key in ("inits", "alphas", "sigmas", "etas"):
-            d[key] = list(d[key])
-        return d
+        """``kind``, ``seed``, ``out`` and the settings the run reads."""
+        return {name: getattr(self, name) for name in ("kind", "seed", "out", *self.reads())}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        d.pop("shift", None)  # the spectral shift of older manifests is gone
-        for key in ("inits", "alphas", "sigmas", "etas"):
-            if key in d and d[key] is not None:
-                d[key] = tuple(d[key])
-        return cls(**d)
+        """Inverse of :meth:`to_dict`.  Keys the run does not read are
+        dropped: older manifests record every field and a ``shift``."""
+        keep = ("kind", "seed", "out", *cls(d["kind"], refine=d.get("refine")).reads())
+        d = {key: d[key] for key in keep if key in d}
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
+
+
+# setting -> the test a set value must pass, and the rule it states
+_RANGES = {
+    "n": (lambda v: v > 0, "must be positive"),
+    "trials": (lambda v: v >= 1, "must be at least 1"),
+    "samples": (lambda v: v >= 1000, "must be at least 1000"),
+    "epsilon": (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+    "refine": (lambda v: v in ("altmin", "resampled", "none"), "must be altmin, resampled, none"),
+    "m": (lambda v: v > 0, "must be positive"),
+    "ratio": (lambda v: v > 0, "must be positive"),
+    "max_iters": (lambda v: v >= 1, "must be at least 1"),
+    "inits": (lambda v: len(v) > 0, "must name at least one init kind"),
+    "tol": (lambda v: np.isfinite(v) and v >= 0, "must be finite and non-negative"),
+    "alphas": (lambda v: len(set(v)) == len(v), "must be distinct"),
+    "sigmas": (lambda v: len(set(v)) == len(v), "must be distinct"),
+    "etas": (lambda v: len(set(v)) == len(v), "must be distinct"),
+}
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    if cfg.kind not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment kind {cfg.kind!r}")
-    if cfg.kind != "lambda-sweep" and cfg.n <= 0:
-        raise ConfigError("n must be positive")
-    if cfg.trials < 1:
-        raise ConfigError("trials must be at least 1")
-    if cfg.samples < 1000:
-        raise ConfigError("samples must be at least 1000")
-    if not 0.0 < cfg.epsilon < 1.0:
-        raise ConfigError("epsilon must lie in (0, 1)")
-    if cfg.refine not in ("altmin", "resampled", "none"):
-        raise ConfigError(f"unknown refine mode {cfg.refine!r}")
-    if cfg.m is not None and cfg.m <= 0:
-        raise ConfigError("m must be positive")
-    if cfg.ratio is not None and cfg.ratio <= 0:
-        raise ConfigError("ratio must be positive")
-    if cfg.kind == "cdp-convergence" and cfg.m is not None:
-        raise ConfigError("cdp-convergence draws --ratio mask pairs per trial; it takes no --m")
-    if cfg.max_iters is not None and cfg.max_iters < 1:
-        raise ConfigError("max_iters must be at least 1")
-    if cfg.tol is not None and not (np.isfinite(cfg.tol) and cfg.tol >= 0):
-        raise ConfigError("tol must be finite and non-negative")
-    for name in ("alphas", "sigmas", "etas"):
-        grid = getattr(cfg, name)
-        if len(set(grid)) < len(grid):
-            raise ConfigError(f"{name} must be distinct; got {list(grid)}")
-    unread = cfg.tol is not None or cfg.max_iters is not None
-    if cfg.kind == "recover" and cfg.refine != "altmin" and unread:
-        raise ConfigError(f"recover --refine {cfg.refine} reads neither --tol nor --max-iters")
+    """Range checks on every set value, then the rule that a set value the
+    run does not read is an error, then the checks across settings."""
+    for name, (ok, rule) in _RANGES.items():
+        value = getattr(cfg, name)
+        if value is not None and not ok(value):
+            raise ConfigError(f"{name} {rule}; got {value!r}")
+    try:
+        model = None if cfg.model is None else parse_model(cfg.model)
+        kinds = [parse_init(name) for name in cfg.inits or ()]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+    spec, reads = EXPERIMENTS[cfg.kind], ("kind", "seed", "out", *cfg.reads())
+    for name, value in vars(cfg).items():
+        if value is None or name in reads:
+            continue
+        if name not in spec.modes:
+            raise ConfigError(f"{cfg.kind} does not read {name}; it reads {', '.join(spec.fields)}")
+        group = [f for f, mode in spec.modes.items() if mode == spec.modes[name]]
+        flags = ["--" + f.replace("_", "-") for f in group]
+        what = "neither " + " nor ".join(flags) if len(flags) > 1 else "no " + flags[0]
+        raise ConfigError(f"{cfg.kind} --refine {cfg.refine} reads {what}")
+
     if cfg.kind == "distortion-sweep" and not cfg.alphas:
         raise ConfigError("distortion-sweep needs at least one alpha")
     refines = cfg.kind == "altmin-convergence" or (cfg.kind, cfg.refine) == ("recover", "altmin")
@@ -134,31 +161,16 @@ def validate_config(cfg: ExperimentConfig) -> None:
             f"the least-squares step needs at least n = {cfg.n} measurements "
             f"(2 per pair); got {2 * _pairs(cfg)}"
         )
-    try:
-        model = parse_model(cfg.model)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    try:
-        kinds = [parse_init(name) for name in cfg.inits]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if not kinds:
-        raise ConfigError("at least one init kind is required")
-    if cfg.kind == "recover" and InitKind.WEIGHTED_ONEBIT in kinds:
-        if not isinstance(model, Identity):
-            raise ConfigError(
-                "weighted1bit init uses pair ratio weights, which are only "
-                f"defined for the identity model; got --model {cfg.model!r}"
-            )
-
-
-def _or(value, default):
-    """A config value, or ``default`` where the config leaves it unset."""
-    return default if value is None else value
+    weighted = InitKind.WEIGHTED_ONEBIT in kinds
+    if cfg.kind == "recover" and weighted and not isinstance(model, Identity):
+        raise ConfigError(
+            "weighted1bit init uses pair ratio weights, which are only "
+            f"defined for the identity model; got --model {cfg.model!r}"
+        )
 
 
 def _pairs(cfg: ExperimentConfig) -> int:
-    return _or(cfg.m, _or(cfg.ratio, EXPERIMENTS[cfg.kind].ratio) * cfg.n)
+    return cfg.ratio * cfg.n if cfg.m is None else cfg.m
 
 
 def _trial_seed(master: int, tag: str, index: int) -> int:
@@ -192,8 +204,7 @@ def run_lambda_sweep(cfg: ExperimentConfig) -> list[list]:
     for model in models:
         est, se = lambda_monte_carlo(model, cfg.samples, seed=cfg.seed)
         closed = lambda_closed_form(model)
-        family = format_model(model).partition(":")[0]
-        rows.append([family, model_param(model), est, se, closed])
+        rows.append([*model_family(model), est, se, closed])
     return rows
 
 
@@ -209,22 +220,20 @@ def run_distortion_sweep(cfg: ExperimentConfig) -> list[list]:
     intensities, so it runs once per trial and its column is bit-identical
     across the sweep while the intensity-weighted method degrades.
     """
-    tol = _or(cfg.tol, 1e-8)
-    iters = _or(cfg.max_iters, 1000)
     err_bit = {a: [] for a in cfg.alphas}
     err_sub = {a: [] for a in cfg.alphas}
     for t in range(cfg.trials):
         op, pairs, x0, b = _gaussian_pairs(cfg, t)
         _, y = observe_pairs(Identity(), b, pairs)
         seed_bit = substream(cfg.seed, "power-bit", t)
-        rep = initial_estimate(InitKind.ONEBIT, op, b, y, pairs, seed_bit, tol, iters)
+        rep = initial_estimate(InitKind.ONEBIT, op, b, y, pairs, seed_bit, cfg.tol, cfg.max_iters)
         bit = dist_sq(rep.estimate, x0)
         for alpha in cfg.alphas:
             err_bit[alpha].append(bit)
             distorted = apply_model(TanhDistortion(alpha), b)
             seed_sub = substream(cfg.seed, "power-sub", t)
             rep_sub = initial_estimate(
-                InitKind.SUBEXP, op, distorted, y, pairs, seed_sub, tol, iters
+                InitKind.SUBEXP, op, distorted, y, pairs, seed_sub, cfg.tol, cfg.max_iters
             )
             err_sub[alpha].append(dist_sq(rep_sub.estimate, x0))
     rows = []
@@ -278,8 +287,6 @@ def _convergence_rows(cfg: ExperimentConfig, setup) -> list[list]:
     """
     model = parse_model(cfg.model)
     kinds = [parse_init(name) for name in cfg.inits]
-    iters = _or(cfg.max_iters, 100)
-    tol = _or(cfg.tol, 1e-12)
     curves: dict[InitKind, list[list[float]]] = {k: [] for k in kinds}
     for t in range(cfg.trials):
         op, pairs, x0, b_clean = setup(cfg, t)
@@ -291,8 +298,8 @@ def _convergence_rows(cfg: ExperimentConfig, setup) -> list[list]:
                 op,
                 b,
                 init_rep.estimate,
-                max_iters=iters,
-                tol=tol,
+                max_iters=cfg.max_iters,
+                tol=cfg.tol,
                 callback=lambda k, x: errs.append(dist_sq(x, x0)),
             )
             curves[kind].append(errs)
@@ -317,7 +324,7 @@ def run_altmin_convergence(cfg: ExperimentConfig) -> list[list]:
 def _cdp_trial(cfg: ExperimentConfig, trial: int):
     """One operator over both mask families, stacked; pair k compares
     output k of family 1 with output k of family 2."""
-    n, r = cfg.n, _or(cfg.ratio, EXPERIMENTS[cfg.kind].ratio)
+    n, r = cfg.n, cfg.ratio
     families = [
         build_cdp_operator(n, r, _trial_seed(cfg.seed, f"cdp-masks-{k}", trial)).masks
         for k in (1, 2)
@@ -379,8 +386,8 @@ def run_recover(cfg: ExperimentConfig) -> tuple[list[list], list[str]]:
             op,
             b,
             x_init,
-            max_iters=_or(cfg.max_iters, 200),
-            tol=_or(cfg.tol, 1e-12),
+            max_iters=cfg.max_iters,
+            tol=cfg.tol,
             callback=lambda k, x: rows.append(["altmin", k, dist_sq(x, x0)]),
         )
         final = report.estimate
@@ -414,24 +421,31 @@ def run_recover(cfg: ExperimentConfig) -> tuple[list[list], list[str]]:
 
 @dataclass(frozen=True)
 class Experiment:
-    """One experiment kind.  Its subcommand takes ``--seed``, ``--out`` and a
-    flag per config field the runner reads (``fields``), with defaults ``n``
-    and ``inits``; ``ratio`` is the pairs (or mask pairs) per signal dimension
-    of a config that sets neither m nor ratio."""
+    """One experiment kind.  ``fields`` maps each setting its runner reads to
+    the default a config fills in when it leaves the setting unset; the
+    default ``m`` of None sizes a run by ``ratio`` pairs (or mask pairs) per
+    signal dimension.  ``modes`` maps a setting that only one refine mode
+    reads to that mode.  The kind's subcommand takes ``--seed``, ``--out``
+    and a flag per setting in ``fields``."""
 
     runner: Callable[[ExperimentConfig], tuple[list[list], list[str]]]
     header: list[str]
     out: str
     help: str
-    fields: tuple[str, ...]
-    n: int = 0
-    ratio: Optional[int] = None
-    inits: tuple = ALL_INITS
+    fields: dict
+    modes: dict = field(default_factory=dict)
+
+    def reads(self, refine: Optional[str] = None) -> tuple[str, ...]:
+        """The settings a run reads under ``refine`` (None: the default mode)."""
+        refine = refine or self.fields.get("refine")
+        return tuple(f for f in self.fields if self.modes.get(f, refine) == refine)
 
 
 def _rows_only(runner):
     return lambda cfg: (runner(cfg), [])
 
+
+_CONVERGENCE = dict(model="identity", inits=ALL_INITS, trials=20, tol=1e-12, max_iters=100)
 
 EXPERIMENTS = {
     "lambda-sweep": Experiment(
@@ -439,39 +453,42 @@ EXPERIMENTS = {
         header=["model", "param", "lambda_estimate", "std_error", "closed_form"],
         out="lambda_sweep.csv",
         help="Monte-Carlo channel constants over the model grids",
-        fields=("samples", "alphas", "sigmas", "etas"),
+        fields=dict(
+            samples=1_000_000, alphas=ALPHAS, sigmas=(0.25, 0.5, 1.0, 2.0, 4.0),
+            etas=(0.5, 1.0, 2.0, 4.0),
+        ),
     ),
     "distortion-sweep": Experiment(
         _rows_only(run_distortion_sweep),
         header=["alpha", "method", "median_dist_sq", "iqr", "trials"],
         out="distortion_sweep.csv",
         help="spectral recovery error under tanh distortion",
-        fields=("n", "m", "ratio", "trials", "tol", "max_iters", "alphas"),
-        n=128, ratio=64,
+        fields=dict(n=128, m=None, ratio=64, trials=20, tol=1e-8, max_iters=1000, alphas=ALPHAS),
     ),
     "recover": Experiment(
         run_recover,
         header=["stage", "iteration", "dist_sq"],
         out="recover_trace.csv",
         help="single-shot recovery pipeline with a trace CSV",
-        fields=("n", "m", "ratio", "model", "inits", "epsilon", "tol", "max_iters", "refine"),
-        n=64, ratio=16, inits=("onebit",),
+        fields=dict(
+            n=64, m=None, ratio=16, model="identity", inits=("onebit",), epsilon=0.25,
+            tol=1e-12, max_iters=200, refine="altmin",
+        ),
+        modes=dict(epsilon="resampled", tol="altmin", max_iters="altmin"),
     ),
     "altmin-convergence": Experiment(
         _rows_only(run_altmin_convergence),
         header=["init", "iteration", "median_dist_sq"],
         out="altmin_convergence.csv",
         help="error-vs-iteration curves, Gaussian sensing",
-        fields=("n", "m", "ratio", "model", "inits", "trials", "tol", "max_iters"),
-        n=512, ratio=4,
+        fields=dict(n=512, m=None, ratio=4, **_CONVERGENCE),
     ),
     "cdp-convergence": Experiment(
         _rows_only(run_cdp_convergence),
         header=["init", "iteration", "median_dist_sq"],
         out="cdp_convergence.csv",
         help="error-vs-iteration curves, masked-DFT sensing",
-        fields=("n", "ratio", "model", "inits", "trials", "tol", "max_iters"),
-        n=256, ratio=4,
+        fields=dict(n=256, ratio=4, **_CONVERGENCE),
     ),
 }
 
@@ -518,7 +535,7 @@ def write_manifest(cfg: ExperimentConfig, csv_path) -> Path:
 def write_outputs(cfg: ExperimentConfig) -> tuple[Path, Path, list[str]]:
     """Run the experiment and write its CSV plus reproduction manifest."""
     header, rows, summary = run(cfg)
-    out = Path(_or(cfg.out, EXPERIMENTS[cfg.kind].out))
+    out = Path(cfg.out or EXPERIMENTS[cfg.kind].out)
     write_csv(out, header, rows)
     mpath = write_manifest(cfg, out)
     return out, mpath, summary

@@ -17,7 +17,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .sensing import sample_exponential, sample_poisson, substream
+from .sensing import sample_exponential, substream
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,16 @@ _RANK_PRESERVING = (Identity, TanhDistortion)
 _STOCHASTIC = (ExponentialNoise, PoissonNoise, ClippedGaussianNoise)
 
 
+# spec name -> model class and the name of its one parameter (None: none)
+_FAMILIES = {
+    "identity": (Identity, None),
+    "tanh": (TanhDistortion, "alpha"),
+    "expnoise": (ExponentialNoise, "sigma"),
+    "poisson": (PoissonNoise, "eta"),
+    "clipgauss": (ClippedGaussianNoise, "sigma"),
+}
+
+
 def parse_model(spec: str) -> MeasurementModel:
     """Parse a model spec string.
 
@@ -88,16 +98,9 @@ def parse_model(spec: str) -> MeasurementModel:
     """
     text = spec.strip().lower()
     name, _, arg = text.partition(":")
-    forms = {
-        "identity": (Identity, None),
-        "tanh": (TanhDistortion, "alpha"),
-        "expnoise": (ExponentialNoise, "sigma"),
-        "poisson": (PoissonNoise, "eta"),
-        "clipgauss": (ClippedGaussianNoise, "sigma"),
-    }
-    if name not in forms:
+    if name not in _FAMILIES:
         raise ValueError(f"unknown measurement model {name!r} in {spec!r}")
-    cls, param = forms[name]
+    cls, param = _FAMILIES[name]
     if param is None:
         if arg:
             raise ValueError(f"model {name!r} takes no parameter, got {spec!r}")
@@ -111,29 +114,18 @@ def parse_model(spec: str) -> MeasurementModel:
         raise ValueError(f"bad parameter in model spec {spec!r}: {exc}") from None
 
 
-def format_model(model: MeasurementModel) -> str:
-    """Inverse of :func:`parse_model`."""
-    if isinstance(model, Identity):
-        return "identity"
-    if isinstance(model, TanhDistortion):
-        return f"tanh:alpha={model.alpha:g}"
-    if isinstance(model, ExponentialNoise):
-        return f"expnoise:sigma={model.sigma:g}"
-    if isinstance(model, PoissonNoise):
-        return f"poisson:eta={model.eta:g}"
-    if isinstance(model, ClippedGaussianNoise):
-        return f"clipgauss:sigma={model.sigma:g}"
+def model_family(model: MeasurementModel) -> tuple[str, Optional[float]]:
+    """The spec name of the model's family and its parameter value, if any."""
+    for name, (cls, param) in _FAMILIES.items():
+        if isinstance(model, cls):
+            return name, None if param is None else getattr(model, param)
     raise TypeError(f"unknown model type {type(model).__name__}")
 
 
-def model_param(model: MeasurementModel) -> Optional[float]:
-    if isinstance(model, Identity):
-        return None
-    if isinstance(model, TanhDistortion):
-        return model.alpha
-    if isinstance(model, PoissonNoise):
-        return model.eta
-    return model.sigma
+def format_model(model: MeasurementModel) -> str:
+    """Inverse of :func:`parse_model`."""
+    name, value = model_family(model)
+    return name if value is None else f"{name}:{_FAMILIES[name][1]}={value:g}"
 
 
 def apply_model(model: MeasurementModel, z, rng: Optional[np.random.Generator] = None):
@@ -150,7 +142,7 @@ def apply_model(model: MeasurementModel, z, rng: Optional[np.random.Generator] =
     if isinstance(model, ExponentialNoise):
         return z + sample_exponential(np.sqrt(model.sigma), rng, size=z.shape)
     if isinstance(model, PoissonNoise):
-        return sample_poisson(z / model.eta, rng).astype(float)
+        return rng.poisson(z / model.eta).astype(float)
     if isinstance(model, ClippedGaussianNoise):
         return z + model.sigma * np.maximum(rng.standard_normal(z.shape), 0.0)
     raise TypeError(f"unknown model type {type(model).__name__}")
@@ -230,8 +222,8 @@ def lambda_monte_carlo(
     e1 = sample_exponential(1.0, rng, size=samples)
     e2 = sample_exponential(1.0, rng, size=samples)
     if isinstance(model, PoissonNoise):
-        p1 = sample_poisson(e1 / model.eta, rng)
-        p2 = sample_poisson(e2 / model.eta, rng)
+        p1 = rng.poisson(e1 / model.eta)
+        p2 = rng.poisson(e2 / model.eta)
         signs = np.sign(p1 - p2)
     else:
         t1 = apply_model(model, e1, rng)

@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="kind", required=True, parser_class=_Subcommand)
     for kind, spec in EXPERIMENTS.items():
-        # an omitted flag keeps the config default, or the table's n and inits
+        # an omitted flag leaves the setting to the kind's default in the table
         sub = subparsers.add_parser(
             kind, help=spec.help, allow_abbrev=False, argument_default=argparse.SUPPRESS
         )
@@ -81,8 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    spec = EXPERIMENTS[args.kind]
-    return ExperimentConfig(**{"n": spec.n, "inits": spec.inits, **vars(args)})
+    return ExperimentConfig(**vars(args))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

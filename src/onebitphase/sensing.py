@@ -54,14 +54,6 @@ def sample_exponential(mean: float, rng: np.random.Generator, size=None):
     return -mean * np.log1p(-u)
 
 
-def sample_poisson(rate, rng: np.random.Generator, size=None):
-    """Poisson draws, exact for every rate; rate 0 always yields 0."""
-    rate = np.asarray(rate, dtype=float)
-    if np.any(rate < 0):
-        raise ValueError("rate must be non-negative")
-    return rng.poisson(rate, size)
-
-
 def _checked_matrix(a: np.ndarray, name: str) -> None:
     if a.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {a.shape}")

@@ -43,9 +43,59 @@ UNREAD_FLAGS = [
 ]
 
 
+# the settings each kind's run reads; recover's depend on its refine mode
+READ_FIELDS = {
+    "lambda-sweep": {"samples", "alphas", "sigmas", "etas"},
+    "distortion-sweep": {"n", "m", "ratio", "trials", "tol", "max_iters", "alphas"},
+    "altmin-convergence": {"n", "m", "ratio", "model", "inits", "trials", "tol", "max_iters"},
+    "cdp-convergence": {"n", "ratio", "model", "inits", "trials", "tol", "max_iters"},
+}
+RECOVER_FIELDS = {"n", "m", "ratio", "model", "inits", "refine"}
+RECOVER_MODE_FIELDS = {"altmin": {"tol", "max_iters"}, "resampled": {"epsilon"}, "none": set()}
+
+# the listed perfbench workloads (perfbench/run.py WORKLOADS), as each trial
+# builds them: trials=1, a trial seed and an output path
+BENCHMARK_CONFIGS = {
+    "cdp-altmin": dict(
+        kind="cdp-convergence", n=512, ratio=4, model="identity",
+        inits=("random", "subexp", "onebit", "weighted1bit"),
+    ),
+    "gauss-altmin-n128": dict(
+        kind="altmin-convergence", n=128, ratio=4, model="identity",
+        inits=("random", "subexp", "onebit", "weighted1bit"),
+    ),
+    "resampled": dict(
+        kind="recover", n=256, ratio=16, inits=("onebit",), refine="resampled", epsilon=0.25,
+    ),
+}
+
+# the manifest that `recover --n 16 --ratio 8 --seed 5 --out <path>` wrote
+# when every config carried all 17 fields, plus the retired spectral shift
+OLD_RECOVER_MANIFEST = {
+    "alphas": [0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0],
+    "epsilon": 0.25,
+    "etas": [0.5, 1.0, 2.0, 4.0],
+    "inits": ["onebit"],
+    "kind": "recover",
+    "m": None,
+    "max_iters": None,
+    "model": "identity",
+    "n": 16,
+    "out": "old.csv",
+    "ratio": 8,
+    "refine": "altmin",
+    "samples": 1000000,
+    "seed": 5,
+    "shift": True,
+    "sigmas": [0.25, 0.5, 1.0, 2.0, 4.0],
+    "tol": None,
+    "trials": 20,
+}
+
+
 class TestConfig:
     def test_dict_round_trip(self):
-        cfg = _cfg(kind="recover", n=16, inits=("onebit", "random"), alphas=(1.0, 2.0))
+        cfg = _cfg(kind="recover", n=16, inits=("onebit", "random"), refine="resampled")
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_manifest_round_trip(self, tmp_path):
@@ -57,6 +107,78 @@ class TestConfig:
         payload["config"]["shift"] = True
         path.write_text(json.dumps(payload))
         assert bench.load_manifest(path) == cfg
+
+    @pytest.mark.parametrize("kind", list(bench.EXPERIMENTS))
+    def test_library_and_cli_defaults_agree(self, kind):
+        args = cli.build_parser().parse_args([kind])
+        assert _cfg(kind=kind) == cli.config_from_args(args)
+
+    def test_defaults_fill_what_the_run_reads(self):
+        cfg = _cfg(kind="recover")
+        assert (cfg.n, cfg.ratio, cfg.inits, cfg.refine) == (64, 16, ("onebit",), "altmin")
+        assert (cfg.tol, cfg.max_iters) == (1e-12, 200)
+        assert cfg.epsilon is None and cfg.trials is None and cfg.alphas is None
+        assert _cfg(kind="recover", refine="resampled").epsilon == 0.25
+        assert _cfg(kind="distortion-sweep").tol == 1e-8
+        assert _cfg(kind="lambda-sweep").n is None
+
+    @pytest.mark.parametrize("kind", list(READ_FIELDS))
+    def test_manifest_records_what_the_run_reads(self, tmp_path, kind):
+        path = bench.write_manifest(_cfg(kind=kind), tmp_path / "x.csv")
+        config = json.loads(path.read_text())["config"]
+        assert set(config) == READ_FIELDS[kind] | {"kind", "seed", "out"}
+        assert None not in (config[name] for name in READ_FIELDS[kind] - {"m"})
+
+    @pytest.mark.parametrize("refine", list(RECOVER_MODE_FIELDS))
+    def test_recover_manifest_follows_the_refine_mode(self, tmp_path, refine):
+        args = cli.build_parser().parse_args(["recover", "--n", "16", "--refine", refine])
+        path = bench.write_manifest(cli.config_from_args(args), tmp_path / "x.csv")
+        config = json.loads(path.read_text())["config"]
+        expected = RECOVER_FIELDS | RECOVER_MODE_FIELDS[refine] | {"kind", "seed", "out"}
+        assert set(config) == expected
+        if refine == "altmin":
+            assert (config["tol"], config["max_iters"]) == (1e-12, 200)
+
+    def test_unread_setting_is_an_error(self):
+        for kind, name, value in [
+            ("lambda-sweep", "n", 8),
+            ("cdp-convergence", "m", 64),
+            ("recover", "alphas", (1.0,)),
+            ("distortion-sweep", "model", "identity"),
+        ]:
+            with pytest.raises(ConfigError, match=f"{kind} does not read {name};"):
+                bench.validate_config(_cfg(kind=kind, **{name: value}))
+        with pytest.raises(ConfigError, match="--refine altmin reads no --epsilon"):
+            bench.validate_config(_cfg(kind="recover", epsilon=0.5))
+
+    def test_one_trial_is_unset_where_trials_are_unread(self):
+        cfg = _cfg(kind="recover", trials=1)
+        bench.validate_config(cfg)
+        assert cfg == _cfg(kind="recover")
+        assert "trials" not in cfg.to_dict()
+        for trials in (0, 2):
+            with pytest.raises(ConfigError, match="trials"):
+                bench.validate_config(_cfg(kind="recover", trials=trials))
+
+    @pytest.mark.parametrize("workload", list(BENCHMARK_CONFIGS))
+    def test_benchmark_configs_validate(self, workload):
+        config = BENCHMARK_CONFIGS[workload]
+        for n in (config["n"], 16):  # the timed trials, then the warm-up run
+            fields = dict(config, n=n, trials=1, seed=3, out="trial.csv")
+            bench.validate_config(_cfg(**fields))
+
+    def test_old_manifest_reruns_byte_identical(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        manifest = tmp_path / "old.csv.manifest.json"
+        payload = {"artifact_version": "0.1.0", "config": OLD_RECOVER_MANIFEST}
+        manifest.write_text(json.dumps(payload))
+        rerun, _, _ = bench.run_manifest(manifest)
+        assert rerun.name == "old.csv"
+        args = ["recover", "--n", "16", "--ratio", "8", "--seed", "5", "--out", "cli.csv"]
+        assert cli.main(args) == 0
+        assert rerun.read_bytes() == (tmp_path / "cli.csv").read_bytes()
+        old = replace(bench.load_manifest(manifest), out="cli.csv")
+        assert old == bench.load_manifest("cli.csv.manifest.json")
 
     @pytest.mark.parametrize(
         "kw",
@@ -248,7 +370,7 @@ class TestRecoverRun:
         assert stage0[64] == stage0[1]
 
     def test_multi_init_selection_reported(self):
-        cfg = _cfg(kind="recover", n=16, ratio=16, seed=4, refine="none")
+        cfg = _cfg(kind="recover", n=16, ratio=16, seed=4, refine="none", inits=bench.ALL_INITS)
         _, summary = bench.run_recover(cfg)
         line = next(l for l in summary if l.startswith("init:"))
         assert "(of random, subexp, onebit, weighted1bit)" in line
@@ -393,6 +515,15 @@ class TestCli:
                        flag, value, "--out", str(out)])
         assert rc == 2
         assert f"--refine {refine} reads neither --tol nor --max-iters" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("refine", ["altmin", "none"])
+    def test_unread_epsilon_exits_2(self, tmp_path, capsys, refine):
+        out = tmp_path / "x.csv"
+        rc = cli.main(["recover", "--n", "16", "--ratio", "16", "--refine", refine,
+                       "--epsilon", "0.5", "--out", str(out)])
+        assert rc == 2
+        assert f"--refine {refine} reads no --epsilon" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_max_iters_below_one_exits_2(self, tmp_path, capsys):

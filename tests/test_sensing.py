@@ -15,7 +15,6 @@ from onebitphase.sensing import (
     intensities,
     sample_complex_gaussian,
     sample_exponential,
-    sample_poisson,
     substream,
 )
 
@@ -219,23 +218,6 @@ class TestScalarSamplers:
     def test_exponential_rejects_negative_mean(self):
         with pytest.raises(ValueError):
             sample_exponential(-1.0, np.random.default_rng(0))
-
-    def test_poisson_zero_rate(self):
-        rng = np.random.default_rng(10)
-        assert sample_poisson(0.0, rng) == 0
-        np.testing.assert_array_equal(
-            sample_poisson(np.zeros(100), rng), np.zeros(100, dtype=int)
-        )
-
-    def test_poisson_moments(self):
-        rng = np.random.default_rng(11)
-        draws = sample_poisson(np.full(1000000, 5.0), rng)
-        assert np.mean(draws) == pytest.approx(5.0, abs=0.02)
-        assert np.var(draws) == pytest.approx(5.0, rel=0.02)
-
-    def test_poisson_rejects_negative_rate(self):
-        with pytest.raises(ValueError):
-            sample_poisson(-0.5, np.random.default_rng(0))
 
 
 class TestCdp:
