@@ -55,7 +55,7 @@ class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
 
 
-ALL_INITS = ("random", "subexp", "onebit", "weighted1bit")
+ALL_INITS = tuple(k.value for k in InitKind)
 ALPHAS = (0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 
 
@@ -177,11 +177,11 @@ def _trial_seed(master: int, tag: str, index: int) -> int:
     return int(substream(master, tag, index).integers(0, 2**63))
 
 
-def _gaussian_pairs(cfg: ExperimentConfig, trial: int, layout: str = "stacked"):
-    """Operator over all rows, its pair slices (in ``layout``), unit signal
-    and clean intensities of a Gaussian trial."""
+def _gaussian_pairs(cfg: ExperimentConfig, trial: int):
+    """Operator over all rows, its pair slices, unit signal and clean
+    intensities of a Gaussian trial."""
     seed = _trial_seed(cfg.seed, "ensemble", trial)
-    op, pairs = build_paired_ensemble(cfg.n, _pairs(cfg), seed, layout)
+    op, pairs = build_paired_ensemble(cfg.n, _pairs(cfg), seed)
     x0 = random_init(cfg.n, substream(cfg.seed, "signal", trial))
     return op, pairs, x0, intensities(op, x0)
 
@@ -220,6 +220,8 @@ def run_distortion_sweep(cfg: ExperimentConfig) -> list[list]:
     intensities, so it runs once per trial and its column is bit-identical
     across the sweep while the intensity-weighted method degrades.
     """
+    # a bad alpha fails here, before any trial is drawn
+    models = {a: TanhDistortion(a) for a in cfg.alphas}
     err_bit = {a: [] for a in cfg.alphas}
     err_sub = {a: [] for a in cfg.alphas}
     for t in range(cfg.trials):
@@ -228,9 +230,9 @@ def run_distortion_sweep(cfg: ExperimentConfig) -> list[list]:
         seed_bit = substream(cfg.seed, "power-bit", t)
         rep = initial_estimate(InitKind.ONEBIT, op, b, y, pairs, seed_bit, cfg.tol, cfg.max_iters)
         bit = dist_sq(rep.estimate, x0)
-        for alpha in cfg.alphas:
+        for alpha, model in models.items():
             err_bit[alpha].append(bit)
-            distorted = apply_model(TanhDistortion(alpha), b)
+            distorted = apply_model(model, b)
             seed_sub = substream(cfg.seed, "power-sub", t)
             rep_sub = initial_estimate(
                 InitKind.SUBEXP, op, distorted, y, pairs, seed_sub, cfg.tol, cfg.max_iters
@@ -364,8 +366,7 @@ def run_recover(cfg: ExperimentConfig) -> tuple[list[list], list[str]]:
     """
     model = parse_model(cfg.model)
     kinds = [parse_init(name) for name in cfg.inits]
-    layout = "interleaved" if cfg.refine == "resampled" else "stacked"
-    op, pairs, x0, b_clean = _gaussian_pairs(cfg, 0, layout)
+    op, pairs, x0, b_clean = _gaussian_pairs(cfg, 0)
     b, y = observe_pairs(model, b_clean, pairs, substream(cfg.seed, "noise", 0))
     data = (op, b, y, pairs)
     if cfg.refine == "resampled":
@@ -533,9 +534,15 @@ def write_manifest(cfg: ExperimentConfig, csv_path) -> Path:
 
 
 def write_outputs(cfg: ExperimentConfig) -> tuple[Path, Path, list[str]]:
-    """Run the experiment and write its CSV plus reproduction manifest."""
-    header, rows, summary = run(cfg)
+    """Run the experiment and write its CSV plus reproduction manifest.  An
+    output path that is a directory, or whose parent is not one, is refused
+    before the run."""
     out = Path(cfg.out or EXPERIMENTS[cfg.kind].out)
+    if out.is_dir():
+        raise ConfigError(f"cannot write {str(out)!r}: it is a directory")
+    if not out.parent.is_dir():
+        raise ConfigError(f"cannot write {str(out)!r}: {str(out.parent)!r} is not a directory")
+    header, rows, summary = run(cfg)
     write_csv(out, header, rows)
     mpath = write_manifest(cfg, out)
     return out, mpath, summary

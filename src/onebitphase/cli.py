@@ -97,7 +97,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError) as exc:
+    # an output write that fails (OSError) is a configuration error too
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for line in summary:

@@ -251,9 +251,8 @@ def resample_blocks(op, b, y, epsilon: float) -> tuple:
     """Split paired measurements into an init block and ceil(log(1/epsilon))
     disjoint refinement blocks, every one a view of ``op``.
 
-    ``op`` is the :class:`MatrixOperator` of all 2m rows in the interleaved
-    sequence a1_1, a2_1, a1_2, ... of
-    ``build_paired_ensemble(..., layout="interleaved")``, ``b`` their
+    ``op`` is the :class:`MatrixOperator` of all 2m rows in the pair order
+    a1_1, a2_1, a1_2, ... of ``sensing.build_paired_ensemble``, ``b`` their
     intensities in that order and ``y`` one sign per pair.  The blocks are
     contiguous and equal in that sequence, with any leftover rows in block
     0.  Returns ``(init_data, stages)``: ``init_data`` is block 0 as the

@@ -197,28 +197,20 @@ class CdpOperator:
 MeasurementOperator = Union[MatrixOperator, CdpOperator]
 
 
-def build_paired_ensemble(
-    n: int, m: int, seed: int, layout: str = "stacked"
-) -> tuple[MatrixOperator, tuple[slice, slice]]:
+def build_paired_ensemble(n: int, m: int, seed: int) -> tuple[MatrixOperator, tuple[slice, slice]]:
     """m pairs of complex Gaussian sensing rows in C^n, drawn into one
-    (2m, n) array: pair k measures row k of each family.
+    (2m, n) array in pair order a1_1, a2_1, a1_2, ...: family 1 fills rows
+    ``[0::2]`` and family 2 rows ``[1::2]``.
 
     Returns ``(op, pairs)``: the operator over all 2m rows and the two
-    slices that place the families in its rows and outputs.  ``layout``
-    places them: ``"stacked"`` at ``[:m]`` and ``[m:]``, ``"interleaved"`` at
-    ``[0::2]`` and ``[1::2]`` (a1_1, a2_1, a1_2, ...); ``op[pairs[k]]`` is a
-    view of one family.
+    slices that place the families in its rows and outputs; ``op[pairs[k]]``
+    is a view of one family.
 
     Family 2 is drawn on one short-lived worker thread while the caller
     draws family 1.  Each family has its own generator, so the rows are the
     same bits as drawing them one after the other.
     """
-    if layout == "stacked":
-        pairs = (slice(None, m), slice(m, None))
-    elif layout == "interleaved":
-        pairs = (slice(0, None, 2), slice(1, None, 2))
-    else:
-        raise ValueError(f"unknown pair layout {layout!r}; expected stacked or interleaved")
+    pairs = (slice(0, None, 2), slice(1, None, 2))
     rows = np.empty((2 * m, n), dtype=np.complex128)
 
     def draw(k: int) -> None:

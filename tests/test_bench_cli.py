@@ -427,6 +427,14 @@ class TestCsvAndManifest:
         csv2, _, _ = bench.run_manifest(mpath, out=str(tmp_path / "second.csv"))
         assert csv2.read_bytes() == csv_path.read_bytes()
 
+    def test_rerun_to_missing_directory_writes_nothing(self, tmp_path):
+        cfg = _cfg(kind="recover", n=8, ratio=8, seed=9, out=str(tmp_path / "first.csv"))
+        _, mpath, _ = bench.write_outputs(cfg)
+        before = sorted(tmp_path.rglob("*"))
+        with pytest.raises(ConfigError, match="not a directory"):
+            bench.run_manifest(mpath, out=str(tmp_path / "missing" / "second.csv"))
+        assert sorted(tmp_path.rglob("*")) == before
+
 
 class TestCli:
     def test_lambda_sweep_end_to_end(self, tmp_path, capsys):
@@ -607,6 +615,41 @@ class TestCli:
             assert rc == 2, alphas
             assert "alpha" in capsys.readouterr().err
             assert list(tmp_path.iterdir()) == []
+
+    def test_bad_alpha_exits_2_before_any_trial(self, tmp_path, monkeypatch, capsys):
+        builds = []
+
+        def counting(*args):
+            builds.append(args)
+            return sensing.build_paired_ensemble(*args)
+
+        monkeypatch.setattr(bench, "build_paired_ensemble", counting)
+        rc = cli.main(["distortion-sweep", "--n", "8", "--ratio", "8", "--trials", "2",
+                       "--alphas", "1,0", "--out", str(tmp_path / "d.csv")])
+        assert rc == 2
+        assert "alpha must be positive" in capsys.readouterr().err
+        assert builds == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("target", ["missing/x.csv", "taken"])
+    def test_unwritable_out_exits_2_before_the_run(self, tmp_path, monkeypatch, capsys, target):
+        (tmp_path / "taken").mkdir()
+        runs = []
+        monkeypatch.setattr(bench, "run", lambda cfg: runs.append(cfg))
+        rc = cli.main(["recover", "--n", "8", "--ratio", "16", "--out", str(tmp_path / target)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
+        assert runs == []
+        assert [p.name for p in tmp_path.rglob("*")] == ["taken"]
+
+    def test_failed_write_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        bench.manifest_path(out).mkdir()
+        rc = cli.main(["recover", "--n", "8", "--ratio", "16", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("kind,flag", UNREAD_FLAGS)
     def test_unread_flag_is_a_usage_error(self, tmp_path, monkeypatch, capsys, kind, flag):

@@ -36,9 +36,9 @@ def _unit(rng, n):
     return v / np.linalg.norm(v)
 
 
-def _paired(n, m, seed, layout="stacked"):
+def _paired(n, m, seed):
     """``(op, pairs)`` of a paired ensemble, and a unit signal."""
-    return build_paired_ensemble(n, m, seed, layout), _unit(substream(seed, "x0"), n)
+    return build_paired_ensemble(n, m, seed), _unit(substream(seed, "x0"), n)
 
 
 def _observed(ens, x0):
@@ -232,12 +232,13 @@ class _CountingOperator:
 class TestOneSurrogate:
     @pytest.mark.parametrize("kind", ["onebit", "weighted1bit"])
     def test_layouts_hold_the_same_pairs(self, kind):
-        # both layouts draw the same family rows from one seed, so only the
-        # order of the summands differs
-        stacked = _init(kind, *_paired(8, 300, seed=9), seed=2, tol=1e-12, max_iters=20000)
-        interleaved = _init(
-            kind, *_paired(8, 300, seed=9, layout="interleaved"), seed=2, tol=1e-12, max_iters=20000
-        )
+        # the same family rows stacked at [:m] and [m:] instead of
+        # interleaved: only the order of the summands differs
+        (op, pairs), x0 = _paired(8, 300, seed=9)
+        stacked_op = MatrixOperator(np.vstack([op.rows[pairs[0]], op.rows[pairs[1]]]))
+        stacked_pairs = (slice(None, 300), slice(300, None))
+        interleaved = _init(kind, (op, pairs), x0, seed=2, tol=1e-12, max_iters=20000)
+        stacked = _init(kind, (stacked_op, stacked_pairs), x0, seed=2, tol=1e-12, max_iters=20000)
         assert dist_sq(stacked.estimate, interleaved.estimate) <= 1e-12
         assert stacked.lambda_hat == pytest.approx(interleaved.lambda_hat, abs=1e-10)
 
@@ -480,12 +481,6 @@ class TestAltMin:
 INTERLEAVED = (slice(0, None, 2), slice(1, None, 2))
 
 
-def _interleaved(n, m, seed):
-    """The operator of an interleaved paired ensemble, and a unit signal."""
-    (op, _), x0 = _paired(n, m, seed, "interleaved")
-    return op, x0
-
-
 def _resampled_start(op, x0, epsilon, kind, seed=0):
     """Stages of the resampled schedule over the noiseless pairs of ``x0``,
     measured by the interleaved rows of ``op``, and the block-0 init of
@@ -496,7 +491,7 @@ def _resampled_start(op, x0, epsilon, kind, seed=0):
 
 class TestAltMinResampled:
     def test_single_stage_schedule(self):
-        op, x0 = _interleaved(8, 40, seed=27)
+        (op, _), x0 = _paired(8, 40, seed=27)
         for kind in InitKind:
             stages, x_init = _resampled_start(op, x0, 0.5, kind)
             report = alt_min_resampled(stages, x_init)
@@ -504,7 +499,7 @@ class TestAltMinResampled:
             assert len(report.trace) == 1, kind
 
     def test_insufficient_measurements_error_names_requirement(self):
-        op, _ = _interleaved(16, 20, seed=28)
+        (op, _), _ = _paired(16, 20, seed=28)
         with pytest.raises(ValueError, match="64"):
             resample_blocks(op, np.ones(40), np.ones(20), epsilon=0.1)
 
@@ -514,7 +509,7 @@ class TestAltMinResampled:
         pairs = 40 * n * stages // 2
         good = 0
         for seed in range(20):
-            op, x0 = _interleaved(n, pairs, seed=200 + seed)
+            (op, _), x0 = _paired(n, pairs, seed=200 + seed)
             blocks, x_init = _resampled_start(op, x0, eps, InitKind.ONEBIT, seed)
             report = alt_min_resampled(blocks, x_init)
             assert report.iterations == stages
@@ -527,7 +522,7 @@ class TestAltMinResampled:
         pairs = 40 * n * 3 // 2
         good = 0
         for seed in range(20):
-            op, x0 = _interleaved(n, pairs, seed=300 + seed)
+            (op, _), x0 = _paired(n, pairs, seed=300 + seed)
             errs = []
             stages, x_init = _resampled_start(op, x0, eps, InitKind.ONEBIT, seed)
             alt_min_resampled(
@@ -538,7 +533,7 @@ class TestAltMinResampled:
         assert good >= 18
 
     def test_each_stage_is_the_exact_least_squares_step(self):
-        op, x0 = _interleaved(8, 96, seed=33)
+        (op, _), x0 = _paired(8, 96, seed=33)
         stages, x_init = _resampled_start(op, x0, 0.1, InitKind.ONEBIT)
         seen = []
         report = alt_min_resampled(stages, x_init, callback=lambda t, x: seen.append(x))
@@ -560,7 +555,7 @@ class TestAltMinResampled:
         assert dist_sq(report.estimate, x0) <= 0.25
 
     def test_epsilon_domain(self):
-        op, _ = _interleaved(4, 100, seed=30)
+        (op, _), _ = _paired(4, 100, seed=30)
         for eps in (0.0, 1.0, 1.5):
             with pytest.raises(ValueError):
                 resample_blocks(op, np.ones(200), np.ones(100), eps)
@@ -568,7 +563,7 @@ class TestAltMinResampled:
     def test_block_layout(self):
         # 15 pairs in 4 blocks: block 0 takes 9 of the 30 interleaved
         # measurements, an odd count, and each stage takes 7
-        op, pairs = build_paired_ensemble(3, 15, seed=31, layout="interleaved")
+        op, pairs = build_paired_ensemble(3, 15, seed=31)
         b1, b2, y = np.arange(15.0), np.arange(15.0) + 15, np.sign(np.arange(15.0) - 7)
         b = np.empty(30)
         b[pairs[0]], b[pairs[1]] = b1, b2
@@ -599,7 +594,7 @@ class TestAltMinResampled:
 
     @pytest.mark.parametrize("bad", ["op2", "b", "y"])
     def test_shape_mismatch_rejected(self, bad):
-        op, _ = _interleaved(4, 40, seed=32)
+        (op, _), _ = _paired(4, 40, seed=32)
         args = dict(op=op, b=np.ones(80), y=np.ones(40))
         if bad == "op2":
             args["op"] = op[:-1]  # the second family is a row short
@@ -610,7 +605,7 @@ class TestAltMinResampled:
 
 
     def test_inputs_are_not_written(self):
-        op, x0 = _interleaved(8, 120, seed=39)
+        (op, _), x0 = _paired(8, 120, seed=39)
         _, stages = resample_blocks(op, *_observed((op, INTERLEAVED), x0), 0.25)
         x_init = random_init(8, substream(39, "init"))
         snapshot = [b.tobytes() for _, b in stages] + [x_init.tobytes()]

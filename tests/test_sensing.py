@@ -26,9 +26,9 @@ def _unit(rng, n):
     return v / np.linalg.norm(v)
 
 
-def _families(seed, n, m, layout="stacked"):
+def _families(seed, n, m):
     """The two pair families of a paired ensemble, as views of its rows."""
-    op, pairs = build_paired_ensemble(n, m, seed, layout)
+    op, pairs = build_paired_ensemble(n, m, seed)
     return op[pairs[0]], op[pairs[1]]
 
 
@@ -111,19 +111,15 @@ class TestEnsembles:
         op1, op2 = _families(3, 6, 40)
         assert not np.array_equal(op1.rows, op2.rows)
 
-    @pytest.mark.parametrize("layout", ["stacked", "interleaved"])
-    def test_layout_places_the_same_families(self, layout):
+    def test_families_fill_alternate_rows(self):
         # (300, 700) spans several draw chunks and ends in a ragged one
         for n, m, seed in [(5, 12, 4), (300, 700, 5)]:
-            op_all, pairs = build_paired_ensemble(n, m, seed, layout)
+            op_all, pairs = build_paired_ensemble(n, m, seed)
             assert op_all.rows.shape == (2 * m, n)
+            assert pairs == (slice(0, None, 2), slice(1, None, 2))
             for k, family in enumerate(pairs, start=1):
                 want = _reference_gaussian((m, n), substream(seed, "paired-rows", k))
                 np.testing.assert_array_equal(op_all.rows[family], want)
-
-    def test_unknown_layout_rejected(self):
-        with pytest.raises(ValueError, match="layout"):
-            build_paired_ensemble(4, 8, 0, "shuffled")
 
     def test_plain_regenerates_identically(self):
         e1 = build_plain_ensemble(5, 30, seed=9)
@@ -335,7 +331,7 @@ class TestOperatorBoundary:
         _operators() + [
             # a strided family: rows.T is not Fortran-ordered, so the Gram
             # update works on a copy
-            _families(44, 6, 10, "interleaved")[0],
+            _families(44, 6, 10)[0],
             # real rows, which the constructor accepts
             MatrixOperator(np.random.default_rng(45).standard_normal((14, 6))),
         ],
@@ -351,7 +347,7 @@ class TestOperatorBoundary:
 
     @pytest.mark.parametrize(
         "op",
-        _operators() + [_families(46, 6, 10, "interleaved")[1]],
+        _operators() + [_families(46, 6, 10)[1]],
         ids=["matrix", "cdp", "strided-family"],
     )
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(-np.inf, 1.0)])
@@ -364,7 +360,7 @@ class TestOperatorBoundary:
 
     @pytest.mark.parametrize(
         "op",
-        _operators() + [_families(48, 6, 10, "interleaved")[0]],
+        _operators() + [_families(48, 6, 10)[0]],
         ids=["matrix", "cdp", "strided-family"],
     )
     def test_arguments_are_not_written(self, op):
@@ -382,18 +378,17 @@ class TestOperatorBoundary:
 class TestPeakMemory:
     """Traced allocation peaks of the ensemble build and the first solve."""
 
-    @pytest.mark.parametrize("layout", ["stacked", "interleaved"])
-    def test_paired_build_allocates_little_beyond_its_rows(self, layout):
+    def test_paired_build_allocates_little_beyond_its_rows(self):
         tracemalloc.start()
         try:
-            op_all, _ = build_paired_ensemble(256, 4096, 12, layout)
+            op_all, _ = build_paired_ensemble(256, 4096, 12)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= op_all.rows.nbytes + 2 * MIB
 
     def test_first_lsq_solve_makes_no_copy_of_the_rows(self):
-        op_all, _ = build_paired_ensemble(256, 2048, 13, "interleaved")
+        op_all, _ = build_paired_ensemble(256, 2048, 13)
         stage = op_all[:2730]
         y = np.ones(stage.out_dim, dtype=complex)
         tracemalloc.start()
