@@ -64,7 +64,10 @@ class ExperimentConfig:
     """Complete, serializable description of one benchmark run.  A setting
     the run reads and leaves ``None`` takes its kind's default from
     :data:`EXPERIMENTS` when the config is built; the others stay ``None``
-    (``trials=1`` too, on a kind that does not read ``trials``)."""
+    (``trials=1`` too, on a kind that does not read ``trials``).  Since the
+    defaults are filled at build time, ``dataclasses.replace`` keeps the old
+    ``refine`` mode's filled settings: to change ``refine``, build a fresh
+    config."""
 
     kind: str
     n: Optional[int] = None
@@ -534,12 +537,13 @@ def write_manifest(cfg: ExperimentConfig, csv_path) -> Path:
 
 
 def write_outputs(cfg: ExperimentConfig) -> tuple[Path, Path, list[str]]:
-    """Run the experiment and write its CSV plus reproduction manifest.  An
-    output path that is a directory, or whose parent is not one, is refused
-    before the run."""
+    """Run the experiment and write its CSV plus reproduction manifest.  A
+    CSV or manifest path that is a directory, or a CSV path whose parent is
+    not one, is refused before the run."""
     out = Path(cfg.out or EXPERIMENTS[cfg.kind].out)
-    if out.is_dir():
-        raise ConfigError(f"cannot write {str(out)!r}: it is a directory")
+    for path in (out, manifest_path(out)):
+        if path.is_dir():
+            raise ConfigError(f"cannot write {str(path)!r}: it is a directory")
     if not out.parent.is_dir():
         raise ConfigError(f"cannot write {str(out)!r}: {str(out.parent)!r} is not a directory")
     header, rows, summary = run(cfg)

@@ -40,12 +40,15 @@ _FLAGS = {
         help="comma-separated init kinds: random, subexp, onebit, weighted1bit",
     )),
     "epsilon": ("--epsilon", dict(type=float, help="target accuracy for staged refinement")),
-    "trials": ("--trials", dict(type=int)),
-    "seed": ("--seed", dict(type=int)),
+    "trials": ("--trials", dict(type=int, help="independent trials, each on a fresh problem")),
+    "seed": ("--seed", dict(type=int, help="master seed of every random draw")),
     "tol": ("--tol", dict(type=float, help="main-loop stopping tolerance")),
-    "max_iters": ("--max-iters", dict(type=int)),
+    "max_iters": ("--max-iters", dict(type=int, help="main-loop iteration cap")),
     "out": ("--out", dict(help="CSV output path")),
-    "refine": ("--refine", dict(choices=("altmin", "resampled", "none"))),
+    "refine": ("--refine", dict(
+        choices=("altmin", "resampled", "none"),
+        help="refinement after the init: alternating minimization, its resampled stages, or none",
+    )),
     "samples": ("--samples", dict(type=int, help="Monte-Carlo sample count for channel constants")),
     "alphas": ("--alphas", dict(type=_float_list, help="tanh distortion grid")),
     "sigmas": ("--sigmas", dict(type=_float_list, help="exponential-noise variance grid")),

@@ -75,9 +75,12 @@ def surrogate_matvec(op, c) -> Callable[[np.ndarray], np.ndarray]:
     c = np.asarray(c, dtype=float)
     if c.shape != (op.out_dim,):
         raise ValueError(f"coefficients have shape {c.shape}, expected ({op.out_dim},)")
+    # numpy casts a real operand to complex inside each complex multiply;
+    # casting once here gives the same products without the per-call cast.
+    c_complex = c.astype(np.complex128)
 
     def matvec(r):
-        return op.adjoint(c * op.apply(r)) / c.size
+        return op.adjoint(c_complex * op.apply(r)) / c.size
 
     return matvec
 
@@ -199,6 +202,9 @@ def alt_min(
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     sqrt_b = np.sqrt(b)
+    # the complex copy serves the complex multiply below, which would
+    # otherwise cast sqrt_b every iteration; the products are the same bits
+    sqrt_b_complex = sqrt_b.astype(np.complex128)
     beta = RAAR_BETA
     converged = False
     trace: list = []
@@ -216,7 +222,7 @@ def alt_min(
     spare, tmp = np.empty_like(z), np.empty_like(z)
     for k in range(1, max_iters + 1):
         p = phase_op(z)
-        np.multiply(sqrt_b, p, out=p)
+        np.multiply(sqrt_b_complex, p, out=p)
         x = op.lsq_solve(p)
         a_x = np.asarray(op.apply(x), dtype=np.complex128)
         mag = np.abs(a_x)

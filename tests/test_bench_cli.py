@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import re
@@ -643,13 +644,38 @@ class TestCli:
         assert runs == []
         assert [p.name for p in tmp_path.rglob("*")] == ["taken"]
 
-    def test_failed_write_exits_2(self, tmp_path, capsys):
+    def test_failed_write_exits_2(self, tmp_path, monkeypatch, capsys):
+        # a manifest path that is a directory is refused before the run, so
+        # no CSV is left behind without its manifest
         out = tmp_path / "x.csv"
         bench.manifest_path(out).mkdir()
+        runs = []
+        monkeypatch.setattr(bench, "run", lambda cfg: runs.append(cfg))
         rc = cli.main(["recover", "--n", "8", "--ratio", "16", "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
+        assert runs == []
+        assert not out.exists()
+
+    def test_write_time_os_error_exits_2(self, tmp_path, monkeypatch, capsys):
+        def full_disk(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(bench, "write_manifest", full_disk)
+        rc = cli.main(["recover", "--n", "8", "--ratio", "16", "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "No space left" in err and err.count("\n") == 1
+
+    def test_every_flag_has_help(self):
+        subparsers = next(
+            action for action in cli.build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        for kind, sub in subparsers.choices.items():
+            for action in sub._actions:
+                assert action.help, f"{kind} {action.option_strings} has no help text"
 
     @pytest.mark.parametrize("kind,flag", UNREAD_FLAGS)
     def test_unread_flag_is_a_usage_error(self, tmp_path, monkeypatch, capsys, kind, flag):

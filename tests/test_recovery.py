@@ -256,6 +256,25 @@ class TestOneSurrogate:
         assert report.iterations > 1
         assert counting.applies == counting.adjoints == report.iterations
 
+    @pytest.mark.parametrize("sensing", ["matrix", "cdp"])
+    def test_matvec_is_the_formula_bit_for_bit(self, sensing):
+        # the coefficients are made complex once; numpy makes the same cast
+        # inside each real-by-complex multiply, so the bytes agree
+        if sensing == "matrix":
+            op = build_plain_ensemble(16, 96, seed=11)
+        else:
+            op = build_cdp_operator(16, 6, seed=11)
+        rng = np.random.default_rng(12)
+        c = rng.standard_normal(op.out_dim)
+        c[::5] = 0.0
+        c[1::7] = -0.0
+        c[2::3] = -np.abs(c[2::3])
+        matvec = surrogate_matvec(op, c)
+        for _ in range(3):
+            r = _unit(rng, op.n)
+            expected = op.adjoint(c * op.apply(r)) / c.size
+            assert matvec(r).tobytes() == expected.tobytes()
+
 
 class TestSubexpPhase:
     def test_single_rank_one_measurement(self):

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.linalg import cho_solve
 
 from onebitphase import numkit, sensing
 from onebitphase.sensing import (
@@ -347,6 +348,26 @@ class TestOperatorBoundary:
 
     @pytest.mark.parametrize(
         "op",
+        [
+            _operators()[0],
+            _families(44, 6, 10)[0],
+            MatrixOperator(np.random.default_rng(45).standard_normal((14, 6))),
+        ],
+        ids=["matrix", "strided-family", "real-rows"],
+    )
+    def test_triangular_solves_match_cho_solve(self, op):
+        y = sample_complex_gaussian(op.out_dim, np.random.default_rng(50))
+        u, lower = op._normal_factor
+        factor_bytes = u.tobytes()
+        x = op.lsq_solve(y)
+        # the solves run in place on A* y, never on the cached factor
+        op.lsq_solve(y.real)
+        assert u.tobytes() == factor_bytes
+        expected = cho_solve((u, lower), op.adjoint(y))
+        assert np.linalg.norm(x - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize(
+        "op",
         _operators() + [_families(46, 6, 10)[1]],
         ids=["matrix", "cdp", "strided-family"],
     )
@@ -399,3 +420,16 @@ class TestPeakMemory:
             tracemalloc.stop()
         assert stage.rows.nbytes > 10 * MIB
         assert peak <= 4 * MIB
+
+    def test_second_lsq_solve_does_not_copy_the_factor(self):
+        n = 512
+        op = build_plain_ensemble(n, 2 * n, 14)
+        y = np.ones(op.out_dim, dtype=complex)
+        op.lsq_solve(y)
+        tracemalloc.start()
+        try:
+            op.lsq_solve(y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * np.dtype(np.complex128).itemsize
