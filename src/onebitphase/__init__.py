@@ -1,88 +1,3 @@
 """Phase retrieval from one-bit comparisons of paired intensity measurements."""
 
-from .numkit import (
-    dist_sq,
-    lanczos,
-    phase_op,
-    sample_complex_gaussian,
-)
-from .sensing import (
-    CdpOperator,
-    MatrixOperator,
-    build_cdp_operator,
-    build_paired_ensemble,
-    build_plain_ensemble,
-    intensities,
-    sample_exponential,
-    substream,
-)
-from .channels import (
-    ClippedGaussianNoise,
-    ExponentialNoise,
-    Identity,
-    MeasurementModel,
-    PoissonNoise,
-    TanhDistortion,
-    apply_model,
-    format_model,
-    lambda_closed_form,
-    lambda_monte_carlo,
-    observe_pairs,
-    parse_model,
-    quantize,
-    ratio_weights,
-)
-from .recovery import (
-    InitKind,
-    RecoveryReport,
-    alt_min,
-    alt_min_resampled,
-    initial_estimate,
-    multi_init_select,
-    random_init,
-    resample_blocks,
-    spectral_estimate,
-    surrogate_matvec,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "dist_sq",
-    "lanczos",
-    "phase_op",
-    "sample_complex_gaussian",
-    "CdpOperator",
-    "MatrixOperator",
-    "build_cdp_operator",
-    "build_paired_ensemble",
-    "build_plain_ensemble",
-    "intensities",
-    "sample_exponential",
-    "substream",
-    "ClippedGaussianNoise",
-    "ExponentialNoise",
-    "Identity",
-    "MeasurementModel",
-    "PoissonNoise",
-    "TanhDistortion",
-    "apply_model",
-    "format_model",
-    "lambda_closed_form",
-    "lambda_monte_carlo",
-    "observe_pairs",
-    "parse_model",
-    "quantize",
-    "ratio_weights",
-    "InitKind",
-    "RecoveryReport",
-    "alt_min",
-    "alt_min_resampled",
-    "initial_estimate",
-    "multi_init_select",
-    "random_init",
-    "resample_blocks",
-    "spectral_estimate",
-    "surrogate_matvec",
-    "__version__",
-]

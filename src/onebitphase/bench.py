@@ -61,12 +61,16 @@ ALPHAS = (0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Complete, serializable description of one benchmark run.  A setting
-    the run reads and leaves ``None`` takes its kind's default from
-    :data:`EXPERIMENTS` when the config is built; the others stay ``None``
-    (``trials=1`` too, on a kind that does not read ``trials``).  Since the
-    defaults are filled at build time, ``dataclasses.replace`` keeps the old
-    ``refine`` mode's filled settings: to change ``refine``, build a fresh
+    """Complete, serializable description of one benchmark run, valid once
+    built.  A setting the run reads and leaves ``None`` takes its kind's
+    default from :data:`EXPERIMENTS` when the config is built; the others
+    stay ``None`` (``trials=1`` too, on a kind that does not read
+    ``trials``).  The built config is then checked, and an invalid one
+    raises :class:`ConfigError`: range checks on every set value, then the
+    rule that a set value the run does not read is an error, then the checks
+    across settings.  Since the defaults are filled at build time,
+    ``dataclasses.replace`` keeps the old ``refine`` mode's filled settings,
+    which the new mode may not read: to change ``refine``, build a fresh
     config."""
 
     kind: str
@@ -96,6 +100,45 @@ class ExperimentConfig:
                 object.__setattr__(self, name, spec.fields[name])
         if self.trials == 1 and "trials" not in spec.fields:
             object.__setattr__(self, "trials", None)
+        for name, (ok, rule) in _RANGES.items():
+            value = getattr(self, name)
+            if value is not None and not ok(value):
+                raise ConfigError(f"{name} {rule}; got {value!r}")
+        try:
+            model = None if self.model is None else parse_model(self.model)
+            kinds = [parse_init(name) for name in self.inits or ()]
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+
+        reads = ("kind", "seed", "out", *self.reads())
+        for name, value in vars(self).items():
+            if value is None or name in reads:
+                continue
+            if name not in spec.modes:
+                raise ConfigError(
+                    f"{self.kind} does not read {name}; it reads {', '.join(spec.fields)}"
+                )
+            group = [f for f, mode in spec.modes.items() if mode == spec.modes[name]]
+            flags = ["--" + f.replace("_", "-") for f in group]
+            what = "neither " + " nor ".join(flags) if len(flags) > 1 else "no " + flags[0]
+            raise ConfigError(f"{self.kind} --refine {self.refine} reads {what}")
+
+        if self.kind == "distortion-sweep" and not self.alphas:
+            raise ConfigError("distortion-sweep needs at least one alpha")
+        refines = self.kind == "altmin-convergence" or (
+            (self.kind, self.refine) == ("recover", "altmin")
+        )
+        if refines and 2 * _pairs(self) < self.n:
+            raise ConfigError(
+                f"the least-squares step needs at least n = {self.n} measurements "
+                f"(2 per pair); got {2 * _pairs(self)}"
+            )
+        weighted = InitKind.WEIGHTED_ONEBIT in kinds
+        if self.kind == "recover" and weighted and not isinstance(model, Identity):
+            raise ConfigError(
+                "weighted1bit init uses pair ratio weights, which are only "
+                f"defined for the identity model; got --model {self.model!r}"
+            )
 
     def reads(self) -> tuple[str, ...]:
         """The settings this run reads."""
@@ -109,7 +152,8 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """Inverse of :meth:`to_dict`.  Keys the run does not read are
         dropped: older manifests record every field and a ``shift``."""
-        keep = ("kind", "seed", "out", *cls(d["kind"], refine=d.get("refine")).reads())
+        spec = EXPERIMENTS.get(d["kind"])  # an unknown kind fails in the build
+        keep = ("kind", "seed", "out", *(spec.reads(d.get("refine")) if spec else ()))
         d = {key: d[key] for key in keep if key in d}
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
 
@@ -130,46 +174,6 @@ _RANGES = {
     "sigmas": (lambda v: len(set(v)) == len(v), "must be distinct"),
     "etas": (lambda v: len(set(v)) == len(v), "must be distinct"),
 }
-
-
-def validate_config(cfg: ExperimentConfig) -> None:
-    """Range checks on every set value, then the rule that a set value the
-    run does not read is an error, then the checks across settings."""
-    for name, (ok, rule) in _RANGES.items():
-        value = getattr(cfg, name)
-        if value is not None and not ok(value):
-            raise ConfigError(f"{name} {rule}; got {value!r}")
-    try:
-        model = None if cfg.model is None else parse_model(cfg.model)
-        kinds = [parse_init(name) for name in cfg.inits or ()]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    spec, reads = EXPERIMENTS[cfg.kind], ("kind", "seed", "out", *cfg.reads())
-    for name, value in vars(cfg).items():
-        if value is None or name in reads:
-            continue
-        if name not in spec.modes:
-            raise ConfigError(f"{cfg.kind} does not read {name}; it reads {', '.join(spec.fields)}")
-        group = [f for f, mode in spec.modes.items() if mode == spec.modes[name]]
-        flags = ["--" + f.replace("_", "-") for f in group]
-        what = "neither " + " nor ".join(flags) if len(flags) > 1 else "no " + flags[0]
-        raise ConfigError(f"{cfg.kind} --refine {cfg.refine} reads {what}")
-
-    if cfg.kind == "distortion-sweep" and not cfg.alphas:
-        raise ConfigError("distortion-sweep needs at least one alpha")
-    refines = cfg.kind == "altmin-convergence" or (cfg.kind, cfg.refine) == ("recover", "altmin")
-    if refines and 2 * _pairs(cfg) < cfg.n:
-        raise ConfigError(
-            f"the least-squares step needs at least n = {cfg.n} measurements "
-            f"(2 per pair); got {2 * _pairs(cfg)}"
-        )
-    weighted = InitKind.WEIGHTED_ONEBIT in kinds
-    if cfg.kind == "recover" and weighted and not isinstance(model, Identity):
-        raise ConfigError(
-            "weighted1bit init uses pair ratio weights, which are only "
-            f"defined for the identity model; got --model {cfg.model!r}"
-        )
 
 
 def _pairs(cfg: ExperimentConfig) -> int:
@@ -498,8 +502,7 @@ EXPERIMENTS = {
 
 
 def run(cfg: ExperimentConfig) -> tuple[list[str], list[list], list[str]]:
-    """Run a validated config; returns (header, rows, summary lines)."""
-    validate_config(cfg)
+    """Run a config; returns (header, rows, summary lines)."""
     spec = EXPERIMENTS[cfg.kind]
     rows, summary = spec.runner(cfg)
     return spec.header, rows, summary

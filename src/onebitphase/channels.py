@@ -212,24 +212,19 @@ def lambda_monte_carlo(
     """Monte-Carlo estimate (value, standard error) of the channel constant.
 
     Draws intensity pairs from the exact Exp(1) law of unit-signal
-    measurements and averages sign(theta(E1) - theta(E2)) * (E1 - E2).  The
-    Poisson model realizes the sign through two conditional Poisson draws, so
-    the difference follows the exact Skellam law.
+    measurements and averages sign(theta(E1) - theta(E2)) * (E1 - E2), with
+    theta drawn by :func:`apply_model` on E1 and then on E2.  Under the
+    Poisson model these are two conditional Poisson counts, so their
+    difference follows the exact Skellam law.
     """
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
     rng = substream(seed, "lambda-mc")
     e1 = sample_exponential(1.0, rng, size=samples)
     e2 = sample_exponential(1.0, rng, size=samples)
-    if isinstance(model, PoissonNoise):
-        p1 = rng.poisson(e1 / model.eta)
-        p2 = rng.poisson(e2 / model.eta)
-        signs = np.sign(p1 - p2)
-    else:
-        t1 = apply_model(model, e1, rng)
-        t2 = apply_model(model, e2, rng)
-        signs = np.sign(t1 - t2)
-    stat = signs * (e1 - e2)
+    t1 = apply_model(model, e1, rng)
+    t2 = apply_model(model, e2, rng)
+    stat = np.sign(t1 - t2) * (e1 - e2)
     estimate = float(np.mean(stat))
     std_error = float(np.std(stat, ddof=1) / np.sqrt(samples))
     return estimate, std_error

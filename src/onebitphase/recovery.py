@@ -130,7 +130,8 @@ def initial_estimate(
     Each spectral kind is one surrogate (1/M) A* Diag(c) A: c = b for
     subexp, and c = 2 y w1 on family 1 and -2 y w2 on family 2 for the
     one-bit kinds (w = 1 for onebit, the pair ratio weights for
-    weighted1bit).  With M = 2m the factor 2 makes that the paper's
+    weighted1bit, and weight 0 for a pair with b1 + b2 = 0, such as two zero
+    Poisson counts).  With M = 2m the factor 2 makes that the paper's
     (1/m) sum_i y_i (w1_i a1_i a1_i* - w2_i a2_i a2_i*).  ``seed`` drives the
     random vector or the Lanczos start vector.  Negative or non-finite
     intensities are rejected here, before the first matvec.
@@ -149,7 +150,11 @@ def initial_estimate(
         return spectral_estimate(op, b, tol, max_iters, seed)
     w1, w2 = 1.0, 1.0
     if kind is InitKind.WEIGHTED_ONEBIT:
-        w1, w2 = ratio_weights(b[pairs[0]], b[pairs[1]])
+        # a pair with b1 + b2 = 0 has y = 0, so its coefficient is 0 at any weight
+        b1, b2 = b[pairs[0]], b[pairs[1]]
+        seen = b1 + b2 > 0
+        w1, w2 = np.zeros(b1.shape), np.zeros(b2.shape)
+        w1[seen], w2[seen] = ratio_weights(b1[seen], b2[seen])
     two_y = 2.0 * np.asarray(y, dtype=float)
     c = np.zeros(b.shape)
     c[pairs[0]] = two_y * w1

@@ -3,11 +3,12 @@ import csv
 import json
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from onebitphase import bench, cli, numkit, recovery, sensing
+from onebitphase import __version__, bench, cli, numkit, recovery, sensing
 from onebitphase.bench import ConfigError, ExperimentConfig
 from onebitphase.channels import quantize
 from onebitphase.numkit import dist_sq
@@ -109,6 +110,14 @@ class TestConfig:
         path.write_text(json.dumps(payload))
         assert bench.load_manifest(path) == cfg
 
+    def test_artifact_version_is_the_project_version(self, tmp_path):
+        tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+        with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+            project = tomllib.load(fh)["project"]
+        path = bench.write_manifest(_cfg(kind="recover"), tmp_path / "x.csv")
+        recorded = json.loads(path.read_text())["artifact_version"]
+        assert recorded == __version__ == project["version"]
+
     @pytest.mark.parametrize("kind", list(bench.EXPERIMENTS))
     def test_library_and_cli_defaults_agree(self, kind):
         args = cli.build_parser().parse_args([kind])
@@ -148,25 +157,33 @@ class TestConfig:
             ("distortion-sweep", "model", "identity"),
         ]:
             with pytest.raises(ConfigError, match=f"{kind} does not read {name};"):
-                bench.validate_config(_cfg(kind=kind, **{name: value}))
+                _cfg(kind=kind, **{name: value})
         with pytest.raises(ConfigError, match="--refine altmin reads no --epsilon"):
-            bench.validate_config(_cfg(kind="recover", epsilon=0.5))
+            _cfg(kind="recover", epsilon=0.5)
+
+    def test_checked_when_built(self):
+        with pytest.raises(ConfigError, match="n must be positive; got 0"):
+            ExperimentConfig.from_dict({"kind": "recover", "n": 0, "seed": 0})
+        with pytest.raises(ConfigError, match="unknown experiment kind 'mystery'"):
+            ExperimentConfig.from_dict({"kind": "mystery"})
+        # the filled tol and max_iters go along, and resampled reads neither
+        with pytest.raises(ConfigError, match="--refine resampled reads neither --tol"):
+            replace(_cfg(kind="recover"), refine="resampled")
 
     def test_one_trial_is_unset_where_trials_are_unread(self):
         cfg = _cfg(kind="recover", trials=1)
-        bench.validate_config(cfg)
         assert cfg == _cfg(kind="recover")
         assert "trials" not in cfg.to_dict()
         for trials in (0, 2):
             with pytest.raises(ConfigError, match="trials"):
-                bench.validate_config(_cfg(kind="recover", trials=trials))
+                _cfg(kind="recover", trials=trials)
 
     @pytest.mark.parametrize("workload", list(BENCHMARK_CONFIGS))
     def test_benchmark_configs_validate(self, workload):
         config = BENCHMARK_CONFIGS[workload]
         for n in (config["n"], 16):  # the timed trials, then the warm-up run
             fields = dict(config, n=n, trials=1, seed=3, out="trial.csv")
-            bench.validate_config(_cfg(**fields))
+            _cfg(**fields)
 
     def test_old_manifest_reruns_byte_identical(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -209,24 +226,23 @@ class TestConfig:
     )
     def test_invalid_configs(self, kw):
         with pytest.raises(ConfigError):
-            bench.validate_config(_cfg(**kw))
+            _cfg(**kw)
 
     def test_weighted_init_requires_identity_model(self):
-        cfg = _cfg(kind="recover", n=8, model="tanh:alpha=2", inits=("weighted1bit",))
         with pytest.raises(ConfigError, match="identity"):
-            bench.validate_config(cfg)
+            _cfg(kind="recover", n=8, model="tanh:alpha=2", inits=("weighted1bit",))
 
     def test_weighted_init_fine_with_identity(self):
-        bench.validate_config(_cfg(kind="recover", n=8, inits=("weighted1bit",)))
+        _cfg(kind="recover", n=8, inits=("weighted1bit",))
 
     def test_alpha_grid_distinct_and_nonempty(self):
         for alphas in ((0.5, 2.0, 0.5), ()):
             with pytest.raises(ConfigError, match="alpha"):
-                bench.validate_config(_cfg(kind="distortion-sweep", n=8, alphas=alphas))
+                _cfg(kind="distortion-sweep", n=8, alphas=alphas)
         with pytest.raises(ConfigError, match="distinct"):
-            bench.validate_config(_cfg(kind="lambda-sweep", alphas=(1.0, 1.0)))
+            _cfg(kind="lambda-sweep", alphas=(1.0, 1.0))
         # the channel sweep has identity, noise and Poisson rows without alphas
-        bench.validate_config(_cfg(kind="lambda-sweep", alphas=()))
+        _cfg(kind="lambda-sweep", alphas=())
 
 
 class TestLambdaSweep:

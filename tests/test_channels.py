@@ -285,6 +285,16 @@ class TestLambdaMonteCarlo:
         assert fine > 0.95
         assert coarse < 0.2
 
+    @pytest.mark.parametrize("eta", [0.5, 4.0])
+    def test_poisson_draws_two_conditional_counts(self, eta):
+        samples, seed = 20000, 6
+        rng = substream(seed, "lambda-mc")
+        e1 = sample_exponential(1.0, rng, size=samples)
+        e2 = sample_exponential(1.0, rng, size=samples)
+        stat = np.sign(rng.poisson(e1 / eta) - rng.poisson(e2 / eta)) * (e1 - e2)
+        expected = float(np.mean(stat)), float(np.std(stat, ddof=1) / np.sqrt(samples))
+        assert lambda_monte_carlo(PoissonNoise(eta), samples, seed) == expected
+
     @pytest.mark.parametrize(
         "model",
         [

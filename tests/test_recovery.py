@@ -208,6 +208,15 @@ class TestWeightedOneBitPhase:
         with pytest.raises(ValueError, match="intensities must be finite"):
             initial_estimate("weighted1bit", op, b, y, pairs, 0)
 
+    def test_zero_count_pair_gets_weight_zero(self):
+        # two zero Poisson counts: y = 0, so the pair's coefficient is 0 at any weight
+        (op, pairs), x0 = _paired(4, 40, seed=15)
+        b, y = _observed((op, pairs), x0)
+        b[pairs[0]][2] = b[pairs[1]][2] = y[2] = 0.0
+        report = initial_estimate("weighted1bit", op, b, y, pairs, 0)
+        assert np.all(np.isfinite(report.estimate))
+        assert np.linalg.norm(report.estimate) == pytest.approx(1.0, abs=1e-10)
+
 
 class _CountingOperator:
     """Forwards to ``op`` and counts its applies, adjoints and solves."""
