@@ -15,7 +15,7 @@ import numpy as np
 
 from onebitphase.channels import quantize
 from onebitphase.numkit import dist_sq, sample_complex_gaussian
-from onebitphase.recovery import alt_min, initial_estimate
+from onebitphase.recovery import alt_min_many, initial_estimate
 from onebitphase.sensing import CdpOperator, build_cdp_operator, intensities, substream
 
 n, r, sigma, trials = 256, 4, 0.8, 5
@@ -42,9 +42,12 @@ for t in range(trials):
     y = quantize(b[pairs[0]], b[pairs[1]])
     flips += int(np.sum(y != quantize(b_clean[pairs[0]], b_clean[pairs[1]])))
 
-    for kind in finals:
-        xi = initial_estimate(kind, op, b, y, pairs, substream(seed, "pw", kind)).estimate
-        rep = alt_min(op, b, xi, max_iters=100)
+    # one refinement loop steps all three starts together
+    starts = [
+        initial_estimate(kind, op, b, y, pairs, substream(seed, "pw", kind)).estimate
+        for kind in finals
+    ]
+    for kind, rep in zip(finals, alt_min_many(op, b, starts, max_iters=100)):
         finals[kind].append(dist_sq(rep.estimate, x0))
 
 print(f"masked-DFT sensing, n={n}, {2 * r} masks ({2 * r}n intensities),")

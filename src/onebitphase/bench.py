@@ -31,10 +31,11 @@ from .channels import (
     observe_pairs,
     parse_model,
 )
-from .numkit import dist_sq, sample_complex_gaussian
+from .numkit import distance_to, dist_sq, sample_complex_gaussian
 from .recovery import (
     InitKind,
     alt_min,
+    alt_min_many,
     alt_min_resampled,
     initial_estimate,
     multi_init_select,
@@ -105,8 +106,10 @@ class ExperimentConfig:
             if value is not None and not ok(value):
                 raise ConfigError(f"{name} {rule}; got {value!r}")
         try:
-            model = None if self.model is None else parse_model(self.model)
-            kinds = [parse_init(name) for name in self.inits or ()]
+            if self.model is not None:
+                parse_model(self.model)
+            for name in self.inits or ():
+                parse_init(name)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -132,12 +135,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"the least-squares step needs at least n = {self.n} measurements "
                 f"(2 per pair); got {2 * _pairs(self)}"
-            )
-        weighted = InitKind.WEIGHTED_ONEBIT in kinds
-        if self.kind == "recover" and weighted and not isinstance(model, Identity):
-            raise ConfigError(
-                "weighted1bit init uses pair ratio weights, which are only "
-                f"defined for the identity model; got --model {self.model!r}"
             )
 
     def reads(self) -> tuple[str, ...]:
@@ -292,7 +289,9 @@ def _convergence_rows(cfg: ExperimentConfig, setup) -> list[list]:
     ``setup(cfg, trial)`` returns the trial's operator, its pair slices,
     the signal and its clean intensities.  One-bit inits quantize the
     observed intensities, and the weighted variant draws its ratio weights
-    from the same values.
+    from the same values.  Each kind has its own seed stream, so a trial
+    computes every init first and then refines them all in one
+    :func:`alt_min_many` call.
     """
     model = parse_model(cfg.model)
     kinds = [parse_init(name) for name in cfg.inits]
@@ -300,18 +299,19 @@ def _convergence_rows(cfg: ExperimentConfig, setup) -> list[list]:
     for t in range(cfg.trials):
         op, pairs, x0, b_clean = setup(cfg, t)
         b, y = observe_pairs(model, b_clean, pairs, substream(cfg.seed, "noise", t))
-        for kind in kinds:
-            init_rep = _init(kind, op, b, y, pairs, cfg, t)
-            errs = [dist_sq(init_rep.estimate, x0)]
-            alt_min(
-                op,
-                b,
-                init_rep.estimate,
-                max_iters=cfg.max_iters,
-                tol=cfg.tol,
-                callback=lambda k, x: errs.append(dist_sq(x, x0)),
-            )
-            curves[kind].append(errs)
+        starts = [_init(kind, op, b, y, pairs, cfg, t).estimate for kind in kinds]
+        dist = distance_to(x0)
+        errs = [[dist(x)] for x in starts]
+        alt_min_many(
+            op,
+            b,
+            starts,
+            max_iters=cfg.max_iters,
+            tol=cfg.tol,
+            callback=lambda run, k, x: errs[run].append(dist(x)),
+        )
+        for kind, run_errs in zip(kinds, errs):
+            curves[kind].append(run_errs)
     rows = []
     for kind in kinds:
         medians = _median_curves(curves[kind])

@@ -3,8 +3,8 @@
 Vectors are plain 1-D complex128 ndarrays.  The inner product conjugates its
 first argument, <a, x> = ``a.conj() @ x``, so a rank-one matrix ``a a*`` acts
 on ``r`` as ``a * <a, r>``.  Dense operators evaluate it for all rows at once
-as ``conj(rows @ conj(x))``, which conjugates two vectors instead of making a
-conjugate copy of the rows.
+as ``conj(conj(x) @ rows.T)``, which conjugates two vectors instead of making
+a conjugate copy of the rows.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ def as_complex_vector(x) -> np.ndarray:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
     if v.size == 0:
         raise ValueError("vector must have positive dimension")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     return v
 
@@ -177,14 +177,25 @@ def lanczos(
     return theta, vec / np.linalg.norm(vec), residuals, converged
 
 
+def distance_to(x0) -> Callable[[np.ndarray], float]:
+    """``x -> dist_sq(x, x0)``, with ``x0`` checked and normed once."""
+    x0 = as_complex_vector(x0)
+    n0 = np.linalg.norm(x0)
+    if n0 == 0.0:
+        raise ValueError("dist_sq is undefined for the zero vector")
+
+    def dist(x) -> float:
+        x = as_complex_vector(x)
+        nx = np.linalg.norm(x)
+        if nx == 0.0:
+            raise ValueError("dist_sq is undefined for the zero vector")
+        c = np.vdot(x, x0) / (nx * n0)
+        val = 1.0 - float(np.abs(c)) ** 2
+        return min(max(val, 0.0), 1.0)
+
+    return dist
+
+
 def dist_sq(x, x0) -> float:
     """Squared phase-invariant distance 1 - |<x/||x||, x0/||x0||>|^2."""
-    x = as_complex_vector(x)
-    x0 = as_complex_vector(x0)
-    nx = np.linalg.norm(x)
-    n0 = np.linalg.norm(x0)
-    if nx == 0.0 or n0 == 0.0:
-        raise ValueError("dist_sq is undefined for the zero vector")
-    c = np.vdot(x, x0) / (nx * n0)
-    val = 1.0 - float(np.abs(c)) ** 2
-    return min(max(val, 0.0), 1.0)
+    return distance_to(x0)(x)

@@ -166,7 +166,7 @@ def initial_estimate(
 # alternating minimization
 
 
-# RAAR relaxation parameter of :func:`alt_min`; 1/2 gives plain alternating
+# RAAR relaxation parameter of :func:`alt_min_many`; 1/2 gives plain alternating
 # minimization.  0.8 lets random starts converge within 100 iterations while
 # halving the noisy masked-DFT error of 1/2; at 0.9 the iterates still move
 # at iteration 100, so the fixed-point stop does not fire.
@@ -181,8 +181,23 @@ def alt_min(
     tol: float = 1e-12,
     callback: Optional[Callable[[int, np.ndarray], None]] = None,
 ) -> RecoveryReport:
+    """:func:`alt_min_many` from the one start ``x_init``; ``callback`` sees
+    ``(k, x)``."""
+    run_callback = None if callback is None else lambda run, k, x: callback(k, x)
+    return alt_min_many(op, b, [as_complex_vector(x_init)], max_iters, tol, run_callback)[0]
+
+
+def alt_min_many(
+    op: MeasurementOperator,
+    b,
+    starts,
+    max_iters: int = 200,
+    tol: float = 1e-12,
+    callback: Optional[Callable[[int, int, np.ndarray], None]] = None,
+) -> list[RecoveryReport]:
     """Minimize ||A x - Diag(sqrt(b)) u||, |u_k| = 1, by relaxed averaged
-    alternating reflections (RAAR; Luke, Inverse Problems 21, 2005).
+    alternating reflections (RAAR; Luke, Inverse Problems 21, 2005), from
+    each row of the (k, n) stack ``starts`` at once.
 
     The iterate z lives in measurement space.  Each iteration projects it onto
     the measured magnitudes, p = sqrt(b) Ph(z), solves the least-squares
@@ -194,16 +209,24 @@ def alt_min(
     an iteration still costs one solve and one apply.  beta is
     :data:`RAAR_BETA`; beta = 1/2 is plain alternating minimization.
 
-    RAAR is not monotone, so the report keeps the best iterate: the trace and
-    ``callback`` carry, per iteration, the smallest objective
-    ||A x - sqrt(b) Ph(A x)||^2 seen so far and the x that attains it, and
-    ``estimate`` is that x.  The run stops, converged, once the fixed-point
-    step is small, ||z_new - z||^2 <= tol ||z_new||^2.
+    The runs share those calls: each iteration makes one stacked solve and
+    one stacked apply over the live runs, one row each.  A run is otherwise
+    on its own.  RAAR is not monotone, so its report keeps its best iterate:
+    its trace and ``callback(run, k, x)``, with ``run`` the start's row,
+    carry, per iteration, the smallest objective ||A x - sqrt(b) Ph(A x)||^2
+    seen so far and the x that attains it, and ``estimate`` is that x.  A run
+    stops, converged, once its fixed-point step is small, ||z_new - z||^2 <=
+    tol ||z_new||^2, and leaves the stack, so later iterations step only the
+    live runs.  Returns one report per start, in row order.
     """
     b = _checked_intensities(b)
-    x = as_complex_vector(x_init).copy()
-    if np.linalg.norm(x) == 0.0:
-        raise ValueError("x_init must be nonzero")
+    x = np.array(starts, dtype=np.complex128)
+    if x.ndim != 2 or x.size == 0:
+        raise ValueError(f"starts must be a non-empty (k, n) stack, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("starts must be finite")
+    if np.any(np.linalg.norm(x, axis=1) == 0.0):
+        raise ValueError("every start must be nonzero")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     sqrt_b = np.sqrt(b)
@@ -211,19 +234,20 @@ def alt_min(
     # otherwise cast sqrt_b every iteration; the products are the same bits
     sqrt_b_complex = sqrt_b.astype(np.complex128)
     beta = RAAR_BETA
-    converged = False
-    trace: list = []
     # a copy, so that z is this loop's own buffer (see below)
     z = np.array(op.apply(x), dtype=np.complex128)
-    if z.shape != b.shape:
-        raise ValueError(f"operator output {z.shape} does not match b {b.shape}")
+    if z.shape[1:] != b.shape:
+        raise ValueError(f"operator output {z.shape[1:]} does not match b {b.shape}")
     a_w = z
-    best_obj, best_x = np.inf, x
-    iters = 0
+    live = list(range(len(x)))  # the start row of each stack row
+    best_obj = [np.inf] * len(x)
+    best_x = list(x)
+    traces: list = [[] for _ in live]
+    converged = [False] * len(x)
     # The relaxation z_new = beta z + (1 - 2 beta) p + beta (2 a_x - a_w) is
     # written in place: z and ``spare`` swap roles each iteration, and ``tmp``
-    # holds each intermediate.  Every product keeps its operand order, so the
-    # iterates are the same bits as the expression.
+    # holds each intermediate.  Every product keeps its operand order, so each
+    # run's iterates are the same bits as the expression on its own row.
     spare, tmp = np.empty_like(z), np.empty_like(z)
     for k in range(1, max_iters + 1):
         p = phase_op(z)
@@ -232,30 +256,43 @@ def alt_min(
         a_x = np.asarray(op.apply(x), dtype=np.complex128)
         mag = np.abs(a_x)
         np.subtract(mag, sqrt_b, out=mag)
-        obj = float(np.sum(np.square(mag, out=mag)))
-        if obj < best_obj:
-            best_obj, best_x = obj, x
-        iters = k
-        trace.append((k, best_obj))
-        if callback is not None:
-            callback(k, best_x)
+        obj = np.sum(np.square(mag, out=mag), axis=1)
+        for row, run in enumerate(live):
+            if obj[row] < best_obj[run]:
+                best_obj[run], best_x[run] = float(obj[row]), x[row]
+            traces[run].append((k, best_obj[run]))
+            if callback is not None:
+                callback(run, k, best_x[run])
         z_new = np.multiply(beta, z, out=spare)
         z_new += np.multiply(1.0 - 2.0 * beta, p, out=tmp)
         np.multiply(2.0, a_x, out=tmp)
         np.subtract(tmp, a_w, out=tmp)
         z_new += np.multiply(beta, tmp, out=tmp)
-        step = float(np.linalg.norm(np.subtract(z_new, z, out=tmp)) ** 2)
+        np.subtract(z_new, z, out=tmp)
         spare, z, a_w = z, z_new, a_x
-        if step <= tol * float(np.linalg.norm(z) ** 2):
-            converged = True
+        stay = []
+        for row, run in enumerate(live):
+            step = float(np.linalg.norm(tmp[row]) ** 2)
+            if step <= tol * float(np.linalg.norm(z[row]) ** 2):
+                converged[run] = True
+            else:
+                stay.append(row)
+        if not stay:
             break
-    return RecoveryReport(
-        estimate=best_x,
-        lambda_hat=0.0,
-        iterations=iters,
-        trace=trace,
-        converged=converged,
-    )
+        if len(stay) < len(live):
+            live = [live[row] for row in stay]
+            z, a_w = z[stay], a_w[stay]
+            spare, tmp = np.empty_like(z), np.empty_like(z)
+    return [
+        RecoveryReport(
+            estimate=best_x[run],
+            lambda_hat=0.0,
+            iterations=len(traces[run]),
+            trace=traces[run],
+            converged=converged[run],
+        )
+        for run in range(len(best_x))
+    ]
 
 
 def resample_blocks(op, b, y, epsilon: float) -> tuple:

@@ -11,7 +11,8 @@ construction, and a view ``op[key]`` over some of its rows is not checked
 again; ``apply``/``adjoint`` check only the length of their input.
 ``lsq_solve(y)`` is the exact least-squares step argmin_x ||A x - y||, whose
 normal-matrix work each operator caches on first use; it rejects a
-non-finite ``y``.
+non-finite ``y``.  All three take one vector or a (k, len) stack of them,
+one per row, and act along the last axis.
 """
 
 from __future__ import annotations
@@ -76,9 +77,10 @@ def _finite_normal_rhs(op, y) -> np.ndarray:
 
 
 def _sized(v, size: int, name: str) -> np.ndarray:
-    """``v`` as an array of shape (size,); its entries are not inspected."""
+    """``v`` as an array of shape (size,) or a (k, size) stack; its entries
+    are not inspected."""
     v = np.asarray(v)
-    if v.shape != (size,):
+    if v.ndim not in (1, 2) or v.shape[-1] != size:
         raise ValueError(f"{name} has shape {v.shape}, operator expects ({size},)")
     return v
 
@@ -88,8 +90,11 @@ class MatrixOperator:
     """Measurement operator from explicit sensing rows.
 
     apply(x)[k] = <row_k, x> = conj(row_k) . x, matching the inner-product
-    convention everywhere else.  It is evaluated as conj(rows @ conj(x)), so
-    no conjugate copy of the rows is made.
+    convention everywhere else.  It is evaluated as conj(conj(x) @ rows.T),
+    so no conjugate copy of the rows is made.  A (k, n) stack of inputs is
+    one matrix product (BLAS GEMM) over the rows, where each row of the
+    stack alone is a GEMV: the two agree to rounding, and a single vector or
+    a one-row stack gives the same bits as ``rows @ conj(x)``.
     """
 
     rows: np.ndarray
@@ -107,11 +112,11 @@ class MatrixOperator:
 
     def apply(self, x) -> np.ndarray:
         x = _sized(x, self.n, "x")
-        return np.conj(self.rows @ np.conj(x))
+        return np.conj(np.conj(x) @ self.rows.T)
 
     def adjoint(self, y) -> np.ndarray:
         y = _sized(y, self.out_dim, "y")
-        return self.rows.T @ y
+        return y @ self.rows
 
     def __getitem__(self, key) -> "MatrixOperator":
         """The operator over ``rows[key]``.  Those rows were checked when this
@@ -139,15 +144,21 @@ class MatrixOperator:
         """argmin_x ||A x - y||: the cached Cholesky factor U (A*A = U* U),
         then two triangular solves, U* w = A* y and U x = w.
 
-        Each solve is one BLAS ``ztrsv`` in place on the fresh n-vector A* y,
-        which for one right-hand side is faster than LAPACK ``zpotrs``; both
-        read only the upper triangle (``lower=0``), and the Fortran-ordered
-        factor is passed without a copy.  The factor comes from checked rows
-        and A* y is checked here, so neither is scanned again."""
+        Each solve is one BLAS ``ztrsv`` in place on a fresh n-vector of
+        A* y, which for one right-hand side is faster than LAPACK ``zpotrs``;
+        both read only the upper triangle (``lower=0``), and the
+        Fortran-ordered factor is passed without a copy.  A stack is solved
+        row by row, so each row gets the bits of its own solve from the same
+        A* y; one level-3 triangular solve over the whole stack was slower at
+        the default thread count.  The factor comes from checked rows and
+        A* y is checked here, so neither is scanned again."""
         u, _ = self._normal_factor
         x = _finite_normal_rhs(self, y)
-        x = ztrsv(u, x, lower=0, trans=2, overwrite_x=1)
-        return ztrsv(u, x, lower=0, trans=0, overwrite_x=1)
+        # x is a fresh C-ordered product, so each row is solved where it is
+        for row in x.reshape(-1, self.n):
+            ztrsv(u, row, lower=0, trans=2, overwrite_x=1)
+            ztrsv(u, row, lower=0, trans=0, overwrite_x=1)
+        return x
 
 
 @dataclass(frozen=True)
@@ -179,15 +190,17 @@ class CdpOperator:
         return self.masks.size
 
     def apply(self, x) -> np.ndarray:
+        """The masks broadcast over a stack, so each row of a (k, n) stack
+        is transformed exactly as it is alone."""
         x = _sized(x, self.n, "x")
-        blocks = np.fft.fft(self.masks * x[None, :], axis=1, norm="ortho")
-        return blocks.reshape(-1)
+        blocks = np.fft.fft(self.masks * x[..., None, :], axis=-1, norm="ortho")
+        return blocks.reshape(x.shape[:-1] + (-1,))
 
     def adjoint(self, y) -> np.ndarray:
-        """sum_i conj(w_i) * idft(block_i)."""
+        """sum_i conj(w_i) * idft(block_i), summed over the mask axis."""
         y = _sized(y, self.out_dim, "y")
-        blocks = np.fft.ifft(y.reshape(self.r, self.n), axis=1, norm="ortho")
-        return np.sum(self.masks.conj() * blocks, axis=0)
+        blocks = np.fft.ifft(y.reshape(y.shape[:-1] + (self.r, self.n)), axis=-1, norm="ortho")
+        return np.sum(self.masks.conj() * blocks, axis=-2)
 
     @cached_property
     def _normal_diag(self) -> np.ndarray:

@@ -228,9 +228,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             _cfg(**kw)
 
-    def test_weighted_init_requires_identity_model(self):
-        with pytest.raises(ConfigError, match="identity"):
-            _cfg(kind="recover", n=8, model="tanh:alpha=2", inits=("weighted1bit",))
+    def test_weighted_init_builds_under_any_model(self):
+        # one rule for every kind: zero-count pairs get weight 0, so the
+        # pair ratio weights are defined under every model
+        for model in ("tanh:alpha=2", "poisson:eta=4", "expnoise:sigma=1"):
+            cfg = _cfg(kind="recover", n=8, model=model, inits=("weighted1bit",))
+            assert cfg.model == model
 
     def test_weighted_init_fine_with_identity(self):
         _cfg(kind="recover", n=8, inits=("weighted1bit",))
@@ -486,13 +489,15 @@ class TestCli:
         assert cli.main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_weighted_init_with_distortion_exits_2(self, tmp_path, capsys):
+    def test_weighted_init_with_distortion_exits_0(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
         rc = cli.main([
             "recover", "--n", "8", "--model", "tanh:alpha=2",
-            "--init", "weighted1bit", "--out", str(tmp_path / "x.csv"),
+            "--init", "weighted1bit", "--out", str(out),
         ])
-        assert rc == 2
-        assert "identity" in capsys.readouterr().err
+        assert rc == 0
+        assert "init: weighted1bit" in capsys.readouterr().out
+        assert out.read_text().startswith("stage,iteration,dist_sq\n")
 
     def test_bad_model_exits_2(self, tmp_path, capsys):
         rc = cli.main([

@@ -9,6 +9,7 @@ from onebitphase import numkit
 from onebitphase.numkit import (
     PHASE_FLOOR,
     dist_sq,
+    distance_to,
     lanczos,
     phase_op,
 )
@@ -249,6 +250,31 @@ class TestDistSq:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             dist_sq([0.0, 0.0], [1.0, 0.0])
+
+    def test_distance_to_is_the_formula_bit_for_bit(self):
+        # the formula written out: 1 - |<x, x0>|^2 / (||x||^2 ||x0||^2),
+        # clipped to [0, 1]
+        rng = np.random.default_rng(8)
+        for n in (1, 5, 128, 512):
+            x0 = _random_complex(rng, n)
+            dist = distance_to(x0)
+            for x in (_random_complex(rng, n), 1e-150 * x0, x0):
+                c = np.vdot(x, x0) / (np.linalg.norm(x) * np.linalg.norm(x0))
+                expected = min(max(1.0 - float(np.abs(c)) ** 2, 0.0), 1.0)
+                assert dist(x) == dist_sq(x, x0) == expected
+
+    def test_distance_to_checks_x0_once_and_x_per_call(self):
+        with pytest.raises(ValueError, match="zero vector"):
+            distance_to([0.0, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            distance_to([np.nan, 1.0])
+        dist = distance_to([1.0, 0.0])
+        with pytest.raises(ValueError, match="zero vector"):
+            dist([0.0, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            dist([np.inf, 0.0])
+        with pytest.raises(ValueError, match="1-D"):
+            dist([[1.0, 0.0]])
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=25, deadline=None)

@@ -9,6 +9,7 @@ from onebitphase.numkit import dist_sq, phase_op
 from onebitphase.recovery import (
     InitKind,
     alt_min,
+    alt_min_many,
     alt_min_resampled,
     initial_estimate,
     multi_init_select,
@@ -219,14 +220,18 @@ class TestWeightedOneBitPhase:
 
 
 class _CountingOperator:
-    """Forwards to ``op`` and counts its applies, adjoints and solves."""
+    """Forwards to ``op`` and counts its applies, adjoints and solves; each
+    ``*_rows`` list holds the vectors per call (1 for a single vector, k
+    for a (k, len) stack)."""
 
     def __init__(self, op):
         self.op, self.n, self.out_dim = op, op.n, op.out_dim
         self.applies = self.adjoints = self.solves = 0
+        self.apply_rows, self.solve_rows = [], []
 
     def apply(self, x):
         self.applies += 1
+        self.apply_rows.append(len(x) if np.ndim(x) == 2 else 1)
         return self.op.apply(x)
 
     def adjoint(self, y):
@@ -235,6 +240,7 @@ class _CountingOperator:
 
     def lsq_solve(self, y):
         self.solves += 1
+        self.solve_rows.append(len(y) if np.ndim(y) == 2 else 1)
         return self.op.lsq_solve(y)
 
 
@@ -388,8 +394,10 @@ class TestAltMin:
         iterates = []
 
         def recording_solve(op, rhs):
-            iterates.append(solve(op, rhs))
-            return iterates[-1]
+            # alt_min solves a one-row stack: record its row
+            x = solve(op, rhs)
+            iterates.extend(x)
+            return x
 
         monkeypatch.setattr(MatrixOperator, "lsq_solve", recording_solve)
         report = alt_min(MatrixOperator(rows), b, x_init, max_iters=14, tol=0.0)
@@ -411,7 +419,7 @@ class TestAltMin:
 
         def copying_solve(op, rhs):
             x = solve(op, rhs)
-            iterates.append(x.copy())
+            iterates.extend(x.copy())
             return x
 
         monkeypatch.setattr(MatrixOperator, "lsq_solve", copying_solve)
@@ -504,6 +512,110 @@ class TestAltMin:
         b[3] = bad
         with pytest.raises(ValueError, match="intensities must be finite"):
             alt_min(MatrixOperator(rows), b, np.ones(4, dtype=complex))
+
+
+def _many_system(sensing, seed):
+    """An operator, the noiseless intensities of a signal x0, x0 and four
+    starts: three random ones and one near x0."""
+    if sensing == "matrix":
+        (op, _), x0 = _paired(12, 48, seed)
+    else:
+        op, x0 = build_cdp_operator(12, 4, seed), _unit(substream(seed, "x0"), 12)
+    rng = substream(seed, "starts")
+    starts = np.stack(
+        [random_init(12, rng) for _ in range(3)] + [x0 + 0.1 * _unit(rng, 12)]
+    )
+    return op, intensities(op, x0), x0, starts
+
+
+class TestAltMinMany:
+    def test_cdp_runs_are_solo_runs_bit_for_bit(self):
+        op, b, _, starts = _many_system("cdp", seed=80)
+        reports = alt_min_many(op, b, starts, max_iters=150)
+        assert len({r.iterations for r in reports}) > 1  # the stack shrinks on the way
+        for report, start in zip(reports, starts):
+            solo = alt_min(op, b, start, max_iters=150)
+            assert report.estimate.tobytes() == solo.estimate.tobytes()
+            assert report.trace == solo.trace
+            assert report.iterations == solo.iterations
+            assert report.converged == solo.converged
+
+    def test_matrix_runs_match_solo_runs(self):
+        # a stacked dense product is one GEMM, which agrees with the solo
+        # run's GEMV to rounding
+        op, b, _, starts = _many_system("matrix", seed=81)
+        reports = alt_min_many(op, b, starts, max_iters=150)
+        assert len({r.iterations for r in reports}) > 1
+        for report, start in zip(reports, starts):
+            solo = alt_min(op, b, start, max_iters=150)
+            assert report.iterations == solo.iterations
+            assert report.converged == solo.converged
+            assert np.linalg.norm(report.estimate - solo.estimate) <= 1e-12 * np.linalg.norm(
+                solo.estimate
+            )
+
+    @pytest.mark.parametrize("sensing", ["matrix", "cdp"])
+    def test_runs_stop_independently(self, sensing):
+        op, b, x0, starts = _many_system(sensing, seed=82)
+        counting = _CountingOperator(op)
+        seen = {0: [], 1: []}
+        reports = alt_min_many(
+            counting, b, [x0, starts[0]], max_iters=100,
+            callback=lambda run, k, x: seen[run].append(k),
+        )
+        assert reports[0].converged and reports[0].iterations <= 3
+        assert reports[1].iterations > reports[0].iterations + 10
+        for run, report in enumerate(reports):
+            assert seen[run] == list(range(1, report.iterations + 1))
+        # the stopped run leaves the stack
+        assert counting.solve_rows == (
+            [2] * reports[0].iterations + [1] * (reports[1].iterations - reports[0].iterations)
+        )
+
+    def test_callback_sees_its_own_run_and_best_iterate(self):
+        op, b, _, starts = _many_system("cdp", seed=83)
+        last = {}
+        reports = alt_min_many(
+            op, b, starts, max_iters=40, callback=lambda run, k, x: last.update({run: (k, x)})
+        )
+        for run, report in enumerate(reports):
+            k, x = last[run]
+            assert k == report.iterations
+            assert x.tobytes() == report.estimate.tobytes()
+
+    @pytest.mark.parametrize("sensing", ["matrix", "cdp"])
+    def test_one_stacked_solve_and_apply_per_iteration(self, sensing):
+        op, b, _, starts = _many_system(sensing, seed=84)
+        counting = _CountingOperator(op)
+        reports = alt_min_many(counting, b, starts, max_iters=9, tol=0.0)
+        assert [r.iterations for r in reports] == [9] * 4
+        assert counting.solves == 9
+        assert counting.applies == 9 + 1
+        assert counting.solve_rows == [4] * 9
+        assert counting.apply_rows == [4] * 10
+
+    @pytest.mark.parametrize("sensing", ["matrix", "cdp"])
+    def test_inputs_are_not_written(self, sensing):
+        op, b, _, starts = _many_system(sensing, seed=85)
+        b_bytes, start_bytes = b.tobytes(), starts.tobytes()
+        alt_min_many(op, b, starts, max_iters=5, tol=0.0)
+        assert b.tobytes() == b_bytes
+        assert starts.tobytes() == start_bytes
+
+    def test_rejects_bad_starts(self):
+        op, b, _, starts = _many_system("cdp", seed=86)
+        bad = starts.copy()
+        bad[1] = 0.0
+        with pytest.raises(ValueError, match="nonzero"):
+            alt_min_many(op, b, bad)
+        bad[1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            alt_min_many(op, b, bad)
+        for shape in (starts[0], starts[:0], starts[None]):
+            with pytest.raises(ValueError, match="stack"):
+                alt_min_many(op, b, shape)
+        with pytest.raises(ValueError, match="operator expects"):
+            alt_min_many(op, b, starts[:, :-1])
 
 
 INTERLEAVED = (slice(0, None, 2), slice(1, None, 2))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 from scipy.linalg import cho_solve
+from scipy.linalg.blas import ztrsv
 
 from onebitphase import numkit, sensing
 from onebitphase.sensing import (
@@ -394,6 +395,100 @@ class TestOperatorBoundary:
         op.lsq_solve(y)
         assert x.tobytes() == x_bytes
         assert y.tobytes() == y_bytes
+
+
+def _stack(rng, k, size):
+    return np.stack([sample_complex_gaussian(size, rng) for _ in range(k)])
+
+
+class TestStackedOperators:
+    """``apply``, ``adjoint`` and ``lsq_solve`` take a (k, len) stack, one
+    vector per row, and give each row what it gets alone: the same bits on
+    the masked-DFT operator and on every one-row stack, and the same bits
+    from the dense row-by-row triangular solves; a stacked dense product is
+    one GEMM, which agrees with the row-by-row GEMVs to rounding."""
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_cdp_stack_is_row_by_row_bit_for_bit(self, k):
+        op = build_cdp_operator(16, 3, seed=60)
+        rng = np.random.default_rng(61)
+        xs, ys = _stack(rng, k, op.n), _stack(rng, k, op.out_dim)
+        for method, stack in ((op.apply, xs), (op.adjoint, ys), (op.lsq_solve, ys)):
+            got = method(stack)
+            assert got.shape[0] == k
+            for row, v in zip(got, stack):
+                assert row.tobytes() == method(v).tobytes()
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            _operators()[0],
+            _families(62, 6, 10)[1],
+            MatrixOperator(np.random.default_rng(63).standard_normal((14, 6))),
+        ],
+        ids=["matrix", "strided-family", "real-rows"],
+    )
+    def test_matrix_one_row_stack_is_bit_for_bit(self, op):
+        rng = np.random.default_rng(64)
+        x, y = sample_complex_gaussian(op.n, rng), sample_complex_gaussian(op.out_dim, rng)
+        assert op.apply(x[None])[0].tobytes() == op.apply(x).tobytes()
+        assert op.adjoint(y[None])[0].tobytes() == op.adjoint(y).tobytes()
+        assert op.lsq_solve(y[None])[0].tobytes() == op.lsq_solve(y).tobytes()
+
+    @pytest.mark.parametrize("m, n", [(1024, 128), (2730, 256), (4096, 512)])
+    def test_matrix_vector_products_keep_their_bits(self, m, n):
+        # a single vector and a one-row stack are the GEMV of rows @ conj(x)
+        # and rows.T @ y, on the full rows and on each strided family
+        op, pairs = build_paired_ensemble(n, m // 2, seed=65)
+        rng = np.random.default_rng(66)
+        for view in (op, op[pairs[0]], op[pairs[1]]):
+            x, y = sample_complex_gaussian(n, rng), sample_complex_gaussian(view.out_dim, rng)
+            applied = np.conj(view.rows @ np.conj(x)).tobytes()
+            adjoined = (view.rows.T @ y).tobytes()
+            assert view.apply(x).tobytes() == view.apply(x[None])[0].tobytes() == applied
+            assert view.adjoint(y).tobytes() == view.adjoint(y[None])[0].tobytes() == adjoined
+
+    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize(
+        "op",
+        [build_plain_ensemble(32, 256, seed=67), _families(68, 32, 256)[0]],
+        ids=["matrix", "strided-family"],
+    )
+    def test_matrix_stack_matches_rows(self, op, k):
+        rng = np.random.default_rng(69)
+        xs, ys = _stack(rng, k, op.n), _stack(rng, k, op.out_dim)
+        for method, stack in ((op.apply, xs), (op.adjoint, ys), (op.lsq_solve, ys)):
+            got = method(stack)
+            for row, v in zip(got, stack):
+                alone = method(v)
+                assert np.linalg.norm(row - alone) <= 1e-13 * np.linalg.norm(alone)
+        # the solves themselves run row by row: each row is the two
+        # triangular solves of its own row of A* y
+        u, _ = op._normal_factor
+        for row, rhs in zip(op.lsq_solve(ys), op.adjoint(ys)):
+            w = ztrsv(u, rhs, lower=0, trans=2)
+            assert row.tobytes() == ztrsv(u, w, lower=0, trans=0).tobytes()
+
+    @pytest.mark.parametrize("op", _operators(), ids=["matrix", "cdp"])
+    def test_wrong_trailing_length_rejected(self, op):
+        ones = lambda *shape: np.ones(shape, dtype=complex)  # noqa: E731
+        for method, length in ((op.apply, op.n), (op.adjoint, op.out_dim), (op.lsq_solve, op.out_dim)):
+            for bad in (ones(3, length + 1), ones(3, length - 1), ones(2, 3, length), ones(length, 3)):
+                with pytest.raises(ValueError, match=r"has shape .*, operator expects"):
+                    method(bad)
+
+    @pytest.mark.parametrize(
+        "op", _operators() + [_families(70, 6, 10)[0]], ids=["matrix", "cdp", "strided-family"]
+    )
+    def test_stacks_are_not_written(self, op):
+        rng = np.random.default_rng(71)
+        xs, ys = _stack(rng, 3, op.n), _stack(rng, 3, op.out_dim)
+        x_bytes, y_bytes = xs.tobytes(), ys.tobytes()
+        op.apply(xs)
+        op.adjoint(ys)
+        op.lsq_solve(ys)
+        assert xs.tobytes() == x_bytes
+        assert ys.tobytes() == y_bytes
 
 
 class TestPeakMemory:
