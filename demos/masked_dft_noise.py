@@ -16,7 +16,7 @@ import numpy as np
 from onebitphase.channels import quantize
 from onebitphase.numkit import dist_sq, sample_complex_gaussian
 from onebitphase.recovery import alt_min_many, initial_estimate
-from onebitphase.sensing import CdpOperator, build_cdp_operator, intensities, substream
+from onebitphase.sensing import build_paired_cdp, intensities, substream
 
 n, r, sigma, trials = 256, 4, 0.8, 5
 finals = {"subexp": [], "onebit": [], "weighted1bit": []}
@@ -26,12 +26,8 @@ for t in range(trials):
     seed = 40 + t
     # one operator over both mask families: family 1 fills the first r*n
     # outputs, family 2 the rest, and pair k compares output k of each
-    masks = [
-        build_cdp_operator(n, r, int(substream(seed, key).integers(0, 2**63))).masks
-        for key in ("m1", "m2")
-    ]
-    op = CdpOperator(np.vstack(masks))
-    pairs = (slice(None, r * n), slice(r * n, None))
+    seeds = [int(substream(seed, key).integers(0, 2**63)) for key in ("m1", "m2")]
+    op, pairs = build_paired_cdp(n, r, seeds)
     # unnormalized signal keeps per-coordinate masked-DFT intensities at unit
     # scale, so sigma means the same thing it does for dense Gaussian sensing
     x0 = sample_complex_gaussian(n, substream(seed, "x0"))

@@ -27,13 +27,18 @@ curves = {}
 for init, iteration, median in rows:
     curves.setdefault(init, []).append(median)
 
+
+def cell(value):
+    # values at the rounding floor move with summation order: print the floor
+    return f"{'<1e-13':>11}" if value < 1e-13 else f"{value:11.2e}"
+
+
 print("median squared error by refinement iteration")
 print(f"(n={cfg.n}, {cfg.ratio}n measurement pairs, {cfg.trials} trials)")
 marks = [0, 5, 10, 20, 40, 60]
-print(f"{'iteration':>10}" + "".join(f"{k:>11}" for k in marks))
+print(f"{'iteration':>12}" + "".join(f"{k:>11}" for k in marks))
 for init, values in curves.items():
-    cells = "".join(f"{values[min(k, len(values) - 1)]:11.2e}" for k in marks)
-    print(f"{init:>10}" + cells)
+    print(f"{init:>12}" + "".join(cell(values[min(k, len(values) - 1)]) for k in marks))
 
 print()
 print("Iteration 0 is the initialization error itself.  All starts converge")

@@ -23,7 +23,6 @@ from .channels import (
     Identity,
     PoissonNoise,
     TanhDistortion,
-    apply_model,
     format_model,
     lambda_closed_form,
     lambda_monte_carlo,
@@ -34,7 +33,6 @@ from .channels import (
 from .numkit import distance_to, dist_sq, sample_complex_gaussian
 from .recovery import (
     InitKind,
-    alt_min,
     alt_min_many,
     alt_min_resampled,
     initial_estimate,
@@ -44,8 +42,7 @@ from .recovery import (
     resample_blocks,
 )
 from .sensing import (
-    CdpOperator,
-    build_cdp_operator,
+    build_paired_cdp,
     build_paired_ensemble,
     intensities,
     substream,
@@ -236,7 +233,7 @@ def run_distortion_sweep(cfg: ExperimentConfig) -> list[list]:
         bit = dist_sq(rep.estimate, x0)
         for alpha, model in models.items():
             err_bit[alpha].append(bit)
-            distorted = apply_model(model, b)
+            distorted, _ = observe_pairs(model, b, pairs)
             seed_sub = substream(cfg.seed, "power-sub", t)
             rep_sub = initial_estimate(
                 InitKind.SUBEXP, op, distorted, y, pairs, seed_sub, cfg.tol, cfg.max_iters
@@ -334,15 +331,12 @@ def _cdp_trial(cfg: ExperimentConfig, trial: int):
     """One operator over both mask families, stacked; pair k compares
     output k of family 1 with output k of family 2."""
     n, r = cfg.n, cfg.ratio
-    families = [
-        build_cdp_operator(n, r, _trial_seed(cfg.seed, f"cdp-masks-{k}", trial)).masks
-        for k in (1, 2)
-    ]
-    op = CdpOperator(np.vstack(families))
+    seeds = [_trial_seed(cfg.seed, f"cdp-masks-{k}", trial) for k in (1, 2)]
+    op, pairs = build_paired_cdp(n, r, seeds)
     # unnormalized: per-coordinate masked-DFT intensities then have mean
     # ||x0||^2/n ~ 1, the same scale the noise sigmas are calibrated against
     x0 = sample_complex_gaussian(n, substream(cfg.seed, "signal", trial))
-    return op, (slice(None, r * n), slice(r * n, None)), x0, intensities(op, x0)
+    return op, pairs, x0, intensities(op, x0)
 
 
 def run_cdp_convergence(cfg: ExperimentConfig) -> list[list]:
@@ -390,14 +384,14 @@ def run_recover(cfg: ExperimentConfig) -> tuple[list[list], list[str]]:
         report = None
     elif cfg.refine == "altmin":
         rows.append(["init", 0, dist_sq(x_init, x0)])
-        report = alt_min(
+        report = alt_min_many(
             op,
             b,
-            x_init,
+            [x_init],
             max_iters=cfg.max_iters,
             tol=cfg.tol,
-            callback=lambda k, x: rows.append(["altmin", k, dist_sq(x, x0)]),
-        )
+            callback=lambda run, k, x: rows.append(["altmin", k, dist_sq(x, x0)]),
+        )[0]
         final = report.estimate
     else:
         # stage 0 of the trace is the block-0 init

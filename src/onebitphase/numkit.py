@@ -15,8 +15,6 @@ from typing import Callable
 import numpy as np
 from scipy.linalg.lapack import dstebz, dstein
 
-ComplexVec = np.ndarray
-
 # Magnitudes below this are treated as zero by the phase operator.
 PHASE_FLOOR = 1e-300
 

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .channels import ratio_weights
-from .numkit import as_complex_vector, lanczos, phase_op, sample_complex_gaussian
+from .numkit import lanczos, phase_op, sample_complex_gaussian
 from .sensing import MeasurementOperator
 
 
@@ -173,18 +173,12 @@ def initial_estimate(
 RAAR_BETA = 0.8
 
 
-def alt_min(
-    op: MeasurementOperator,
-    b,
-    x_init,
-    max_iters: int = 200,
-    tol: float = 1e-12,
-    callback: Optional[Callable[[int, np.ndarray], None]] = None,
-) -> RecoveryReport:
-    """:func:`alt_min_many` from the one start ``x_init``; ``callback`` sees
-    ``(k, x)``."""
-    run_callback = None if callback is None else lambda run, k, x: callback(k, x)
-    return alt_min_many(op, b, [as_complex_vector(x_init)], max_iters, tol, run_callback)[0]
+def _phase_misfit(a_x: np.ndarray, sqrt_b: np.ndarray) -> np.ndarray:
+    """sum((|A x| - sqrt(b))^2) of each row of the stack ``a_x``: the squared
+    distance ||A x - sqrt(b) Ph(A x)||^2 from A x to the measured magnitudes."""
+    mag = np.abs(a_x)
+    np.subtract(mag, sqrt_b, out=mag)
+    return np.sum(np.square(mag, out=mag), axis=-1)
 
 
 def alt_min_many(
@@ -254,9 +248,7 @@ def alt_min_many(
         np.multiply(sqrt_b_complex, p, out=p)
         x = op.lsq_solve(p)
         a_x = np.asarray(op.apply(x), dtype=np.complex128)
-        mag = np.abs(a_x)
-        np.subtract(mag, sqrt_b, out=mag)
-        obj = np.sum(np.square(mag, out=mag), axis=1)
+        obj = _phase_misfit(a_x, sqrt_b)
         for row, run in enumerate(live):
             if obj[row] < best_obj[run]:
                 best_obj[run], best_x[run] = float(obj[row]), x[row]
@@ -343,21 +335,22 @@ def alt_min_resampled(
 ) -> RecoveryReport:
     """Staged alternating minimization from ``x_init`` on disjoint blocks.
 
-    Each ``(operator, b)`` stage of :func:`resample_blocks` is one exact phase
-    update plus one exact least-squares solve, ``op.lsq_solve``, on fresh
-    measurements; a solve that fails raises instead of returning, so the
-    report is always converged.  ``callback`` sees ``(0, x_init)`` and then
-    each stage's estimate.
+    Each ``(operator, b)`` stage of :func:`resample_blocks` is one iteration
+    of :func:`alt_min_many` on fresh measurements.  Its relaxation never
+    reaches the estimate, so a stage is exactly one phase update and one
+    least-squares solve, x <- A^+ (sqrt(b) Ph(A x)); a solve that fails
+    raises instead of returning, so the report is always converged.  The
+    trace holds each stage's objective, and ``callback`` sees ``(0,
+    x_init)`` and then each stage's estimate.
     """
-    x = as_complex_vector(x_init)
+    x = x_init
     if callback is not None:
         callback(0, x)
     trace: list = []
     for t, (op, b) in enumerate(stages, start=1):
-        rhs = np.sqrt(b) * phase_op(op.apply(x))
-        x = op.lsq_solve(rhs)
-        obj = float(np.linalg.norm(op.apply(x) - rhs) ** 2)
-        trace.append((t, obj))
+        stage = alt_min_many(op, b, [x], max_iters=1)[0]
+        x = stage.estimate
+        trace.append((t, stage.trace[0][1]))
         if callback is not None:
             callback(t, x)
     return RecoveryReport(
@@ -374,23 +367,18 @@ def multi_init_select(
     op: MeasurementOperator,
     b,
 ) -> tuple:
-    """Pick the candidate with the smallest phase-consistency residual.
-
-    The score is ||A x - Diag(sqrt(b)) Ph(A x)||^2; ties keep the earliest
-    candidate.  Raises RuntimeError when no candidate has a finite score.
+    """Pick the ``(kind, vector)`` candidate with the smallest objective of
+    :func:`alt_min_many`, ||A x - Diag(sqrt(b)) Ph(A x)||^2, from one stacked
+    apply over all candidates.  Ties keep the earliest candidate and a
+    non-finite score is skipped; raises RuntimeError when no score is finite.
     """
     if len(candidates) == 0:
         raise ValueError("no candidates to select from")
     b = _checked_intensities(b)
-    sqrt_b = np.sqrt(b)
-    best = None
-    best_score = np.inf
-    for kind, vec in candidates:
-        z = np.asarray(op.apply(vec), dtype=np.complex128)
-        score = float(np.linalg.norm(z - sqrt_b * phase_op(z)) ** 2)
-        if score < best_score:
-            best = (kind, vec)
-            best_score = score
-    if best is None:
+    a_x = op.apply(np.array([vec for _, vec in candidates], dtype=np.complex128))
+    scores = _phase_misfit(a_x, np.sqrt(b))
+    finite = np.flatnonzero(np.isfinite(scores))
+    if finite.size == 0:
         raise RuntimeError("no candidate has a finite selection score")
-    return best
+    kind, vec = candidates[finite[np.argmin(scores[finite])]]
+    return kind, vec

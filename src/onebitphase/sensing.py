@@ -253,6 +253,24 @@ def build_cdp_operator(n: int, r: int, seed: int) -> CdpOperator:
     return CdpOperator(sample_complex_gaussian((r, n), substream(seed, "cdp-masks")))
 
 
+def build_paired_cdp(n: int, r: int, seeds) -> tuple[CdpOperator, tuple[slice, slice]]:
+    """Two families of r masks of length n in one (2r, n) array: family k
+    fills masks ``[k r, (k + 1) r)`` with the masks of
+    ``build_cdp_operator(n, r, seeds[k])``.
+
+    Returns ``(op, pairs)``: the operator over both families and the two
+    slices that place them in its outputs, so pair i compares output i of
+    family 1 with output i of family 2.
+    """
+    if len(seeds) != 2:
+        raise ValueError(f"need one seed per mask family, got {len(seeds)}")
+    masks = np.empty((2 * r, n), dtype=np.complex128)
+    for k, seed in enumerate(seeds):
+        family = masks[k * r : (k + 1) * r]
+        sample_complex_gaussian((r, n), substream(seed, "cdp-masks"), out=family)
+    return CdpOperator(masks), (slice(None, r * n), slice(r * n, None))
+
+
 def intensities(op: MeasurementOperator, x) -> np.ndarray:
     """|A x|^2 entrywise: the noiseless intensities of ``x`` through ``op``."""
     return np.abs(op.apply(x)) ** 2

@@ -26,10 +26,9 @@ from onebitphase.channels import (
     ratio_weights,
 )
 from onebitphase.numkit import dist_sq
-from onebitphase.recovery import alt_min, initial_estimate
+from onebitphase.recovery import alt_min_many, initial_estimate
 from onebitphase.sensing import (
-    CdpOperator,
-    build_cdp_operator,
+    build_paired_cdp,
     build_paired_ensemble,
     build_plain_ensemble,
     intensities,
@@ -238,8 +237,8 @@ def gaussian_noiseless_runs():
         }
         for kind, xi in ests.items():
             errs = []
-            rep = alt_min(op, b, xi, max_iters=100, tol=1e-12,
-                          callback=lambda k, x: errs.append(dist_sq(x, x0)))
+            rep = alt_min_many(op, b, [xi], max_iters=100, tol=1e-12,
+                               callback=lambda run, k, x: errs.append(dist_sq(x, x0)))[0]
             if min(errs) <= 1e-6:
                 hits[kind] += 1
             traces.append([v for _, v in rep.trace])
@@ -260,11 +259,8 @@ def cdp_noisy_runs():
     t0 = time.monotonic()
     for s in range(20):
         seed = 6000 + s
-        masks = [
-            build_cdp_operator(n, r, int(substream(seed, key).integers(0, 2**63))).masks
-            for key in ("m1", "m2")
-        ]
-        op, pairs = CdpOperator(np.vstack(masks)), (slice(None, r * n), slice(r * n, None))
+        seeds = [int(substream(seed, key).integers(0, 2**63)) for key in ("m1", "m2")]
+        op, pairs = build_paired_cdp(n, r, seeds)
         rng = substream(seed, "x0")
         x0 = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(0.5)
         noise = sigma * np.maximum(substream(seed, "noise").standard_normal(r * n), 0.0)
@@ -274,7 +270,7 @@ def cdp_noisy_runs():
             xi = initial_estimate(kind, op, b, y, pairs,
                                   substream(seed, "pw", kind), max_iters=2000).estimate
             inits[kind].append(dist_sq(xi, x0))
-            rep = alt_min(op, b, xi, max_iters=100, tol=1e-12)
+            rep = alt_min_many(op, b, [xi], max_iters=100, tol=1e-12)[0]
             finals[kind].append(dist_sq(rep.estimate, x0))
             traces.append([v for _, v in rep.trace])
     return finals, traces, time.monotonic() - t0, inits
@@ -292,7 +288,7 @@ def test_08b_noiseless_random_init_converges(gaussian_noiseless_runs):
     from a uniformly random start within the pinned 100-iteration budget on
     at least 18 of 20 seeds.  Plain alternating projections need about 120
     iterations here, so this checks the relaxed (RAAR) engine behind
-    ``alt_min``."""
+    ``alt_min_many``."""
     hits, _, _ = gaussian_noiseless_runs
     assert hits["random"] >= 18, (
         f"random init: {hits['random']}/20 seeds reached 1e-6 within 100 "

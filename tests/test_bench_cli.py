@@ -329,6 +329,17 @@ class TestConvergenceRuns:
         assert rows[0][1] == 0
         assert rows[-1][2] <= 1e-6
 
+    def test_cdp_trial_masks_are_the_two_family_stack(self):
+        cfg = _cfg(kind="cdp-convergence", n=16, ratio=3, trials=2, seed=7)
+        for trial in range(2):
+            op, pairs, _, _ = bench._cdp_trial(cfg, trial)
+            families = [
+                build_cdp_operator(16, 3, bench._trial_seed(7, f"cdp-masks-{k}", trial)).masks
+                for k in (1, 2)
+            ]
+            assert op.masks.tobytes() == np.vstack(families).tobytes()
+            assert pairs == (slice(None, 48), slice(48, None))
+
     def test_cdp_sign_matvec_matches_dense_assembly(self):
         n = 8
         op1 = build_cdp_operator(n, 2, seed=11)

@@ -8,7 +8,6 @@ from onebitphase.channels import Identity, observe_pairs, ratio_weights
 from onebitphase.numkit import dist_sq, phase_op
 from onebitphase.recovery import (
     InitKind,
-    alt_min,
     alt_min_many,
     alt_min_resampled,
     initial_estimate,
@@ -361,7 +360,7 @@ def _altmin_system(n, m, seed):
 class TestAltMin:
     def test_exact_init_is_a_fixed_point(self):
         _, rows, b, x0 = _altmin_system(8, 64, seed=21)
-        report = alt_min(MatrixOperator(rows), b, x0, max_iters=3)
+        report = alt_min_many(MatrixOperator(rows), b, [x0], max_iters=3)[0]
         assert report.trace[0][1] <= 1e-20
         assert dist_sq(report.estimate, x0) <= 1e-12
         assert report.converged
@@ -369,7 +368,7 @@ class TestAltMin:
     def test_objective_never_increases(self):
         _, rows, b, _ = _altmin_system(16, 64, seed=22)
         x_init = random_init(16, substream(22, "init"))
-        report = alt_min(MatrixOperator(rows), b, x_init, max_iters=100)
+        report = alt_min_many(MatrixOperator(rows), b, [x_init], max_iters=100)[0]
         objectives = [v for _, v in report.trace]
         assert all(b2 <= b1 for b1, b2 in zip(objectives, objectives[1:]))
 
@@ -379,7 +378,9 @@ class TestAltMin:
         op = MatrixOperator(rows)
         monkeypatch.setattr(recovery, "RAAR_BETA", 0.5)
         seen = []
-        alt_min(op, b, x_init, max_iters=10, tol=0.0, callback=lambda k, x: seen.append(x))
+        alt_min_many(
+            op, b, [x_init], max_iters=10, tol=0.0, callback=lambda run, k, x: seen.append(x)
+        )
         x = x_init
         for got in seen:
             x = op.lsq_solve(np.sqrt(b) * phase_op(rows.conj() @ x))
@@ -394,13 +395,13 @@ class TestAltMin:
         iterates = []
 
         def recording_solve(op, rhs):
-            # alt_min solves a one-row stack: record its row
+            # one start is a one-row stack: record its row
             x = solve(op, rhs)
             iterates.extend(x)
             return x
 
         monkeypatch.setattr(MatrixOperator, "lsq_solve", recording_solve)
-        report = alt_min(MatrixOperator(rows), b, x_init, max_iters=14, tol=0.0)
+        report = alt_min_many(MatrixOperator(rows), b, [x_init], max_iters=14, tol=0.0)[0]
         objectives = [
             float(np.sum((np.abs(rows.conj() @ x) - np.sqrt(b)) ** 2)) for x in iterates
         ]
@@ -423,7 +424,7 @@ class TestAltMin:
             return x
 
         monkeypatch.setattr(MatrixOperator, "lsq_solve", copying_solve)
-        report = alt_min(MatrixOperator(rows), b, x_init, max_iters=14, tol=0.0)
+        report = alt_min_many(MatrixOperator(rows), b, [x_init], max_iters=14, tol=0.0)[0]
         objectives = [
             float(np.sum((np.abs(rows.conj() @ x) - np.sqrt(b)) ** 2)) for x in iterates
         ]
@@ -440,7 +441,8 @@ class TestAltMin:
             op = build_cdp_operator(8, 4, seed=37)
             b = intensities(op, _unit(substream(37, "x0"), 8))
         counting = _CountingOperator(op)
-        report = alt_min(counting, b, random_init(8, substream(37, "init")), max_iters=9, tol=0.0)
+        x_init = random_init(8, substream(37, "init"))
+        report = alt_min_many(counting, b, [x_init], max_iters=9, tol=0.0)[0]
         assert report.iterations == 9
         assert counting.solves == 9
         assert counting.applies == 9 + 1
@@ -455,7 +457,7 @@ class TestAltMin:
             b = intensities(op, _unit(substream(38, "x0"), 8))
         x_init = random_init(8, substream(38, "init"))
         b_bytes, x_bytes = b.tobytes(), x_init.tobytes()
-        alt_min(op, b, x_init, max_iters=5, tol=0.0)
+        alt_min_many(op, b, [x_init], max_iters=5, tol=0.0)
         assert b.tobytes() == b_bytes
         assert x_init.tobytes() == x_bytes
 
@@ -465,7 +467,7 @@ class TestAltMin:
         for seed in range(20):
             ops, rows, b, x0 = _altmin_system(n, 6 * n, seed=100 + seed)
             init = _init("onebit", ops, x0, seed=seed).estimate
-            report = alt_min(MatrixOperator(rows), b, init, max_iters=50)
+            report = alt_min_many(MatrixOperator(rows), b, [init], max_iters=50)[0]
             if dist_sq(report.estimate, x0) <= 1e-6:
                 good += 1
         assert good >= 18
@@ -475,7 +477,7 @@ class TestAltMin:
         x0 = _unit(substream(24, "x0"), 16)
         b = intensities(op, x0)
         x_init = random_init(16, substream(24, "init"))
-        report = alt_min(op, b, x_init, max_iters=200)
+        report = alt_min_many(op, b, [x_init], max_iters=200)[0]
         assert dist_sq(report.estimate, x0) <= 1e-6
 
     def test_unobserved_coordinate_rejected(self):
@@ -485,25 +487,41 @@ class TestAltMin:
         blind = CdpOperator(masks)
         x_init = random_init(8, substream(29, "init"))
         with pytest.raises(ValueError, match="unobserved"):
-            alt_min(blind, intensities(op, x_init), x_init, max_iters=5)
+            alt_min_many(blind, intensities(op, x_init), [x_init], max_iters=5)
+
+    @pytest.mark.parametrize("sensing", ["matrix", "cdp"])
+    def test_one_iteration_is_the_exact_least_squares_step(self, sensing):
+        # the relaxation first reaches x in the second solve, so one
+        # iteration is one phase projection and one solve, bit for bit
+        if sensing == "matrix":
+            _, rows, b, _ = _altmin_system(8, 48, seed=39)
+            op = MatrixOperator(rows)
+        else:
+            op = build_cdp_operator(8, 4, seed=39)
+            b = intensities(op, _unit(substream(39, "x0"), 8))
+        x = random_init(8, substream(39, "init"))
+        report = alt_min_many(op, b, [x], max_iters=1)[0]
+        expected = op.lsq_solve(np.sqrt(b) * phase_op(op.apply(x)))
+        assert report.estimate.tobytes() == expected.tobytes()
+        assert report.iterations == 1
 
     def test_callback_sees_every_iteration(self):
         _, rows, b, _ = _altmin_system(8, 48, seed=25)
         x_init = random_init(8, substream(25, "init"))
         seen = []
-        report = alt_min(
-            MatrixOperator(rows), b, x_init, max_iters=7, tol=0.0,
-            callback=lambda k, x: seen.append(k),
-        )
+        report = alt_min_many(
+            MatrixOperator(rows), b, [x_init], max_iters=7, tol=0.0,
+            callback=lambda run, k, x: seen.append(k),
+        )[0]
         assert seen == list(range(1, report.iterations + 1))
 
     def test_rejects_bad_inputs(self):
         _, rows, b, _ = _altmin_system(4, 16, seed=26)
         op = MatrixOperator(rows)
         with pytest.raises(ValueError):
-            alt_min(op, -b, np.ones(4, dtype=complex))
+            alt_min_many(op, -b, [np.ones(4, dtype=complex)])
         with pytest.raises(ValueError):
-            alt_min(op, b, np.zeros(4, dtype=complex))
+            alt_min_many(op, b, [np.zeros(4, dtype=complex)])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_intensities_rejected(self, bad):
@@ -511,7 +529,7 @@ class TestAltMin:
         b = b.copy()
         b[3] = bad
         with pytest.raises(ValueError, match="intensities must be finite"):
-            alt_min(MatrixOperator(rows), b, np.ones(4, dtype=complex))
+            alt_min_many(MatrixOperator(rows), b, [np.ones(4, dtype=complex)])
 
 
 def _many_system(sensing, seed):
@@ -534,7 +552,7 @@ class TestAltMinMany:
         reports = alt_min_many(op, b, starts, max_iters=150)
         assert len({r.iterations for r in reports}) > 1  # the stack shrinks on the way
         for report, start in zip(reports, starts):
-            solo = alt_min(op, b, start, max_iters=150)
+            solo = alt_min_many(op, b, [start], max_iters=150)[0]
             assert report.estimate.tobytes() == solo.estimate.tobytes()
             assert report.trace == solo.trace
             assert report.iterations == solo.iterations
@@ -547,7 +565,7 @@ class TestAltMinMany:
         reports = alt_min_many(op, b, starts, max_iters=150)
         assert len({r.iterations for r in reports}) > 1
         for report, start in zip(reports, starts):
-            solo = alt_min(op, b, start, max_iters=150)
+            solo = alt_min_many(op, b, [start], max_iters=150)[0]
             assert report.iterations == solo.iterations
             assert report.converged == solo.converged
             assert np.linalg.norm(report.estimate - solo.estimate) <= 1e-12 * np.linalg.norm(
@@ -805,6 +823,41 @@ class TestMultiInitSelect:
         b[3] = bad
         with pytest.raises(ValueError, match="intensities must be finite"):
             multi_init_select([(InitKind.ONEBIT, x0)], MatrixOperator(rows), b)
+
+    @pytest.mark.parametrize("sensing", ["matrix", "cdp"])
+    def test_non_finite_candidate_is_skipped(self, sensing):
+        op, b, x0, starts = _many_system(sensing, seed=41)
+        nan_vec = np.full(op.n, np.nan, dtype=complex)
+        candidates = [
+            (InitKind.RANDOM, starts[0]),
+            (InitKind.SUBEXP, nan_vec),
+            (InitKind.ONEBIT, x0),
+            (InitKind.WEIGHTED_ONEBIT, starts[1]),
+        ]
+        with np.errstate(invalid="ignore"):
+            kind, vec = multi_init_select(candidates, op, b)
+        assert kind is InitKind.ONEBIT
+        assert vec is x0
+
+    def test_ties_keep_the_earliest_candidate(self):
+        _, rows, b, x0 = _altmin_system(8, 80, seed=42)
+        decoy = _unit(substream(42, "decoy"), 8)
+        candidates = [
+            (InitKind.RANDOM, decoy),
+            (InitKind.SUBEXP, decoy.copy()),
+            (InitKind.ONEBIT, decoy.copy()),
+        ]
+        kind, vec = multi_init_select(candidates, MatrixOperator(rows), b)
+        assert kind is InitKind.RANDOM
+        assert vec is decoy
+
+    @pytest.mark.parametrize("sensing", ["matrix", "cdp"])
+    def test_one_stacked_apply_over_the_candidates(self, sensing):
+        op, b, _, starts = _many_system(sensing, seed=43)
+        counting = _CountingOperator(op)
+        multi_init_select([(kind, x) for kind, x in zip(InitKind, starts)], counting, b)
+        assert counting.apply_rows == [4]
+        assert counting.adjoints == counting.solves == 0
 
     def test_no_finite_score_raises(self):
         _, rows, b, _ = _altmin_system(4, 16, seed=36)

@@ -12,6 +12,7 @@ from onebitphase.sensing import (
     CdpOperator,
     MatrixOperator,
     build_cdp_operator,
+    build_paired_cdp,
     build_paired_ensemble,
     build_plain_ensemble,
     intensities,
@@ -272,6 +273,22 @@ class TestCdp:
         a = build_cdp_operator(8, 2, seed=30)
         b = build_cdp_operator(8, 2, seed=30)
         np.testing.assert_array_equal(a.masks, b.masks)
+
+    def test_paired_families_are_the_single_family_masks(self):
+        seeds = [int(substream(31, key).integers(0, 2**63)) for key in ("m1", "m2")]
+        op, pairs = build_paired_cdp(8, 3, seeds)
+        stacked = np.vstack([build_cdp_operator(8, 3, seed).masks for seed in seeds])
+        assert op.masks.tobytes() == stacked.tobytes()
+        assert pairs == (slice(None, 24), slice(24, None))
+        x = sample_complex_gaussian(8, np.random.default_rng(17))
+        b = intensities(op, x)
+        for k, seed in enumerate(seeds):
+            family = intensities(build_cdp_operator(8, 3, seed), x)
+            assert b[pairs[k]].tobytes() == family.tobytes()
+
+    def test_paired_needs_one_seed_per_family(self):
+        with pytest.raises(ValueError, match="one seed per mask family"):
+            build_paired_cdp(8, 3, [1, 2, 3])
 
 
 
