@@ -1,9 +1,9 @@
 """Signal recovery from one-bit intensity comparisons.
 
 Spectral estimators extract the top eigenvector of a measurement-weighted
-covariance surrogate without ever materializing it; alternating minimization
-refines an estimate against un-quantized intensities.  All estimators report
-through :class:`RecoveryReport`.
+covariance surrogate through the operator's own matvec, ``op.surrogate(c)``;
+alternating minimization refines an estimate against un-quantized
+intensities.  All estimators report through :class:`RecoveryReport`.
 """
 
 from __future__ import annotations
@@ -69,22 +69,6 @@ def random_init(n: int, seed) -> np.ndarray:
 # spectral estimators
 
 
-def surrogate_matvec(op, c) -> Callable[[np.ndarray], np.ndarray]:
-    """Action of S = (1/M) A* Diag(c) A on r, M = ``op.out_dim``: one apply
-    and one adjoint of any operator with ``apply``/``adjoint``."""
-    c = np.asarray(c, dtype=float)
-    if c.shape != (op.out_dim,):
-        raise ValueError(f"coefficients have shape {c.shape}, expected ({op.out_dim},)")
-    # numpy casts a real operand to complex inside each complex multiply;
-    # casting once here gives the same products without the per-call cast.
-    c_complex = c.astype(np.complex128)
-
-    def matvec(r):
-        return op.adjoint(c_complex * op.apply(r)) / c.size
-
-    return matvec
-
-
 def spectral_estimate(
     op,
     c,
@@ -92,8 +76,9 @@ def spectral_estimate(
     max_iters: int = 1000,
     seed: int = 0,
 ) -> RecoveryReport:
-    """Algebraically top eigenvector of the surrogate of
-    :func:`surrogate_matvec`, by Lanczos (:func:`~onebitphase.numkit.lanczos`).
+    """Algebraically top eigenvector of the surrogate (1/M) A* Diag(c) A,
+    M = ``op.out_dim``, by Lanczos (:func:`~onebitphase.numkit.lanczos`) on
+    the operator's own matvec, ``op.surrogate(c)``.
 
     ``tol`` bounds the relative Ritz residual and ``max_iters`` the matvecs;
     the trace holds the Ritz residual after each matvec.  A negative
@@ -101,7 +86,7 @@ def spectral_estimate(
     ``lambda_hat`` is the top eigenvalue clipped at 0.
     """
     theta, vec, residuals, converged = lanczos(
-        surrogate_matvec(op, c), op.n, tol, max_iters, seed
+        op.surrogate(c), op.n, tol, max_iters, seed
     )
     return RecoveryReport(
         estimate=vec,

@@ -5,14 +5,20 @@ generator from a master seed plus purpose keys, so every builder returns the
 same operator, bit for bit, from the same ``(n, m, seed)``.
 
 A measurement operator is anything with ``n``, ``out_dim``, ``apply``,
-``adjoint`` and ``lsq_solve``: :class:`MatrixOperator` for explicit rows and
-:class:`CdpOperator` for masked-DFT stacks.  Each checks its array once, at
-construction, and a view ``op[key]`` over some of its rows is not checked
-again; ``apply``/``adjoint`` check only the length of their input.
-``lsq_solve(y)`` is the exact least-squares step argmin_x ||A x - y||, whose
-normal-matrix work each operator caches on first use; it rejects a
-non-finite ``y``.  All three take one vector or a (k, len) stack of them,
-one per row, and act along the last axis.
+``adjoint``, ``lsq_solve`` and ``surrogate``: :class:`MatrixOperator` for
+explicit rows and :class:`CdpOperator` for masked-DFT stacks.  Each checks
+its array once, at construction, and a view ``op[key]`` over some of its
+rows is not checked again; ``apply``/``adjoint`` check only the length of
+their input.  ``lsq_solve(y)`` is the exact least-squares step
+argmin_x ||A x - y||, whose normal-matrix work each operator caches on first
+use; it rejects a non-finite ``y``.  These three take one vector or a
+(k, len) stack of them, one per row, and act along the last axis.
+``surrogate(c)`` returns the matvec r -> (1/M) A* Diag(c) A r of the
+spectral inits, M = ``out_dim``, which takes an n-vector or a (k, n)
+stack like ``apply``; it rejects coefficients that are not one finite real
+number per output.  Each operator evaluates it its own way: the dense one
+forms the n x n matrix once, the masked-DFT one makes one apply and one
+adjoint per matvec.
 """
 
 from __future__ import annotations
@@ -21,13 +27,19 @@ import hashlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 from scipy.linalg import cho_factor
 from scipy.linalg.blas import zherk, ztrsv
 
 from .numkit import sample_complex_gaussian
+
+
+# Rows gathered, scaled and added per Hermitian rank-k update when
+# :meth:`MatrixOperator.surrogate` forms its matrix: 2 MiB at n = 512, so the
+# gathered copy stays small next to the rows and the n x n result.
+SURROGATE_CHUNK = 256
 
 
 def _key_word(key) -> int:
@@ -74,6 +86,16 @@ def _finite_normal_rhs(op, y) -> np.ndarray:
     if not np.all(np.isfinite(rhs)):
         raise ValueError("y entries must be finite")
     return rhs
+
+
+def _surrogate_coefficients(c, out_dim: int) -> np.ndarray:
+    """``c`` as one finite real coefficient per output."""
+    c = np.asarray(c, dtype=float)
+    if c.shape != (out_dim,):
+        raise ValueError(f"coefficients have shape {c.shape}, expected ({out_dim},)")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("coefficients must be finite")
+    return c
 
 
 def _sized(v, size: int, name: str) -> np.ndarray:
@@ -160,6 +182,45 @@ class MatrixOperator:
             ztrsv(u, row, lower=0, trans=0, overwrite_x=1)
         return x
 
+    def surrogate(self, c) -> Callable[[np.ndarray], np.ndarray]:
+        """The matvec r -> S r of S = (1/M) A* Diag(c) A = (1/M) sum_k c_k
+        row_k row_k*, with S formed once.
+
+        The upper triangle of S is formed in a Fortran-ordered n x n buffer
+        by Hermitian rank-k updates (``zherk``): the rows with c > 0, then
+        those with c < 0, are gathered ``SURROGATE_CHUNK`` at a time, scaled
+        in place by sqrt(|c|) and added with weight +1/M or -1/M.  Rows with
+        c = 0 are skipped.  That is M n^2 / 2 complex multiply-adds at
+        level-3 speed, once; the lower triangle is then mirrored in, so
+        that each matvec is one numpy product with S in place of an apply
+        and an adjoint that each stream all M rows.  The matvec stays on
+        numpy's BLAS, the library of the Lanczos loop that calls it:
+        alternating with scipy's (``zhemv``) on every step made the two
+        libraries' thread pools contend at the default thread count.  The
+        result agrees with the apply/adjoint formula to rounding.
+        """
+        c = _surrogate_coefficients(c, self.out_dim)
+        n = self.n
+        s = np.zeros((n, n), dtype=np.complex128, order="F")
+        for sign in (1.0, -1.0):
+            picked = np.flatnonzero(sign * c > 0)
+            for lo in range(0, picked.size, SURROGATE_CHUNK):
+                take = picked[lo : lo + SURROGATE_CHUNK]
+                # a fresh C-ordered gather, so its transpose goes to BLAS
+                # uncopied; it is dropped before the next one is made
+                chunk = self.rows[take]
+                chunk *= np.sqrt(np.abs(c[take]))[:, None]
+                s = zherk(sign / c.size, chunk.T, beta=1.0, c=s, overwrite_c=1)
+                del chunk
+        # column by column, so no n x n temporary is made
+        for j in range(1, n):
+            s[j, :j] = s[:j, j].conj()
+
+        def matvec(r) -> np.ndarray:
+            return _sized(r, n, "r") @ s.T
+
+        return matvec
+
 
 @dataclass(frozen=True)
 class CdpOperator:
@@ -213,6 +274,20 @@ class CdpOperator:
         """argmin_x ||A x - y||: the normal matrix is diagonal, so one adjoint
         and a pointwise division.  A non-finite ``y`` is rejected."""
         return _finite_normal_rhs(self, y) / self._normal_diag
+
+    def surrogate(self, c) -> Callable[[np.ndarray], np.ndarray]:
+        """The matvec r -> (1/M) A* Diag(c) A r as one apply and one adjoint.
+        Weighted by c the matrix is dense, and one product with it would
+        cost more than these FFTs, so it is never formed."""
+        c = _surrogate_coefficients(c, self.out_dim)
+        # numpy casts a real operand to complex inside each complex multiply;
+        # casting once here gives the same products without the per-call cast.
+        c_complex = c.astype(np.complex128)
+
+        def matvec(r) -> np.ndarray:
+            return self.adjoint(c_complex * self.apply(r)) / c.size
+
+        return matvec
 
 
 MeasurementOperator = Union[MatrixOperator, CdpOperator]

@@ -1,8 +1,8 @@
 """Independent dense oracles used by the tests.
 
-These assemble the covariance surrogates explicitly (the library never
-materializes them), so agreement is a genuine cross-check of the matrix-free
-paths.
+These assemble the covariance surrogates explicitly, one outer product per
+measurement, so agreement is a genuine cross-check of the library's paths:
+the rank-k updates of the dense operator and the FFTs of the masked-DFT one.
 """
 
 import numpy as np

@@ -12,7 +12,6 @@ from onebitphase import __version__, bench, cli, numkit, recovery, sensing
 from onebitphase.bench import ConfigError, ExperimentConfig
 from onebitphase.channels import quantize
 from onebitphase.numkit import dist_sq
-from onebitphase.recovery import surrogate_matvec
 from onebitphase.sensing import CdpOperator, build_cdp_operator, intensities, substream
 
 from _oracles import dense_one_bit_matrix
@@ -350,7 +349,7 @@ class TestConvergenceRuns:
         x0 = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(0.5)
         b = intensities(op, x0)
         y = quantize(b[: 2 * n], b[2 * n :])
-        surrogate = surrogate_matvec(op, np.concatenate([2 * y, -2 * y]))
+        surrogate = op.surrogate(np.concatenate([2 * y, -2 * y]))
 
         eye = np.eye(n, dtype=complex)
         mat1 = np.stack([op1.apply(eye[:, j]) for j in range(n)], axis=1)

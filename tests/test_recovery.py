@@ -5,7 +5,7 @@ import pytest
 
 from onebitphase import recovery
 from onebitphase.channels import Identity, observe_pairs, ratio_weights
-from onebitphase.numkit import dist_sq, phase_op
+from onebitphase.numkit import dist_sq, lanczos, phase_op
 from onebitphase.recovery import (
     InitKind,
     alt_min_many,
@@ -16,7 +16,6 @@ from onebitphase.recovery import (
     random_init,
     resample_blocks,
     spectral_estimate,
-    surrogate_matvec,
 )
 from onebitphase.sensing import (
     CdpOperator,
@@ -77,7 +76,28 @@ def _one_bit_coefficients(ens, y):
 
 
 def _one_bit_surrogate(ens, y):
-    return surrogate_matvec(ens[0], _one_bit_coefficients(ens, y))
+    return ens[0].surrogate(_one_bit_coefficients(ens, y))
+
+
+def _init_coefficients(kind, ens, x0):
+    """The surrogate coefficients of a spectral init from the noiseless
+    measured pairs of ``x0``: intensities, signs, or signs with pair ratio
+    weights."""
+    b, y = _observed(ens, x0)
+    if kind == "subexp":
+        return b
+    c = _one_bit_coefficients(ens, y)
+    if kind == "weighted1bit":
+        pairs = ens[1]
+        for family, weights in zip(pairs, ratio_weights(b[pairs[0]], b[pairs[1]])):
+            c[family] *= weights
+    return c
+
+
+def _formula(op, c):
+    """The surrogate matvec as one apply and one adjoint: the reference for
+    the dense operator's formed matrix."""
+    return lambda r: op.adjoint(c * op.apply(r)) / c.size
 
 
 class TestMatrixOperator:
@@ -228,6 +248,13 @@ class _CountingOperator:
         self.applies = self.adjoints = self.solves = 0
         self.apply_rows, self.solve_rows = [], []
 
+    def surrogate(self, c):
+        # a masked-DFT matvec is one apply and one adjoint, so it is built
+        # over this wrapper to count them; a dense one reads only its matrix
+        if isinstance(self.op, CdpOperator):
+            return CdpOperator.surrogate(self, c)
+        return self.op.surrogate(c)
+
     def apply(self, x):
         self.applies += 1
         self.apply_rows.append(len(x) if np.ndim(x) == 2 else 1)
@@ -256,38 +283,110 @@ class TestOneSurrogate:
         assert dist_sq(stacked.estimate, interleaved.estimate) <= 1e-12
         assert stacked.lambda_hat == pytest.approx(interleaved.lambda_hat, abs=1e-10)
 
+    # the dense operator forms its matrix once, so the masked-DFT operator
+    # is the one case left of these two tests; the parameter keeps its id
     @pytest.mark.parametrize("kind", ["subexp", "onebit", "weighted1bit"])
-    @pytest.mark.parametrize("sensing", ["matrix", "cdp"])
+    @pytest.mark.parametrize("sensing", ["cdp"])
     def test_one_apply_and_one_adjoint_per_matvec(self, kind, sensing):
-        if sensing == "matrix":
-            (op, pairs), x0 = _paired(8, 64, seed=10)
-        else:
-            op = build_cdp_operator(8, 4, seed=10)
-            pairs, x0 = (slice(None, 16), slice(16, None)), _unit(substream(10, "x0"), 8)
+        op = build_cdp_operator(8, 4, seed=10)
+        pairs, x0 = (slice(None, 16), slice(16, None)), _unit(substream(10, "x0"), 8)
         counting = _CountingOperator(op)
         b, y = _observed((op, pairs), x0)
         report = initial_estimate(kind, counting, b, y, pairs, seed=1)
         assert report.iterations > 1
         assert counting.applies == counting.adjoints == report.iterations
 
-    @pytest.mark.parametrize("sensing", ["matrix", "cdp"])
+    @pytest.mark.parametrize("kind", ["subexp", "onebit", "weighted1bit"])
+    def test_dense_matvec_makes_no_apply_or_adjoint(self, kind):
+        (op, pairs), x0 = _paired(8, 64, seed=10)
+        counting = _CountingOperator(op)
+        b, y = _observed((op, pairs), x0)
+        report = initial_estimate(kind, counting, b, y, pairs, seed=1)
+        assert report.iterations > 1
+        assert counting.applies == counting.adjoints == 0
+
+    @pytest.mark.parametrize("sensing", ["cdp"])
     def test_matvec_is_the_formula_bit_for_bit(self, sensing):
         # the coefficients are made complex once; numpy makes the same cast
         # inside each real-by-complex multiply, so the bytes agree
-        if sensing == "matrix":
-            op = build_plain_ensemble(16, 96, seed=11)
-        else:
-            op = build_cdp_operator(16, 6, seed=11)
+        op = build_cdp_operator(16, 6, seed=11)
         rng = np.random.default_rng(12)
         c = rng.standard_normal(op.out_dim)
         c[::5] = 0.0
         c[1::7] = -0.0
         c[2::3] = -np.abs(c[2::3])
-        matvec = surrogate_matvec(op, c)
+        matvec = op.surrogate(c)
         for _ in range(3):
             r = _unit(rng, op.n)
             expected = op.adjoint(c * op.apply(r)) / c.size
             assert matvec(r).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "view",
+        [
+            lambda op, pairs: op,
+            lambda op, pairs: op[pairs[1]],
+            lambda op, pairs: MatrixOperator(np.random.default_rng(13).standard_normal((96, 16))),
+        ],
+        ids=["matrix", "strided-family", "real-rows"],
+    )
+    def test_dense_matvec_matches_the_formula(self, view):
+        # the formed matrix sums the same terms in another order
+        (full, pairs), _ = _paired(16, 96, seed=11)
+        op = view(full, pairs)
+        rng = np.random.default_rng(12)
+        signed = rng.standard_normal(op.out_dim)
+        signed[::5] = 0.0
+        signed[1::7] = -0.0
+        signed[2::3] = -np.abs(signed[2::3])
+        ratio = np.concatenate(ratio_weights(*rng.exponential(size=(2, op.out_dim // 2))))
+        for c in (signed, ratio * np.sign(signed), np.abs(signed)):
+            matvec, formula = op.surrogate(c), _formula(op, c)
+            for r in (_unit(rng, op.n), _unit(rng, op.n).real):
+                expected = formula(r)
+                assert np.linalg.norm(matvec(r) - expected) <= 1e-13 * np.linalg.norm(expected)
+        assert not np.any(op.surrogate(np.zeros(op.out_dim))(_unit(rng, op.n)))
+
+    @pytest.mark.parametrize("kind", ["subexp", "onebit", "weighted1bit"])
+    def test_dense_matvec_takes_the_same_lanczos_steps(self, kind):
+        ens, x0 = _paired(32, 256, seed=14)
+        op = ens[0]
+        c = _init_coefficients(kind, ens, x0)
+        report = spectral_estimate(op, c, seed=3)
+        theta, vec, residuals, converged = lanczos(_formula(op, c), op.n, seed=3)
+        assert report.iterations == len(residuals) > 1
+        assert report.converged and converged
+        assert report.lambda_hat == pytest.approx(theta, rel=1e-12)
+        assert dist_sq(report.estimate, vec) <= 1e-14
+
+    @pytest.mark.parametrize("sensing", ["matrix", "cdp"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficient_rejected(self, sensing, bad):
+        # the sign split of the dense matrix would drop a NaN row unseen
+        if sensing == "matrix":
+            (op, pairs), x0 = _paired(8, 32, seed=15)
+        else:
+            op = build_cdp_operator(8, 4, seed=15)
+            pairs, x0 = (slice(None, 16), slice(16, None)), _unit(substream(15, "x0"), 8)
+        c = _init_coefficients("onebit", (op, pairs), x0)
+        c[5] = bad
+        for attempt in (lambda: op.surrogate(c), lambda: spectral_estimate(op, c)):
+            with pytest.raises(ValueError, match="coefficients must be finite"):
+                attempt()
+
+    @pytest.mark.parametrize("sensing", ["matrix", "cdp"])
+    def test_matvec_takes_a_stack_row_by_row(self, sensing):
+        if sensing == "matrix":
+            op = build_plain_ensemble(6, 20, seed=16)
+        else:
+            op = build_cdp_operator(6, 3, seed=16)
+        matvec = op.surrogate(np.random.default_rng(17).standard_normal(op.out_dim))
+        rng = np.random.default_rng(18)
+        stack = np.stack([_unit(rng, op.n) for _ in range(3)])
+        for row, r in zip(matvec(stack), stack):
+            np.testing.assert_allclose(row, matvec(r), rtol=1e-13, atol=1e-15)
+        with pytest.raises(ValueError, match="operator expects"):
+            matvec(np.ones((2, op.n + 1), dtype=complex))
 
 
 class TestSubexpPhase:

@@ -509,7 +509,8 @@ class TestStackedOperators:
 
 
 class TestPeakMemory:
-    """Traced allocation peaks of the ensemble build and the first solve."""
+    """Traced allocation peaks of the ensemble build, the first solve and
+    the dense surrogate."""
 
     def test_paired_build_allocates_little_beyond_its_rows(self):
         tracemalloc.start()
@@ -545,3 +546,18 @@ class TestPeakMemory:
         finally:
             tracemalloc.stop()
         assert peak < n * n * np.dtype(np.complex128).itemsize
+
+    def test_surrogate_allocates_its_matrix_and_one_chunk(self):
+        # rows of both signs and zeros, so both passes run over several chunks
+        n = 512
+        op, _ = build_paired_ensemble(n, 2048, 15)
+        c = np.random.default_rng(16).standard_normal(op.out_dim)
+        c[::7] = 0.0
+        tracemalloc.start()
+        try:
+            op.surrogate(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        itemsize = np.dtype(np.complex128).itemsize
+        assert peak <= (n * n + sensing.SURROGATE_CHUNK * n) * itemsize + MIB / 4
