@@ -40,6 +40,7 @@ from .recovery import (
     parse_init,
     random_init,
     resample_blocks,
+    resampled_schedule,
 )
 from .sensing import (
     build_paired_cdp,
@@ -98,41 +99,40 @@ class ExperimentConfig:
                 object.__setattr__(self, name, spec.fields[name])
         if self.trials == 1 and "trials" not in spec.fields:
             object.__setattr__(self, "trials", None)
-        for name, (ok, rule) in _RANGES.items():
-            value = getattr(self, name)
-            if value is not None and not ok(value):
-                raise ConfigError(f"{name} {rule}; got {value!r}")
+        # a check may raise a library ValueError: a model range, an init kind, a schedule
         try:
+            for name, (ok, rule) in _RANGES.items():
+                value = getattr(self, name)
+                if value is not None and not ok(value):
+                    raise ConfigError(f"{name} {rule}; got {value!r}")
             if self.model is not None:
                 parse_model(self.model)
-            for name in self.inits or ():
-                parse_init(name)
+
+            reads = ("kind", "seed", "out", *self.reads())
+            for name, value in vars(self).items():
+                if value is None or name in reads:
+                    continue
+                if name not in spec.modes:
+                    raise ConfigError(
+                        f"{self.kind} does not read {name}; it reads {', '.join(spec.fields)}"
+                    )
+                group = [f for f, mode in spec.modes.items() if mode == spec.modes[name]]
+                flags = ["--" + f.replace("_", "-") for f in group]
+                what = "neither " + " nor ".join(flags) if len(flags) > 1 else "no " + flags[0]
+                raise ConfigError(f"{self.kind} --refine {self.refine} reads {what}")
+
+            if self.kind == "distortion-sweep" and not self.alphas:
+                raise ConfigError("distortion-sweep needs at least one alpha")
+            refines = self.kind == "altmin-convergence" or self.refine == "altmin"
+            if refines and 2 * _pairs(self) < self.n:
+                raise ConfigError(
+                    f"the least-squares step needs at least n = {self.n} measurements "
+                    f"(2 per pair); got {2 * _pairs(self)}"
+                )
+            if self.refine == "resampled":
+                resampled_schedule(2 * _pairs(self), self.n, self.epsilon)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-
-        reads = ("kind", "seed", "out", *self.reads())
-        for name, value in vars(self).items():
-            if value is None or name in reads:
-                continue
-            if name not in spec.modes:
-                raise ConfigError(
-                    f"{self.kind} does not read {name}; it reads {', '.join(spec.fields)}"
-                )
-            group = [f for f, mode in spec.modes.items() if mode == spec.modes[name]]
-            flags = ["--" + f.replace("_", "-") for f in group]
-            what = "neither " + " nor ".join(flags) if len(flags) > 1 else "no " + flags[0]
-            raise ConfigError(f"{self.kind} --refine {self.refine} reads {what}")
-
-        if self.kind == "distortion-sweep" and not self.alphas:
-            raise ConfigError("distortion-sweep needs at least one alpha")
-        refines = self.kind == "altmin-convergence" or (
-            (self.kind, self.refine) == ("recover", "altmin")
-        )
-        if refines and 2 * _pairs(self) < self.n:
-            raise ConfigError(
-                f"the least-squares step needs at least n = {self.n} measurements "
-                f"(2 per pair); got {2 * _pairs(self)}"
-            )
 
     def reads(self) -> tuple[str, ...]:
         """The settings this run reads."""
@@ -152,6 +152,10 @@ class ExperimentConfig:
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
 
 
+def _grid_of(model):
+    return lambda v: len(set(v)) == len(v) and all(map(model, v))
+
+
 # setting -> the test a set value must pass, and the rule it states
 _RANGES = {
     "n": (lambda v: v > 0, "must be positive"),
@@ -162,11 +166,12 @@ _RANGES = {
     "m": (lambda v: v > 0, "must be positive"),
     "ratio": (lambda v: v > 0, "must be positive"),
     "max_iters": (lambda v: v >= 1, "must be at least 1"),
-    "inits": (lambda v: len(v) > 0, "must name at least one init kind"),
+    "inits": (lambda v: 0 < len(v) == len(set(map(parse_init, v))),
+              "must name at least one init kind, each once"),
     "tol": (lambda v: np.isfinite(v) and v >= 0, "must be finite and non-negative"),
-    "alphas": (lambda v: len(set(v)) == len(v), "must be distinct"),
-    "sigmas": (lambda v: len(set(v)) == len(v), "must be distinct"),
-    "etas": (lambda v: len(set(v)) == len(v), "must be distinct"),
+    "alphas": (_grid_of(TanhDistortion), "must be distinct"),
+    "sigmas": (_grid_of(ExponentialNoise), "must be distinct"),
+    "etas": (_grid_of(PoissonNoise), "must be distinct"),
 }
 
 
@@ -221,8 +226,6 @@ def run_distortion_sweep(cfg: ExperimentConfig) -> list[list]:
     intensities, so it runs once per trial and its column is bit-identical
     across the sweep while the intensity-weighted method degrades.
     """
-    # a bad alpha fails here, before any trial is drawn
-    models = {a: TanhDistortion(a) for a in cfg.alphas}
     err_bit = {a: [] for a in cfg.alphas}
     err_sub = {a: [] for a in cfg.alphas}
     for t in range(cfg.trials):
@@ -231,9 +234,9 @@ def run_distortion_sweep(cfg: ExperimentConfig) -> list[list]:
         seed_bit = substream(cfg.seed, "power-bit", t)
         rep = initial_estimate(InitKind.ONEBIT, op, b, y, pairs, seed_bit, cfg.tol, cfg.max_iters)
         bit = dist_sq(rep.estimate, x0)
-        for alpha, model in models.items():
+        for alpha in cfg.alphas:
             err_bit[alpha].append(bit)
-            distorted, _ = observe_pairs(model, b, pairs)
+            distorted, _ = observe_pairs(TanhDistortion(alpha), b, pairs)
             seed_sub = substream(cfg.seed, "power-sub", t)
             rep_sub = initial_estimate(
                 InitKind.SUBEXP, op, distorted, y, pairs, seed_sub, cfg.tol, cfg.max_iters

@@ -1,7 +1,8 @@
 """Intensity measurement models and the one-bit comparison channel.
 
 A model perturbs or distorts non-negative intensities; the channel keeps only
-the sign of each pair difference (ties map to 0).  The effective
+the sign of each pair difference (ties map to 0).  Every function that takes
+intensities checks them by one rule, :func:`checked_intensities`.  The effective
 signal-to-noise constant of the sign channel,
 
     lambda = E[ sign(theta(E1) - theta(E2)) * (E1 - E2) ],  E1, E2 ~ Exp(1),
@@ -128,11 +129,17 @@ def format_model(model: MeasurementModel) -> str:
     return name if value is None else f"{name}:{_FAMILIES[name][1]}={value:g}"
 
 
+def checked_intensities(b) -> np.ndarray:
+    """``b`` as a float array, if every entry is finite and non-negative."""
+    b = np.asarray(b, dtype=float)
+    if not np.all(np.isfinite(b)) or np.any(b < 0):
+        raise ValueError("intensities must be finite and non-negative")
+    return b
+
+
 def apply_model(model: MeasurementModel, z, rng: Optional[np.random.Generator] = None):
-    """Push non-negative intensities through the measurement model."""
-    z = np.asarray(z, dtype=float)
-    if np.any(z < 0):
-        raise ValueError("intensities must be non-negative")
+    """Push intensities through the measurement model."""
+    z = checked_intensities(z)
     if isinstance(model, _STOCHASTIC) and rng is None:
         raise ValueError(f"model {format_model(model)!r} needs an rng")
     if isinstance(model, Identity):
@@ -150,24 +157,15 @@ def apply_model(model: MeasurementModel, z, rng: Optional[np.random.Generator] =
 
 def quantize(b1, b2):
     """Sign of the pair difference, with exact ties mapped to 0."""
-    b1 = np.asarray(b1, dtype=float)
-    b2 = np.asarray(b2, dtype=float)
-    if not (np.all(np.isfinite(b1)) and np.all(np.isfinite(b2))):
-        raise ValueError("intensities must be finite")
-    return np.sign(b1 - b2)
+    return np.sign(checked_intensities(b1) - checked_intensities(b2))
 
 
 def ratio_weights(b1, b2) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized pair weights (b1, b2) / (b1 + b2); non-finite entries and
-    zero-sum pairs are errors."""
-    b1 = np.asarray(b1, dtype=float)
-    b2 = np.asarray(b2, dtype=float)
-    if not (np.all(np.isfinite(b1)) and np.all(np.isfinite(b2))):
-        raise ValueError("intensities must be finite")
+    """Pair weights (b1, b2) / (b1 + b2); a pair with b1 + b2 = 0, whose sign is
+    a tie, gets weight 0, since any weight gives it one-bit coefficient 0."""
+    b1, b2 = checked_intensities(b1), checked_intensities(b2)
     total = b1 + b2
-    if np.any(total <= 0):
-        raise ValueError("ratio weights need b1 + b2 > 0 for every pair")
-    return b1 / total, b2 / total
+    return tuple(np.divide(b, total, out=np.zeros_like(total), where=total > 0) for b in (b1, b2))
 
 
 def observe_pairs(

@@ -3,7 +3,8 @@
 Spectral estimators extract the top eigenvector of a measurement-weighted
 covariance surrogate through the operator's own matvec, ``op.surrogate(c)``;
 alternating minimization refines an estimate against un-quantized
-intensities.  All estimators report through :class:`RecoveryReport`.
+intensities.  All estimators report through :class:`RecoveryReport`, and
+every entry point checks its intensities by ``channels.checked_intensities``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .channels import ratio_weights
+from .channels import checked_intensities, ratio_weights
 from .numkit import lanczos, phase_op, sample_complex_gaussian
 from .sensing import MeasurementOperator
 
@@ -49,14 +50,6 @@ def parse_init(name: str) -> InitKind:
     except ValueError:
         valid = ", ".join(k.value for k in InitKind)
         raise ValueError(f"unknown init kind {name!r}; expected one of {valid}")
-
-
-def _checked_intensities(b) -> np.ndarray:
-    """``b`` as a float array, rejecting negative or non-finite entries."""
-    b = np.asarray(b, dtype=float)
-    if not np.all(np.isfinite(b)) or np.any(b < 0):
-        raise ValueError("intensities must be finite and non-negative")
-    return b
 
 
 def random_init(n: int, seed) -> np.ndarray:
@@ -114,15 +107,15 @@ def initial_estimate(
     ``pairs`` the two slices of ``b`` that hold the members of each pair.
     Each spectral kind is one surrogate (1/M) A* Diag(c) A: c = b for
     subexp, and c = 2 y w1 on family 1 and -2 y w2 on family 2 for the
-    one-bit kinds (w = 1 for onebit, the pair ratio weights for
-    weighted1bit, and weight 0 for a pair with b1 + b2 = 0, such as two zero
-    Poisson counts).  With M = 2m the factor 2 makes that the paper's
-    (1/m) sum_i y_i (w1_i a1_i a1_i* - w2_i a2_i a2_i*).  ``seed`` drives the
-    random vector or the Lanczos start vector.  Negative or non-finite
-    intensities are rejected here, before the first matvec.
+    one-bit kinds (w = 1 for onebit; for weighted1bit, the pair ratio
+    weights of :func:`~onebitphase.channels.ratio_weights`, which give a
+    pair with b1 + b2 = 0 weight 0).  With M = 2m the factor 2 makes that
+    the paper's (1/m) sum_i y_i (w1_i a1_i a1_i* - w2_i a2_i a2_i*).
+    ``seed`` drives the random vector or the Lanczos start vector.  Negative
+    or non-finite intensities are rejected here, before the first matvec.
     """
     kind = InitKind(kind)
-    b = _checked_intensities(b)
+    b = checked_intensities(b)
     if kind is InitKind.RANDOM:
         return RecoveryReport(
             estimate=random_init(op.n, seed),
@@ -135,11 +128,7 @@ def initial_estimate(
         return spectral_estimate(op, b, tol, max_iters, seed)
     w1, w2 = 1.0, 1.0
     if kind is InitKind.WEIGHTED_ONEBIT:
-        # a pair with b1 + b2 = 0 has y = 0, so its coefficient is 0 at any weight
-        b1, b2 = b[pairs[0]], b[pairs[1]]
-        seen = b1 + b2 > 0
-        w1, w2 = np.zeros(b1.shape), np.zeros(b2.shape)
-        w1[seen], w2[seen] = ratio_weights(b1[seen], b2[seen])
+        w1, w2 = ratio_weights(b[pairs[0]], b[pairs[1]])
     two_y = 2.0 * np.asarray(y, dtype=float)
     c = np.zeros(b.shape)
     c[pairs[0]] = two_y * w1
@@ -198,7 +187,7 @@ def alt_min_many(
     tol ||z_new||^2, and leaves the stack, so later iterations step only the
     live runs.  Returns one report per start, in row order.
     """
-    b = _checked_intensities(b)
+    b = checked_intensities(b)
     x = np.array(starts, dtype=np.complex128)
     if x.ndim != 2 or x.size == 0:
         raise ValueError(f"starts must be a non-empty (k, n) stack, got shape {x.shape}")
@@ -272,30 +261,12 @@ def alt_min_many(
     ]
 
 
-def resample_blocks(op, b, y, epsilon: float) -> tuple:
-    """Split paired measurements into an init block and ceil(log(1/epsilon))
-    disjoint refinement blocks, every one a view of ``op``.
-
-    ``op`` is the :class:`MatrixOperator` of all 2m rows in the pair order
-    a1_1, a2_1, a1_2, ... of ``sensing.build_paired_ensemble``, ``b`` their
-    intensities in that order and ``y`` one sign per pair.  The blocks are
-    contiguous and equal in that sequence, with any leftover rows in block
-    0.  Returns ``(init_data, stages)``: ``init_data`` is block 0 as the
-    ``(op, b, y, pairs)`` arguments of :func:`initial_estimate`, and
-    ``stages`` holds the ``(operator, b)`` of each later block, for
-    :func:`alt_min_resampled`.  An odd leftover measurement of block 0 has
-    no partner, so the one-bit surrogates give it coefficient 0.
-    """
+def resampled_schedule(total: int, n: int, epsilon: float) -> tuple[int, int]:
+    """Sizes of block 0 and of each stage when :func:`resample_blocks` cuts
+    ``total`` measurements of dimension ``n``; raises ValueError unless every
+    stage has at least ``n`` measurements and block 0 at least one pair."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    total, n = op.rows.shape
-    if total % 2:
-        raise ValueError(f"op has shape {op.rows.shape}; pairs need an even row count")
-    b = _checked_intensities(b)
-    y = np.asarray(y, dtype=float)
-    for name, v, length in (("b", b, total), ("y", y, total // 2)):
-        if v.shape != (length,):
-            raise ValueError(f"{name} has shape {v.shape}, expected ({length},)")
     blocks = ceil(log(1.0 / epsilon)) + 1
     size = total // blocks
     if size < n:
@@ -304,9 +275,36 @@ def resample_blocks(op, b, y, epsilon: float) -> tuple:
             f"({blocks} blocks of >= {n}); got {total}"
         )
     first = total - size * (blocks - 1)
-    m0 = first // 2  # pairs in block 0
-    if m0 == 0:
+    if first < 2:
         raise ValueError("initialization block has no measurement pairs")
+    return first, size
+
+
+def resample_blocks(op, b, y, epsilon: float) -> tuple:
+    """Split paired measurements into an init block and ceil(log(1/epsilon))
+    disjoint refinement blocks, every one a view of ``op``.
+
+    ``op`` is the :class:`MatrixOperator` of all 2m rows in the pair order
+    a1_1, a2_1, a1_2, ... of ``sensing.build_paired_ensemble``, ``b`` their
+    intensities in that order and ``y`` one sign per pair.  The blocks are
+    contiguous and equal in that sequence, with any leftover rows in block
+    0, and sized by :func:`resampled_schedule`.  Returns ``(init_data,
+    stages)``: ``init_data`` is block 0 as the ``(op, b, y, pairs)``
+    arguments of :func:`initial_estimate`, and ``stages`` holds the
+    ``(operator, b)`` of each later block, for :func:`alt_min_resampled`.
+    An odd leftover measurement of block 0 has no partner, so the one-bit
+    surrogates give it coefficient 0.
+    """
+    total, n = op.rows.shape
+    if total % 2:
+        raise ValueError(f"op has shape {op.rows.shape}; pairs need an even row count")
+    b = checked_intensities(b)
+    y = np.asarray(y, dtype=float)
+    for name, v, length in (("b", b, total), ("y", y, total // 2)):
+        if v.shape != (length,):
+            raise ValueError(f"{name} has shape {v.shape}, expected ({length},)")
+    first, size = resampled_schedule(total, n, epsilon)
+    m0 = first // 2  # pairs in block 0
     pairs = (slice(0, 2 * m0, 2), slice(1, 2 * m0, 2))
     init_data = (op[:first], b[:first], y[:m0], pairs)
     stages = [(op[lo : lo + size], b[lo : lo + size]) for lo in range(first, total, size)]
@@ -359,7 +357,7 @@ def multi_init_select(
     """
     if len(candidates) == 0:
         raise ValueError("no candidates to select from")
-    b = _checked_intensities(b)
+    b = checked_intensities(b)
     a_x = op.apply(np.array([vec for _, vec in candidates], dtype=np.complex128))
     scores = _phase_misfit(a_x, np.sqrt(b))
     finite = np.flatnonzero(np.isfinite(scores))

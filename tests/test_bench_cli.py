@@ -70,6 +70,47 @@ BENCHMARK_CONFIGS = {
     ),
 }
 
+# configs that build no more, each with its CLI form and a phrase of its error
+REFUSED_AT_BUILD = {
+    "repeated-init": (
+        dict(kind="altmin-convergence", n=8, ratio=4, trials=1, max_iters=2,
+             inits=("onebit", "onebit", "ONEBIT")),
+        ["altmin-convergence", "--n", "8", "--ratio", "4", "--trials", "1", "--max-iters", "2",
+         "--init", "onebit,onebit,ONEBIT"],
+        "inits must name at least one init kind, each once",
+    ),
+    "repeated-init-recover": (
+        dict(kind="recover", inits=("onebit", " onebit")),
+        ["recover", "--init", "onebit,onebit"],
+        "each once",
+    ),
+    "negative-sigma": (
+        dict(kind="lambda-sweep", sigmas=(-1.0,)),
+        ["lambda-sweep", "--sigmas=-1"],
+        "sigma must be non-negative and finite",
+    ),
+    "zero-eta": (
+        dict(kind="lambda-sweep", etas=(0.0,)),
+        ["lambda-sweep", "--etas", "0"],
+        "eta must be positive and finite",
+    ),
+    "negative-alpha": (
+        dict(kind="distortion-sweep", alphas=(-2.0,)),
+        ["distortion-sweep", "--alphas=-2"],
+        "alpha must be positive and finite",
+    ),
+    "resampled-too-few": (
+        dict(kind="recover", n=64, m=40, refine="resampled"),
+        ["recover", "--n", "64", "--m", "40", "--refine", "resampled"],
+        "resampled schedule needs at least 192 measurements (3 blocks of >= 64); got 80",
+    ),
+    "resampled-empty-init-block": (
+        dict(kind="recover", n=1, m=1, epsilon=0.5, refine="resampled"),
+        ["recover", "--n", "1", "--m", "1", "--epsilon", "0.5", "--refine", "resampled"],
+        "initialization block has no measurement pairs",
+    ),
+}
+
 # the manifest that `recover --n 16 --ratio 8 --seed 5 --out <path>` wrote
 # when every config carried all 17 fields, plus the retired spectral shift
 OLD_RECOVER_MANIFEST = {
@@ -226,6 +267,31 @@ class TestConfig:
     def test_invalid_configs(self, kw):
         with pytest.raises(ConfigError):
             _cfg(**kw)
+
+    @pytest.mark.parametrize("case", list(REFUSED_AT_BUILD))
+    def test_refused_when_built(self, case):
+        kw, _, phrase = REFUSED_AT_BUILD[case]
+        with pytest.raises(ConfigError, match=re.escape(phrase)):
+            _cfg(**kw)
+
+    def test_manifest_with_a_repeated_init_does_not_load(self, tmp_path):
+        path = bench.write_manifest(_cfg(kind="recover"), tmp_path / "x.csv")
+        payload = json.loads(path.read_text())
+        payload["config"]["inits"] = ["onebit", "Onebit"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match="each once"):
+            bench.load_manifest(path)
+
+    def test_resampled_size_rule_is_the_library_rule(self):
+        for n, m, epsilon in ((64, 40, 0.25), (1, 1, 0.5)):
+            op, pairs = sensing.build_paired_ensemble(n, m, seed=0)
+            with pytest.raises(ValueError) as library:
+                recovery.resample_blocks(op, np.ones(2 * m), np.ones(m), epsilon)
+            with pytest.raises(ConfigError) as config:
+                _cfg(kind="recover", n=n, m=m, epsilon=epsilon, refine="resampled")
+            assert str(config.value) == str(library.value)
+        # the smallest ensemble the schedule takes builds
+        _cfg(kind="recover", n=64, m=96, refine="resampled")
 
     def test_weighted_init_builds_under_any_model(self):
         # one rule for every kind: zero-count pairs get weight 0, so the
@@ -661,6 +727,19 @@ class TestCli:
         assert rc == 2
         assert "alpha must be positive" in capsys.readouterr().err
         assert builds == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("case", list(REFUSED_AT_BUILD))
+    def test_refused_config_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys, case):
+        _, args, phrase = REFUSED_AT_BUILD[case]
+        runs = []
+        monkeypatch.setattr(bench, "run", lambda cfg: runs.append(cfg))
+        assert cli.main(args + ["--out", str(tmp_path / "x.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert phrase in captured.err
+        assert runs == []
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("target", ["missing/x.csv", "taken"])

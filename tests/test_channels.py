@@ -18,6 +18,12 @@ from onebitphase.channels import (
     quantize,
     ratio_weights,
 )
+from onebitphase.recovery import (
+    alt_min_many,
+    initial_estimate,
+    multi_init_select,
+    resample_blocks,
+)
 from onebitphase.sensing import (
     MatrixOperator,
     build_paired_ensemble,
@@ -149,9 +155,12 @@ class TestRatioWeights:
         r1, r2 = ratio_weights(b1, b2)
         np.testing.assert_allclose(r1 + r2, 1.0, atol=1e-14)
 
-    def test_zero_sum_rejected(self):
-        with pytest.raises(ValueError):
-            ratio_weights(np.array([0.0]), np.array([0.0]))
+    def test_zero_sum_pair_gets_weight_zero(self):
+        # two zero Poisson counts: the pair's sign is a tie, so any weight gives
+        # coefficient 0, and the other pairs keep their ratios
+        r1, r2 = ratio_weights(np.array([0.0, 3.0]), np.array([0.0, 1.0]))
+        np.testing.assert_array_equal(r1, [0.0, 0.75])
+        np.testing.assert_array_equal(r2, [0.0, 0.25])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):
@@ -312,3 +321,45 @@ class TestLambdaMonteCarlo:
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             lambda_monte_carlo(Identity(), 999)
+
+
+# every public function that takes intensities, called on the observed pairs
+# (b, y) of a paired ensemble (op, pairs) with one bad entry in family 2
+TAKES_INTENSITIES = {
+    "apply_model": lambda op, pairs, b, y: apply_model(Identity(), b),
+    "quantize": lambda op, pairs, b, y: quantize(b[pairs[0]], b[pairs[1]]),
+    "ratio_weights": lambda op, pairs, b, y: ratio_weights(b[pairs[0]], b[pairs[1]]),
+    "observe_pairs": lambda op, pairs, b, y: observe_pairs(Identity(), b, pairs),
+    "initial_estimate": lambda op, pairs, b, y: initial_estimate(
+        "weighted1bit", op, b, y, pairs, 0
+    ),
+    "alt_min_many": lambda op, pairs, b, y: alt_min_many(op, b, [np.ones(op.n, complex)]),
+    "multi_init_select": lambda op, pairs, b, y: multi_init_select(
+        [("onebit", np.ones(op.n, complex))], op, b
+    ),
+    "resample_blocks": lambda op, pairs, b, y: resample_blocks(op, b, y, 0.5),
+}
+
+
+class TestOneIntensityRule:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5], ids=["nan", "inf", "negative"])
+    @pytest.mark.parametrize("entry", list(TAKES_INTENSITIES))
+    def test_every_entry_point_refuses_with_the_one_message(self, entry, bad):
+        op, pairs = build_paired_ensemble(4, 10, seed=7)
+        b, y = observe_pairs(Identity(), intensities(op, np.ones(4, dtype=complex)), pairs)
+        b[3] = bad
+        with pytest.raises(ValueError, match="^intensities must be finite and non-negative$"):
+            TAKES_INTENSITIES[entry](op, pairs, b, y)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5], ids=["nan", "inf", "negative"])
+    @pytest.mark.parametrize(
+        "model",
+        [ExponentialNoise(1.0), PoissonNoise(2.0), ClippedGaussianNoise(0.5)],
+        ids=["expnoise", "poisson", "clipgauss"],
+    )
+    def test_refusal_draws_nothing(self, model, bad):
+        rng = substream(0, "test-refusal")
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="^intensities must be finite and non-negative$"):
+            apply_model(model, np.array([1.0, bad]), rng)
+        assert rng.bit_generator.state == before
