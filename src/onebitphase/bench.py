@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -56,6 +57,7 @@ class ConfigError(ValueError):
 
 ALL_INITS = tuple(k.value for k in InitKind)
 ALPHAS = (0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+REFINE_MODES = ("altmin", "resampled", "none")
 
 
 @dataclass(frozen=True)
@@ -64,8 +66,10 @@ class ExperimentConfig:
     built.  A setting the run reads and leaves ``None`` takes its kind's
     default from :data:`EXPERIMENTS` when the config is built; the others
     stay ``None`` (``trials=1`` too, on a kind that does not read
-    ``trials``).  The built config is then checked, and an invalid one
-    raises :class:`ConfigError`: range checks on every set value, then the
+    ``trials``).  An invalid config raises :class:`ConfigError`: first a set
+    value not of its annotated type (an int setting takes an integer and a
+    float setting a real number, neither a bool; a JSON integer read as a
+    float is kept as it is), then range checks on every set value, then the
     rule that a set value the run does not read is an error, then the checks
     across settings.  Since the defaults are filled at build time,
     ``dataclasses.replace`` keeps the old ``refine`` mode's filled settings,
@@ -82,15 +86,20 @@ class ExperimentConfig:
     seed: int = 0
     tol: Optional[float] = None
     max_iters: Optional[int] = None
-    inits: Optional[tuple] = None
+    inits: Optional[tuple[str, ...]] = None
     refine: Optional[str] = None
     samples: Optional[int] = None
-    alphas: Optional[tuple] = None
-    sigmas: Optional[tuple] = None
-    etas: Optional[tuple] = None
+    alphas: Optional[tuple[float, ...]] = None
+    sigmas: Optional[tuple[float, ...]] = None
+    etas: Optional[tuple[float, ...]] = None
     out: Optional[str] = None
 
     def __post_init__(self):
+        for name, hint in _TYPES.items():
+            value = getattr(self, name)
+            if value is not None and not _has_type(value, hint):
+                what = hint if get_origin(hint) else hint.__name__
+                raise ConfigError(f"{name} must be of type {what}; got {value!r}")
         if self.kind not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         spec = EXPERIMENTS[self.kind]
@@ -152,6 +161,21 @@ class ExperimentConfig:
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
 
 
+# each setting's annotated type, without its Optional
+_TYPES = {
+    name: get_args(hint)[0] if get_origin(hint) is Union else hint
+    for name, hint in get_type_hints(ExperimentConfig).items()
+}
+# the values a scalar type takes; a bool is not a number here
+_TAKES = {int: numbers.Integral, float: numbers.Real, str: str}
+
+
+def _has_type(value, hint) -> bool:
+    if get_origin(hint) is tuple:
+        return isinstance(value, tuple) and all(_has_type(v, get_args(hint)[0]) for v in value)
+    return isinstance(value, _TAKES[hint]) and not isinstance(value, bool)
+
+
 def _grid_of(model):
     return lambda v: len(set(v)) == len(v) and all(map(model, v))
 
@@ -162,7 +186,7 @@ _RANGES = {
     "trials": (lambda v: v >= 1, "must be at least 1"),
     "samples": (lambda v: v >= 1000, "must be at least 1000"),
     "epsilon": (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
-    "refine": (lambda v: v in ("altmin", "resampled", "none"), "must be altmin, resampled, none"),
+    "refine": (lambda v: v in REFINE_MODES, "must be " + ", ".join(REFINE_MODES)),
     "m": (lambda v: v > 0, "must be positive"),
     "ratio": (lambda v: v > 0, "must be positive"),
     "max_iters": (lambda v: v >= 1, "must be at least 1"),

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bench import EXPERIMENTS, ConfigError, ExperimentConfig, write_outputs
+from .bench import EXPERIMENTS, REFINE_MODES, ConfigError, ExperimentConfig, write_outputs
 
 
 def _float_list(text: str) -> tuple:
@@ -46,7 +46,7 @@ _FLAGS = {
     "max_iters": ("--max-iters", dict(type=int, help="main-loop iteration cap")),
     "out": ("--out", dict(help="CSV output path")),
     "refine": ("--refine", dict(
-        choices=("altmin", "resampled", "none"),
+        choices=REFINE_MODES,
         help="refinement after the init: alternating minimization, its resampled stages, or none",
     )),
     "samples": ("--samples", dict(type=int, help="Monte-Carlo sample count for channel constants")),

@@ -23,18 +23,6 @@ PHASE_FLOOR = 1e-300
 GAUSS_CHUNK = 1 << 16
 
 
-def as_complex_vector(x) -> np.ndarray:
-    """Validate and convert ``x`` to a 1-D complex128 array."""
-    v = np.asarray(x, dtype=np.complex128)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    if v.size == 0:
-        raise ValueError("vector must have positive dimension")
-    if not np.isfinite(v).all():
-        raise ValueError("vector entries must be finite")
-    return v
-
-
 def sample_complex_gaussian(shape, rng: np.random.Generator, out=None) -> np.ndarray:
     """Standard complex Gaussian array: each entry has E|a_k|^2 = 1.
 
@@ -176,17 +164,26 @@ def lanczos(
 
 
 def distance_to(x0) -> Callable[[np.ndarray], float]:
-    """``x -> dist_sq(x, x0)``, with ``x0`` checked and normed once."""
-    x0 = as_complex_vector(x0)
-    n0 = np.linalg.norm(x0)
-    if n0 == 0.0:
-        raise ValueError("dist_sq is undefined for the zero vector")
+    """``x -> dist_sq(x, x0)``, with ``x0`` checked and normed once.  Each
+    vector must be a non-empty, finite and nonzero 1-D array."""
+
+    def checked(v) -> tuple[np.ndarray, float]:
+        v = np.asarray(v, dtype=np.complex128)
+        if v.ndim != 1:
+            raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
+        if v.size == 0:
+            raise ValueError("vector must have positive dimension")
+        if not np.isfinite(v).all():
+            raise ValueError("vector entries must be finite")
+        norm = np.linalg.norm(v)
+        if norm == 0.0:
+            raise ValueError("dist_sq is undefined for the zero vector")
+        return v, norm
+
+    x0, n0 = checked(x0)
 
     def dist(x) -> float:
-        x = as_complex_vector(x)
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
-            raise ValueError("dist_sq is undefined for the zero vector")
+        x, nx = checked(x)
         c = np.vdot(x, x0) / (nx * n0)
         val = 1.0 - float(np.abs(c)) ** 2
         return min(max(val, 0.0), 1.0)

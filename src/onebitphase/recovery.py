@@ -9,7 +9,7 @@ every entry point checks its intensities by ``channels.checked_intensities``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from math import ceil, log
 from typing import Callable, Optional, Sequence
@@ -25,16 +25,22 @@ from .sensing import MeasurementOperator
 class RecoveryReport:
     """Outcome of one recovery run.
 
-    ``trace`` holds (iteration, residual-or-objective) pairs; spectral
-    estimates are unit norm, alternating-minimization estimates keep their
-    least-squares scale.
+    ``trace`` holds one (iteration, residual-or-objective) pair per
+    iteration, so :attr:`iterations` is ``len(trace)``.  Every producer
+    states ``converged``, which is True for a random init and the resampled
+    stages.  Only spectral reports set ``lambda_hat``; it is 0.0 elsewhere.
+    Spectral estimates are unit norm, alternating-minimization estimates
+    keep their least-squares scale.
     """
 
     estimate: np.ndarray
-    lambda_hat: float
-    iterations: int
-    trace: list = field(default_factory=list)
-    converged: bool = False
+    trace: list
+    converged: bool
+    lambda_hat: float = 0.0
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace)
 
 
 class InitKind(str, Enum):
@@ -81,13 +87,7 @@ def spectral_estimate(
     theta, vec, residuals, converged = lanczos(
         op.surrogate(c), op.n, tol, max_iters, seed
     )
-    return RecoveryReport(
-        estimate=vec,
-        lambda_hat=max(theta, 0.0),
-        iterations=len(residuals),
-        trace=list(enumerate(residuals, start=1)),
-        converged=converged,
-    )
+    return RecoveryReport(vec, list(enumerate(residuals, start=1)), converged, max(theta, 0.0))
 
 
 def initial_estimate(
@@ -117,13 +117,7 @@ def initial_estimate(
     kind = InitKind(kind)
     b = checked_intensities(b)
     if kind is InitKind.RANDOM:
-        return RecoveryReport(
-            estimate=random_init(op.n, seed),
-            lambda_hat=0.0,
-            iterations=0,
-            trace=[],
-            converged=True,
-        )
+        return RecoveryReport(random_init(op.n, seed), [], True)
     if kind is InitKind.SUBEXP:
         return spectral_estimate(op, b, tol, max_iters, seed)
     w1, w2 = 1.0, 1.0
@@ -208,10 +202,7 @@ def alt_min_many(
         raise ValueError(f"operator output {z.shape[1:]} does not match b {b.shape}")
     a_w = z
     live = list(range(len(x)))  # the start row of each stack row
-    best_obj = [np.inf] * len(x)
-    best_x = list(x)
-    traces: list = [[] for _ in live]
-    converged = [False] * len(x)
+    reports = [RecoveryReport(start, [], False) for start in x]
     # The relaxation z_new = beta z + (1 - 2 beta) p + beta (2 a_x - a_w) is
     # written in place: z and ``spare`` swap roles each iteration, and ``tmp``
     # holds each intermediate.  Every product keeps its operand order, so each
@@ -224,11 +215,13 @@ def alt_min_many(
         a_x = np.asarray(op.apply(x), dtype=np.complex128)
         obj = _phase_misfit(a_x, sqrt_b)
         for row, run in enumerate(live):
-            if obj[row] < best_obj[run]:
-                best_obj[run], best_x[run] = float(obj[row]), x[row]
-            traces[run].append((k, best_obj[run]))
+            report = reports[run]
+            best = report.trace[-1][1] if report.trace else np.inf
+            if obj[row] < best:
+                best, report.estimate = float(obj[row]), x[row]
+            report.trace.append((k, best))
             if callback is not None:
-                callback(run, k, best_x[run])
+                callback(run, k, report.estimate)
         z_new = np.multiply(beta, z, out=spare)
         z_new += np.multiply(1.0 - 2.0 * beta, p, out=tmp)
         np.multiply(2.0, a_x, out=tmp)
@@ -240,7 +233,7 @@ def alt_min_many(
         for row, run in enumerate(live):
             step = float(np.linalg.norm(tmp[row]) ** 2)
             if step <= tol * float(np.linalg.norm(z[row]) ** 2):
-                converged[run] = True
+                reports[run].converged = True
             else:
                 stay.append(row)
         if not stay:
@@ -249,16 +242,7 @@ def alt_min_many(
             live = [live[row] for row in stay]
             z, a_w = z[stay], a_w[stay]
             spare, tmp = np.empty_like(z), np.empty_like(z)
-    return [
-        RecoveryReport(
-            estimate=best_x[run],
-            lambda_hat=0.0,
-            iterations=len(traces[run]),
-            trace=traces[run],
-            converged=converged[run],
-        )
-        for run in range(len(best_x))
-    ]
+    return reports
 
 
 def resampled_schedule(total: int, n: int, epsilon: float) -> tuple[int, int]:
@@ -336,13 +320,7 @@ def alt_min_resampled(
         trace.append((t, stage.trace[0][1]))
         if callback is not None:
             callback(t, x)
-    return RecoveryReport(
-        estimate=x,
-        lambda_hat=0.0,
-        iterations=len(stages),
-        trace=trace,
-        converged=True,
-    )
+    return RecoveryReport(x, trace, True)
 
 
 def multi_init_select(

@@ -111,6 +111,22 @@ REFUSED_AT_BUILD = {
     ),
 }
 
+# settings of the wrong type, refused before any other check: a bool is
+# no number, and a float no int
+WRONG_TYPES = {
+    "str-n": dict(n="8"),
+    "float-n": dict(n=8.0),
+    "bool-n": dict(n=True),
+    "str-tol": dict(tol="x"),
+    "bool-tol": dict(tol=False),
+    "int-init": dict(inits=(1,)),
+    "str-inits": dict(inits="onebit"),
+    "str-in-grid": dict(alphas=(1.0, "2")),
+    "int-model": dict(model=3),
+    "str-seed": dict(seed="1"),
+    "int-out": dict(out=5),
+}
+
 # the manifest that `recover --n 16 --ratio 8 --seed 5 --out <path>` wrote
 # when every config carried all 17 fields, plus the retired spectral shift
 OLD_RECOVER_MANIFEST = {
@@ -273,6 +289,35 @@ class TestConfig:
         kw, _, phrase = REFUSED_AT_BUILD[case]
         with pytest.raises(ConfigError, match=re.escape(phrase)):
             _cfg(**kw)
+
+    @pytest.mark.parametrize("case", list(WRONG_TYPES))
+    def test_wrong_type_refused_when_built(self, case):
+        (name, value), = WRONG_TYPES[case].items()
+        phrase = f"{name} must be of type .*; got {re.escape(repr(value))}"
+        with pytest.raises(ConfigError, match=phrase):
+            _cfg(kind="recover", **WRONG_TYPES[case])
+
+    def test_json_integer_read_as_a_float_is_kept(self, tmp_path):
+        cfg = _cfg(kind="recover", tol=0, m=64)
+        assert type(cfg.tol) is int
+        path = bench.write_manifest(cfg, tmp_path / "x.csv")
+        assert json.loads(path.read_text())["config"]["tol"] == 0
+        assert bench.load_manifest(path) == cfg
+
+    @pytest.mark.parametrize("name, value", [("n", 8.0), ("seed", "1"), ("inits", [1])])
+    def test_hand_edited_manifest_of_the_wrong_type_writes_nothing(self, tmp_path, name, value):
+        path = bench.write_manifest(_cfg(kind="recover", n=8), tmp_path / "x.csv")
+        payload = json.loads(path.read_text())
+        payload["config"][name] = value
+        path.write_text(json.dumps(payload))
+        edited = path.read_bytes()
+        with pytest.raises(ConfigError, match=f"{name} must be of type"):
+            bench.run_manifest(path, out=str(tmp_path / "rerun.csv"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+        assert path.read_bytes() == edited
+
+    def test_cli_refine_choices_are_the_library_modes(self):
+        assert cli._FLAGS["refine"][1]["choices"] is bench.REFINE_MODES
 
     def test_manifest_with_a_repeated_init_does_not_load(self, tmp_path):
         path = bench.write_manifest(_cfg(kind="recover"), tmp_path / "x.csv")

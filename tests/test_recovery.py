@@ -8,6 +8,7 @@ from onebitphase.channels import Identity, observe_pairs, ratio_weights
 from onebitphase.numkit import dist_sq, lanczos, phase_op
 from onebitphase.recovery import (
     InitKind,
+    RecoveryReport,
     alt_min_many,
     alt_min_resampled,
     initial_estimate,
@@ -975,3 +976,40 @@ class TestParseInit:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="random"):
             parse_init("magic")
+
+
+SPECTRAL_KINDS = {InitKind.SUBEXP.value, InitKind.ONEBIT.value, InitKind.WEIGHTED_ONEBIT.value}
+
+
+def _reports_of(producer):
+    """The reports one call of ``producer`` returns."""
+    if producer in {kind.value for kind in InitKind}:
+        return [_init(producer, *_paired(8, 400, seed=90), seed=1)]
+    if producer == "alt_min_many":
+        # two starts: the one at x0 stops long before the random one
+        op, b, x0, starts = _many_system("cdp", seed=82)
+        reports = alt_min_many(op, b, [x0, starts[0]], max_iters=100)
+        assert reports[0].converged and reports[0].iterations < reports[1].iterations
+        return reports
+    (op, _), x0 = _paired(8, 96, seed=33)
+    return [alt_min_resampled(*_resampled_start(op, x0, 0.1, InitKind.ONEBIT))]
+
+
+class TestReportRecord:
+    @pytest.mark.parametrize(
+        "producer", [*(kind.value for kind in InitKind), "alt_min_many", "alt_min_resampled"]
+    )
+    def test_every_producer_keeps_one_record(self, producer):
+        for report in _reports_of(producer):
+            assert report.iterations == len(report.trace)
+            assert isinstance(report.converged, bool)
+            if producer not in SPECTRAL_KINDS:
+                assert report.lambda_hat == 0.0
+
+    def test_converged_must_be_stated_and_iterations_are_derived(self):
+        with pytest.raises(TypeError, match="converged"):
+            RecoveryReport(np.ones(2), [])
+        report = RecoveryReport(np.ones(2), [(1, 0.5), (2, 0.25)], False)
+        assert (report.iterations, report.lambda_hat) == (2, 0.0)
+        with pytest.raises(AttributeError):
+            report.iterations = 3
