@@ -66,12 +66,12 @@ class ExperimentConfig:
     built.  A setting the run reads and leaves ``None`` takes its kind's
     default from :data:`EXPERIMENTS` when the config is built; the others
     stay ``None`` (``trials=1`` too, on a kind that does not read
-    ``trials``).  An invalid config raises :class:`ConfigError`: first a set
-    value not of its annotated type (an int setting takes an integer and a
-    float setting a real number, neither a bool; a JSON integer read as a
-    float is kept as it is), then range checks on every set value, then the
-    rule that a set value the run does not read is an error, then the checks
-    across settings.  Since the defaults are filled at build time,
+    ``trials``).  :class:`ConfigError`, the one error that refuses a
+    config, is raised for a set value not of its annotated type (see
+    :func:`_has_type`; a JSON integer read as a float is kept as it is),
+    then by range checks on every set value, then for a set value the run
+    does not read (the message lists :meth:`reads`), then by checks across
+    settings.  Since the defaults are filled at build time,
     ``dataclasses.replace`` keeps the old ``refine`` mode's filled settings,
     which the new mode may not read: to change ``refine``, build a fresh
     config."""
@@ -97,7 +97,7 @@ class ExperimentConfig:
     def __post_init__(self):
         for name, hint in _TYPES.items():
             value = getattr(self, name)
-            if value is not None and not _has_type(value, hint):
+            if value is not None and not _has_type(value, hint, name):
                 what = hint if get_origin(hint) else hint.__name__
                 raise ConfigError(f"{name} must be of type {what}; got {value!r}")
         if self.kind not in EXPERIMENTS:
@@ -117,18 +117,11 @@ class ExperimentConfig:
             if self.model is not None:
                 parse_model(self.model)
 
-            reads = ("kind", "seed", "out", *self.reads())
+            reads = self.reads()
+            run = f"{self.kind} with refine={self.refine}" if "refine" in reads else self.kind
             for name, value in vars(self).items():
-                if value is None or name in reads:
-                    continue
-                if name not in spec.modes:
-                    raise ConfigError(
-                        f"{self.kind} does not read {name}; it reads {', '.join(spec.fields)}"
-                    )
-                group = [f for f, mode in spec.modes.items() if mode == spec.modes[name]]
-                flags = ["--" + f.replace("_", "-") for f in group]
-                what = "neither " + " nor ".join(flags) if len(flags) > 1 else "no " + flags[0]
-                raise ConfigError(f"{self.kind} --refine {self.refine} reads {what}")
+                if value is not None and name not in ("kind", "seed", "out", *reads):
+                    raise ConfigError(f"{run} does not read {name}; it reads {', '.join(reads)}")
 
             if self.kind == "distortion-sweep" and not self.alphas:
                 raise ConfigError("distortion-sweep needs at least one alpha")
@@ -155,6 +148,8 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """Inverse of :meth:`to_dict`.  Keys the run does not read are
         dropped: older manifests record every field and a ``shift``."""
+        if not isinstance(d, dict) or not isinstance(d.get("kind"), str):
+            raise ConfigError(f"a config is an object with a string kind; got {d!r}")
         spec = EXPERIMENTS.get(d["kind"])  # an unknown kind fails in the build
         keep = ("kind", "seed", "out", *(spec.reads(d.get("refine")) if spec else ()))
         d = {key: d[key] for key in keep if key in d}
@@ -166,14 +161,22 @@ _TYPES = {
     name: get_args(hint)[0] if get_origin(hint) is Union else hint
     for name, hint in get_type_hints(ExperimentConfig).items()
 }
-# the values a scalar type takes; a bool is not a number here
 _TAKES = {int: numbers.Integral, float: numbers.Real, str: str}
 
 
-def _has_type(value, hint) -> bool:
+def _has_type(value, hint, name: str = "") -> bool:
+    """A ``_TAKES[hint]`` value and no bool; an int but ``seed`` (whose low 64
+    bits :func:`substream` reads) fits in int64, and a float converts to one."""
     if get_origin(hint) is tuple:
         return isinstance(value, tuple) and all(_has_type(v, get_args(hint)[0]) for v in value)
-    return isinstance(value, _TAKES[hint]) and not isinstance(value, bool)
+    if isinstance(value, bool) or not isinstance(value, _TAKES[hint]):
+        return False
+    if hint is float:
+        try:
+            float(value)
+        except OverflowError:
+            return False
+    return hint is not int or name == "seed" or -(2**63) <= value < 2**63
 
 
 def _grid_of(model):
@@ -192,7 +195,7 @@ _RANGES = {
     "max_iters": (lambda v: v >= 1, "must be at least 1"),
     "inits": (lambda v: 0 < len(v) == len(set(map(parse_init, v))),
               "must name at least one init kind, each once"),
-    "tol": (lambda v: np.isfinite(v) and v >= 0, "must be finite and non-negative"),
+    "tol": (lambda v: 0 <= v < np.inf, "must be finite and non-negative"),
     "alphas": (_grid_of(TanhDistortion), "must be distinct"),
     "sigmas": (_grid_of(ExponentialNoise), "must be distinct"),
     "etas": (_grid_of(PoissonNoise), "must be distinct"),
@@ -261,6 +264,7 @@ def run_distortion_sweep(cfg: ExperimentConfig) -> list[list]:
         for alpha in cfg.alphas:
             err_bit[alpha].append(bit)
             distorted, _ = observe_pairs(TanhDistortion(alpha), b, pairs)
+            # one per alpha: default_rng(g) returns g itself, so a shared g would move on
             seed_sub = substream(cfg.seed, "power-sub", t)
             rep_sub = initial_estimate(
                 InitKind.SUBEXP, op, distorted, y, pairs, seed_sub, cfg.tol, cfg.max_iters
@@ -577,8 +581,12 @@ def write_outputs(cfg: ExperimentConfig) -> tuple[Path, Path, list[str]]:
 
 
 def load_manifest(path) -> ExperimentConfig:
-    payload = json.loads(Path(path).read_text())
-    return ExperimentConfig.from_dict(payload["config"])
+    """The recorded config; a file that is no manifest raises ConfigError."""
+    try:
+        config = json.loads(Path(path).read_text())["config"]
+    except (ValueError, KeyError, TypeError):
+        raise ConfigError(f"{str(path)!r} is not a manifest") from None
+    return ExperimentConfig.from_dict(config)
 
 
 def run_manifest(path, out: Optional[str] = None) -> tuple[Path, Path, list[str]]:

@@ -4,7 +4,7 @@ Each subcommand takes ``--seed``, ``--out`` and a flag for each config field
 its experiment reads (``bench.EXPERIMENTS``); any other flag, or an
 abbreviation of one, is a usage error.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 ``ConfigError`` or a failed write, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .bench import EXPERIMENTS, REFINE_MODES, ConfigError, ExperimentConfig, write_outputs
 
@@ -83,10 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    return ExperimentConfig(**vars(args))
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -94,16 +88,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # a usage error (2) or --help (0)
         return exc.code
     try:
-        cfg = config_from_args(args)
-        csv_path, mpath, summary = write_outputs(cfg)
-    # LinAlgError is a ValueError, so the numerical failures come first
-    except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    # an output write that fails (OSError) is a configuration error too
-    except (ConfigError, ValueError, OSError) as exc:
+        csv_path, mpath, summary = write_outputs(ExperimentConfig(**vars(args)))
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     for line in summary:
         print(line)
     print(f"wrote {csv_path} and {mpath}")

@@ -109,10 +109,16 @@ REFUSED_AT_BUILD = {
         ["recover", "--n", "1", "--m", "1", "--epsilon", "0.5", "--refine", "resampled"],
         "initialization block has no measurement pairs",
     ),
+    "n-beyond-int64": (
+        dict(kind="recover", n=10**30),
+        ["recover", "--n", str(10**30)],
+        f"n must be of type int; got {10**30}",
+    ),
 }
 
 # settings of the wrong type, refused before any other check: a bool is
-# no number, and a float no int
+# no number, a float no int, an int setting leaves int64 and a float
+# setting must convert to a float
 WRONG_TYPES = {
     "str-n": dict(n="8"),
     "float-n": dict(n=8.0),
@@ -125,6 +131,20 @@ WRONG_TYPES = {
     "int-model": dict(model=3),
     "str-seed": dict(seed="1"),
     "int-out": dict(out=5),
+    "int-beyond-float-tol": dict(tol=10**400),
+    "int-beyond-float-in-grid": dict(alphas=(1.0, -(10**400))),
+    "m-beyond-int64": dict(m=2**63),
+}
+
+# manifest files that are not a JSON object whose config is an object with
+# a string kind
+MALFORMED_MANIFESTS = {
+    "not-json": "{",
+    "payload-list": "[]",
+    "no-config": '{"artifact_version": "0.1.0"}',
+    "config-list": '{"config": []}',
+    "no-kind": '{"config": {"n": 8}}',
+    "kind-list": '{"config": {"kind": ["recover"]}}',
 }
 
 # the manifest that `recover --n 16 --ratio 8 --seed 5 --out <path>` wrote
@@ -177,7 +197,7 @@ class TestConfig:
     @pytest.mark.parametrize("kind", list(bench.EXPERIMENTS))
     def test_library_and_cli_defaults_agree(self, kind):
         args = cli.build_parser().parse_args([kind])
-        assert _cfg(kind=kind) == cli.config_from_args(args)
+        assert _cfg(kind=kind) == ExperimentConfig(**vars(args))
 
     def test_defaults_fill_what_the_run_reads(self):
         cfg = _cfg(kind="recover")
@@ -198,7 +218,7 @@ class TestConfig:
     @pytest.mark.parametrize("refine", list(RECOVER_MODE_FIELDS))
     def test_recover_manifest_follows_the_refine_mode(self, tmp_path, refine):
         args = cli.build_parser().parse_args(["recover", "--n", "16", "--refine", refine])
-        path = bench.write_manifest(cli.config_from_args(args), tmp_path / "x.csv")
+        path = bench.write_manifest(ExperimentConfig(**vars(args)), tmp_path / "x.csv")
         config = json.loads(path.read_text())["config"]
         expected = RECOVER_FIELDS | RECOVER_MODE_FIELDS[refine] | {"kind", "seed", "out"}
         assert set(config) == expected
@@ -206,16 +226,23 @@ class TestConfig:
             assert (config["tol"], config["max_iters"]) == (1e-12, 200)
 
     def test_unread_setting_is_an_error(self):
-        for kind, name, value in [
-            ("lambda-sweep", "n", 8),
-            ("cdp-convergence", "m", 64),
-            ("recover", "alphas", (1.0,)),
-            ("distortion-sweep", "model", "identity"),
+        for kind, name, value, reads in [
+            ("lambda-sweep", "n", 8, "samples, alphas, sigmas, etas"),
+            ("cdp-convergence", "m", 64, "n, ratio, model, inits, trials, tol, max_iters"),
+            ("distortion-sweep", "model", "identity",
+             "n, m, ratio, trials, tol, max_iters, alphas"),
         ]:
-            with pytest.raises(ConfigError, match=f"{kind} does not read {name};"):
+            with pytest.raises(ConfigError) as raised:
                 _cfg(kind=kind, **{name: value})
-        with pytest.raises(ConfigError, match="--refine altmin reads no --epsilon"):
-            _cfg(kind="recover", epsilon=0.5)
+            assert str(raised.value) == f"{kind} does not read {name}; it reads {reads}"
+        # recover names its refine mode and lists only what that mode reads
+        for name, value in (("alphas", (1.0,)), ("epsilon", 0.5)):
+            with pytest.raises(ConfigError) as raised:
+                _cfg(kind="recover", **{name: value})
+            assert str(raised.value) == (
+                f"recover with refine=altmin does not read {name}; "
+                "it reads n, m, ratio, model, inits, tol, max_iters, refine"
+            )
 
     def test_checked_when_built(self):
         with pytest.raises(ConfigError, match="n must be positive; got 0"):
@@ -223,7 +250,7 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown experiment kind 'mystery'"):
             ExperimentConfig.from_dict({"kind": "mystery"})
         # the filled tol and max_iters go along, and resampled reads neither
-        with pytest.raises(ConfigError, match="--refine resampled reads neither --tol"):
+        with pytest.raises(ConfigError, match="refine=resampled does not read tol; it reads n,"):
             replace(_cfg(kind="recover"), refine="resampled")
 
     def test_one_trial_is_unset_where_trials_are_unread(self):
@@ -298,11 +325,12 @@ class TestConfig:
             _cfg(kind="recover", **WRONG_TYPES[case])
 
     def test_json_integer_read_as_a_float_is_kept(self, tmp_path):
-        cfg = _cfg(kind="recover", tol=0, m=64)
-        assert type(cfg.tol) is int
-        path = bench.write_manifest(cfg, tmp_path / "x.csv")
-        assert json.loads(path.read_text())["config"]["tol"] == 0
-        assert bench.load_manifest(path) == cfg
+        for tol in (0, 10**300):  # 10**300 is beyond int64 but converts to a float
+            cfg = _cfg(kind="recover", tol=tol, m=64)
+            assert type(cfg.tol) is int
+            path = bench.write_manifest(cfg, tmp_path / "x.csv")
+            assert json.loads(path.read_text())["config"]["tol"] == tol
+            assert bench.load_manifest(path) == cfg
 
     @pytest.mark.parametrize("name, value", [("n", 8.0), ("seed", "1"), ("inits", [1])])
     def test_hand_edited_manifest_of_the_wrong_type_writes_nothing(self, tmp_path, name, value):
@@ -315,6 +343,14 @@ class TestConfig:
             bench.run_manifest(path, out=str(tmp_path / "rerun.csv"))
         assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
         assert path.read_bytes() == edited
+
+    @pytest.mark.parametrize("case", list(MALFORMED_MANIFESTS))
+    def test_malformed_manifest_writes_nothing(self, tmp_path, case):
+        path = tmp_path / "x.csv.manifest.json"
+        path.write_text(MALFORMED_MANIFESTS[case])
+        with pytest.raises(ConfigError):
+            bench.run_manifest(path, out=str(tmp_path / "rerun.csv"))
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_cli_refine_choices_are_the_library_modes(self):
         assert cli._FLAGS["refine"][1]["choices"] is bench.REFINE_MODES
@@ -665,7 +701,11 @@ class TestCli:
         rc = cli.main(["recover", "--n", "16", "--ratio", "16", "--refine", refine,
                        flag, value, "--out", str(out)])
         assert rc == 2
-        assert f"--refine {refine} reads neither --tol nor --max-iters" in capsys.readouterr().err
+        reads = "epsilon, refine" if refine == "resampled" else "refine"
+        assert capsys.readouterr().err == (
+            f"error: recover with refine={refine} does not read {flag[2:].replace('-', '_')}; "
+            f"it reads n, m, ratio, model, inits, {reads}\n"
+        )
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("refine", ["altmin", "none"])
@@ -674,7 +714,11 @@ class TestCli:
         rc = cli.main(["recover", "--n", "16", "--ratio", "16", "--refine", refine,
                        "--epsilon", "0.5", "--out", str(out)])
         assert rc == 2
-        assert f"--refine {refine} reads no --epsilon" in capsys.readouterr().err
+        reads = "tol, max_iters, refine" if refine == "altmin" else "refine"
+        assert capsys.readouterr().err == (
+            f"error: recover with refine={refine} does not read epsilon; "
+            f"it reads n, m, ratio, model, inits, {reads}\n"
+        )
         assert list(tmp_path.iterdir()) == []
 
     def test_max_iters_below_one_exits_2(self, tmp_path, capsys):
@@ -710,6 +754,24 @@ class TestCli:
             assert "numerical failure" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_value_error_in_a_run_exits_3(self, tmp_path, monkeypatch, capsys):
+        def failing_observe(*args):
+            raise ValueError("lam value too large")
+
+        monkeypatch.setattr(bench, "observe_pairs", failing_observe)
+        out = tmp_path / "x.csv"
+        rc = cli.main(["recover", "--n", "16", "--ratio", "8", "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == "numerical failure: lam value too large\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_poisson_rate_beyond_the_sampler_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "lam.csv"
+        rc = cli.main(["lambda-sweep", "--samples", "1000", "--etas", "1e-300", "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_ritz_step_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         real = numkit.dstebz
 
@@ -736,9 +798,9 @@ class TestCli:
     def test_default_inits_per_kind(self):
         parser = cli.build_parser()
         args = parser.parse_args(["recover", "--n", "8"])
-        assert cli.config_from_args(args).inits == ("onebit",)
+        assert ExperimentConfig(**vars(args)).inits == ("onebit",)
         args = parser.parse_args(["altmin-convergence", "--n", "8"])
-        assert cli.config_from_args(args).inits == bench.ALL_INITS
+        assert ExperimentConfig(**vars(args)).inits == bench.ALL_INITS
 
     @pytest.mark.parametrize("grid", ["--sigmas", "--alphas", "--etas"])
     def test_repeated_lambda_grid_exits_2(self, tmp_path, capsys, grid):
@@ -751,7 +813,7 @@ class TestCli:
         assert list(tmp_path.iterdir()) == []
 
     def test_repeated_or_empty_alpha_grid_exits_2(self, tmp_path, capsys):
-        for alphas in ("0.5,2,0.5", ""):
+        for alphas in ("0.5,2,0.5", "", "1,x"):
             out = tmp_path / "d.csv"
             rc = cli.main(["distortion-sweep", "--n", "8", "--ratio", "8", "--trials", "2",
                            "--alphas", alphas, "--out", str(out)])

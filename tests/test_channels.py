@@ -13,6 +13,7 @@ from onebitphase.channels import (
     format_model,
     lambda_closed_form,
     lambda_monte_carlo,
+    model_family,
     observe_pairs,
     parse_model,
     quantize,
@@ -114,6 +115,11 @@ class TestApplyModel:
         # half the draws clip to zero, the rest follow a half-normal law
         assert np.mean(out == 0.0) == pytest.approx(0.5, abs=0.01)
         assert np.mean(out) == pytest.approx(0.8 * np.sqrt(1 / (2 * np.pi)), rel=0.02)
+
+    def test_unknown_model_type_rejected(self):
+        for call in (model_family, lambda model: apply_model(model, np.array([1.0]))):
+            with pytest.raises(TypeError, match="unknown model type float"):
+                call(1.0)
 
     def test_stochastic_models_require_rng(self):
         for model in (ExponentialNoise(1.0), PoissonNoise(1.0), ClippedGaussianNoise(1.0)):

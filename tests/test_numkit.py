@@ -121,6 +121,21 @@ class TestPowerIteration:
         with pytest.raises(RuntimeError):
             lanczos(matvec, 3, seed=0)
 
+    @pytest.mark.parametrize(
+        "kw, phrase",
+        [
+            (dict(n=0), "dimension must be positive"),
+            (dict(tol=-1e-9), "tol must be non-negative"),
+            (dict(max_iters=0), "max_iters must be at least 1"),
+            (dict(matvec=lambda r: r[:-1]), r"matvec returned shape \(2,\), expected \(3,\)"),
+        ],
+        ids=["n", "tol", "max_iters", "matvec-shape"],
+    )
+    def test_bad_arguments_rejected(self, kw, phrase):
+        args = dict(matvec=lambda r: r, n=3, seed=0) | kw
+        with pytest.raises(ValueError, match=phrase):
+            lanczos(**args)
+
     def test_zero_matvec_converges_at_zero(self):
         eigval, vec, residuals, converged = lanczos(lambda r: np.zeros_like(r), 3, seed=0)
         assert eigval == 0.0
@@ -250,6 +265,8 @@ class TestDistSq:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             dist_sq([0.0, 0.0], [1.0, 0.0])
+        with pytest.raises(ValueError, match="positive dimension"):
+            distance_to([])
 
     def test_distance_to_is_the_formula_bit_for_bit(self):
         # the formula written out: 1 - |<x, x0>|^2 / (||x||^2 ||x0||^2),

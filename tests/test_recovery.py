@@ -622,6 +622,10 @@ class TestAltMin:
             alt_min_many(op, -b, [np.ones(4, dtype=complex)])
         with pytest.raises(ValueError):
             alt_min_many(op, b, [np.zeros(4, dtype=complex)])
+        with pytest.raises(ValueError, match="max_iters must be at least 1"):
+            alt_min_many(op, b, [np.ones(4, dtype=complex)], max_iters=0)
+        with pytest.raises(ValueError, match="does not match b"):
+            alt_min_many(op, b[:-1], [np.ones(4, dtype=complex)])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_intensities_rejected(self, bad):
