@@ -31,7 +31,7 @@ from .channels import (
     observe_pairs,
     parse_model,
 )
-from .numkit import distance_to, dist_sq, sample_complex_gaussian
+from .numkit import distance_to, sample_complex_gaussian
 from .recovery import (
     InitKind,
     alt_min_many,
@@ -257,10 +257,11 @@ def run_distortion_sweep(cfg: ExperimentConfig) -> list[list]:
     err_sub = {a: [] for a in cfg.alphas}
     for t in range(cfg.trials):
         op, pairs, x0, b = _gaussian_pairs(cfg, t)
+        dist = distance_to(x0)
         _, y = observe_pairs(Identity(), b, pairs)
         seed_bit = substream(cfg.seed, "power-bit", t)
         rep = initial_estimate(InitKind.ONEBIT, op, b, y, pairs, seed_bit, cfg.tol, cfg.max_iters)
-        bit = dist_sq(rep.estimate, x0)
+        bit = dist(rep.estimate)
         for alpha in cfg.alphas:
             err_bit[alpha].append(bit)
             distorted, _ = observe_pairs(TanhDistortion(alpha), b, pairs)
@@ -269,7 +270,7 @@ def run_distortion_sweep(cfg: ExperimentConfig) -> list[list]:
             rep_sub = initial_estimate(
                 InitKind.SUBEXP, op, distorted, y, pairs, seed_sub, cfg.tol, cfg.max_iters
             )
-            err_sub[alpha].append(dist_sq(rep_sub.estimate, x0))
+            err_sub[alpha].append(dist(rep_sub.estimate))
     rows = []
     for alpha in cfg.alphas:
         for method, errs in (("1bitPhase", err_bit[alpha]), ("SubExpPhase", err_sub[alpha])):
@@ -404,43 +405,37 @@ def run_recover(cfg: ExperimentConfig) -> tuple[list[list], list[str]]:
     if cfg.refine == "resampled":
         data, stages = resample_blocks(op, b, y, cfg.epsilon)
 
-    inits = {kind: _init(kind, *data, cfg, 0) for kind in kinds}
-    candidates = [(kind, rep.estimate) for kind, rep in inits.items()]
-    chosen_kind, x_init = multi_init_select(candidates, data[0], data[1])
+    inits = [_init(kind, *data, cfg, 0) for kind in kinds]
+    chosen = multi_init_select(data[0], data[1], [rep.estimate for rep in inits])
+    x_init = inits[chosen].estimate
+    dist = distance_to(x0)
 
-    rows: list[list] = []
-    if cfg.refine == "none":
-        rows.append(["init", 0, dist_sq(x_init, x0)])
-        final = x_init
-        report = None
-    elif cfg.refine == "altmin":
-        rows.append(["init", 0, dist_sq(x_init, x0)])
+    # stage 0 is the chosen init: under resampled, the block-0 init
+    rows: list[list] = [["resampled" if cfg.refine == "resampled" else "init", 0, dist(x_init)]]
+    report = None
+    if cfg.refine == "altmin":
         report = alt_min_many(
             op,
             b,
             [x_init],
             max_iters=cfg.max_iters,
             tol=cfg.tol,
-            callback=lambda run, k, x: rows.append(["altmin", k, dist_sq(x, x0)]),
+            callback=lambda run, k, x: rows.append(["altmin", k, dist(x)]),
         )[0]
-        final = report.estimate
-    else:
-        # stage 0 of the trace is the block-0 init
+    elif cfg.refine == "resampled":
         report = alt_min_resampled(
-            stages,
-            x_init,
-            callback=lambda t, x: rows.append(["resampled", t, dist_sq(x, x0)]),
+            stages, x_init, callback=lambda t, x: rows.append(["resampled", t, dist(x)])
         )
-        final = report.estimate
+    final = x_init if report is None else report.estimate
 
     summary = [
         f"model: {format_model(model)}",
-        f"init: {chosen_kind.value} (of {', '.join(k.value for k in kinds)})",
-        f"init dist_sq: {dist_sq(x_init, x0)!r}",
-        f"init lambda_hat: {inits[chosen_kind].lambda_hat!r}",
-        f"init converged: {inits[chosen_kind].converged}",
+        f"init: {kinds[chosen].value} (of {', '.join(k.value for k in kinds)})",
+        f"init dist_sq: {rows[0][2]!r}",
+        f"init lambda_hat: {inits[chosen].lambda_hat!r}",
+        f"init converged: {inits[chosen].converged}",
         f"refine: {cfg.refine}",
-        f"final dist_sq: {dist_sq(final, x0)!r}",
+        f"final dist_sq: {dist(final)!r}",
     ]
     if report is not None:
         summary.append(f"iterations: {report.iterations}")

@@ -4,7 +4,9 @@ Each subcommand takes ``--seed``, ``--out`` and a flag for each config field
 its experiment reads (``bench.EXPERIMENTS``); any other flag, or an
 abbreviation of one, is a usage error.
 
-Exit codes: 0 success, 2 ``ConfigError`` or a failed write, 3 numerical failure.
+Exit codes: 0 success, 2 ``ConfigError`` or a failed write, 3 numerical
+failure (any other ``ValueError``, ``RuntimeError``, ``ArithmeticError`` or
+``MemoryError`` of a run).
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, ArithmeticError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     for line in summary:

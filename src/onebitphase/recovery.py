@@ -25,8 +25,9 @@ from .sensing import MeasurementOperator
 class RecoveryReport:
     """Outcome of one recovery run.
 
-    ``trace`` holds one (iteration, residual-or-objective) pair per
-    iteration, so :attr:`iterations` is ``len(trace)``.  Every producer
+    ``trace`` holds one float per step: the Ritz residual per Lanczos
+    matvec, the best objective per RAAR iteration, the objective per
+    resampled stage; :attr:`iterations` is ``len(trace)``.  Every producer
     states ``converged``, which is True for a random init and the resampled
     stages.  Only spectral reports set ``lambda_hat``; it is 0.0 elsewhere.
     Spectral estimates are unit norm, alternating-minimization estimates
@@ -87,7 +88,7 @@ def spectral_estimate(
     theta, vec, residuals, converged = lanczos(
         op.surrogate(c), op.n, tol, max_iters, seed
     )
-    return RecoveryReport(vec, list(enumerate(residuals, start=1)), converged, max(theta, 0.0))
+    return RecoveryReport(vec, residuals, converged, max(theta, 0.0))
 
 
 def initial_estimate(
@@ -149,6 +150,14 @@ def _phase_misfit(a_x: np.ndarray, sqrt_b: np.ndarray) -> np.ndarray:
     return np.sum(np.square(mag, out=mag), axis=-1)
 
 
+def _stack(starts) -> np.ndarray:
+    """``starts`` as a complex (k, n) array, k >= 1; raises ValueError otherwise."""
+    x = np.array(starts, dtype=np.complex128)
+    if x.ndim != 2 or x.size == 0:
+        raise ValueError(f"starts must be a non-empty (k, n) stack, got shape {x.shape}")
+    return x
+
+
 def alt_min_many(
     op: MeasurementOperator,
     b,
@@ -182,9 +191,7 @@ def alt_min_many(
     live runs.  Returns one report per start, in row order.
     """
     b = checked_intensities(b)
-    x = np.array(starts, dtype=np.complex128)
-    if x.ndim != 2 or x.size == 0:
-        raise ValueError(f"starts must be a non-empty (k, n) stack, got shape {x.shape}")
+    x = _stack(starts)
     if not np.all(np.isfinite(x)):
         raise ValueError("starts must be finite")
     if np.any(np.linalg.norm(x, axis=1) == 0.0):
@@ -216,10 +223,10 @@ def alt_min_many(
         obj = _phase_misfit(a_x, sqrt_b)
         for row, run in enumerate(live):
             report = reports[run]
-            best = report.trace[-1][1] if report.trace else np.inf
+            best = report.trace[-1] if report.trace else np.inf
             if obj[row] < best:
                 best, report.estimate = float(obj[row]), x[row]
-            report.trace.append((k, best))
+            report.trace.append(best)
             if callback is not None:
                 callback(run, k, report.estimate)
         z_new = np.multiply(beta, z, out=spare)
@@ -307,39 +314,31 @@ def alt_min_resampled(
     reaches the estimate, so a stage is exactly one phase update and one
     least-squares solve, x <- A^+ (sqrt(b) Ph(A x)); a solve that fails
     raises instead of returning, so the report is always converged.  The
-    trace holds each stage's objective, and ``callback`` sees ``(0,
-    x_init)`` and then each stage's estimate.
+    trace holds each stage's objective, and ``callback(t, x)`` sees stage
+    t's estimate, t = 1, 2, ...; like :func:`alt_min_many`, it never sees
+    the start.
     """
     x = x_init
-    if callback is not None:
-        callback(0, x)
     trace: list = []
     for t, (op, b) in enumerate(stages, start=1):
         stage = alt_min_many(op, b, [x], max_iters=1)[0]
         x = stage.estimate
-        trace.append((t, stage.trace[0][1]))
+        trace += stage.trace
         if callback is not None:
             callback(t, x)
     return RecoveryReport(x, trace, True)
 
 
-def multi_init_select(
-    candidates: Sequence[tuple],
-    op: MeasurementOperator,
-    b,
-) -> tuple:
-    """Pick the ``(kind, vector)`` candidate with the smallest objective of
-    :func:`alt_min_many`, ||A x - Diag(sqrt(b)) Ph(A x)||^2, from one stacked
-    apply over all candidates.  Ties keep the earliest candidate and a
+def multi_init_select(op: MeasurementOperator, b, starts) -> int:
+    """Row of the (k, n) stack ``starts`` to refine: the one with the
+    smallest objective of :func:`alt_min_many`, ||A x - Diag(sqrt(b))
+    Ph(A x)||^2, from one stacked apply.  Ties keep the earliest row and a
     non-finite score is skipped; raises RuntimeError when no score is finite.
     """
-    if len(candidates) == 0:
-        raise ValueError("no candidates to select from")
+    x = _stack(starts)
     b = checked_intensities(b)
-    a_x = op.apply(np.array([vec for _, vec in candidates], dtype=np.complex128))
-    scores = _phase_misfit(a_x, np.sqrt(b))
+    scores = _phase_misfit(op.apply(x), np.sqrt(b))
     finite = np.flatnonzero(np.isfinite(scores))
     if finite.size == 0:
-        raise RuntimeError("no candidate has a finite selection score")
-    kind, vec = candidates[finite[np.argmin(scores[finite])]]
-    return kind, vec
+        raise RuntimeError("no start has a finite selection score")
+    return int(finite[np.argmin(scores[finite])])

@@ -241,7 +241,7 @@ def gaussian_noiseless_runs():
                                callback=lambda run, k, x: errs.append(dist_sq(x, x0)))[0]
             if min(errs) <= 1e-6:
                 hits[kind] += 1
-            traces.append([v for _, v in rep.trace])
+            traces.append(rep.trace)
     return hits, traces, time.monotonic() - t0
 
 
@@ -272,7 +272,7 @@ def cdp_noisy_runs():
             inits[kind].append(dist_sq(xi, x0))
             rep = alt_min_many(op, b, [xi], max_iters=100, tol=1e-12)[0]
             finals[kind].append(dist_sq(rep.estimate, x0))
-            traces.append([v for _, v in rep.trace])
+            traces.append(rep.trace)
     return finals, traces, time.monotonic() - t0, inits
 
 

@@ -546,6 +546,18 @@ class TestRecoverRun:
         assert stage0[1][:2] == ["resampled", 0]
         assert stage0[64] == stage0[1]
 
+    @pytest.mark.parametrize(
+        "refine, stage", [("altmin", "init"), ("resampled", "resampled"), ("none", "init")]
+    )
+    def test_stage_zero_then_one_row_per_step(self, refine, stage):
+        cfg = _cfg(kind="recover", n=16, ratio=16, inits=bench.ALL_INITS, refine=refine, seed=5)
+        rows, summary = bench.run_recover(cfg)
+        assert rows[0][:2] == [stage, 0]
+        assert f"init dist_sq: {rows[0][2]!r}" in summary
+        steps = next((int(l.split(": ")[1]) for l in summary if l.startswith("iterations:")), 0)
+        assert (steps > 0) == (refine != "none")
+        assert [r[:2] for r in rows[1:]] == [[refine, k] for k in range(1, steps + 1)]
+
     def test_multi_init_selection_reported(self):
         cfg = _cfg(kind="recover", n=16, ratio=16, seed=4, refine="none", inits=bench.ALL_INITS)
         _, summary = bench.run_recover(cfg)
@@ -763,6 +775,20 @@ class TestCli:
         rc = cli.main(["recover", "--n", "16", "--ratio", "8", "--out", str(out)])
         assert rc == 3
         assert capsys.readouterr().err == "numerical failure: lam value too large\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_memory_error_in_a_run_exits_3(self, tmp_path, monkeypatch, capsys):
+        # an ensemble that cannot be allocated, without allocating it
+        def failing_build(*args):
+            raise MemoryError("Unable to allocate 1.00 TiB for an array")
+
+        monkeypatch.setattr(bench, "build_paired_ensemble", failing_build)
+        out = tmp_path / "x.csv"
+        rc = cli.main(["recover", "--n", "16", "--ratio", "8", "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: Unable to allocate 1.00 TiB for an array\n"
+        )
         assert list(tmp_path.iterdir()) == []
 
     def test_poisson_rate_beyond_the_sampler_exits_3(self, tmp_path, capsys):

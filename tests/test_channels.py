@@ -341,7 +341,7 @@ TAKES_INTENSITIES = {
     ),
     "alt_min_many": lambda op, pairs, b, y: alt_min_many(op, b, [np.ones(op.n, complex)]),
     "multi_init_select": lambda op, pairs, b, y: multi_init_select(
-        [("onebit", np.ones(op.n, complex))], op, b
+        op, b, [np.ones(op.n, complex)]
     ),
     "resample_blocks": lambda op, pairs, b, y: resample_blocks(op, b, y, 0.5),
 }

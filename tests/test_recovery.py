@@ -461,7 +461,7 @@ class TestAltMin:
     def test_exact_init_is_a_fixed_point(self):
         _, rows, b, x0 = _altmin_system(8, 64, seed=21)
         report = alt_min_many(MatrixOperator(rows), b, [x0], max_iters=3)[0]
-        assert report.trace[0][1] <= 1e-20
+        assert report.trace[0] <= 1e-20
         assert dist_sq(report.estimate, x0) <= 1e-12
         assert report.converged
 
@@ -469,7 +469,7 @@ class TestAltMin:
         _, rows, b, _ = _altmin_system(16, 64, seed=22)
         x_init = random_init(16, substream(22, "init"))
         report = alt_min_many(MatrixOperator(rows), b, [x_init], max_iters=100)[0]
-        objectives = [v for _, v in report.trace]
+        objectives = report.trace
         assert all(b2 <= b1 for b1, b2 in zip(objectives, objectives[1:]))
 
     def test_half_relaxation_is_alternating_projections(self, monkeypatch):
@@ -506,7 +506,7 @@ class TestAltMin:
             float(np.sum((np.abs(rows.conj() @ x) - np.sqrt(b)) ** 2)) for x in iterates
         ]
         assert objectives[-1] > objectives[-2]
-        assert [v for _, v in report.trace] == np.minimum.accumulate(objectives).tolist()
+        assert report.trace == np.minimum.accumulate(objectives).tolist()
         np.testing.assert_array_equal(report.estimate, iterates[int(np.argmin(objectives))])
 
     def test_estimate_is_the_best_iterate_as_solved(self, monkeypatch):
@@ -528,7 +528,7 @@ class TestAltMin:
         objectives = [
             float(np.sum((np.abs(rows.conj() @ x) - np.sqrt(b)) ** 2)) for x in iterates
         ]
-        assert [v for _, v in report.trace] == np.minimum.accumulate(objectives).tolist()
+        assert report.trace == np.minimum.accumulate(objectives).tolist()
         best = iterates[int(np.argmin(objectives))]
         assert report.estimate.tobytes() == best.tobytes()
 
@@ -785,8 +785,8 @@ class TestAltMinResampled:
         good = 0
         for seed in range(20):
             (op, _), x0 = _paired(n, pairs, seed=300 + seed)
-            errs = []
             stages, x_init = _resampled_start(op, x0, eps, InitKind.ONEBIT, seed)
+            errs = [dist_sq(x_init, x0)]
             alt_min_resampled(
                 stages, x_init, callback=lambda t, x: errs.append(dist_sq(x, x0))
             )
@@ -800,10 +800,10 @@ class TestAltMinResampled:
         seen = []
         report = alt_min_resampled(stages, x_init, callback=lambda t, x: seen.append(x))
         x = x_init
-        for (op, b), got in zip(stages, seen[1:]):
+        for (op, b), got in zip(stages, seen):
             x = op.lsq_solve(np.sqrt(b) * phase_op(op.apply(x)))
             np.testing.assert_array_equal(got, x)
-        assert len(seen) == len(stages) + 1
+        assert len(seen) == len(stages)
         assert report.converged
 
     def test_plain_ensemble_pairs_consecutive_rows(self):
@@ -879,46 +879,35 @@ class TestMultiInitSelect:
     def test_picks_the_true_signal(self):
         _, rows, b, x0 = _altmin_system(8, 80, seed=31)
         rng = substream(31, "decoys")
-        candidates = [
-            (InitKind.RANDOM, _unit(rng, 8)),
-            (InitKind.ONEBIT, x0),
-            (InitKind.SUBEXP, _unit(rng, 8)),
-        ]
-        kind, vec = multi_init_select(candidates, MatrixOperator(rows), b)
-        assert kind is InitKind.ONEBIT
-        np.testing.assert_array_equal(vec, x0)
+        starts = [_unit(rng, 8), x0, _unit(rng, 8)]
+        row = multi_init_select(MatrixOperator(rows), b, starts)
+        assert type(row) is int
+        assert row == 1
 
     def test_selection_is_phase_invariant(self):
         _, rows, b, x0 = _altmin_system(8, 80, seed=32)
         rng = substream(32, "decoys")
         decoy = _unit(rng, 8)
         rotated = np.exp(1j * 1.1) * x0
-        kind, _ = multi_init_select(
-            [(InitKind.RANDOM, decoy), (InitKind.ONEBIT, rotated)],
-            MatrixOperator(rows),
-            b,
-        )
-        assert kind is InitKind.ONEBIT
+        assert multi_init_select(MatrixOperator(rows), b, [decoy, rotated]) == 1
 
-    def test_single_candidate(self):
+    def test_single_start(self):
         _, rows, b, x0 = _altmin_system(4, 16, seed=33)
-        kind, vec = multi_init_select(
-            [(InitKind.SUBEXP, x0)], MatrixOperator(rows), b
-        )
-        assert kind is InitKind.SUBEXP
+        assert multi_init_select(MatrixOperator(rows), b, [x0]) == 0
 
     def test_inputs_are_not_written(self):
         _, rows, b, x0 = _altmin_system(8, 80, seed=40)
         rng = substream(40, "decoys")
-        candidates = [(InitKind.RANDOM, _unit(rng, 8)), (InitKind.ONEBIT, x0.copy())]
-        snapshot = [vec.tobytes() for _, vec in candidates] + [b.tobytes()]
-        multi_init_select(candidates, MatrixOperator(rows), b)
-        assert [vec.tobytes() for _, vec in candidates] + [b.tobytes()] == snapshot
+        starts = np.stack([_unit(rng, 8), x0])
+        snapshot = [starts.tobytes(), b.tobytes()]
+        multi_init_select(MatrixOperator(rows), b, starts)
+        assert [starts.tobytes(), b.tobytes()] == snapshot
 
-    def test_empty_candidates_rejected(self):
-        _, rows, b, _ = _altmin_system(4, 16, seed=34)
-        with pytest.raises(ValueError):
-            multi_init_select([], MatrixOperator(rows), b)
+    def test_empty_or_flat_starts_rejected(self):
+        _, rows, b, x0 = _altmin_system(4, 16, seed=34)
+        for starts in ([], np.empty((0, 4)), x0):
+            with pytest.raises(ValueError, match="stack"):
+                multi_init_select(MatrixOperator(rows), b, starts)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_intensities_rejected(self, bad):
@@ -926,50 +915,35 @@ class TestMultiInitSelect:
         b = b.copy()
         b[3] = bad
         with pytest.raises(ValueError, match="intensities must be finite"):
-            multi_init_select([(InitKind.ONEBIT, x0)], MatrixOperator(rows), b)
+            multi_init_select(MatrixOperator(rows), b, [x0])
 
     @pytest.mark.parametrize("sensing", ["matrix", "cdp"])
-    def test_non_finite_candidate_is_skipped(self, sensing):
+    def test_non_finite_start_is_skipped(self, sensing):
         op, b, x0, starts = _many_system(sensing, seed=41)
         nan_vec = np.full(op.n, np.nan, dtype=complex)
-        candidates = [
-            (InitKind.RANDOM, starts[0]),
-            (InitKind.SUBEXP, nan_vec),
-            (InitKind.ONEBIT, x0),
-            (InitKind.WEIGHTED_ONEBIT, starts[1]),
-        ]
         with np.errstate(invalid="ignore"):
-            kind, vec = multi_init_select(candidates, op, b)
-        assert kind is InitKind.ONEBIT
-        assert vec is x0
+            row = multi_init_select(op, b, [starts[0], nan_vec, x0, starts[1]])
+        assert row == 2
 
-    def test_ties_keep_the_earliest_candidate(self):
-        _, rows, b, x0 = _altmin_system(8, 80, seed=42)
+    def test_ties_keep_the_earliest_row(self):
+        _, rows, b, _ = _altmin_system(8, 80, seed=42)
         decoy = _unit(substream(42, "decoy"), 8)
-        candidates = [
-            (InitKind.RANDOM, decoy),
-            (InitKind.SUBEXP, decoy.copy()),
-            (InitKind.ONEBIT, decoy.copy()),
-        ]
-        kind, vec = multi_init_select(candidates, MatrixOperator(rows), b)
-        assert kind is InitKind.RANDOM
-        assert vec is decoy
+        assert multi_init_select(MatrixOperator(rows), b, [decoy, decoy, decoy]) == 0
 
     @pytest.mark.parametrize("sensing", ["matrix", "cdp"])
-    def test_one_stacked_apply_over_the_candidates(self, sensing):
+    def test_one_stacked_apply_over_the_starts(self, sensing):
         op, b, _, starts = _many_system(sensing, seed=43)
         counting = _CountingOperator(op)
-        multi_init_select([(kind, x) for kind, x in zip(InitKind, starts)], counting, b)
+        multi_init_select(counting, b, starts)
         assert counting.apply_rows == [4]
         assert counting.adjoints == counting.solves == 0
 
     def test_no_finite_score_raises(self):
         _, rows, b, _ = _altmin_system(4, 16, seed=36)
         nan_vec = np.full(4, np.nan, dtype=complex)
-        candidates = [(InitKind.ONEBIT, nan_vec), (InitKind.SUBEXP, nan_vec)]
         with np.errstate(invalid="ignore"):
             with pytest.raises(RuntimeError, match="finite"):
-                multi_init_select(candidates, MatrixOperator(rows), b)
+                multi_init_select(MatrixOperator(rows), b, [nan_vec, nan_vec])
 
 
 class TestParseInit:
@@ -985,18 +959,25 @@ class TestParseInit:
 SPECTRAL_KINDS = {InitKind.SUBEXP.value, InitKind.ONEBIT.value, InitKind.WEIGHTED_ONEBIT.value}
 
 
-def _reports_of(producer):
-    """The reports one call of ``producer`` returns."""
+def _reports_of(producer, seen):
+    """The reports one call of ``producer`` returns.  A refinement calls back
+    into ``seen``, one ``(run, k)`` per call."""
     if producer in {kind.value for kind in InitKind}:
         return [_init(producer, *_paired(8, 400, seed=90), seed=1)]
     if producer == "alt_min_many":
         # two starts: the one at x0 stops long before the random one
         op, b, x0, starts = _many_system("cdp", seed=82)
-        reports = alt_min_many(op, b, [x0, starts[0]], max_iters=100)
+        reports = alt_min_many(
+            op, b, [x0, starts[0]], max_iters=100,
+            callback=lambda run, k, x: seen.append((run, k)),
+        )
         assert reports[0].converged and reports[0].iterations < reports[1].iterations
         return reports
     (op, _), x0 = _paired(8, 96, seed=33)
-    return [alt_min_resampled(*_resampled_start(op, x0, 0.1, InitKind.ONEBIT))]
+    stages, x_init = _resampled_start(op, x0, 0.1, InitKind.ONEBIT)
+    report = alt_min_resampled(stages, x_init, callback=lambda t, x: seen.append((0, t)))
+    assert report.iterations == len(stages) > 1
+    return [report]
 
 
 class TestReportRecord:
@@ -1004,16 +985,24 @@ class TestReportRecord:
         "producer", [*(kind.value for kind in InitKind), "alt_min_many", "alt_min_resampled"]
     )
     def test_every_producer_keeps_one_record(self, producer):
-        for report in _reports_of(producer):
+        seen = []
+        reports = _reports_of(producer, seen)
+        refines = producer in ("alt_min_many", "alt_min_resampled")
+        for run, report in enumerate(reports):
             assert report.iterations == len(report.trace)
+            assert all(type(value) is float for value in report.trace)
             assert isinstance(report.converged, bool)
             if producer not in SPECTRAL_KINDS:
                 assert report.lambda_hat == 0.0
+            # a refinement calls back once per step of each run, never for its start
+            if refines:
+                assert [k for r, k in seen if r == run] == list(range(1, report.iterations + 1))
+        assert len(seen) == (sum(report.iterations for report in reports) if refines else 0)
 
     def test_converged_must_be_stated_and_iterations_are_derived(self):
         with pytest.raises(TypeError, match="converged"):
             RecoveryReport(np.ones(2), [])
-        report = RecoveryReport(np.ones(2), [(1, 0.5), (2, 0.25)], False)
+        report = RecoveryReport(np.ones(2), [0.5, 0.25], False)
         assert (report.iterations, report.lambda_hat) == (2, 0.0)
         with pytest.raises(AttributeError):
             report.iterations = 3
