@@ -13,6 +13,7 @@ import csv
 import json
 import numbers
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
@@ -219,11 +220,34 @@ def _gaussian_pairs(cfg: ExperimentConfig, trial: int):
     return op, pairs, x0, intensities(op, x0)
 
 
+def _cdp_trial(cfg: ExperimentConfig, trial: int):
+    """The same for masked-DFT sensing: ``ratio`` mask pairs, one operator
+    over both mask families stacked, and pair k compares output k of family
+    1 with output k of family 2 (n one-bit values per mask pair).  The
+    signal is unnormalized, so per-coordinate intensities have mean
+    ||x0||^2/n ~ 1, the scale the ``--model`` noise levels assume."""
+    seeds = [_trial_seed(cfg.seed, f"cdp-masks-{k}", trial) for k in (1, 2)]
+    op, pairs = build_paired_cdp(cfg.n, cfg.ratio, seeds)
+    x0 = sample_complex_gaussian(cfg.n, substream(cfg.seed, "signal", trial))
+    return op, pairs, x0, intensities(op, x0)
+
+
+def _observed_trial(cfg: ExperimentConfig, trial: int, builder, model):
+    """Operator, pair slices, distance to the signal, and observed ``b`` and
+    ``y`` of a ``builder`` trial seen through ``model`` (noise from the
+    trial's "noise" stream).  An all-zero ``b`` raises ValueError."""
+    op, pairs, x0, b_clean = builder(cfg, trial)
+    b, y = observe_pairs(model, b_clean, pairs, substream(cfg.seed, "noise", trial))
+    if not b.any():
+        raise ValueError(f"every observed intensity is zero under {format_model(model)}")
+    return op, pairs, distance_to(x0), b, y
+
+
 # ---------------------------------------------------------------------------
 # lambda sweep
 
 
-def run_lambda_sweep(cfg: ExperimentConfig) -> list[list]:
+def run_lambda_sweep(cfg: ExperimentConfig) -> tuple[list[list], list[str]]:
     """Monte-Carlo channel constants over the default model grids.
 
     Every grid point reuses the same intensity draws (one seed), so columns
@@ -238,32 +262,29 @@ def run_lambda_sweep(cfg: ExperimentConfig) -> list[list]:
         est, se = lambda_monte_carlo(model, cfg.samples, seed=cfg.seed)
         closed = lambda_closed_form(model)
         rows.append([*model_family(model), est, se, closed])
-    return rows
+    return rows, []
 
 
 # ---------------------------------------------------------------------------
 # distortion sweep
 
 
-def run_distortion_sweep(cfg: ExperimentConfig) -> list[list]:
+def run_distortion_sweep(cfg: ExperimentConfig) -> tuple[list[list], list[str]]:
     """Median recovery error of both spectral methods under tanh distortion.
 
     Ensembles, signals and Lanczos start vectors depend only on the trial
     index, never on alpha.  The sign-based method reads only the clean
-    intensities, so it runs once per trial and its column is bit-identical
-    across the sweep while the intensity-weighted method degrades.
+    intensities, so it runs once per trial and its one column of errors
+    serves every alpha while the intensity-weighted method degrades.
     """
-    err_bit = {a: [] for a in cfg.alphas}
+    err_bit = []
     err_sub = {a: [] for a in cfg.alphas}
     for t in range(cfg.trials):
-        op, pairs, x0, b = _gaussian_pairs(cfg, t)
-        dist = distance_to(x0)
-        _, y = observe_pairs(Identity(), b, pairs)
+        op, pairs, dist, b, y = _observed_trial(cfg, t, _gaussian_pairs, Identity())
         seed_bit = substream(cfg.seed, "power-bit", t)
         rep = initial_estimate(InitKind.ONEBIT, op, b, y, pairs, seed_bit, cfg.tol, cfg.max_iters)
-        bit = dist(rep.estimate)
+        err_bit.append(dist(rep.estimate))
         for alpha in cfg.alphas:
-            err_bit[alpha].append(bit)
             distorted, _ = observe_pairs(TanhDistortion(alpha), b, pairs)
             # one per alpha: default_rng(g) returns g itself, so a shared g would move on
             seed_sub = substream(cfg.seed, "power-sub", t)
@@ -273,11 +294,11 @@ def run_distortion_sweep(cfg: ExperimentConfig) -> list[list]:
             err_sub[alpha].append(dist(rep_sub.estimate))
     rows = []
     for alpha in cfg.alphas:
-        for method, errs in (("1bitPhase", err_bit[alpha]), ("SubExpPhase", err_sub[alpha])):
+        for method, errs in (("1bitPhase", err_bit), ("SubExpPhase", err_sub[alpha])):
             arr = np.asarray(errs)
             q25, q50, q75 = np.percentile(arr, [25.0, 50.0, 75.0])
             rows.append([alpha, method, float(q50), float(q75 - q25), cfg.trials])
-    return rows
+    return rows, []
 
 
 # ---------------------------------------------------------------------------
@@ -312,24 +333,23 @@ def _median_curves(curves: Sequence[Sequence[float]]) -> list[float]:
 # alternating-minimization convergence experiments
 
 
-def _convergence_rows(cfg: ExperimentConfig, setup) -> list[list]:
-    """Median error-vs-iteration curve of alt-min from each init kind.
+def _convergence_rows(builder, cfg: ExperimentConfig) -> tuple[list[list], list[str]]:
+    """Median error-vs-iteration curve of alt-min from each init kind, on
+    the trials of ``builder`` (see :func:`_observed_trial`).
 
-    ``setup(cfg, trial)`` returns the trial's operator, its pair slices,
-    the signal and its clean intensities.  One-bit inits quantize the
-    observed intensities, and the weighted variant draws its ratio weights
-    from the same values.  Each kind has its own seed stream, so a trial
-    computes every init first and then refines them all in one
-    :func:`alt_min_many` call.
+    ``--model`` sets the intensity noise: identity for the noiseless
+    baseline, clipgauss:sigma=... for one-sided Gaussian readout noise.
+    One-bit inits quantize the observed intensities, and the weighted
+    variant draws its ratio weights from the same values.  Each kind has
+    its own seed stream, so a trial computes every init first and then
+    refines them all in one :func:`alt_min_many` call.
     """
     model = parse_model(cfg.model)
     kinds = [parse_init(name) for name in cfg.inits]
     curves: dict[InitKind, list[list[float]]] = {k: [] for k in kinds}
     for t in range(cfg.trials):
-        op, pairs, x0, b_clean = setup(cfg, t)
-        b, y = observe_pairs(model, b_clean, pairs, substream(cfg.seed, "noise", t))
+        op, pairs, dist, b, y = _observed_trial(cfg, t, builder, model)
         starts = [_init(kind, op, b, y, pairs, cfg, t).estimate for kind in kinds]
-        dist = distance_to(x0)
         errs = [[dist(x)] for x in starts]
         alt_min_many(
             op,
@@ -346,43 +366,7 @@ def _convergence_rows(cfg: ExperimentConfig, setup) -> list[list]:
         medians = _median_curves(curves[kind])
         for it, value in enumerate(medians):
             rows.append([kind.value, it, value])
-    return rows
-
-
-def run_altmin_convergence(cfg: ExperimentConfig) -> list[list]:
-    """Error-vs-iteration curves of refined recovery for each initializer.
-
-    Gaussian paired sensing; ``--model`` sets the intensity noise (identity
-    for the noiseless baseline, clipgauss:sigma=... for one-sided Gaussian
-    readout noise).
-    """
-    return _convergence_rows(cfg, _gaussian_pairs)
-
-
-def _cdp_trial(cfg: ExperimentConfig, trial: int):
-    """One operator over both mask families, stacked; pair k compares
-    output k of family 1 with output k of family 2."""
-    n, r = cfg.n, cfg.ratio
-    seeds = [_trial_seed(cfg.seed, f"cdp-masks-{k}", trial) for k in (1, 2)]
-    op, pairs = build_paired_cdp(n, r, seeds)
-    # unnormalized: per-coordinate masked-DFT intensities then have mean
-    # ||x0||^2/n ~ 1, the same scale the noise sigmas are calibrated against
-    x0 = sample_complex_gaussian(n, substream(cfg.seed, "signal", trial))
-    return op, pairs, x0, intensities(op, x0)
-
-
-def run_cdp_convergence(cfg: ExperimentConfig) -> list[list]:
-    """Like :func:`run_altmin_convergence`, with masked-DFT sensing.
-
-    Each trial draws ``ratio`` mask pairs; pairing is coordinate-wise across
-    the two masked DFTs, giving n one-bit values per mask pair.  The least
-    squares step of :meth:`CdpOperator.lsq_solve` exploits the diagonal normal
-    matrix of unitary DFT blocks.
-    The signal is left unnormalized so per-coordinate intensities keep unit
-    scale and ``--model`` noise levels mean the same thing as for Gaussian
-    sensing.
-    """
-    return _convergence_rows(cfg, _cdp_trial)
+    return rows, []
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +383,7 @@ def run_recover(cfg: ExperimentConfig) -> tuple[list[list], list[str]]:
     """
     model = parse_model(cfg.model)
     kinds = [parse_init(name) for name in cfg.inits]
-    op, pairs, x0, b_clean = _gaussian_pairs(cfg, 0)
-    b, y = observe_pairs(model, b_clean, pairs, substream(cfg.seed, "noise", 0))
+    op, pairs, dist, b, y = _observed_trial(cfg, 0, _gaussian_pairs, model)
     data = (op, b, y, pairs)
     if cfg.refine == "resampled":
         data, stages = resample_blocks(op, b, y, cfg.epsilon)
@@ -408,7 +391,6 @@ def run_recover(cfg: ExperimentConfig) -> tuple[list[list], list[str]]:
     inits = [_init(kind, *data, cfg, 0) for kind in kinds]
     chosen = multi_init_select(data[0], data[1], [rep.estimate for rep in inits])
     x_init = inits[chosen].estimate
-    dist = distance_to(x0)
 
     # stage 0 is the chosen init: under resampled, the block-0 init
     rows: list[list] = [["resampled" if cfg.refine == "resampled" else "init", 0, dist(x_init)]]
@@ -469,15 +451,11 @@ class Experiment:
         return tuple(f for f in self.fields if self.modes.get(f, refine) == refine)
 
 
-def _rows_only(runner):
-    return lambda cfg: (runner(cfg), [])
-
-
 _CONVERGENCE = dict(model="identity", inits=ALL_INITS, trials=20, tol=1e-12, max_iters=100)
 
 EXPERIMENTS = {
     "lambda-sweep": Experiment(
-        _rows_only(run_lambda_sweep),
+        run_lambda_sweep,
         header=["model", "param", "lambda_estimate", "std_error", "closed_form"],
         out="lambda_sweep.csv",
         help="Monte-Carlo channel constants over the model grids",
@@ -487,7 +465,7 @@ EXPERIMENTS = {
         ),
     ),
     "distortion-sweep": Experiment(
-        _rows_only(run_distortion_sweep),
+        run_distortion_sweep,
         header=["alpha", "method", "median_dist_sq", "iqr", "trials"],
         out="distortion_sweep.csv",
         help="spectral recovery error under tanh distortion",
@@ -505,14 +483,14 @@ EXPERIMENTS = {
         modes=dict(epsilon="resampled", tol="altmin", max_iters="altmin"),
     ),
     "altmin-convergence": Experiment(
-        _rows_only(run_altmin_convergence),
+        partial(_convergence_rows, _gaussian_pairs),
         header=["init", "iteration", "median_dist_sq"],
         out="altmin_convergence.csv",
         help="error-vs-iteration curves, Gaussian sensing",
         fields=dict(n=512, m=None, ratio=4, **_CONVERGENCE),
     ),
     "cdp-convergence": Experiment(
-        _rows_only(run_cdp_convergence),
+        partial(_convergence_rows, _cdp_trial),
         header=["init", "iteration", "median_dist_sq"],
         out="cdp_convergence.csv",
         help="error-vs-iteration curves, masked-DFT sensing",

@@ -190,7 +190,7 @@ def test_07_distortion_robustness():
     cfg = bench.ExperimentConfig(
         kind="distortion-sweep", n=64, ratio=64, trials=20, alphas=(0.125, 8.0), seed=11
     )
-    rows = bench.run_distortion_sweep(cfg)
+    rows, _ = bench.run_distortion_sweep(cfg)
     med = {(alpha, method): (m50, iqr) for alpha, method, m50, iqr, _ in rows}
     bit_med, _ = med[(8.0, "1bitPhase")]
     sub_med, _ = med[(8.0, "SubExpPhase")]

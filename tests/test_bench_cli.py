@@ -70,6 +70,15 @@ BENCHMARK_CONFIGS = {
     ),
 }
 
+# one tiny config per experiment kind
+TINY_CONFIGS = {
+    "lambda-sweep": dict(samples=1000, alphas=(1.0,), sigmas=(1.0,), etas=(1.0,)),
+    "distortion-sweep": dict(n=8, ratio=8, trials=2, alphas=(0.5, 8.0)),
+    "recover": dict(n=8, ratio=8, inits=bench.ALL_INITS),
+    "altmin-convergence": dict(n=8, ratio=4, trials=2, max_iters=5),
+    "cdp-convergence": dict(n=8, ratio=2, trials=2, max_iters=5),
+}
+
 # configs that build no more, each with its CLI form and a phrase of its error
 REFUSED_AT_BUILD = {
     "repeated-init": (
@@ -198,6 +207,15 @@ class TestConfig:
     def test_library_and_cli_defaults_agree(self, kind):
         args = cli.build_parser().parse_args([kind])
         assert _cfg(kind=kind) == ExperimentConfig(**vars(args))
+
+    @pytest.mark.parametrize("kind", list(bench.EXPERIMENTS))
+    def test_runner_returns_rows_as_wide_as_the_header_and_summary_lines(self, kind):
+        spec = bench.EXPERIMENTS[kind]
+        rows, summary = spec.runner(_cfg(kind=kind, **TINY_CONFIGS[kind]))
+        assert isinstance(rows, list) and rows
+        assert all(isinstance(row, list) and len(row) == len(spec.header) for row in rows)
+        assert isinstance(summary, list)
+        assert all(isinstance(line, str) for line in summary)
 
     def test_defaults_fill_what_the_run_reads(self):
         cfg = _cfg(kind="recover")
@@ -404,7 +422,7 @@ class TestLambdaSweep:
             etas=(1.0,),
             seed=7,
         )
-        rows = bench.run_lambda_sweep(cfg)
+        rows, _ = bench.run_lambda_sweep(cfg)
         assert len(rows) == 1 + 1 + 2 + 1
         by_model = {}
         for model, param, est, se, closed in rows:
@@ -435,7 +453,7 @@ class TestDistortionSweep:
             alphas=(0.5, 8.0),
             seed=3,
         )
-        rows = bench.run_distortion_sweep(cfg)
+        rows, _ = bench.run_distortion_sweep(cfg)
         assert len(rows) == 4
         bit = {alpha: med for alpha, method, med, _, _ in rows if method == "1bitPhase"}
         sub = {alpha: med for alpha, method, med, _, _ in rows if method == "SubExpPhase"}
@@ -455,7 +473,7 @@ class TestConvergenceRuns:
             inits=("random", "onebit"),
             seed=5,
         )
-        rows = bench.run_altmin_convergence(cfg)
+        _, rows, _ = bench.run(cfg)
         onebit = [(it, v) for init, it, v in rows if init == "onebit"]
         assert onebit[0][0] == 0
         assert [it for it, _ in onebit] == list(range(len(onebit)))
@@ -471,7 +489,7 @@ class TestConvergenceRuns:
             inits=("onebit",),
             seed=6,
         )
-        rows = bench.run_cdp_convergence(cfg)
+        _, rows, _ = bench.run(cfg)
         assert rows[0][1] == 0
         assert rows[-1][2] <= 1e-6
 
@@ -788,6 +806,23 @@ class TestCli:
         assert rc == 3
         assert capsys.readouterr().err == (
             "numerical failure: Unable to allocate 1.00 TiB for an array\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args", [
+        ["recover", "--n", "4", "--m", "4", "--init", "subexp"],
+        ["recover", "--n", "4", "--m", "4", "--init", "subexp", "--refine", "none"],
+        ["recover", "--n", "4", "--m", "8", "--init", "onebit", "--refine", "resampled",
+         "--epsilon", "0.5"],
+        ["altmin-convergence", "--n", "4", "--m", "4", "--trials", "1"],
+    ])
+    def test_all_zero_observation_exits_3(self, tmp_path, capsys, args):
+        # at eta = 1e6 every Poisson count of these tiny ensembles is zero
+        out = tmp_path / "x.csv"
+        rc = cli.main([*args, "--model", "poisson:eta=1e6", "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: every observed intensity is zero under poisson:eta=1e+06\n"
         )
         assert list(tmp_path.iterdir()) == []
 
