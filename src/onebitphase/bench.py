@@ -25,6 +25,7 @@ from .channels import (
     Identity,
     PoissonNoise,
     TanhDistortion,
+    apply_model,
     format_model,
     lambda_closed_form,
     lambda_monte_carlo,
@@ -34,12 +35,11 @@ from .channels import (
 )
 from .numkit import distance_to, sample_complex_gaussian
 from .recovery import (
-    InitKind,
+    INIT_KINDS,
     alt_min_many,
     alt_min_resampled,
     initial_estimate,
     multi_init_select,
-    parse_init,
     random_init,
     resample_blocks,
     resampled_schedule,
@@ -56,7 +56,6 @@ class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
 
 
-ALL_INITS = tuple(k.value for k in InitKind)
 ALPHAS = (0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 REFINE_MODES = ("altmin", "resampled", "none")
 
@@ -70,12 +69,12 @@ class ExperimentConfig:
     ``trials``).  :class:`ConfigError`, the one error that refuses a
     config, is raised for a set value not of its annotated type (see
     :func:`_has_type`; a JSON integer read as a float is kept as it is),
-    then by range checks on every set value, then for a set value the run
-    does not read (the message lists :meth:`reads`), then by checks across
-    settings.  Since the defaults are filled at build time,
-    ``dataclasses.replace`` keeps the old ``refine`` mode's filled settings,
-    which the new mode may not read: to change ``refine``, build a fresh
-    config."""
+    then, once ``inits`` is stripped and case folded, by range checks on
+    every set value, then for a set value the run does not read (the
+    message lists :meth:`reads`), then by checks across settings.  Since
+    the defaults are filled at build time, ``dataclasses.replace`` keeps
+    the old ``refine`` mode's filled settings, which the new mode may not
+    read: to change ``refine``, build a fresh config."""
 
     kind: str
     n: Optional[int] = None
@@ -101,6 +100,8 @@ class ExperimentConfig:
             if value is not None and not _has_type(value, hint, name):
                 what = hint if get_origin(hint) else hint.__name__
                 raise ConfigError(f"{name} must be of type {what}; got {value!r}")
+        if self.inits is not None:
+            object.__setattr__(self, "inits", tuple(k.strip().lower() for k in self.inits))
         if self.kind not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         spec = EXPERIMENTS[self.kind]
@@ -109,7 +110,7 @@ class ExperimentConfig:
                 object.__setattr__(self, name, spec.fields[name])
         if self.trials == 1 and "trials" not in spec.fields:
             object.__setattr__(self, "trials", None)
-        # a check may raise a library ValueError: a model range, an init kind, a schedule
+        # a check may raise a library ValueError: a model range, a schedule
         try:
             for name, (ok, rule) in _RANGES.items():
                 value = getattr(self, name)
@@ -194,8 +195,8 @@ _RANGES = {
     "m": (lambda v: v > 0, "must be positive"),
     "ratio": (lambda v: v > 0, "must be positive"),
     "max_iters": (lambda v: v >= 1, "must be at least 1"),
-    "inits": (lambda v: 0 < len(v) == len(set(map(parse_init, v))),
-              "must name at least one init kind, each once"),
+    "inits": (lambda v: 0 < len(v) == len(set(v)) and set(v) <= set(INIT_KINDS),
+              "must name at least one init kind, each once, from " + ", ".join(INIT_KINDS)),
     "tol": (lambda v: 0 <= v < np.inf, "must be finite and non-negative"),
     "alphas": (_grid_of(TanhDistortion), "must be distinct"),
     "sigmas": (_grid_of(ExponentialNoise), "must be distinct"),
@@ -282,14 +283,14 @@ def run_distortion_sweep(cfg: ExperimentConfig) -> tuple[list[list], list[str]]:
     for t in range(cfg.trials):
         op, pairs, dist, b, y = _observed_trial(cfg, t, _gaussian_pairs, Identity())
         seed_bit = substream(cfg.seed, "power-bit", t)
-        rep = initial_estimate(InitKind.ONEBIT, op, b, y, pairs, seed_bit, cfg.tol, cfg.max_iters)
+        rep = initial_estimate("onebit", op, b, y, pairs, seed_bit, cfg.tol, cfg.max_iters)
         err_bit.append(dist(rep.estimate))
         for alpha in cfg.alphas:
-            distorted, _ = observe_pairs(TanhDistortion(alpha), b, pairs)
+            distorted = apply_model(TanhDistortion(alpha), b)
             # one per alpha: default_rng(g) returns g itself, so a shared g would move on
             seed_sub = substream(cfg.seed, "power-sub", t)
             rep_sub = initial_estimate(
-                InitKind.SUBEXP, op, distorted, y, pairs, seed_sub, cfg.tol, cfg.max_iters
+                "subexp", op, distorted, y, pairs, seed_sub, cfg.tol, cfg.max_iters
             )
             err_sub[alpha].append(dist(rep_sub.estimate))
     rows = []
@@ -306,14 +307,14 @@ def run_distortion_sweep(cfg: ExperimentConfig) -> tuple[list[list], list[str]]:
 
 
 _INIT_STREAMS = {
-    InitKind.RANDOM: "init-random",
-    InitKind.SUBEXP: "init-subexp",
-    InitKind.ONEBIT: "init-onebit",
-    InitKind.WEIGHTED_ONEBIT: "init-weighted",
+    "random": "init-random",
+    "subexp": "init-subexp",
+    "onebit": "init-onebit",
+    "weighted1bit": "init-weighted",
 }
 
 
-def _init(kind: InitKind, op, b, y, pairs, cfg, trial: int):
+def _init(kind: str, op, b, y, pairs, cfg, trial: int):
     """Init estimate of trial ``trial``, seeded from the kind's own stream."""
     seed = substream(cfg.seed, _INIT_STREAMS[kind], trial)
     return initial_estimate(kind, op, b, y, pairs, seed)
@@ -345,11 +346,10 @@ def _convergence_rows(builder, cfg: ExperimentConfig) -> tuple[list[list], list[
     refines them all in one :func:`alt_min_many` call.
     """
     model = parse_model(cfg.model)
-    kinds = [parse_init(name) for name in cfg.inits]
-    curves: dict[InitKind, list[list[float]]] = {k: [] for k in kinds}
+    curves: dict[str, list[list[float]]] = {k: [] for k in cfg.inits}
     for t in range(cfg.trials):
         op, pairs, dist, b, y = _observed_trial(cfg, t, builder, model)
-        starts = [_init(kind, op, b, y, pairs, cfg, t).estimate for kind in kinds]
+        starts = [_init(kind, op, b, y, pairs, cfg, t).estimate for kind in cfg.inits]
         errs = [[dist(x)] for x in starts]
         alt_min_many(
             op,
@@ -359,13 +359,13 @@ def _convergence_rows(builder, cfg: ExperimentConfig) -> tuple[list[list], list[
             tol=cfg.tol,
             callback=lambda run, k, x: errs[run].append(dist(x)),
         )
-        for kind, run_errs in zip(kinds, errs):
+        for kind, run_errs in zip(cfg.inits, errs):
             curves[kind].append(run_errs)
     rows = []
-    for kind in kinds:
+    for kind in cfg.inits:
         medians = _median_curves(curves[kind])
         for it, value in enumerate(medians):
-            rows.append([kind.value, it, value])
+            rows.append([kind, it, value])
     return rows, []
 
 
@@ -382,13 +382,12 @@ def run_recover(cfg: ExperimentConfig) -> tuple[list[list], list[str]]:
     phase-consistency residual on that data picks the one to refine.
     """
     model = parse_model(cfg.model)
-    kinds = [parse_init(name) for name in cfg.inits]
     op, pairs, dist, b, y = _observed_trial(cfg, 0, _gaussian_pairs, model)
     data = (op, b, y, pairs)
     if cfg.refine == "resampled":
         data, stages = resample_blocks(op, b, y, cfg.epsilon)
 
-    inits = [_init(kind, *data, cfg, 0) for kind in kinds]
+    inits = [_init(kind, *data, cfg, 0) for kind in cfg.inits]
     chosen = multi_init_select(data[0], data[1], [rep.estimate for rep in inits])
     x_init = inits[chosen].estimate
 
@@ -412,7 +411,7 @@ def run_recover(cfg: ExperimentConfig) -> tuple[list[list], list[str]]:
 
     summary = [
         f"model: {format_model(model)}",
-        f"init: {kinds[chosen].value} (of {', '.join(k.value for k in kinds)})",
+        f"init: {cfg.inits[chosen]} (of {', '.join(cfg.inits)})",
         f"init dist_sq: {rows[0][2]!r}",
         f"init lambda_hat: {inits[chosen].lambda_hat!r}",
         f"init converged: {inits[chosen].converged}",
@@ -451,7 +450,7 @@ class Experiment:
         return tuple(f for f in self.fields if self.modes.get(f, refine) == refine)
 
 
-_CONVERGENCE = dict(model="identity", inits=ALL_INITS, trials=20, tol=1e-12, max_iters=100)
+_CONVERGENCE = dict(model="identity", inits=INIT_KINDS, trials=20, tol=1e-12, max_iters=100)
 
 EXPERIMENTS = {
     "lambda-sweep": Experiment(

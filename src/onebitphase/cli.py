@@ -16,6 +16,7 @@ import sys
 from typing import Optional, Sequence
 
 from .bench import EXPERIMENTS, REFINE_MODES, ConfigError, ExperimentConfig, write_outputs
+from .recovery import INIT_KINDS
 
 
 def _float_list(text: str) -> tuple:
@@ -37,7 +38,7 @@ _FLAGS = {
     "model": ("--model", dict(help="measurement model spec")),
     "inits": ("--init", dict(
         type=_name_list, metavar="INIT",
-        help="comma-separated init kinds: random, subexp, onebit, weighted1bit",
+        help="comma-separated init kinds: " + ", ".join(INIT_KINDS),
     )),
     "epsilon": ("--epsilon", dict(type=float, help="target accuracy for staged refinement")),
     "trials": ("--trials", dict(type=int, help="independent trials, each on a fresh problem")),

@@ -1,16 +1,15 @@
 """Signal recovery from one-bit intensity comparisons.
 
-Spectral estimators extract the top eigenvector of a measurement-weighted
-covariance surrogate through the operator's own matvec, ``op.surrogate(c)``;
-alternating minimization refines an estimate against un-quantized
-intensities.  All estimators report through :class:`RecoveryReport`, and
+The spectral inits of :func:`initial_estimate` extract the top eigenvector
+of a measurement-weighted covariance surrogate through the operator's own
+matvec, ``op.surrogate(c)``; alternating minimization refines an estimate
+against un-quantized intensities.  All estimators report through :class:`RecoveryReport`, and
 every entry point checks its intensities by ``channels.checked_intensities``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from math import ceil, log
 from typing import Callable, Optional, Sequence
 
@@ -44,19 +43,8 @@ class RecoveryReport:
         return len(self.trace)
 
 
-class InitKind(str, Enum):
-    RANDOM = "random"
-    SUBEXP = "subexp"
-    ONEBIT = "onebit"
-    WEIGHTED_ONEBIT = "weighted1bit"
-
-
-def parse_init(name: str) -> InitKind:
-    try:
-        return InitKind(name.strip().lower())
-    except ValueError:
-        valid = ", ".join(k.value for k in InitKind)
-        raise ValueError(f"unknown init kind {name!r}; expected one of {valid}")
+# the init kinds of :func:`initial_estimate`, by name
+INIT_KINDS = ("random", "subexp", "onebit", "weighted1bit")
 
 
 def random_init(n: int, seed) -> np.ndarray:
@@ -66,33 +54,11 @@ def random_init(n: int, seed) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# spectral estimators
-
-
-def spectral_estimate(
-    op,
-    c,
-    tol: float = 1e-8,
-    max_iters: int = 1000,
-    seed: int = 0,
-) -> RecoveryReport:
-    """Algebraically top eigenvector of the surrogate (1/M) A* Diag(c) A,
-    M = ``op.out_dim``, by Lanczos (:func:`~onebitphase.numkit.lanczos`) on
-    the operator's own matvec, ``op.surrogate(c)``.
-
-    ``tol`` bounds the relative Ritz residual and ``max_iters`` the matvecs;
-    the trace holds the Ritz residual after each matvec.  A negative
-    eigenvalue of larger magnitude does not capture the estimate, and
-    ``lambda_hat`` is the top eigenvalue clipped at 0.
-    """
-    theta, vec, residuals, converged = lanczos(
-        op.surrogate(c), op.n, tol, max_iters, seed
-    )
-    return RecoveryReport(vec, residuals, converged, max(theta, 0.0))
+# initial estimates
 
 
 def initial_estimate(
-    kind: InitKind,
+    kind: str,
     op,
     b,
     y,
@@ -101,34 +67,54 @@ def initial_estimate(
     tol: float = 1e-8,
     max_iters: int = 1000,
 ) -> RecoveryReport:
-    """Initial estimate of the given kind from paired observations.
+    """Initial estimate of the named kind, one of :data:`INIT_KINDS`, from
+    paired observations.
 
     ``op`` measures all M measurements, ``b`` holds their observed
     intensities in ``op``'s output order, ``y`` one sign per pair, and
     ``pairs`` the two slices of ``b`` that hold the members of each pair.
-    Each spectral kind is one surrogate (1/M) A* Diag(c) A: c = b for
-    subexp, and c = 2 y w1 on family 1 and -2 y w2 on family 2 for the
-    one-bit kinds (w = 1 for onebit; for weighted1bit, the pair ratio
-    weights of :func:`~onebitphase.channels.ratio_weights`, which give a
-    pair with b1 + b2 = 0 weight 0).  With M = 2m the factor 2 makes that
-    the paper's (1/m) sum_i y_i (w1_i a1_i a1_i* - w2_i a2_i a2_i*).
-    ``seed`` drives the random vector or the Lanczos start vector.  Negative
-    or non-finite intensities are rejected here, before the first matvec.
+    The random kind draws a unit vector.  Each spectral kind picks
+    coefficients c and takes the algebraically top eigenvector of the
+    surrogate (1/M) A* Diag(c) A by Lanczos
+    (:func:`~onebitphase.numkit.lanczos`) on the operator's own matvec,
+    ``op.surrogate(c)``: c = b for subexp (the intensity-weighted init of
+    AltMinPhase, Netrapalli, Jain and Sanghavi 2013), and c = 2 y w1 on
+    family 1 and -2 y w2 on family 2 for the one-bit kinds (w = 1 for
+    onebit; for weighted1bit, the pair ratio weights of
+    :func:`~onebitphase.channels.ratio_weights`, which give a pair with
+    b1 + b2 = 0 weight 0).  With M = 2m the factor 2 makes that the paper's
+    (1/m) sum_i y_i (w1_i a1_i a1_i* - w2_i a2_i a2_i*).
+
+    ``seed`` drives the random vector or the Lanczos start vector.  ``tol``
+    bounds the relative Ritz residual and ``max_iters`` the matvecs; the
+    trace holds the Ritz residual after each matvec.  A negative eigenvalue
+    of larger magnitude does not capture the estimate, and ``lambda_hat`` is
+    the top eigenvalue clipped at 0.  An unknown kind, negative or
+    non-finite intensities, and an all-zero c (every pair tied, or every
+    intensity zero), whose surrogate has no top eigenvector, raise
+    ValueError before the first matvec.
     """
-    kind = InitKind(kind)
+    if kind not in INIT_KINDS:
+        raise ValueError(f"unknown init kind {kind!r}; expected one of {', '.join(INIT_KINDS)}")
     b = checked_intensities(b)
-    if kind is InitKind.RANDOM:
+    if kind == "random":
         return RecoveryReport(random_init(op.n, seed), [], True)
-    if kind is InitKind.SUBEXP:
-        return spectral_estimate(op, b, tol, max_iters, seed)
-    w1, w2 = 1.0, 1.0
-    if kind is InitKind.WEIGHTED_ONEBIT:
-        w1, w2 = ratio_weights(b[pairs[0]], b[pairs[1]])
-    two_y = 2.0 * np.asarray(y, dtype=float)
-    c = np.zeros(b.shape)
-    c[pairs[0]] = two_y * w1
-    c[pairs[1]] = -two_y * w2
-    return spectral_estimate(op, c, tol, max_iters, seed)
+    c = b
+    if kind != "subexp":
+        w1, w2 = 1.0, 1.0
+        if kind == "weighted1bit":
+            w1, w2 = ratio_weights(b[pairs[0]], b[pairs[1]])
+        two_y = 2.0 * np.asarray(y, dtype=float)
+        c = np.zeros(b.shape)
+        c[pairs[0]] = two_y * w1
+        c[pairs[1]] = -two_y * w2
+    if not c.any():
+        raise ValueError(
+            f"every {kind} surrogate coefficient is zero: "
+            "every pair ties or every intensity is zero"
+        )
+    theta, vec, residuals, converged = lanczos(op.surrogate(c), op.n, tol, max_iters, seed)
+    return RecoveryReport(vec, residuals, converged, max(theta, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ import pytest
 from onebitphase import __version__, bench, cli, numkit, recovery, sensing
 from onebitphase.bench import ConfigError, ExperimentConfig
 from onebitphase.channels import quantize
-from onebitphase.numkit import dist_sq
 from onebitphase.sensing import CdpOperator, build_cdp_operator, intensities, substream
 
 from _oracles import dense_one_bit_matrix
@@ -74,7 +73,7 @@ BENCHMARK_CONFIGS = {
 TINY_CONFIGS = {
     "lambda-sweep": dict(samples=1000, alphas=(1.0,), sigmas=(1.0,), etas=(1.0,)),
     "distortion-sweep": dict(n=8, ratio=8, trials=2, alphas=(0.5, 8.0)),
-    "recover": dict(n=8, ratio=8, inits=bench.ALL_INITS),
+    "recover": dict(n=8, ratio=8, inits=recovery.INIT_KINDS),
     "altmin-convergence": dict(n=8, ratio=4, trials=2, max_iters=5),
     "cdp-convergence": dict(n=8, ratio=2, trials=2, max_iters=5),
 }
@@ -184,6 +183,11 @@ class TestConfig:
     def test_dict_round_trip(self):
         cfg = _cfg(kind="recover", n=16, inits=("onebit", "random"), refine="resampled")
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_init_names_are_folded_when_built(self):
+        cfg = _cfg(kind="recover", inits=(" OneBit", "SUBEXP"))
+        assert cfg.inits == ("onebit", "subexp")
+        assert cfg.to_dict()["inits"] == ("onebit", "subexp")
 
     def test_manifest_round_trip(self, tmp_path):
         cfg = _cfg(kind="lambda-sweep", samples=5000, sigmas=(0.5,), out="x.csv")
@@ -568,7 +572,7 @@ class TestRecoverRun:
         "refine, stage", [("altmin", "init"), ("resampled", "resampled"), ("none", "init")]
     )
     def test_stage_zero_then_one_row_per_step(self, refine, stage):
-        cfg = _cfg(kind="recover", n=16, ratio=16, inits=bench.ALL_INITS, refine=refine, seed=5)
+        cfg = _cfg(kind="recover", n=16, ratio=16, inits=recovery.INIT_KINDS, refine=refine, seed=5)
         rows, summary = bench.run_recover(cfg)
         assert rows[0][:2] == [stage, 0]
         assert f"init dist_sq: {rows[0][2]!r}" in summary
@@ -577,7 +581,7 @@ class TestRecoverRun:
         assert [r[:2] for r in rows[1:]] == [[refine, k] for k in range(1, steps + 1)]
 
     def test_multi_init_selection_reported(self):
-        cfg = _cfg(kind="recover", n=16, ratio=16, seed=4, refine="none", inits=bench.ALL_INITS)
+        cfg = _cfg(kind="recover", n=16, ratio=16, seed=4, refine="none", inits=recovery.INIT_KINDS)
         _, summary = bench.run_recover(cfg)
         line = next(l for l in summary if l.startswith("init:"))
         assert "(of random, subexp, onebit, weighted1bit)" in line
@@ -826,6 +830,22 @@ class TestCli:
         )
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("kind, seed", [("onebit", "10"), ("weighted1bit", "151")])
+    def test_all_tied_pairs_exit_3(self, tmp_path, capsys, kind, seed):
+        # every Poisson count pair of these seeds ties, so y = 0 and the
+        # one-bit surrogate is zero: no init to report, converged or not
+        out = tmp_path / "x.csv"
+        rc = cli.main(["recover", "--n", "4", "--m", "4", "--model", "poisson:eta=20",
+                       "--init", kind, "--refine", "none", "--seed", seed, "--out", str(out)])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"numerical failure: every {kind} surrogate coefficient is zero: "
+            "every pair ties or every intensity is zero\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_poisson_rate_beyond_the_sampler_exits_3(self, tmp_path, capsys):
         out = tmp_path / "lam.csv"
         rc = cli.main(["lambda-sweep", "--samples", "1000", "--etas", "1e-300", "--out", str(out)])
@@ -861,7 +881,7 @@ class TestCli:
         args = parser.parse_args(["recover", "--n", "8"])
         assert ExperimentConfig(**vars(args)).inits == ("onebit",)
         args = parser.parse_args(["altmin-convergence", "--n", "8"])
-        assert ExperimentConfig(**vars(args)).inits == bench.ALL_INITS
+        assert ExperimentConfig(**vars(args)).inits == recovery.INIT_KINDS
 
     @pytest.mark.parametrize("grid", ["--sigmas", "--alphas", "--etas"])
     def test_repeated_lambda_grid_exits_2(self, tmp_path, capsys, grid):

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
-MODULES = sorted((Path(__file__).parents[1] / "src" / "onebitphase").glob("*.py"))
+ROOT = Path(__file__).parents[1]
+MODULES = sorted((ROOT / "src" / "onebitphase").glob("*.py"))
+SOURCES = MODULES + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -21,7 +23,30 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def top_level_names(source: str) -> list[str]:
+    """Functions, classes and variables a module defines at its top level."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return names
+
+
+def read_names(source: str) -> set[str]:
+    """Names a module reads, bare (``x``) or as an attribute (``m.x``)."""
+    tree = ast.parse(source)
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+        or isinstance(node, ast.Attribute)
+    }
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 
@@ -29,3 +54,19 @@ def test_every_import_is_used(path):
 def test_an_unused_import_is_found():
     source = "from __future__ import annotations\nimport os\nimport numpy as np\nnp.zeros(1)\n"
     assert unused_imports(source) == ["line 2: os"]
+
+
+def test_every_package_name_is_read():
+    read = set().union(*(read_names(path.read_text()) for path in SOURCES))
+    unread = [
+        f"{path.name}: {name}"
+        for path in MODULES
+        for name in top_level_names(path.read_text())
+        if name not in read
+    ]
+    assert unread == []
+
+
+def test_an_unread_name_is_found():
+    source = "X = 1\ndef f():\n    return X\ndef g():\n    pass\nclass C:\n    pass\nC()\n"
+    assert [n for n in top_level_names(source) if n not in read_names(source)] == ["f", "g"]

@@ -7,16 +7,14 @@ from onebitphase import recovery
 from onebitphase.channels import Identity, observe_pairs, ratio_weights
 from onebitphase.numkit import dist_sq, lanczos, phase_op
 from onebitphase.recovery import (
-    InitKind,
+    INIT_KINDS,
     RecoveryReport,
     alt_min_many,
     alt_min_resampled,
     initial_estimate,
     multi_init_select,
-    parse_init,
     random_init,
     resample_blocks,
-    spectral_estimate,
 )
 from onebitphase.sensing import (
     CdpOperator,
@@ -61,7 +59,7 @@ def _init(kind, ens, x0, seed, **kw):
 
 def _subexp(rows, b, seed=0, **kw):
     """The subexp init reads only the operator and its intensities."""
-    return initial_estimate(InitKind.SUBEXP, MatrixOperator(rows), b, None, None, seed, **kw)
+    return initial_estimate("subexp", MatrixOperator(rows), b, None, None, seed, **kw)
 
 
 def _signs(ens, x0):
@@ -215,11 +213,11 @@ class TestWeightedOneBitPhase:
 
     def test_uniform_weights_halve_the_eigenvalue(self):
         ops, x0 = _paired(6, 600, seed=13)
-        c = _one_bit_coefficients(ops, _signs(ops, x0))
-        rep_plain = spectral_estimate(ops[0], c, seed=4)
-        rep_half = spectral_estimate(ops[0], 0.5 * c, seed=4)
-        np.testing.assert_allclose(rep_half.estimate, rep_plain.estimate, atol=1e-12)
-        assert rep_half.lambda_hat == pytest.approx(rep_plain.lambda_hat / 2, rel=1e-10)
+        op, c = ops[0], _one_bit_coefficients(ops, _signs(ops, x0))
+        theta_plain, vec_plain, _, _ = lanczos(op.surrogate(c), op.n, seed=4)
+        theta_half, vec_half, _, _ = lanczos(op.surrogate(0.5 * c), op.n, seed=4)
+        np.testing.assert_allclose(vec_half, vec_plain, atol=1e-12)
+        assert theta_half == pytest.approx(theta_plain / 2, rel=1e-10)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
     def test_bad_pair_intensities_rejected(self, bad):
@@ -353,7 +351,7 @@ class TestOneSurrogate:
         ens, x0 = _paired(32, 256, seed=14)
         op = ens[0]
         c = _init_coefficients(kind, ens, x0)
-        report = spectral_estimate(op, c, seed=3)
+        report = _init(kind, ens, x0, seed=3)
         theta, vec, residuals, converged = lanczos(_formula(op, c), op.n, seed=3)
         assert report.iterations == len(residuals) > 1
         assert report.converged and converged
@@ -371,9 +369,8 @@ class TestOneSurrogate:
             pairs, x0 = (slice(None, 16), slice(16, None)), _unit(substream(15, "x0"), 8)
         c = _init_coefficients("onebit", (op, pairs), x0)
         c[5] = bad
-        for attempt in (lambda: op.surrogate(c), lambda: spectral_estimate(op, c)):
-            with pytest.raises(ValueError, match="coefficients must be finite"):
-                attempt()
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            op.surrogate(c)
 
     @pytest.mark.parametrize("sensing", ["matrix", "cdp"])
     def test_matvec_takes_a_stack_row_by_row(self, sensing):
@@ -754,7 +751,7 @@ def _resampled_start(op, x0, epsilon, kind, seed=0):
 class TestAltMinResampled:
     def test_single_stage_schedule(self):
         (op, _), x0 = _paired(8, 40, seed=27)
-        for kind in InitKind:
+        for kind in INIT_KINDS:
             stages, x_init = _resampled_start(op, x0, 0.5, kind)
             report = alt_min_resampled(stages, x_init)
             assert report.iterations == 1, kind
@@ -772,7 +769,7 @@ class TestAltMinResampled:
         good = 0
         for seed in range(20):
             (op, _), x0 = _paired(n, pairs, seed=200 + seed)
-            blocks, x_init = _resampled_start(op, x0, eps, InitKind.ONEBIT, seed)
+            blocks, x_init = _resampled_start(op, x0, eps, "onebit", seed)
             report = alt_min_resampled(blocks, x_init)
             assert report.iterations == stages
             if dist_sq(report.estimate, x0) <= eps**2:
@@ -785,7 +782,7 @@ class TestAltMinResampled:
         good = 0
         for seed in range(20):
             (op, _), x0 = _paired(n, pairs, seed=300 + seed)
-            stages, x_init = _resampled_start(op, x0, eps, InitKind.ONEBIT, seed)
+            stages, x_init = _resampled_start(op, x0, eps, "onebit", seed)
             errs = [dist_sq(x_init, x0)]
             alt_min_resampled(
                 stages, x_init, callback=lambda t, x: errs.append(dist_sq(x, x0))
@@ -796,7 +793,7 @@ class TestAltMinResampled:
 
     def test_each_stage_is_the_exact_least_squares_step(self):
         (op, _), x0 = _paired(8, 96, seed=33)
-        stages, x_init = _resampled_start(op, x0, 0.1, InitKind.ONEBIT)
+        stages, x_init = _resampled_start(op, x0, 0.1, "onebit")
         seen = []
         report = alt_min_resampled(stages, x_init, callback=lambda t, x: seen.append(x))
         x = x_init
@@ -811,7 +808,7 @@ class TestAltMinResampled:
         rows = build_plain_ensemble(n, 40 * n, seed=29).rows
         x0 = _unit(substream(29, "x0"), n)
         stages, x_init = _resampled_start(
-            MatrixOperator(rows), x0, 0.5, InitKind.WEIGHTED_ONEBIT
+            MatrixOperator(rows), x0, 0.5, "weighted1bit"
         )
         report = alt_min_resampled(stages, x_init)
         assert dist_sq(report.estimate, x0) <= 0.25
@@ -946,23 +943,31 @@ class TestMultiInitSelect:
                 multi_init_select(MatrixOperator(rows), b, [nan_vec, nan_vec])
 
 
-class TestParseInit:
-    def test_known_kinds(self):
-        assert parse_init("onebit") is InitKind.ONEBIT
-        assert parse_init("Weighted1bit") is InitKind.WEIGHTED_ONEBIT
-
+class TestInitKinds:
     def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="random"):
-            parse_init("magic")
+        (op, pairs), x0 = _paired(4, 10, seed=37)
+        b, y = _observed((op, pairs), x0)
+        message = "unknown init kind 'magic'; expected one of random, subexp, onebit, weighted1bit"
+        with pytest.raises(ValueError, match=message):
+            initial_estimate("magic", op, b, y, pairs, 0)
+
+    @pytest.mark.parametrize("kind", ["subexp", "onebit", "weighted1bit"])
+    def test_all_zero_surrogate_refused(self, kind):
+        # every pair tied (y = 0), and for subexp every intensity zero: the
+        # surrogate is zero and Lanczos would hand back its start vector
+        (op, pairs), x0 = _paired(4, 4, seed=38)
+        b = np.zeros(8) if kind == "subexp" else _observed((op, pairs), x0)[0]
+        with pytest.raises(ValueError, match=f"every {kind} surrogate coefficient is zero"):
+            initial_estimate(kind, op, b, np.zeros(4), pairs, 0)
 
 
-SPECTRAL_KINDS = {InitKind.SUBEXP.value, InitKind.ONEBIT.value, InitKind.WEIGHTED_ONEBIT.value}
+SPECTRAL_KINDS = {"subexp", "onebit", "weighted1bit"}
 
 
 def _reports_of(producer, seen):
     """The reports one call of ``producer`` returns.  A refinement calls back
     into ``seen``, one ``(run, k)`` per call."""
-    if producer in {kind.value for kind in InitKind}:
+    if producer in INIT_KINDS:
         return [_init(producer, *_paired(8, 400, seed=90), seed=1)]
     if producer == "alt_min_many":
         # two starts: the one at x0 stops long before the random one
@@ -974,7 +979,7 @@ def _reports_of(producer, seen):
         assert reports[0].converged and reports[0].iterations < reports[1].iterations
         return reports
     (op, _), x0 = _paired(8, 96, seed=33)
-    stages, x_init = _resampled_start(op, x0, 0.1, InitKind.ONEBIT)
+    stages, x_init = _resampled_start(op, x0, 0.1, "onebit")
     report = alt_min_resampled(stages, x_init, callback=lambda t, x: seen.append((0, t)))
     assert report.iterations == len(stages) > 1
     return [report]
@@ -982,7 +987,7 @@ def _reports_of(producer, seen):
 
 class TestReportRecord:
     @pytest.mark.parametrize(
-        "producer", [*(kind.value for kind in InitKind), "alt_min_many", "alt_min_resampled"]
+        "producer", [*INIT_KINDS, "alt_min_many", "alt_min_resampled"]
     )
     def test_every_producer_keeps_one_record(self, producer):
         seen = []
