@@ -36,6 +36,7 @@ from .channels import (
 from .numkit import distance_to, sample_complex_gaussian
 from .recovery import (
     INIT_KINDS,
+    DegenerateDataError,
     alt_min_many,
     alt_min_resampled,
     initial_estimate,
@@ -236,12 +237,35 @@ def _cdp_trial(cfg: ExperimentConfig, trial: int):
 def _observed_trial(cfg: ExperimentConfig, trial: int, builder, model):
     """Operator, pair slices, distance to the signal, and observed ``b`` and
     ``y`` of a ``builder`` trial seen through ``model`` (noise from the
-    trial's "noise" stream).  An all-zero ``b`` raises ValueError."""
+    trial's "noise" stream).  An all-zero ``b`` raises DegenerateDataError."""
     op, pairs, x0, b_clean = builder(cfg, trial)
     b, y = observe_pairs(model, b_clean, pairs, substream(cfg.seed, "noise", trial))
     if not b.any():
-        raise ValueError(f"every observed intensity is zero under {format_model(model)}")
+        raise DegenerateDataError(f"every observed intensity is zero under {format_model(model)}")
     return op, pairs, distance_to(x0), b, y
+
+
+def _usable_trials(cfg: ExperimentConfig, trial: Callable[[int], object]):
+    """``trial(t)`` for each of the config's trials, skipping a trial whose
+    data is degenerate (:class:`DegenerateDataError`), so the init kinds
+    still compare on the same trials.
+
+    Returns the results of the trials kept and the summary lines: none when
+    every trial is kept, else one that counts the skipped trials.  When
+    every trial is skipped, the first trial's error is raised.
+    """
+    results, first = [], None
+    for t in range(cfg.trials):
+        try:
+            results.append(trial(t))
+        except DegenerateDataError as exc:
+            first = first or exc
+    if not results:
+        raise first
+    skipped = cfg.trials - len(results)
+    if not skipped:
+        return results, []
+    return results, [f"skipped trials: {skipped} of {cfg.trials}, on degenerate data ({first})"]
 
 
 # ---------------------------------------------------------------------------
@@ -276,15 +300,15 @@ def run_distortion_sweep(cfg: ExperimentConfig) -> tuple[list[list], list[str]]:
     Ensembles, signals and Lanczos start vectors depend only on the trial
     index, never on alpha.  The sign-based method reads only the clean
     intensities, so it runs once per trial and its one column of errors
-    serves every alpha while the intensity-weighted method degrades.
+    serves every alpha while the intensity-weighted method degrades.  The
+    ``trials`` column counts the trials used: a trial with degenerate data
+    is skipped (:func:`_usable_trials`).
     """
-    err_bit = []
-    err_sub = {a: [] for a in cfg.alphas}
-    for t in range(cfg.trials):
+    def trial(t: int) -> tuple[float, list[float]]:
         op, pairs, dist, b, y = _observed_trial(cfg, t, _gaussian_pairs, Identity())
         seed_bit = substream(cfg.seed, "power-bit", t)
         rep = initial_estimate("onebit", op, b, y, pairs, seed_bit, cfg.tol, cfg.max_iters)
-        err_bit.append(dist(rep.estimate))
+        err_sub = []
         for alpha in cfg.alphas:
             distorted = apply_model(TanhDistortion(alpha), b)
             # one per alpha: default_rng(g) returns g itself, so a shared g would move on
@@ -292,14 +316,19 @@ def run_distortion_sweep(cfg: ExperimentConfig) -> tuple[list[list], list[str]]:
             rep_sub = initial_estimate(
                 "subexp", op, distorted, y, pairs, seed_sub, cfg.tol, cfg.max_iters
             )
-            err_sub[alpha].append(dist(rep_sub.estimate))
+            err_sub.append(dist(rep_sub.estimate))
+        return dist(rep.estimate), err_sub
+
+    results, summary = _usable_trials(cfg, trial)
+    err_bit = [bit for bit, _ in results]
     rows = []
-    for alpha in cfg.alphas:
-        for method, errs in (("1bitPhase", err_bit), ("SubExpPhase", err_sub[alpha])):
+    for k, alpha in enumerate(cfg.alphas):
+        err_sub = [sub[k] for _, sub in results]
+        for method, errs in (("1bitPhase", err_bit), ("SubExpPhase", err_sub)):
             arr = np.asarray(errs)
             q25, q50, q75 = np.percentile(arr, [25.0, 50.0, 75.0])
-            rows.append([alpha, method, float(q50), float(q75 - q25), cfg.trials])
-    return rows, []
+            rows.append([alpha, method, float(q50), float(q75 - q25), len(results)])
+    return rows, summary
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +372,12 @@ def _convergence_rows(builder, cfg: ExperimentConfig) -> tuple[list[list], list[
     One-bit inits quantize the observed intensities, and the weighted
     variant draws its ratio weights from the same values.  Each kind has
     its own seed stream, so a trial computes every init first and then
-    refines them all in one :func:`alt_min_many` call.
+    refines them all in one :func:`alt_min_many` call.  A trial with
+    degenerate data is skipped for every kind (:func:`_usable_trials`).
     """
     model = parse_model(cfg.model)
-    curves: dict[str, list[list[float]]] = {k: [] for k in cfg.inits}
-    for t in range(cfg.trials):
+
+    def trial(t: int) -> list[list[float]]:
         op, pairs, dist, b, y = _observed_trial(cfg, t, builder, model)
         starts = [_init(kind, op, b, y, pairs, cfg, t).estimate for kind in cfg.inits]
         errs = [[dist(x)] for x in starts]
@@ -359,14 +389,15 @@ def _convergence_rows(builder, cfg: ExperimentConfig) -> tuple[list[list], list[
             tol=cfg.tol,
             callback=lambda run, k, x: errs[run].append(dist(x)),
         )
-        for kind, run_errs in zip(cfg.inits, errs):
-            curves[kind].append(run_errs)
+        return errs
+
+    per_trial, summary = _usable_trials(cfg, trial)
     rows = []
-    for kind in cfg.inits:
-        medians = _median_curves(curves[kind])
+    for k, kind in enumerate(cfg.inits):
+        medians = _median_curves([errs[k] for errs in per_trial])
         for it, value in enumerate(medians):
             rows.append([kind, it, value])
-    return rows, []
+    return rows, summary
 
 
 # ---------------------------------------------------------------------------

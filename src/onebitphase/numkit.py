@@ -13,7 +13,8 @@ from math import isfinite
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dstebz, dstein
+
+from .blas import TridiagonalTopPair
 
 # Magnitudes below this are treated as zero by the phase operator.
 PHASE_FLOOR = 1e-300
@@ -66,35 +67,6 @@ def phase_op(z) -> np.ndarray:
     return out
 
 
-def _check_lapack(info: int, routine: str) -> None:
-    """Raise on a LAPACK ``info`` code as ``scipy.linalg`` does: an illegal
-    argument is a ValueError, a failure to converge a LinAlgError."""
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of {routine}")
-    if info > 0:
-        raise np.linalg.LinAlgError(f"{routine} did not converge (LAPACK info={info})")
-
-
-def _top_ritz_pair(d: np.ndarray, e: np.ndarray) -> tuple[float, np.ndarray]:
-    """Largest eigenpair of the symmetric tridiagonal matrix with diagonal
-    ``d`` and off-diagonal ``e``: bisection (``dstebz``) for the eigenvalue,
-    inverse iteration (``dstein``) for its unit eigenvector.
-
-    These are the routines ``scipy.linalg.eigh_tridiagonal(select="i")``
-    calls, with the same arguments, so the pair is the same bits; calling
-    them directly skips its per-call argument checks.  The entries are not
-    inspected here.
-    """
-    j = d.size
-    if j == 1:
-        return float(d[0]), np.ones(1)
-    m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, j, j, 0.0, "B")
-    _check_lapack(info, "stebz")
-    vecs, info = dstein(d, e, w[:m], iblock, isplit)
-    _check_lapack(info, "stein")
-    return float(w[0]), vecs[:, 0]
-
-
 def lanczos(
     matvec: Callable[[np.ndarray], np.ndarray],
     n: int,
@@ -109,9 +81,10 @@ def lanczos(
     vector is orthogonalized twice against every stored one, so the basis
     grows by one vector per matvec.  After each matvec the top Ritz pair
     (theta, s) of the tridiagonal projection comes from LAPACK bisection and
-    inverse iteration (``stebz``/``stein``, the routines behind
-    ``scipy.linalg.eigh_tridiagonal(select="i")``); a non-finite tridiagonal
-    entry raises ValueError and a LAPACK failure LinAlgError.  The run stops,
+    inverse iteration (``dstebz``/``dstein`` on numpy's own LAPACK, through
+    one :class:`~onebitphase.blas.TridiagonalTopPair` stepper over the
+    ``alpha``/``beta`` buffers of the run); a non-finite tridiagonal entry
+    raises ValueError and a LAPACK failure LinAlgError.  The run stops,
     converged, once the Ritz residual beta_j |s_j| is at most ``tol *
     |theta|`` or the Krylov space has dimension n, where the Ritz pair is
     exact.  ``max_iters`` caps the matvecs; a run that spends them all first
@@ -132,6 +105,7 @@ def lanczos(
     basis[0] = q / np.linalg.norm(q)
     alpha = np.empty(size)
     beta = np.empty(size)
+    top_pair = TridiagonalTopPair(alpha, beta)
     residuals: list = []
     for j in range(1, size + 1):
         w = np.asarray(matvec(basis[j - 1]), dtype=np.complex128)
@@ -149,7 +123,7 @@ def lanczos(
         if not (isfinite(a) and isfinite(b)):
             raise ValueError("lanczos: tridiagonal entries must be finite")
         alpha[j - 1], beta[j - 1] = a, b
-        theta, s = _top_ritz_pair(alpha[:j], beta[: j - 1])
+        theta, s = top_pair(j)
         residuals.append(b * float(abs(s[-1])))
         converged = bool(residuals[-1] <= tol * abs(theta) or j == n)
         if converged or j == size:

@@ -47,6 +47,11 @@ class RecoveryReport:
 INIT_KINDS = ("random", "subexp", "onebit", "weighted1bit")
 
 
+class DegenerateDataError(ValueError):
+    """Observed data that holds nothing to recover from: every intensity
+    zero, or every pair of a one-bit init tied."""
+
+
 def random_init(n: int, seed) -> np.ndarray:
     """Uniformly random unit vector on the complex sphere."""
     v = sample_complex_gaussian(n, np.random.default_rng(seed))
@@ -89,10 +94,10 @@ def initial_estimate(
     bounds the relative Ritz residual and ``max_iters`` the matvecs; the
     trace holds the Ritz residual after each matvec.  A negative eigenvalue
     of larger magnitude does not capture the estimate, and ``lambda_hat`` is
-    the top eigenvalue clipped at 0.  An unknown kind, negative or
-    non-finite intensities, and an all-zero c (every pair tied, or every
-    intensity zero), whose surrogate has no top eigenvector, raise
-    ValueError before the first matvec.
+    the top eigenvalue clipped at 0.  An unknown kind and negative or
+    non-finite intensities raise ValueError before the first matvec, and an
+    all-zero c (every pair tied, or every intensity zero), whose surrogate
+    has no top eigenvector, raises :class:`DegenerateDataError` there too.
     """
     if kind not in INIT_KINDS:
         raise ValueError(f"unknown init kind {kind!r}; expected one of {', '.join(INIT_KINDS)}")
@@ -109,7 +114,7 @@ def initial_estimate(
         c[pairs[0]] = two_y * w1
         c[pairs[1]] = -two_y * w2
     if not c.any():
-        raise ValueError(
+        raise DegenerateDataError(
             f"every {kind} surrogate coefficient is zero: "
             "every pair ties or every intensity is zero"
         )

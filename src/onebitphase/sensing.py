@@ -30,9 +30,8 @@ from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
-from scipy.linalg import cho_factor
-from scipy.linalg.blas import zherk, ztrsv
 
+from .blas import UpperCholesky, rank_k_update
 from .numkit import sample_complex_gaussian
 
 
@@ -151,16 +150,18 @@ class MatrixOperator:
         return view
 
     @cached_property
-    def _normal_factor(self):
-        """Cholesky factor of the normal matrix A*A = rows^T conj(rows).
+    def _normal_factor(self) -> UpperCholesky:
+        """Cholesky factor U of the normal matrix A*A = rows^T conj(rows),
+        with its solve pointers prepared.
 
         The Gram is one Hermitian rank-k update, ``zherk`` on ``rows.T``: half
         the flops of the full product and no conjugate copy, and ``rows.T`` of
-        C-ordered rows is Fortran-ordered, so it is passed without a copy.
-        ``zherk`` fills only the upper triangle, which is the one
-        ``cho_factor(lower=False)`` factors and :meth:`lsq_solve` reads.
+        C-ordered complex rows is Fortran-ordered, so it is passed without a
+        copy (strided or real rows are copied to that layout first).
+        ``zherk`` fills only the upper triangle, which is the one ``zpotrf``
+        factors in place and :meth:`lsq_solve` reads.
         """
-        return cho_factor(zherk(1.0, self.rows.T), lower=False)
+        return UpperCholesky(rank_k_update(1.0, self.rows.T))
 
     def lsq_solve(self, y) -> np.ndarray:
         """argmin_x ||A x - y||: the cached Cholesky factor U (A*A = U* U),
@@ -168,18 +169,16 @@ class MatrixOperator:
 
         Each solve is one BLAS ``ztrsv`` in place on a fresh n-vector of
         A* y, which for one right-hand side is faster than LAPACK ``zpotrs``;
-        both read only the upper triangle (``lower=0``), and the
-        Fortran-ordered factor is passed without a copy.  A stack is solved
-        row by row, so each row gets the bits of its own solve from the same
-        A* y; one level-3 triangular solve over the whole stack was slower at
-        the default thread count.  The factor comes from checked rows and
-        A* y is checked here, so neither is scanned again."""
-        u, _ = self._normal_factor
-        x = _finite_normal_rhs(self, y)
-        # x is a fresh C-ordered product, so each row is solved where it is
-        for row in x.reshape(-1, self.n):
-            ztrsv(u, row, lower=0, trans=2, overwrite_x=1)
-            ztrsv(u, row, lower=0, trans=0, overwrite_x=1)
+        both read only the upper triangle.  A stack is solved row by row, so
+        each row gets the bits of its own solve from the same A* y; one
+        level-3 triangular solve over the whole stack was slower at the
+        default thread count.  The factor comes from checked rows and A* y
+        is checked here, so neither is scanned again."""
+        factor = self._normal_factor
+        # a fresh C-ordered product (real only from real rows and y), so
+        # each row is solved where it is
+        x = _finite_normal_rhs(self, y).astype(np.complex128, copy=False)
+        factor.solve_rows(x)
         return x
 
     def surrogate(self, c) -> Callable[[np.ndarray], np.ndarray]:
@@ -194,10 +193,9 @@ class MatrixOperator:
         level-3 speed, once; the lower triangle is then mirrored in, so
         that each matvec is one numpy product with S in place of an apply
         and an adjoint that each stream all M rows.  The matvec stays on
-        numpy's BLAS, the library of the Lanczos loop that calls it:
-        alternating with scipy's (``zhemv``) on every step made the two
-        libraries' thread pools contend at the default thread count.  The
-        result agrees with the apply/adjoint formula to rounding.
+        numpy's matmul, which at one thread was faster than a BLAS ``zhemv``
+        on the stored triangle.  The result agrees with the apply/adjoint
+        formula to rounding.
         """
         c = _surrogate_coefficients(c, self.out_dim)
         n = self.n
@@ -210,7 +208,7 @@ class MatrixOperator:
                 # uncopied; it is dropped before the next one is made
                 chunk = self.rows[take]
                 chunk *= np.sqrt(np.abs(c[take]))[:, None]
-                s = zherk(sign / c.size, chunk.T, beta=1.0, c=s, overwrite_c=1)
+                rank_k_update(sign / c.size, chunk.T, beta=1.0, c=s)
                 del chunk
         # column by column, so no n x n temporary is made
         for j in range(1, n):

@@ -1,11 +1,28 @@
-"""Independent dense oracles used by the tests.
+"""Independent dense oracles used by the tests, and a LAPACK failure fake.
 
-These assemble the covariance surrogates explicitly, one outer product per
-measurement, so agreement is a genuine cross-check of the library's paths:
-the rank-k updates of the dense operator and the FFTs of the masked-DFT one.
+The oracles assemble the covariance surrogates explicitly, one outer product
+per measurement, so agreement is a genuine cross-check of the library's
+paths: the rank-k updates of the dense operator and the FFTs of the
+masked-DFT one.
 """
 
+import ctypes
+
 import numpy as np
+
+from onebitphase import blas
+
+
+def with_lapack_info(routine, info: int):
+    """A raw LAPACK entry point of :mod:`onebitphase.blas` that runs
+    ``routine`` and then reports ``info``, LAPACK's last argument."""
+    slot = ctypes.POINTER(np.ctypeslib.as_ctypes_type(blas.INT))
+
+    def call(*args):
+        routine(*args)
+        ctypes.cast(args[-1], slot)[0] = info
+
+    return call
 
 
 def dense_one_bit_matrix(rows1, rows2, y, weights=None) -> np.ndarray:

@@ -8,12 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from onebitphase import __version__, bench, cli, numkit, recovery, sensing
+from onebitphase import __version__, bench, blas, cli, numkit, recovery, sensing
 from onebitphase.bench import ConfigError, ExperimentConfig
 from onebitphase.channels import quantize
 from onebitphase.sensing import CdpOperator, build_cdp_operator, intensities, substream
 
-from _oracles import dense_one_bit_matrix
+from _oracles import dense_one_bit_matrix, with_lapack_info
 
 
 def _cfg(**kw):
@@ -776,16 +776,16 @@ class TestCli:
         assert not out.exists()
 
     def test_linalg_failure_exits_3(self, tmp_path, monkeypatch, capsys):
-        def failing_factor(*args, **kwargs):
-            raise np.linalg.LinAlgError("leading minor not positive definite")
-
-        monkeypatch.setattr(sensing, "cho_factor", failing_factor)
+        # the Cholesky factorization reports a leading minor not positive definite
+        monkeypatch.setattr(blas, "zpotrf", with_lapack_info(blas.zpotrf, 3))
         for refine in ("altmin", "resampled"):
             out = tmp_path / f"{refine}.csv"
             rc = cli.main(["recover", "--n", "16", "--ratio", "8", "--refine", refine,
                            "--out", str(out)])
             assert rc == 3, refine
-            assert "numerical failure" in capsys.readouterr().err
+            assert "numerical failure: potrf found a leading minor not positive definite" in (
+                capsys.readouterr().err
+            )
             assert not out.exists()
 
     def test_value_error_in_a_run_exits_3(self, tmp_path, monkeypatch, capsys):
@@ -819,6 +819,8 @@ class TestCli:
         ["recover", "--n", "4", "--m", "8", "--init", "onebit", "--refine", "resampled",
          "--epsilon", "0.5"],
         ["altmin-convergence", "--n", "4", "--m", "4", "--trials", "1"],
+        # every trial skipped: the run fails with the first trial's reason
+        ["altmin-convergence", "--n", "4", "--m", "4", "--trials", "3"],
     ])
     def test_all_zero_observation_exits_3(self, tmp_path, capsys, args):
         # at eta = 1e6 every Poisson count of these tiny ensembles is zero
@@ -846,6 +848,48 @@ class TestCli:
         )
         assert list(tmp_path.iterdir()) == []
 
+    def test_degenerate_trials_are_skipped_for_every_kind(self, tmp_path, monkeypatch, capsys):
+        # 2 of these 20 Poisson trials tie every pair, so no one-bit init exists
+        refined = []
+        real = bench.alt_min_many
+
+        def counting(op, b, starts, **kwargs):
+            refined.append(len(starts))
+            return real(op, b, starts, **kwargs)
+
+        monkeypatch.setattr(bench, "alt_min_many", counting)
+        out = tmp_path / "x.csv"
+        rc = cli.main(["altmin-convergence", "--n", "4", "--m", "4", "--model", "poisson:eta=2",
+                       "--trials", "20", "--out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "skipped trials: 2 of 20, on degenerate data (every onebit surrogate coefficient "
+            "is zero: every pair ties or every intensity is zero)"
+        )
+        # the kept trials refine all four kinds, the skipped ones none
+        assert refined == [4] * 18
+        with open(out) as fh:
+            assert {row["init"] for row in csv.DictReader(fh)} == set(recovery.INIT_KINDS)
+
+    def test_distortion_sweep_counts_the_trials_it_used(self, tmp_path, monkeypatch, capsys):
+        real = bench._observed_trial
+
+        def observed(cfg, trial, builder, model):
+            if trial == 1:
+                raise recovery.DegenerateDataError("every observed intensity is zero")
+            return real(cfg, trial, builder, model)
+
+        monkeypatch.setattr(bench, "_observed_trial", observed)
+        out = tmp_path / "x.csv"
+        rc = cli.main(["distortion-sweep", "--n", "8", "--ratio", "4", "--trials", "3",
+                       "--alphas", "1,2", "--out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "skipped trials: 1 of 3, on degenerate data (every observed intensity is zero)"
+        )
+        with open(out) as fh:
+            assert [row["trials"] for row in csv.DictReader(fh)] == ["2"] * 4
+
     def test_poisson_rate_beyond_the_sampler_exits_3(self, tmp_path, capsys):
         out = tmp_path / "lam.csv"
         rc = cli.main(["lambda-sweep", "--samples", "1000", "--etas", "1e-300", "--out", str(out)])
@@ -854,12 +898,7 @@ class TestCli:
         assert list(tmp_path.iterdir()) == []
 
     def test_ritz_step_failure_exits_3(self, tmp_path, monkeypatch, capsys):
-        real = numkit.dstebz
-
-        def failing_bisection(*args):
-            return (*real(*args)[:-1], 1)
-
-        monkeypatch.setattr(numkit, "dstebz", failing_bisection)
+        monkeypatch.setattr(blas, "dstebz", with_lapack_info(blas.dstebz, 1))
         for refine in ("altmin", "resampled"):
             out = tmp_path / f"{refine}.csv"
             rc = cli.main(["recover", "--n", "16", "--ratio", "8", "--refine", refine,

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -70,3 +73,44 @@ def test_every_package_name_is_read():
 def test_an_unread_name_is_found():
     source = "X = 1\ndef f():\n    return X\ndef g():\n    pass\nclass C:\n    pass\nC()\n"
     assert [n for n in top_level_names(source) if n not in read_names(source)] == ["f", "g"]
+
+
+def imported_modules(source: str) -> list[str]:
+    """The absolute module names a module imports."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return names
+
+
+def test_the_package_does_not_import_scipy():
+    scipy = [
+        f"{path.name}: {name}"
+        for path in MODULES
+        for name in imported_modules(path.read_text())
+        if name.split(".")[0] == "scipy"
+    ]
+    assert scipy == []
+
+
+def test_a_scipy_import_is_found():
+    source = "import os\nfrom scipy.linalg import cho_factor\nfrom . import numkit\nimport scipy.stats as st\n"
+    assert imported_modules(source) == ["os", "scipy.linalg", "scipy.stats"]
+
+
+def test_a_run_loads_no_scipy(tmp_path):
+    # in a fresh interpreter, so modules the tests import do not count
+    script = (
+        "import sys\n"
+        "from onebitphase import cli\n"
+        f"assert cli.main(['recover', '--n', '16', '--out', {str(tmp_path / 'r.csv')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

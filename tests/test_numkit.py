@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from scipy.linalg import eigh_tridiagonal
 
-from onebitphase import numkit
+from _oracles import with_lapack_info
+from onebitphase import blas, numkit
 from onebitphase.numkit import (
     PHASE_FLOOR,
     dist_sq,
@@ -189,17 +190,21 @@ def _tridiagonal(rng, j, zeros=()):
 
 
 class TestTopRitzPair:
-    """``numkit._top_ritz_pair`` calls the LAPACK routines behind
-    ``eigh_tridiagonal(select="i")`` directly, and Lanczos maps their
-    failures the way scipy does."""
+    """The Ritz step of Lanczos, :class:`~onebitphase.blas.TridiagonalTopPair`,
+    calls the LAPACK routines behind ``eigh_tridiagonal(select="i")`` on
+    numpy's own LAPACK, and Lanczos maps their failures the way scipy does."""
 
     @pytest.mark.parametrize("zeros", [(), (0, 5, 6, 30)], ids=["unreduced", "split"])
     def test_matches_eigh_tridiagonal_bit_for_bit(self, zeros):
         rng = np.random.default_rng(12)
+        # one stepper over buffers longer than each step, as Lanczos runs it
+        d_buf, e_buf = np.zeros(60), np.zeros(60)
+        top_pair = blas.TridiagonalTopPair(d_buf, e_buf)
         for j in range(1, 61):
             d, e = _tridiagonal(rng, j, zeros)
+            d_buf[:j], e_buf[: j - 1] = d, e
             w, v = eigh_tridiagonal(d, e, select="i", select_range=(j - 1, j - 1))
-            theta, s = numkit._top_ritz_pair(d, e)
+            theta, s = top_pair(j)
             assert theta == float(w[0]), j
             assert s.tobytes() == v[:, 0].tobytes(), j
 
@@ -208,14 +213,19 @@ class TestTopRitzPair:
         basis, _ = np.linalg.qr(_random_complex(rng, 40 * 40).reshape(40, 40))
         mat = (basis * np.linspace(-1.0, 1.0, 40)) @ basis.conj().T
         direct = lanczos(lambda r: mat @ r, 40, tol=1e-10, seed=3)
+        steps = []
 
         def via_scipy(d, e):
-            j = d.size
-            w, v = eigh_tridiagonal(d, e, select="i", select_range=(j - 1, j - 1))
-            return float(w[0]), v[:, 0]
+            def step(j):
+                steps.append(j)
+                w, v = eigh_tridiagonal(d[:j], e[: j - 1], select="i", select_range=(j - 1, j - 1))
+                return float(w[0]), v[:, 0]
 
-        monkeypatch.setattr(numkit, "_top_ritz_pair", via_scipy)
+            return step
+
+        monkeypatch.setattr(numkit, "TridiagonalTopPair", via_scipy)
         wrapped = lanczos(lambda r: mat @ r, 40, tol=1e-10, seed=3)
+        assert steps == list(range(1, len(direct[2]) + 1))
         assert direct[0] == wrapped[0]
         assert direct[1].tobytes() == wrapped[1].tobytes()
         assert direct[2:] == wrapped[2:]
@@ -228,12 +238,7 @@ class TestTopRitzPair:
     @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
     @pytest.mark.parametrize("info, error", [(2, np.linalg.LinAlgError), (-3, ValueError)])
     def test_lapack_info_raises(self, monkeypatch, routine, info, error):
-        real = getattr(numkit, routine)
-
-        def failing(*args):
-            return (*real(*args)[:-1], info)
-
-        monkeypatch.setattr(numkit, routine, failing)
+        monkeypatch.setattr(blas, routine, with_lapack_info(getattr(blas, routine), info))
         with pytest.raises(ValueError, match=routine[1:]) as raised:
             self._lanczos_on_diagonal()
         # LinAlgError subclasses ValueError, and the CLI tells them apart

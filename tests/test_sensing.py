@@ -4,10 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.linalg import cho_solve
-from scipy.linalg.blas import ztrsv
+from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import zherk, ztrsv
 
 from onebitphase import numkit, sensing
+from onebitphase.blas import rank_k_update
 from onebitphase.sensing import (
     CdpOperator,
     MatrixOperator,
@@ -374,15 +375,23 @@ class TestOperatorBoundary:
         ids=["matrix", "strided-family", "real-rows"],
     )
     def test_triangular_solves_match_cho_solve(self, op):
-        y = sample_complex_gaussian(op.out_dim, np.random.default_rng(50))
-        u, lower = op._normal_factor
-        factor_bytes = u.tobytes()
-        x = op.lsq_solve(y)
+        # the Gram and its factor are the bits of scipy's zherk and cho_factor
+        gram = zherk(1.0, op.rows.T)
+        assert rank_k_update(1.0, op.rows.T).tobytes() == gram.tobytes()
+        u, lower = cho_factor(gram, lower=False)
+        factor = op._normal_factor
+        assert factor.u.tobytes() == u.tobytes()
+        for y in (sample_complex_gaussian(op.out_dim, np.random.default_rng(50)),
+                  np.random.default_rng(51).standard_normal(op.out_dim)):
+            x = op.lsq_solve(y)
+            # each solve is scipy's two ztrsv on A* y, bit for bit
+            rhs = op.adjoint(y).astype(complex)
+            w = ztrsv(u, rhs, lower=0, trans=2)
+            assert x.tobytes() == ztrsv(u, w, lower=0, trans=0).tobytes()
+            expected = cho_solve((u, lower), rhs)
+            assert np.linalg.norm(x - expected) <= 1e-13 * np.linalg.norm(expected)
         # the solves run in place on A* y, never on the cached factor
-        op.lsq_solve(y.real)
-        assert u.tobytes() == factor_bytes
-        expected = cho_solve((u, lower), op.adjoint(y))
-        assert np.linalg.norm(x - expected) <= 1e-13 * np.linalg.norm(expected)
+        assert factor.u.tobytes() == u.tobytes()
 
     @pytest.mark.parametrize(
         "op",
@@ -481,7 +490,7 @@ class TestStackedOperators:
                 assert np.linalg.norm(row - alone) <= 1e-13 * np.linalg.norm(alone)
         # the solves themselves run row by row: each row is the two
         # triangular solves of its own row of A* y
-        u, _ = op._normal_factor
+        u = op._normal_factor.u
         for row, rhs in zip(op.lsq_solve(ys), op.adjoint(ys)):
             w = ztrsv(u, rhs, lower=0, trans=2)
             assert row.tobytes() == ztrsv(u, w, lower=0, trans=0).tobytes()
