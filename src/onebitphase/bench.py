@@ -39,6 +39,7 @@ from .recovery import (
     DegenerateDataError,
     alt_min_many,
     alt_min_resampled,
+    factor_ahead,
     initial_estimate,
     multi_init_select,
     random_init,
@@ -410,34 +411,40 @@ def run_recover(cfg: ExperimentConfig) -> tuple[list[list], list[str]]:
     Returns the per-iteration trace rows and console summary lines.  Each
     init kind runs once, on the data the refinement starts from: the full
     ensemble, or block 0 of the resampled schedule.  With several kinds the
-    phase-consistency residual on that data picks the one to refine.
+    phase-consistency residual on that data picks the one to refine.  Under
+    ``resampled``, when BLAS runs on fewer threads than the process has
+    cores, the stages are factored on a second thread while the inits run
+    (:func:`~onebitphase.recovery.factor_ahead`); that changes no byte of
+    the rows or summary.
     """
     model = parse_model(cfg.model)
     op, pairs, dist, b, y = _observed_trial(cfg, 0, _gaussian_pairs, model)
-    data = (op, b, y, pairs)
+    data, stages = (op, b, y, pairs), []
     if cfg.refine == "resampled":
         data, stages = resample_blocks(op, b, y, cfg.epsilon)
 
-    inits = [_init(kind, *data, cfg, 0) for kind in cfg.inits]
-    chosen = multi_init_select(data[0], data[1], [rep.estimate for rep in inits])
-    x_init = inits[chosen].estimate
+    with factor_ahead(stages) as stages:
+        inits = [_init(kind, *data, cfg, 0) for kind in cfg.inits]
+        chosen = multi_init_select(data[0], data[1], [rep.estimate for rep in inits])
+        x_init = inits[chosen].estimate
 
-    # stage 0 is the chosen init: under resampled, the block-0 init
-    rows: list[list] = [["resampled" if cfg.refine == "resampled" else "init", 0, dist(x_init)]]
-    report = None
-    if cfg.refine == "altmin":
-        report = alt_min_many(
-            op,
-            b,
-            [x_init],
-            max_iters=cfg.max_iters,
-            tol=cfg.tol,
-            callback=lambda run, k, x: rows.append(["altmin", k, dist(x)]),
-        )[0]
-    elif cfg.refine == "resampled":
-        report = alt_min_resampled(
-            stages, x_init, callback=lambda t, x: rows.append(["resampled", t, dist(x)])
-        )
+        # stage 0 is the chosen init: under resampled, the block-0 init
+        label = "resampled" if cfg.refine == "resampled" else "init"
+        rows: list[list] = [[label, 0, dist(x_init)]]
+        report = None
+        if cfg.refine == "altmin":
+            report = alt_min_many(
+                op,
+                b,
+                [x_init],
+                max_iters=cfg.max_iters,
+                tol=cfg.tol,
+                callback=lambda run, k, x: rows.append(["altmin", k, dist(x)]),
+            )[0]
+        elif cfg.refine == "resampled":
+            report = alt_min_resampled(
+                stages, x_init, callback=lambda t, x: rows.append(["resampled", t, dist(x)])
+            )
     final = x_init if report is None else report.estimate
 
     summary = [

@@ -1,6 +1,7 @@
 """The five BLAS and LAPACK routines of the package, called through ``ctypes``
 on the library numpy itself links: ``zherk``, ``zpotrf``, ``ztrsv``,
-``dstebz`` and ``dstein``.
+``dstebz`` and ``dstein``, and that library's thread count
+(:func:`thread_count`).
 
 numpy's linalg extension links its BLAS/LAPACK, and ``dlsym`` on that
 extension's handle also searches the libraries it links, so the symbols are
@@ -24,6 +25,7 @@ pointer once and pass only what changes.
 from __future__ import annotations
 
 import ctypes
+from typing import Optional
 
 import numpy as np
 import numpy.linalg._umath_linalg as _linalg_ext
@@ -34,14 +36,21 @@ _SPELLINGS = (("scipy_{}_64_", np.int64), ("{}_64_", np.int64), ("{}_", np.int32
 _ROUTINES = ("zherk", "zpotrf", "ztrsv", "dstebz", "dstein")
 # the number of (pointer) arguments of each routine
 _ARITY = {"zherk": 10, "zpotrf": 5, "ztrsv": 8, "dstebz": 18, "dstein": 13}
+# OpenBLAS's thread-count getter, in the same three builds
+_THREAD_COUNT_SYMBOLS = (
+    "scipy_openblas_get_num_threads64_",
+    "openblas_get_num_threads64_",
+    "openblas_get_num_threads",
+)
+
+_LIB = ctypes.CDLL(_linalg_ext.__file__)
 
 
 def _resolve():
-    lib = ctypes.CDLL(_linalg_ext.__file__)
     tried = []
     for template, int_type in _SPELLINGS:
         names = [template.format(r) for r in _ROUTINES]
-        found = [getattr(lib, name, None) for name in names]
+        found = [getattr(_LIB, name, None) for name in names]
         if all(found):
             for routine, fn in zip(_ROUTINES, found):
                 fn.argtypes = [ctypes.c_void_p] * _ARITY[routine]
@@ -55,6 +64,19 @@ def _resolve():
 
 INT, (zherk, zpotrf, ztrsv, dstebz, dstein) = _resolve()
 _INT = np.ctypeslib.as_ctypes_type(INT)
+
+
+def thread_count() -> Optional[int]:
+    """The number of threads the library runs each BLAS call on, read now
+    (``OPENBLAS_NUM_THREADS`` sets it at start-up), or None when it is not
+    known: the library exports none of :data:`_THREAD_COUNT_SYMBOLS`, as
+    a BLAS that is not OpenBLAS does not."""
+    for name in _THREAD_COUNT_SYMBOLS:
+        get = getattr(_LIB, name, None)
+        if get is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            return get()
+    return None
 
 
 # the character arguments, as pointers into one buffer that lives as long as

@@ -4,11 +4,15 @@ Vectors are plain 1-D complex128 ndarrays.  The inner product conjugates its
 first argument, <a, x> = ``a.conj() @ x``, so a rank-one matrix ``a a*`` acts
 on ``r`` as ``a * <a, r>``.  Dense operators evaluate it for all rows at once
 as ``conj(conj(x) @ rows.T)``, which conjugates two vectors instead of making
-a conjugate copy of the rows.
+a conjugate copy of the rows.  :func:`ahead` runs work on one short-lived
+worker thread where that pays, and on the caller's thread otherwise.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from functools import partial
 from math import isfinite
 from typing import Callable
 
@@ -50,6 +54,29 @@ def sample_complex_gaussian(shape, rng: np.random.Generator, out=None) -> np.nda
             rng.standard_normal(out=chunk)
             np.multiply(chunk, np.sqrt(0.5), out=part[start : start + len(chunk)])
     return out
+
+
+@contextmanager
+def ahead(threaded: bool):
+    """A ``submit(fn, *args)`` for work that may run ahead of the caller; it
+    returns a wait, a zero-argument call that gives ``fn(*args)``.
+
+    When ``threaded``, one short-lived worker thread starts the submitted
+    calls at once, in order, and a wait blocks until its call is done, then
+    returns its result or raises its error in the caller's thread.
+    Otherwise no thread is started and the wait is the call itself, made on
+    the caller's thread when it waits, so one code path serves both
+    schedules; call each wait once.  On exit, calls not yet begun are
+    cancelled and the thread is joined, also when the body raises.
+    """
+    if not threaded:
+        yield partial
+        return
+    worker = ThreadPoolExecutor(1)
+    try:
+        yield lambda fn, *args: worker.submit(fn, *args).result
+    finally:
+        worker.shutdown(cancel_futures=True)
 
 
 def phase_op(z) -> np.ndarray:

@@ -9,14 +9,17 @@ every entry point checks its intensities by ``channels.checked_intensities``.
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from math import ceil, log
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from .blas import thread_count
 from .channels import checked_intensities, ratio_weights
-from .numkit import lanczos, phase_op, sample_complex_gaussian
+from .numkit import ahead, lanczos, phase_op, sample_complex_gaussian
 from .sensing import MeasurementOperator
 
 
@@ -273,7 +276,8 @@ def resample_blocks(op, b, y, epsilon: float) -> tuple:
     0, and sized by :func:`resampled_schedule`.  Returns ``(init_data,
     stages)``: ``init_data`` is block 0 as the ``(op, b, y, pairs)``
     arguments of :func:`initial_estimate`, and ``stages`` holds the
-    ``(operator, b)`` of each later block, for :func:`alt_min_resampled`.
+    ``(operator, b)`` of each later block, for :func:`alt_min_resampled`
+    (through :func:`factor_ahead`, to factor them while the init runs).
     An odd leftover measurement of block 0 has no partner, so the one-bit
     surrogates give it coefficient 0.
     """
@@ -293,8 +297,48 @@ def resample_blocks(op, b, y, epsilon: float) -> tuple:
     return init_data, stages
 
 
+def _spare_core() -> bool:
+    """Whether BLAS leaves a core of this process idle: its thread count,
+    read now, is known and below the cores the process may run on."""
+    threads = thread_count()
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks
+        cores = os.cpu_count() or 1
+    return threads is not None and threads < cores
+
+
+def _factored(op, b) -> tuple:
+    op.prepare_lsq()
+    return op, b
+
+
+@contextmanager
+def factor_ahead(stages: Sequence[tuple]):
+    """The ``(operator, b)`` stages of :func:`resample_blocks`, to pass to
+    :func:`alt_min_resampled` inside the with-block, each factored for its
+    least-squares step (``operator.prepare_lsq``) before it is used.
+
+    When BLAS leaves a core idle, that is, when its thread count is below
+    the cores this process may run on, one short-lived worker thread
+    factors the stages in order from entry, so each dense Gram (``zherk``)
+    and Cholesky factor (``zpotrf``) overlaps what the body runs first,
+    such as the block-0 init; ``ctypes`` releases the GIL in both calls.
+    The stages yielded wait each for their own factor as they are reached,
+    and a failed factor raises there, in the caller's thread.  Otherwise no
+    thread is started, and each stage is factored on the caller's thread
+    when it is reached, as its first solve would.  The factors, and so the
+    estimates, are the same bits under both schedules.  The stages are
+    read once; on exit a factor not yet begun is cancelled and the worker
+    is joined, also when the body raises.
+    """
+    with ahead(bool(stages) and _spare_core()) as submit:
+        waits = [submit(_factored, op, b) for op, b in stages]
+        yield (wait() for wait in waits)
+
+
 def alt_min_resampled(
-    stages: Sequence[tuple],
+    stages: Iterable[tuple],
     x_init,
     callback: Optional[Callable[[int, np.ndarray], None]] = None,
 ) -> RecoveryReport:
@@ -304,7 +348,10 @@ def alt_min_resampled(
     of :func:`alt_min_many` on fresh measurements.  Its relaxation never
     reaches the estimate, so a stage is exactly one phase update and one
     least-squares solve, x <- A^+ (sqrt(b) Ph(A x)); a solve that fails
-    raises instead of returning, so the report is always converged.  The
+    raises instead of returning, so the report is always converged.  Passed
+    through :func:`factor_ahead`, the stages are factored on a second
+    thread while the init runs when BLAS leaves a core idle, which changes
+    no bit of the result.  The
     trace holds each stage's objective, and ``callback(t, x)`` sees stage
     t's estimate, t = 1, 2, ...; like :func:`alt_min_many`, it never sees
     the start.

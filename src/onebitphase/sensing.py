@@ -11,7 +11,8 @@ its array once, at construction, and a view ``op[key]`` over some of its
 rows is not checked again; ``apply``/``adjoint`` check only the length of
 their input.  ``lsq_solve(y)`` is the exact least-squares step
 argmin_x ||A x - y||, whose normal-matrix work each operator caches on first
-use; it rejects a non-finite ``y``.  These three take one vector or a
+use, or when ``prepare_lsq()`` asks for it ahead of the first solve; it
+rejects a non-finite ``y``.  These three take one vector or a
 (k, len) stack of them, one per row, and act along the last axis.
 ``surrogate(c)`` returns the matvec r -> (1/M) A* Diag(c) A r of the
 spectral inits, M = ``out_dim``, which takes an n-vector or a (k, n)
@@ -24,7 +25,6 @@ adjoint per matvec.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Union
@@ -32,7 +32,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .blas import UpperCholesky, rank_k_update
-from .numkit import sample_complex_gaussian
+from .numkit import GAUSS_CHUNK, ahead, sample_complex_gaussian
 
 
 # Rows gathered, scaled and added per Hermitian rank-k update when
@@ -163,6 +163,12 @@ class MatrixOperator:
         """
         return UpperCholesky(rank_k_update(1.0, self.rows.T))
 
+    def prepare_lsq(self) -> None:
+        """Make and cache the factor :meth:`lsq_solve` reads, now rather than
+        at the first solve.  Not Hermitian positive definite rows raise
+        LinAlgError here."""
+        self._normal_factor
+
     def lsq_solve(self, y) -> np.ndarray:
         """argmin_x ||A x - y||: the cached Cholesky factor U (A*A = U* U),
         then two triangular solves, U* w = A* y and U x = w.
@@ -268,6 +274,11 @@ class CdpOperator:
             raise ValueError("masks leave some coordinate unobserved")
         return diag
 
+    def prepare_lsq(self) -> None:
+        """Make and cache the normal diagonal :meth:`lsq_solve` divides by,
+        now rather than at the first solve."""
+        self._normal_diag
+
     def lsq_solve(self, y) -> np.ndarray:
         """argmin_x ||A x - y||: the normal matrix is diagonal, so one adjoint
         and a pointwise division.  A non-finite ``y`` is rejected."""
@@ -300,9 +311,11 @@ def build_paired_ensemble(n: int, m: int, seed: int) -> tuple[MatrixOperator, tu
     slices that place the families in its rows and outputs; ``op[pairs[k]]``
     is a view of one family.
 
-    Family 2 is drawn on one short-lived worker thread while the caller
-    draws family 1.  Each family has its own generator, so the rows are the
-    same bits as drawing them one after the other.
+    Once one family holds at least ``GAUSS_CHUNK`` doubles, family 2 is
+    drawn on one short-lived worker thread (:func:`~onebitphase.numkit.ahead`)
+    while the caller draws family 1; a smaller build would not repay the
+    thread's start, and draws both on the caller's thread.  Each family has
+    its own generator, so the rows are the same bits either way.
     """
     pairs = (slice(0, None, 2), slice(1, None, 2))
     rows = np.empty((2 * m, n), dtype=np.complex128)
@@ -310,10 +323,10 @@ def build_paired_ensemble(n: int, m: int, seed: int) -> tuple[MatrixOperator, tu
     def draw(k: int) -> None:
         sample_complex_gaussian((m, n), substream(seed, "paired-rows", k), out=rows[pairs[k - 1]])
 
-    with ThreadPoolExecutor(1) as worker:
-        second = worker.submit(draw, 2)
+    with ahead(2 * m * n >= GAUSS_CHUNK) as submit:
+        second = submit(draw, 2)
         draw(1)
-        second.result()
+        second()
     return MatrixOperator(rows), pairs
 
 

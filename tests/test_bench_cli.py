@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import re
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -610,6 +611,62 @@ class TestRecoverRun:
         monkeypatch.setattr(sensing, "_checked_matrix", counting)
         bench.run_recover(_cfg(kind="recover", n=16, ratio=16, refine=refine, seed=3))
         assert scans == [(2 * 16 * 16, 16)]
+
+
+# every kind at a tiny size, and recover under each refine mode
+TINY_RUNS = {
+    **{kind: dict(kind=kind, **kw) for kind, kw in TINY_CONFIGS.items() if kind != "recover"},
+    **{f"recover-{refine}": dict(kind="recover", **TINY_CONFIGS["recover"], refine=refine)
+       for refine in bench.REFINE_MODES},
+}
+
+
+class TestThreads:
+    """A run leaves no thread behind, on either schedule of the resampled
+    stages' factors (see ``recovery.factor_ahead``), which is forced here
+    so that the BLAS thread count does not choose it."""
+
+    @pytest.mark.parametrize("worker", [True, False], ids=["worker", "serial"])
+    @pytest.mark.parametrize("run", list(TINY_RUNS))
+    def test_a_run_leaves_no_thread_running(self, tmp_path, monkeypatch, run, worker):
+        monkeypatch.setattr(recovery, "_spare_core", lambda: worker)
+        before = threading.enumerate()
+        bench.write_outputs(_cfg(**TINY_RUNS[run], out=str(tmp_path / "x.csv")))
+        assert threading.enumerate() == before
+
+    @pytest.mark.parametrize("worker", [True, False], ids=["worker", "serial"])
+    @pytest.mark.parametrize("refine", bench.REFINE_MODES)
+    def test_a_run_that_raises_leaves_no_thread_running(self, tmp_path, monkeypatch, refine,
+                                                         worker):
+        monkeypatch.setattr(recovery, "_spare_core", lambda: worker)
+
+        def failing(*args):
+            raise RuntimeError("selection failed")
+
+        # raised while the worker, if any, factors the stages
+        monkeypatch.setattr(bench, "multi_init_select", failing)
+        before = threading.enumerate()
+        cfg = _cfg(**TINY_RUNS[f"recover-{refine}"], out=str(tmp_path / "x.csv"))
+        with pytest.raises(RuntimeError, match="selection failed"):
+            bench.write_outputs(cfg)
+        assert threading.enumerate() == before
+
+    def test_both_schedules_write_the_same_bytes(self, tmp_path, monkeypatch, capsys):
+        written = {}
+        for worker in (True, False):
+            monkeypatch.setattr(recovery, "_spare_core", lambda worker=worker: worker)
+            # the same relative --out under both, which the manifest records
+            (tmp_path / str(worker)).mkdir()
+            monkeypatch.chdir(tmp_path / str(worker))
+            for seed in range(3):
+                out = Path(f"r{seed}.csv")
+                args = ["recover", "--n", "32", "--ratio", "16", "--refine", "resampled",
+                        "--seed", str(seed), "--out", str(out)]
+                assert cli.main(args) == 0
+                written[worker, seed] = (capsys.readouterr().out, out.read_bytes(),
+                                         bench.manifest_path(out).read_bytes())
+        for seed in range(3):
+            assert written[True, seed] == written[False, seed]
 
 
 class TestCsvAndManifest:

@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor
 from scipy.linalg.blas import zherk
 
-from onebitphase import blas
+from onebitphase import blas, recovery
 from onebitphase.blas import TridiagonalTopPair, UpperCholesky, rank_k_update
+from onebitphase.sensing import MatrixOperator
 
 
 def _complex(rng, *shape):
@@ -74,3 +81,27 @@ def test_a_library_without_the_symbols_raises_import_error(monkeypatch):
     monkeypatch.setattr(blas, "_SPELLINGS", (("nosuch_{}_", np.int32),))
     with pytest.raises(ImportError, match="nosuch_zherk_, nosuch_zpotrf_, .* nosuch_dstein_"):
         blas._resolve()
+
+
+def test_thread_count_reads_the_library_setting():
+    # in a fresh interpreter, since the library reads the variable at start-up
+    src = str(Path(__file__).parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "from onebitphase import blas; print(blas.thread_count())"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1"]
+
+
+def test_an_unknown_thread_count_keeps_the_stages_serial(monkeypatch):
+    monkeypatch.setattr(blas, "_THREAD_COUNT_SYMBOLS", ("nosuch_get_num_threads",))
+    assert blas.thread_count() is None
+    assert not recovery._spare_core()
+    op = MatrixOperator(np.eye(4, dtype=complex))
+    before = threading.enumerate()
+    with recovery.factor_ahead([(op, np.ones(4))]) as stages:
+        assert threading.enumerate() == before
+        assert [stage_op for stage_op, _ in stages] == [op]

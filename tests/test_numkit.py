@@ -1,3 +1,6 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from _oracles import with_lapack_info
 from onebitphase import blas, numkit
 from onebitphase.numkit import (
     PHASE_FLOOR,
+    ahead,
     dist_sq,
     distance_to,
     lanczos,
@@ -18,6 +22,43 @@ from onebitphase.numkit import (
 
 def _random_complex(rng, n):
     return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(0.5)
+
+
+class TestAhead:
+    def test_serial_calls_run_on_the_caller_when_waited(self):
+        calls = []
+        with ahead(False) as submit:
+            wait = submit(lambda k: calls.append((k, threading.get_ident())) or k, 3)
+            assert calls == []
+            assert wait() == 3
+        assert calls == [(3, threading.get_ident())]
+
+    def test_threaded_calls_run_on_one_worker_and_fail_in_the_caller(self):
+        before = threading.enumerate()
+        with ahead(True) as submit:
+            ident = submit(threading.get_ident)
+            failed = submit(np.linalg.cholesky, -np.eye(2))
+            assert ident() != threading.get_ident()
+            with pytest.raises(np.linalg.LinAlgError):
+                failed()
+        assert threading.enumerate() == before
+
+    def test_exit_cancels_calls_not_begun(self):
+        started, ran = threading.Event(), []
+
+        def busy():
+            started.set()
+            time.sleep(0.2)
+
+        before = threading.enumerate()
+        with pytest.raises(KeyError):
+            with ahead(True) as submit:
+                submit(busy)
+                submit(ran.append, 1)
+                assert started.wait(10)  # the worker is busy, the second call queued
+                raise KeyError("body")
+        assert ran == []
+        assert threading.enumerate() == before
 
 
 class TestPhaseOp:

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from onebitphase.recovery import (
     RecoveryReport,
     alt_min_many,
     alt_min_resampled,
+    factor_ahead,
     initial_estimate,
     multi_init_select,
     random_init,
@@ -870,6 +872,75 @@ class TestAltMinResampled:
         snapshot = [b.tobytes() for _, b in stages] + [x_init.tobytes()]
         alt_min_resampled(stages, x_init)
         assert [b.tobytes() for _, b in stages] + [x_init.tobytes()] == snapshot
+
+
+@pytest.fixture(params=[True, False], ids=["worker", "serial"])
+def schedule(request, monkeypatch):
+    """Force the worker schedule of ``factor_ahead``, then the serial one,
+    whatever the BLAS thread count; yields whether the worker runs, and
+    records the thread each stage is factored on in ``schedule.threads``."""
+    monkeypatch.setattr(recovery, "_spare_core", lambda: request.param)
+    threads = []
+    factored = recovery._factored
+
+    def recording(op, b):
+        threads.append(threading.get_ident())
+        return factored(op, b)
+
+    monkeypatch.setattr(recovery, "_factored", recording)
+    yield request.param, threads
+
+
+class TestFactorAhead:
+    def test_stages_are_factored_where_the_schedule_says(self, schedule):
+        worker, threads = schedule
+        (op, _), x0 = _paired(16, 320, seed=41)
+        stages, x_init = _resampled_start(op, x0, 0.25, "onebit")
+        before = threading.enumerate()
+        with factor_ahead(stages) as ahead:
+            assert (len(threading.enumerate()) > len(before)) == worker
+            report = alt_min_resampled(ahead, x_init)
+        assert threading.enumerate() == before
+        assert len(threads) == len(stages) == 2
+        assert (threading.get_ident() not in threads) == worker
+        # the same bits as stages factored at their first solve
+        (op, _), _ = _paired(16, 320, seed=41)
+        plain, _ = _resampled_start(op, x0, 0.25, "onebit")
+        assert alt_min_resampled(plain, x_init).estimate.tobytes() == report.estimate.tobytes()
+
+    @pytest.mark.parametrize("zero_stage", [0, 1])
+    def test_a_stage_that_cannot_be_factored_raises_in_the_caller(self, schedule, zero_stage):
+        (op, _), x0 = _paired(16, 320, seed=42)
+        stages, x_init = _resampled_start(op, x0, 0.25, "onebit")
+        # all-zero rows give a zero Gram, which is not positive definite
+        stages[zero_stage][0].rows[:] = 0.0
+        before = threading.enumerate()
+        seen = []
+        with pytest.raises(np.linalg.LinAlgError, match="potrf found a leading minor"):
+            with factor_ahead(stages) as ahead:
+                alt_min_resampled(ahead, x_init, callback=lambda t, x: seen.append(t))
+        assert threading.enumerate() == before
+        assert seen == list(range(1, zero_stage + 1))
+
+    def test_a_body_that_raises_joins_the_worker(self, schedule):
+        worker, threads = schedule
+        (op, _), x0 = _paired(16, 320, seed=43)
+        stages, _ = _resampled_start(op, x0, 0.25, "onebit")
+        before = threading.enumerate()
+        with pytest.raises(RuntimeError, match="init failed"):
+            with factor_ahead(stages):
+                raise RuntimeError("init failed")
+        assert threading.enumerate() == before
+        # the serial schedule factors nothing it does not reach
+        assert worker or threads == []
+
+    def test_no_stages_start_no_thread(self, monkeypatch):
+        def unread():
+            raise AssertionError("no stages need no thread count")
+
+        monkeypatch.setattr(recovery, "_spare_core", unread)
+        with factor_ahead([]) as ahead:
+            assert list(ahead) == []
 
 
 class TestMultiInitSelect:

@@ -107,9 +107,26 @@ class TestEnsembles:
         assert pairs == same_pairs
 
     def test_build_leaves_no_thread_running(self):
+        # one family of 256 x 128 entries holds GAUSS_CHUNK doubles: a worker draws it
         before = threading.enumerate()
-        build_paired_ensemble(6, 40, seed=3)
+        build_paired_ensemble(128, 256, seed=3)
         assert threading.enumerate() == before
+
+    def test_only_a_build_that_repays_a_thread_starts_one(self, monkeypatch):
+        starts = []
+        start = threading.Thread.start
+
+        def counting(thread):
+            starts.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting)
+        build_paired_ensemble(6, 40, seed=3)
+        assert starts == []
+        build_paired_ensemble(128, 255, seed=3)
+        assert starts == []
+        build_paired_ensemble(128, 256, seed=3)
+        assert len(starts) == 1
 
     def test_pair_families_differ(self):
         op1, op2 = _families(3, 6, 40)
