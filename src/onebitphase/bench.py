@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union, get_args, get_origin, get_type_hints
@@ -59,7 +59,31 @@ class ConfigError(ValueError):
 
 
 ALPHAS = (0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
-REFINE_MODES = ("altmin", "resampled", "none")
+
+
+@dataclass(frozen=True)
+class RefineMode:
+    settings: tuple  # the settings only this mode reads
+    resamples: bool  # whether its init sees block 0 of resample_blocks
+    refine: Callable[..., list]  # refine(cfg, op, b, y, pairs, stages, starts, callback)
+
+
+def _alt_min(cfg, op, b, y, pairs, stages, starts, callback):
+    return alt_min_many(op, b, starts, max_iters=cfg.max_iters, tol=cfg.tol, callback=callback)
+
+
+def _resampled(cfg, op, b, y, pairs, stages, starts, callback):
+    return alt_min_resampled(stages, starts, callback)
+
+
+# The modes of ``recover --refine``, in order, each refining a (k, n) stack of
+# starts by alt_min_many's run protocol ("none" by the resampled refiner on no
+# stages: each start as it is).  The convergence kinds refine by "altmin".
+REFINE_MODES = {
+    "altmin": RefineMode(("tol", "max_iters"), False, _alt_min),
+    "resampled": RefineMode(("epsilon",), True, _resampled),
+    "none": RefineMode((), False, _resampled),
+}
 
 
 @dataclass(frozen=True)
@@ -352,12 +376,11 @@ def _init(kind: str, op, b, y, pairs, cfg, trial: int):
 
 def _median_curves(curves: Sequence[Sequence[float]]) -> list[float]:
     """Median across trials per iteration, padding each curve with its final
-    value so early stoppers stay at their converged error."""
+    value so early stoppers stay at their converged error.  Sorting gives
+    ``np.median``'s bits without its NaN check, which imports ``numpy.ma``."""
     width = max(len(c) for c in curves)
-    padded = np.array(
-        [list(c) + [c[-1]] * (width - len(c)) for c in curves], dtype=float
-    )
-    return np.median(padded, axis=0).tolist()
+    ranked = np.sort([list(c) + [c[-1]] * (width - len(c)) for c in curves], axis=0)
+    return ((ranked[(len(curves) - 1) // 2] + ranked[len(curves) // 2]) / 2).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -373,23 +396,17 @@ def _convergence_rows(builder, cfg: ExperimentConfig) -> tuple[list[list], list[
     One-bit inits quantize the observed intensities, and the weighted
     variant draws its ratio weights from the same values.  Each kind has
     its own seed stream, so a trial computes every init first and then
-    refines them all in one :func:`alt_min_many` call.  A trial with
-    degenerate data is skipped for every kind (:func:`_usable_trials`).
+    refines them all in one call of ``REFINE_MODES["altmin"]``.  A trial
+    with degenerate data is skipped for every kind (:func:`_usable_trials`).
     """
     model = parse_model(cfg.model)
+    refine = REFINE_MODES["altmin"].refine
 
     def trial(t: int) -> list[list[float]]:
         op, pairs, dist, b, y = _observed_trial(cfg, t, builder, model)
         starts = [_init(kind, op, b, y, pairs, cfg, t).estimate for kind in cfg.inits]
         errs = [[dist(x)] for x in starts]
-        alt_min_many(
-            op,
-            b,
-            starts,
-            max_iters=cfg.max_iters,
-            tol=cfg.tol,
-            callback=lambda run, k, x: errs[run].append(dist(x)),
-        )
+        refine(cfg, op, b, y, pairs, [], starts, lambda run, k, x: errs[run].append(dist(x)))
         return errs
 
     per_trial, summary = _usable_trials(cfg, trial)
@@ -410,17 +427,17 @@ def run_recover(cfg: ExperimentConfig) -> tuple[list[list], list[str]]:
 
     Returns the per-iteration trace rows and console summary lines.  Each
     init kind runs once, on the data the refinement starts from: the full
-    ensemble, or block 0 of the resampled schedule.  With several kinds the
-    phase-consistency residual on that data picks the one to refine.  Under
-    ``resampled``, when BLAS runs on fewer threads than the process has
-    cores, the stages are factored on a second thread while the inits run
-    (:func:`~onebitphase.recovery.factor_ahead`); that changes no byte of
-    the rows or summary.
+    ensemble, or block 0 of the resampled schedule when the refine mode
+    resamples.  With several kinds the phase-consistency residual on that
+    data picks the one to refine.  When BLAS leaves a core idle, the stages
+    are factored on a second thread while the inits run
+    (:func:`~onebitphase.recovery.factor_ahead`), which changes no byte.
     """
     model = parse_model(cfg.model)
+    mode = REFINE_MODES[cfg.refine]
     op, pairs, dist, b, y = _observed_trial(cfg, 0, _gaussian_pairs, model)
     data, stages = (op, b, y, pairs), []
-    if cfg.refine == "resampled":
+    if mode.resamples:
         data, stages = resample_blocks(op, b, y, cfg.epsilon)
 
     with factor_ahead(stages) as stages:
@@ -428,24 +445,10 @@ def run_recover(cfg: ExperimentConfig) -> tuple[list[list], list[str]]:
         chosen = multi_init_select(data[0], data[1], [rep.estimate for rep in inits])
         x_init = inits[chosen].estimate
 
-        # stage 0 is the chosen init: under resampled, the block-0 init
-        label = "resampled" if cfg.refine == "resampled" else "init"
-        rows: list[list] = [[label, 0, dist(x_init)]]
-        report = None
-        if cfg.refine == "altmin":
-            report = alt_min_many(
-                op,
-                b,
-                [x_init],
-                max_iters=cfg.max_iters,
-                tol=cfg.tol,
-                callback=lambda run, k, x: rows.append(["altmin", k, dist(x)]),
-            )[0]
-        elif cfg.refine == "resampled":
-            report = alt_min_resampled(
-                stages, x_init, callback=lambda t, x: rows.append(["resampled", t, dist(x)])
-            )
-    final = x_init if report is None else report.estimate
+        # stage 0 is the chosen init: under resampling, the block-0 init
+        rows: list[list] = [[cfg.refine if mode.resamples else "init", 0, dist(x_init)]]
+        report = mode.refine(cfg, op, b, y, pairs, stages, [x_init],
+                             lambda run, k, x: rows.append([cfg.refine, k, dist(x)]))[0]
 
     summary = [
         f"model: {format_model(model)}",
@@ -454,11 +457,10 @@ def run_recover(cfg: ExperimentConfig) -> tuple[list[list], list[str]]:
         f"init lambda_hat: {inits[chosen].lambda_hat!r}",
         f"init converged: {inits[chosen].converged}",
         f"refine: {cfg.refine}",
-        f"final dist_sq: {dist(final)!r}",
+        f"final dist_sq: {dist(report.estimate)!r}",
     ]
-    if report is not None:
-        summary.append(f"iterations: {report.iterations}")
-        summary.append(f"converged: {report.converged}")
+    if report.iterations:
+        summary += [f"iterations: {report.iterations}", f"converged: {report.converged}"]
     return rows, summary
 
 
@@ -471,8 +473,7 @@ class Experiment:
     """One experiment kind.  ``fields`` maps each setting its runner reads to
     the default a config fills in when it leaves the setting unset; the
     default ``m`` of None sizes a run by ``ratio`` pairs (or mask pairs) per
-    signal dimension.  ``modes`` maps a setting that only one refine mode
-    reads to that mode.  The kind's subcommand takes ``--seed``, ``--out``
+    signal dimension.  The kind's subcommand takes ``--seed``, ``--out``
     and a flag per setting in ``fields``."""
 
     runner: Callable[[ExperimentConfig], tuple[list[list], list[str]]]
@@ -480,12 +481,12 @@ class Experiment:
     out: str
     help: str
     fields: dict
-    modes: dict = field(default_factory=dict)
 
     def reads(self, refine: Optional[str] = None) -> tuple[str, ...]:
         """The settings a run reads under ``refine`` (None: the default mode)."""
         refine = refine or self.fields.get("refine")
-        return tuple(f for f in self.fields if self.modes.get(f, refine) == refine)
+        other = {f for name, mode in REFINE_MODES.items() if name != refine for f in mode.settings}
+        return tuple(f for f in self.fields if "refine" not in self.fields or f not in other)
 
 
 _CONVERGENCE = dict(model="identity", inits=INIT_KINDS, trials=20, tol=1e-12, max_iters=100)
@@ -517,7 +518,6 @@ EXPERIMENTS = {
             n=64, m=None, ratio=16, model="identity", inits=("onebit",), epsilon=0.25,
             tol=1e-12, max_iters=200, refine="altmin",
         ),
-        modes=dict(epsilon="resampled", tol="altmin", max_iters="altmin"),
     ),
     "altmin-convergence": Experiment(
         partial(_convergence_rows, _gaussian_pairs),

@@ -339,32 +339,31 @@ def factor_ahead(stages: Sequence[tuple]):
 
 def alt_min_resampled(
     stages: Iterable[tuple],
-    x_init,
-    callback: Optional[Callable[[int, np.ndarray], None]] = None,
-) -> RecoveryReport:
-    """Staged alternating minimization from ``x_init`` on disjoint blocks.
+    starts,
+    callback: Optional[Callable[[int, int, np.ndarray], None]] = None,
+) -> list[RecoveryReport]:
+    """Staged alternating minimization on disjoint blocks, from each row of
+    the (k, n) stack ``starts`` at once.
 
-    Each ``(operator, b)`` stage of :func:`resample_blocks` is one iteration
-    of :func:`alt_min_many` on fresh measurements.  Its relaxation never
-    reaches the estimate, so a stage is exactly one phase update and one
-    least-squares solve, x <- A^+ (sqrt(b) Ph(A x)); a solve that fails
-    raises instead of returning, so the report is always converged.  Passed
-    through :func:`factor_ahead`, the stages are factored on a second
-    thread while the init runs when BLAS leaves a core idle, which changes
-    no bit of the result.  The
-    trace holds each stage's objective, and ``callback(t, x)`` sees stage
-    t's estimate, t = 1, 2, ...; like :func:`alt_min_many`, it never sees
-    the start.
+    Each ``(operator, b)`` stage of :func:`resample_blocks` is one stacked
+    iteration of :func:`alt_min_many` on fresh measurements.  Its relaxation
+    never reaches the estimate, so a stage is exactly one phase update and
+    one least-squares solve per row, x <- A^+ (sqrt(b) Ph(A x)); a solve
+    that fails raises instead of returning, so every report is converged.
+    With :func:`alt_min_many`'s run protocol, a start's trace holds each
+    stage's objective, ``callback(run, t, x)`` sees stage t's estimate of
+    row ``run``, t = 1, 2, ..., never the start, and one report per start
+    is returned, in row order: with no stages, each start as it is.
     """
-    x = x_init
-    trace: list = []
+    reports = [RecoveryReport(start, [], True) for start in _stack(starts)]
     for t, (op, b) in enumerate(stages, start=1):
-        stage = alt_min_many(op, b, [x], max_iters=1)[0]
-        x = stage.estimate
-        trace += stage.trace
-        if callback is not None:
-            callback(t, x)
-    return RecoveryReport(x, trace, True)
+        steps = alt_min_many(op, b, [report.estimate for report in reports], max_iters=1)
+        for run, (report, step) in enumerate(zip(reports, steps)):
+            report.estimate = step.estimate
+            report.trace += step.trace
+            if callback is not None:
+                callback(run, t, step.estimate)
+    return reports
 
 
 def multi_init_select(op: MeasurementOperator, b, starts) -> int:

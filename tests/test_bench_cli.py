@@ -498,6 +498,14 @@ class TestConvergenceRuns:
         assert rows[0][1] == 0
         assert rows[-1][2] <= 1e-6
 
+    @pytest.mark.parametrize("trials", [1, 2, 3, 4, 7, 40])
+    def test_median_curves_are_np_median_bit_for_bit(self, trials):
+        rng = np.random.default_rng(trials)
+        curves = [list(rng.random(rng.integers(1, 102)) ** 8) for _ in range(trials)]
+        width = max(map(len, curves))
+        padded = np.array([c + [c[-1]] * (width - len(c)) for c in curves])
+        assert bench._median_curves(curves) == np.median(padded, axis=0).tolist()
+
     def test_cdp_trial_masks_are_the_two_family_stack(self):
         cfg = _cfg(kind="cdp-convergence", n=16, ratio=3, trials=2, seed=7)
         for trial in range(2):
@@ -611,6 +619,59 @@ class TestRecoverRun:
         monkeypatch.setattr(sensing, "_checked_matrix", counting)
         bench.run_recover(_cfg(kind="recover", n=16, ratio=16, refine=refine, seed=3))
         assert scans == [(2 * 16 * 16, 16)]
+
+
+class TestRefineTable:
+    """``bench.REFINE_MODES`` is the one table of refine modes, checked
+    against the independent oracle ``RECOVER_MODE_FIELDS``."""
+
+    def test_each_mode_setting_is_a_recover_field_of_one_mode(self):
+        named = [name for mode in bench.REFINE_MODES.values() for name in mode.settings]
+        assert set(named) <= set(bench.EXPERIMENTS["recover"].fields)
+        assert len(named) == len(set(named))
+        assert {
+            refine: set(mode.settings) for refine, mode in bench.REFINE_MODES.items()
+        } == RECOVER_MODE_FIELDS
+
+    @pytest.mark.parametrize("args, calls", [
+        (["recover", "--n", "8", "--refine", "altmin"], [1]),
+        (["altmin-convergence", "--n", "8", "--trials", "2", "--init", "onebit,random"], [2, 2]),
+        (["cdp-convergence", "--n", "8", "--ratio", "2", "--trials", "2"], [4, 4]),
+    ])
+    def test_the_altmin_entry_refines_recover_and_the_convergence_runs(
+        self, tmp_path, monkeypatch, capsys, args, calls
+    ):
+        seen = []
+        entry = bench.REFINE_MODES["altmin"]
+
+        def recording(cfg, op, b, y, pairs, stages, starts, callback):
+            seen.append(len(starts))
+            return entry.refine(cfg, op, b, y, pairs, stages, starts, callback)
+
+        monkeypatch.setitem(bench.REFINE_MODES, "altmin", replace(entry, refine=recording))
+        assert cli.main(args + ["--out", str(tmp_path / "x.csv")]) == 0
+        assert seen == calls
+
+    def test_a_new_entry_is_a_refine_mode_of_recover(self, tmp_path, monkeypatch, capsys):
+        def halving(cfg, op, b, y, pairs, stages, starts, callback):
+            for run, x in enumerate(starts):
+                callback(run, 1, x / 2)
+            return [recovery.RecoveryReport(x / 2, [0.0], False) for x in starts]
+
+        monkeypatch.setitem(bench.REFINE_MODES, "halve", bench.RefineMode((), False, halving))
+        out = tmp_path / "x.csv"
+        assert cli.main(["recover", "--n", "8", "--refine", "halve", "--out", str(out)]) == 0
+        summary = capsys.readouterr().out.splitlines()
+        assert "refine: halve" in summary
+        assert summary[-3:-1] == ["iterations: 1", "converged: False"]
+        with open(out) as fh:
+            rows = list(csv.reader(fh))
+        # dist_sq does not see the scale
+        assert rows == [["stage", "iteration", "dist_sq"], ["init", "0", rows[1][2]],
+                        ["halve", "1", rows[1][2]]]
+        config = json.loads(bench.manifest_path(out).read_text())["config"]
+        assert set(config) == RECOVER_FIELDS | {"kind", "seed", "out"}
+        assert config["refine"] == "halve"
 
 
 # every kind at a tiny size, and recover under each refine mode

@@ -101,16 +101,29 @@ def test_a_scipy_import_is_found():
     assert imported_modules(source) == ["os", "scipy.linalg", "scipy.stats"]
 
 
-def test_a_run_loads_no_scipy(tmp_path):
-    # in a fresh interpreter, so modules the tests import do not count
+def _modules_after_a_run(tmp_path, args) -> list[str]:
+    """The modules loaded once the CLI has run ``args``, in a fresh
+    interpreter, so that modules the tests import do not count."""
     script = (
         "import sys\n"
         "from onebitphase import cli\n"
-        f"assert cli.main(['recover', '--n', '16', '--out', {str(tmp_path / 'r.csv')!r}]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        f"assert cli.main({[*args, '--out', str(tmp_path / 'r.csv')]!r}) == 0\n"
+        "print(' '.join(sorted(sys.modules)))\n"
     )
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    return done.stdout.splitlines()[-1].split()
+
+
+def test_a_run_loads_no_scipy(tmp_path):
+    loaded = _modules_after_a_run(tmp_path, ["recover", "--n", "16"])
+    assert [m for m in loaded if m.startswith("scipy")] == []
+
+
+def test_a_convergence_run_loads_no_numpy_ma(tmp_path):
+    # the NaN check of np.median imports numpy.ma; the run's medians sort instead
+    loaded = _modules_after_a_run(tmp_path, ["altmin-convergence", "--n", "8", "--trials", "3"])
+    assert "onebitphase.bench" in loaded
+    assert [m for m in loaded if m == "numpy.ma" or m.startswith("numpy.ma.")] == []

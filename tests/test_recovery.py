@@ -755,7 +755,7 @@ class TestAltMinResampled:
         (op, _), x0 = _paired(8, 40, seed=27)
         for kind in INIT_KINDS:
             stages, x_init = _resampled_start(op, x0, 0.5, kind)
-            report = alt_min_resampled(stages, x_init)
+            [report] = alt_min_resampled(stages, [x_init])
             assert report.iterations == 1, kind
             assert len(report.trace) == 1, kind
 
@@ -772,7 +772,7 @@ class TestAltMinResampled:
         for seed in range(20):
             (op, _), x0 = _paired(n, pairs, seed=200 + seed)
             blocks, x_init = _resampled_start(op, x0, eps, "onebit", seed)
-            report = alt_min_resampled(blocks, x_init)
+            [report] = alt_min_resampled(blocks, [x_init])
             assert report.iterations == stages
             if dist_sq(report.estimate, x0) <= eps**2:
                 good += 1
@@ -787,7 +787,7 @@ class TestAltMinResampled:
             stages, x_init = _resampled_start(op, x0, eps, "onebit", seed)
             errs = [dist_sq(x_init, x0)]
             alt_min_resampled(
-                stages, x_init, callback=lambda t, x: errs.append(dist_sq(x, x0))
+                stages, [x_init], callback=lambda run, t, x: errs.append(dist_sq(x, x0))
             )
             if all(e2 < e1 for e1, e2 in zip(errs, errs[1:])):
                 good += 1
@@ -797,13 +797,34 @@ class TestAltMinResampled:
         (op, _), x0 = _paired(8, 96, seed=33)
         stages, x_init = _resampled_start(op, x0, 0.1, "onebit")
         seen = []
-        report = alt_min_resampled(stages, x_init, callback=lambda t, x: seen.append(x))
+        [report] = alt_min_resampled(stages, [x_init], callback=lambda run, t, x: seen.append(x))
         x = x_init
         for (op, b), got in zip(stages, seen):
             x = op.lsq_solve(np.sqrt(b) * phase_op(op.apply(x)))
             np.testing.assert_array_equal(got, x)
         assert len(seen) == len(stages)
         assert report.converged
+
+    def test_a_stack_refines_each_start_as_its_solo_run(self):
+        (op, _), x0 = _paired(16, 320, seed=44)
+        stages, x_init = _resampled_start(op, x0, 0.25, "onebit")
+        starts = [x_init, random_init(16, substream(44, "init"))]
+        seen = []
+        reports = alt_min_resampled(
+            stages, starts, callback=lambda run, t, x: seen.append((run, t))
+        )
+        assert seen == [(run, t) for t in range(1, len(stages) + 1) for run in (0, 1)]
+        # the stacked apply is one GEMM, which agrees with the solo run's
+        # GEMV to rounding (see TestAltMinMany)
+        for start, report in zip(starts, reports):
+            [solo] = alt_min_resampled(stages, [start])
+            assert np.linalg.norm(report.estimate - solo.estimate) <= 1e-12 * np.linalg.norm(
+                solo.estimate
+            )
+            np.testing.assert_allclose(report.trace, solo.trace, rtol=1e-10)
+            assert report.converged and report.iterations == solo.iterations
+        with pytest.raises(ValueError, match="stack"):
+            alt_min_resampled(stages, x_init)
 
     def test_plain_ensemble_pairs_consecutive_rows(self):
         n = 16
@@ -812,7 +833,7 @@ class TestAltMinResampled:
         stages, x_init = _resampled_start(
             MatrixOperator(rows), x0, 0.5, "weighted1bit"
         )
-        report = alt_min_resampled(stages, x_init)
+        [report] = alt_min_resampled(stages, [x_init])
         assert dist_sq(report.estimate, x0) <= 0.25
 
     def test_epsilon_domain(self):
@@ -870,7 +891,7 @@ class TestAltMinResampled:
         _, stages = resample_blocks(op, *_observed((op, INTERLEAVED), x0), 0.25)
         x_init = random_init(8, substream(39, "init"))
         snapshot = [b.tobytes() for _, b in stages] + [x_init.tobytes()]
-        alt_min_resampled(stages, x_init)
+        alt_min_resampled(stages, [x_init])
         assert [b.tobytes() for _, b in stages] + [x_init.tobytes()] == snapshot
 
 
@@ -899,14 +920,14 @@ class TestFactorAhead:
         before = threading.enumerate()
         with factor_ahead(stages) as ahead:
             assert (len(threading.enumerate()) > len(before)) == worker
-            report = alt_min_resampled(ahead, x_init)
+            [report] = alt_min_resampled(ahead, [x_init])
         assert threading.enumerate() == before
         assert len(threads) == len(stages) == 2
         assert (threading.get_ident() not in threads) == worker
         # the same bits as stages factored at their first solve
         (op, _), _ = _paired(16, 320, seed=41)
         plain, _ = _resampled_start(op, x0, 0.25, "onebit")
-        assert alt_min_resampled(plain, x_init).estimate.tobytes() == report.estimate.tobytes()
+        assert alt_min_resampled(plain, [x_init])[0].estimate.tobytes() == report.estimate.tobytes()
 
     @pytest.mark.parametrize("zero_stage", [0, 1])
     def test_a_stage_that_cannot_be_factored_raises_in_the_caller(self, schedule, zero_stage):
@@ -918,7 +939,7 @@ class TestFactorAhead:
         seen = []
         with pytest.raises(np.linalg.LinAlgError, match="potrf found a leading minor"):
             with factor_ahead(stages) as ahead:
-                alt_min_resampled(ahead, x_init, callback=lambda t, x: seen.append(t))
+                alt_min_resampled(ahead, [x_init], callback=lambda run, t, x: seen.append(t))
         assert threading.enumerate() == before
         assert seen == list(range(1, zero_stage + 1))
 
@@ -1051,9 +1072,11 @@ def _reports_of(producer, seen):
         return reports
     (op, _), x0 = _paired(8, 96, seed=33)
     stages, x_init = _resampled_start(op, x0, 0.1, "onebit")
-    report = alt_min_resampled(stages, x_init, callback=lambda t, x: seen.append((0, t)))
-    assert report.iterations == len(stages) > 1
-    return [report]
+    reports = alt_min_resampled(
+        stages, [x_init], callback=lambda run, t, x: seen.append((run, t))
+    )
+    assert reports[0].iterations == len(stages) > 1
+    return reports
 
 
 class TestReportRecord:
