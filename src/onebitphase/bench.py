@@ -21,15 +21,11 @@ import numpy as np
 
 from . import __version__
 from .channels import (
-    ExponentialNoise,
-    Identity,
-    PoissonNoise,
-    TanhDistortion,
+    Model,
     apply_model,
     format_model,
     lambda_closed_form,
     lambda_monte_carlo,
-    model_family,
     observe_pairs,
     parse_model,
 )
@@ -207,8 +203,12 @@ def _has_type(value, hint, name: str = "") -> bool:
     return hint is not int or name == "seed" or -(2**63) <= value < 2**63
 
 
-def _grid_of(model):
-    return lambda v: len(set(v)) == len(v) and all(map(model, v))
+# grid setting -> the model family of its values, in lambda-sweep row order
+_GRIDS = {"sigmas": "expnoise", "alphas": "tanh", "etas": "poisson"}
+
+
+def _grid_of(family: str):
+    return lambda v: len(set(v)) == len(v) and all(Model(family, x) for x in v)
 
 
 # setting -> the test a set value must pass, and the rule it states
@@ -224,9 +224,7 @@ _RANGES = {
     "inits": (lambda v: 0 < len(v) == len(set(v)) and set(v) <= set(INIT_KINDS),
               "must name at least one init kind, each once, from " + ", ".join(INIT_KINDS)),
     "tol": (lambda v: 0 <= v < np.inf, "must be finite and non-negative"),
-    "alphas": (_grid_of(TanhDistortion), "must be distinct"),
-    "sigmas": (_grid_of(ExponentialNoise), "must be distinct"),
-    "etas": (_grid_of(PoissonNoise), "must be distinct"),
+    **{grid: (_grid_of(family), "must be distinct") for grid, family in _GRIDS.items()},
 }
 
 
@@ -303,15 +301,13 @@ def run_lambda_sweep(cfg: ExperimentConfig) -> tuple[list[list], list[str]]:
     Every grid point reuses the same intensity draws (one seed), so columns
     inherit the exact monotonicity of the underlying channel family.
     """
-    models = [Identity()]
-    models += [ExponentialNoise(s) for s in cfg.sigmas]
-    models += [TanhDistortion(a) for a in cfg.alphas]
-    models += [PoissonNoise(e) for e in cfg.etas]
+    models = [Model("identity")]
+    models += [Model(family, v) for grid, family in _GRIDS.items() for v in getattr(cfg, grid)]
     rows = []
     for model in models:
         est, se = lambda_monte_carlo(model, cfg.samples, seed=cfg.seed)
         closed = lambda_closed_form(model)
-        rows.append([*model_family(model), est, se, closed])
+        rows.append([model.family, model.value, est, se, closed])
     return rows, []
 
 
@@ -330,12 +326,12 @@ def run_distortion_sweep(cfg: ExperimentConfig) -> tuple[list[list], list[str]]:
     is skipped (:func:`_usable_trials`).
     """
     def trial(t: int) -> tuple[float, list[float]]:
-        op, pairs, dist, b, y = _observed_trial(cfg, t, _gaussian_pairs, Identity())
+        op, pairs, dist, b, y = _observed_trial(cfg, t, _gaussian_pairs, Model("identity"))
         seed_bit = substream(cfg.seed, "power-bit", t)
         rep = initial_estimate("onebit", op, b, y, pairs, seed_bit, cfg.tol, cfg.max_iters)
         err_sub = []
         for alpha in cfg.alphas:
-            distorted = apply_model(TanhDistortion(alpha), b)
+            distorted = apply_model(Model("tanh", alpha), b)
             # one per alpha: default_rng(g) returns g itself, so a shared g would move on
             seed_sub = substream(cfg.seed, "power-sub", t)
             rep_sub = initial_estimate(

@@ -1,9 +1,11 @@
 """Intensity measurement models and the one-bit comparison channel.
 
 A model perturbs or distorts non-negative intensities; the channel keeps only
-the sign of each pair difference (ties map to 0).  Every function that takes
-intensities checks them by one rule, :func:`checked_intensities`.  The effective
-signal-to-noise constant of the sign channel,
+the sign of each pair difference (ties map to 0).  A :class:`Model` names a
+family and its parameter value; each family is one entry of the table
+:data:`FAMILIES`.  Every function that takes intensities checks them by one
+rule, :func:`checked_intensities`.  The effective signal-to-noise constant
+of the sign channel,
 
     lambda = E[ sign(theta(E1) - theta(E2)) * (E1 - E2) ],  E1, E2 ~ Exp(1),
 
@@ -14,7 +16,7 @@ and by Monte Carlo for the rest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -22,111 +24,107 @@ from .sensing import sample_exponential, substream
 
 
 @dataclass(frozen=True)
-class Identity:
-    """Intensities observed exactly."""
+class Family:
+    """One entry of :data:`FAMILIES`."""
+
+    param: Optional[str]  # the name of its one parameter (None: it takes none)
+    rule: Optional[tuple[Callable, str]]  # the test a parameter value must pass, and its rule
+    distort: Callable  # (value, z, rng) -> the observed intensities
+    noisy: bool  # it draws noise, so it needs an rng
+    clean_signs: bool  # its signs come from the clean intensities
+    closed_form: Optional[Callable] = None  # value -> the channel constant, where known
 
 
-@dataclass(frozen=True)
-class TanhDistortion:
-    """Saturating deterministic distortion z -> tanh(alpha * z)."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not 0 < self.alpha < np.inf:
-            raise ValueError("alpha must be positive and finite")
+_POSITIVE = (lambda v: 0 < v < np.inf, "must be positive and finite")
+_NON_NEGATIVE = (lambda v: 0 <= v < np.inf, "must be non-negative and finite")
 
 
-@dataclass(frozen=True)
-class ExponentialNoise:
-    """Additive exponential noise with variance sigma (mean sqrt(sigma))."""
-
-    sigma: float
-
-    def __post_init__(self):
-        if not 0 <= self.sigma < np.inf:
-            raise ValueError("sigma must be non-negative and finite")
+def _expnoise_lambda(sigma) -> float:
+    root = np.sqrt(sigma)
+    return float((1.0 + 2.0 * root) / (1.0 + root) ** 2)
 
 
-@dataclass(frozen=True)
-class PoissonNoise:
-    """Photon-count readout: z -> Poisson(z / eta); larger eta is noisier."""
-
-    eta: float
-
-    def __post_init__(self):
-        if not 0 < self.eta < np.inf:
-            raise ValueError("eta must be positive and finite")
-
-
-@dataclass(frozen=True)
-class ClippedGaussianNoise:
-    """Additive one-sided Gaussian noise z -> z + sigma * max(g, 0)."""
-
-    sigma: float
-
-    def __post_init__(self):
-        if not 0 <= self.sigma < np.inf:
-            raise ValueError("sigma must be non-negative and finite")
-
-
-MeasurementModel = Union[
-    Identity, TanhDistortion, ExponentialNoise, PoissonNoise, ClippedGaussianNoise
-]
-
-# Deterministic models that preserve the ordering of intensities exactly; for
-# these the sign channel can be evaluated on the undistorted values.
-_RANK_PRESERVING = (Identity, TanhDistortion)
-
-_STOCHASTIC = (ExponentialNoise, PoissonNoise, ClippedGaussianNoise)
-
-
-# spec name -> model class and the name of its one parameter (None: none)
-_FAMILIES = {
-    "identity": (Identity, None),
-    "tanh": (TanhDistortion, "alpha"),
-    "expnoise": (ExponentialNoise, "sigma"),
-    "poisson": (PoissonNoise, "eta"),
-    "clipgauss": (ClippedGaussianNoise, "sigma"),
+# spec name -> family.  A deterministic distortion that keeps the order of
+# the intensities exactly takes its signs from the clean values.
+FAMILIES = {
+    # intensities observed exactly
+    "identity": Family(None, None, lambda _, z, rng: z.copy(), noisy=False, clean_signs=True,
+                       closed_form=lambda _: 1.0),
+    # saturating deterministic distortion z -> tanh(alpha * z)
+    "tanh": Family("alpha", _POSITIVE, lambda alpha, z, rng: np.tanh(alpha * z),
+                   noisy=False, clean_signs=True),
+    # additive exponential noise with variance sigma (mean sqrt(sigma))
+    "expnoise": Family(
+        "sigma", _NON_NEGATIVE,
+        lambda sigma, z, rng: z + sample_exponential(np.sqrt(sigma), rng, size=z.shape),
+        noisy=True, clean_signs=False, closed_form=_expnoise_lambda,
+    ),
+    # photon-count readout z -> Poisson(z / eta); larger eta is noisier
+    "poisson": Family("eta", _POSITIVE, lambda eta, z, rng: rng.poisson(z / eta).astype(float),
+                      noisy=True, clean_signs=False),
+    # additive one-sided Gaussian noise z -> z + sigma * max(g, 0)
+    "clipgauss": Family(
+        "sigma", _NON_NEGATIVE,
+        lambda sigma, z, rng: z + sigma * np.maximum(rng.standard_normal(z.shape), 0.0),
+        noisy=True, clean_signs=False,
+    ),
 }
 
 
-def parse_model(spec: str) -> MeasurementModel:
+@dataclass(frozen=True)
+class Model:
+    """A measurement model: a family of :data:`FAMILIES` and its parameter
+    value (None for a family that takes none), kept exactly as given."""
+
+    family: str
+    value: Optional[float] = None
+
+    def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown measurement model {self.family!r}")
+        entry = FAMILIES[self.family]
+        if entry.param is None:
+            if self.value is not None:
+                raise ValueError(f"model {self.family!r} takes no parameter")
+        elif self.value is None or not entry.rule[0](self.value):
+            raise ValueError(f"{entry.param} {entry.rule[1]}")
+
+
+def parse_model(spec: str) -> Model:
     """Parse a model spec string.
 
-    Grammar: ``identity``, ``tanh:alpha=<f>``, ``expnoise:sigma=<f>``,
-    ``poisson:eta=<f>``, ``clipgauss:sigma=<f>``.
+    Grammar: a name of :data:`FAMILIES`, followed by ``:<param>=<float>``
+    for a family that takes a parameter: ``identity``, ``tanh:alpha=<f>``,
+    ``expnoise:sigma=<f>``, ``poisson:eta=<f>``, ``clipgauss:sigma=<f>``.
     """
     text = spec.strip().lower()
     name, _, arg = text.partition(":")
-    if name not in _FAMILIES:
+    if name not in FAMILIES:
         raise ValueError(f"unknown measurement model {name!r} in {spec!r}")
-    cls, param = _FAMILIES[name]
+    param = FAMILIES[name].param
     if param is None:
         if arg:
             raise ValueError(f"model {name!r} takes no parameter, got {spec!r}")
-        return cls()
+        return Model(name)
     key, _, value = arg.partition("=")
     if key != param or not value:
         raise ValueError(f"expected {name}:{param}=<float>, got {spec!r}")
     try:
-        return cls(float(value))
+        return Model(name, float(value))
     except ValueError as exc:
         raise ValueError(f"bad parameter in model spec {spec!r}: {exc}") from None
 
 
-def model_family(model: MeasurementModel) -> tuple[str, Optional[float]]:
-    """The spec name of the model's family and its parameter value, if any."""
-    for name, (cls, param) in _FAMILIES.items():
-        if isinstance(model, cls):
-            return name, None if param is None else getattr(model, param)
-    raise TypeError(f"unknown model type {type(model).__name__}")
-
-
-def format_model(model: MeasurementModel) -> str:
-    """Inverse of :func:`parse_model`."""
-    name, value = model_family(model)
-    return name if value is None else f"{name}:{_FAMILIES[name][1]}={value:g}"
+def format_model(model: Model) -> str:
+    """Inverse of :func:`parse_model`: the parameter in ``:g`` form where
+    that parses back to the same value, else its ``repr``."""
+    param = FAMILIES[model.family].param
+    if param is None:
+        return model.family
+    text = f"{model.value:g}"
+    if float(text) != model.value:
+        text = repr(model.value)
+    return f"{model.family}:{param}={text}"
 
 
 def checked_intensities(b) -> np.ndarray:
@@ -137,22 +135,13 @@ def checked_intensities(b) -> np.ndarray:
     return b
 
 
-def apply_model(model: MeasurementModel, z, rng: Optional[np.random.Generator] = None):
+def apply_model(model: Model, z, rng: Optional[np.random.Generator] = None):
     """Push intensities through the measurement model."""
     z = checked_intensities(z)
-    if isinstance(model, _STOCHASTIC) and rng is None:
+    entry = FAMILIES[model.family]
+    if entry.noisy and rng is None:
         raise ValueError(f"model {format_model(model)!r} needs an rng")
-    if isinstance(model, Identity):
-        return z.copy()
-    if isinstance(model, TanhDistortion):
-        return np.tanh(model.alpha * z)
-    if isinstance(model, ExponentialNoise):
-        return z + sample_exponential(np.sqrt(model.sigma), rng, size=z.shape)
-    if isinstance(model, PoissonNoise):
-        return rng.poisson(z / model.eta).astype(float)
-    if isinstance(model, ClippedGaussianNoise):
-        return z + model.sigma * np.maximum(rng.standard_normal(z.shape), 0.0)
-    raise TypeError(f"unknown model type {type(model).__name__}")
+    return entry.distort(model.value, z, rng)
 
 
 def quantize(b1, b2):
@@ -169,7 +158,7 @@ def ratio_weights(b1, b2) -> tuple[np.ndarray, np.ndarray]:
 
 
 def observe_pairs(
-    model: MeasurementModel,
+    model: Model,
     b,
     pairs: tuple[slice, slice],
     rng: Optional[np.random.Generator] = None,
@@ -180,9 +169,10 @@ def observe_pairs(
     :func:`~onebitphase.sensing.build_paired_ensemble`).  The model is applied
     to family 1 and then to family 2, and ``(b_obs, y)`` are the observed
     intensities, in the order of ``b``, and the sign of each pair
-    difference.  Deterministic strictly increasing distortions cannot change
-    any pair comparison, so their signs are taken from the clean intensities
-    (identical by monotonicity, and immune to float saturation).
+    difference.  A model whose :data:`FAMILIES` entry sets ``clean_signs``
+    (a deterministic strictly increasing distortion, which cannot change any
+    pair comparison) takes its signs from the clean intensities (identical
+    by monotonicity, and immune to float saturation).
     """
     b = np.asarray(b, dtype=float)
     if not 2 * b[pairs[0]].size == 2 * b[pairs[1]].size == b.size:
@@ -190,22 +180,19 @@ def observe_pairs(
     b_obs = np.empty_like(b)
     for family in pairs:
         b_obs[family] = apply_model(model, b[family], rng)
-    signed = b if isinstance(model, _RANK_PRESERVING) else b_obs
+    signed = b if FAMILIES[model.family].clean_signs else b_obs
     return b_obs, quantize(signed[pairs[0]], signed[pairs[1]])
 
 
-def lambda_closed_form(model: MeasurementModel) -> Optional[float]:
-    """Exact channel constant where known: identity and exponential noise."""
-    if isinstance(model, Identity):
-        return 1.0
-    if isinstance(model, ExponentialNoise):
-        root = np.sqrt(model.sigma)
-        return float((1.0 + 2.0 * root) / (1.0 + root) ** 2)
-    return None
+def lambda_closed_form(model: Model) -> Optional[float]:
+    """Exact channel constant where the family's entry has one: identity
+    and exponential noise."""
+    closed_form = FAMILIES[model.family].closed_form
+    return None if closed_form is None else closed_form(model.value)
 
 
 def lambda_monte_carlo(
-    model: MeasurementModel, samples: int, seed: int = 0
+    model: Model, samples: int, seed: int = 0
 ) -> tuple[float, float]:
     """Monte-Carlo estimate (value, standard error) of the channel constant.
 

@@ -16,9 +16,7 @@ from scipy import stats
 
 from onebitphase import bench, cli
 from onebitphase.channels import (
-    ExponentialNoise,
-    Identity,
-    TanhDistortion,
+    Model,
     lambda_closed_form,
     lambda_monte_carlo,
     observe_pairs,
@@ -43,7 +41,7 @@ def _unit(rng, n):
     return v / np.linalg.norm(v)
 
 
-def _one_bit_estimate(ens, x0, seed, model=Identity()):
+def _one_bit_estimate(ens, x0, seed, model=Model("identity")):
     """Onebit spectral estimate from the pairs of ``x0`` observed through ``model``;
     ``ens`` is the ``(op, pairs)`` of a paired ensemble."""
     op, pairs = ens
@@ -52,10 +50,10 @@ def _one_bit_estimate(ens, x0, seed, model=Identity()):
 
 
 def test_01_channel_constant_oracles():
-    est, _ = lambda_monte_carlo(Identity(), 1_000_000, seed=5)
+    est, _ = lambda_monte_carlo(Model("identity"), 1_000_000, seed=5)
     assert 0.99 <= est <= 1.01
     for sigma in (0.25, 1.0, 4.0):
-        model = ExponentialNoise(sigma)
+        model = Model("expnoise", sigma)
         mc, se = lambda_monte_carlo(model, 1_000_000, seed=5)
         closed = lambda_closed_form(model)
         assert abs(mc - closed) <= 3 * se
@@ -202,7 +200,7 @@ def test_07_distortion_robustness():
     ops = build_paired_ensemble(64, 256, seed=7)
     x0 = _unit(substream(7, "x0"), 64)
     estimates = [
-        _one_bit_estimate(ops, x0, 3, TanhDistortion(a)) for a in (0.125, 1.0, 8.0)
+        _one_bit_estimate(ops, x0, 3, Model("tanh", a)) for a in (0.125, 1.0, 8.0)
     ]
     for other in estimates[1:]:
         np.testing.assert_array_equal(estimates[0], other)

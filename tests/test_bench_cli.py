@@ -355,6 +355,17 @@ class TestConfig:
             assert json.loads(path.read_text())["config"]["tol"] == tol
             assert bench.load_manifest(path) == cfg
 
+    def test_json_integer_grid_values_are_written_as_integers(self, tmp_path):
+        # a model keeps its parameter as given, so the sweep's CSV keeps the ints
+        cfg = _cfg(kind="lambda-sweep", samples=1000, alphas=(2,), sigmas=(1,), etas=(4,))
+        path = bench.write_manifest(cfg, tmp_path / "x.csv")
+        out, _, _ = bench.run_manifest(path, out=str(tmp_path / "x.csv"))
+        with open(out) as fh:
+            rows = list(csv.reader(fh))
+        assert [row[:2] for row in rows[1:]] == [
+            ["identity", ""], ["expnoise", "1"], ["tanh", "2"], ["poisson", "4"]
+        ]
+
     @pytest.mark.parametrize("name, value", [("n", 8.0), ("seed", "1"), ("inits", [1])])
     def test_hand_edited_manifest_of_the_wrong_type_writes_nothing(self, tmp_path, name, value):
         path = bench.write_manifest(_cfg(kind="recover", n=8), tmp_path / "x.csv")

@@ -1,19 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from onebitphase import channels
 from onebitphase.channels import (
-    ClippedGaussianNoise,
-    ExponentialNoise,
-    Identity,
-    PoissonNoise,
-    TanhDistortion,
+    Family,
+    Model,
     apply_model,
     format_model,
     lambda_closed_form,
     lambda_monte_carlo,
-    model_family,
     observe_pairs,
     parse_model,
     quantize,
@@ -38,16 +37,29 @@ class TestModelSpecs:
     @pytest.mark.parametrize(
         "text,expected",
         [
-            ("identity", Identity()),
-            ("tanh:alpha=2", TanhDistortion(2.0)),
-            ("expnoise:sigma=0.5", ExponentialNoise(0.5)),
-            ("poisson:eta=4", PoissonNoise(4.0)),
-            ("clipgauss:sigma=0.8", ClippedGaussianNoise(0.8)),
+            ("identity", Model("identity")),
+            ("tanh:alpha=2", Model("tanh", 2.0)),
+            ("expnoise:sigma=0.5", Model("expnoise", 0.5)),
+            ("poisson:eta=4", Model("poisson", 4.0)),
+            ("clipgauss:sigma=0.8", Model("clipgauss", 0.8)),
+            ("tanh:alpha=0.1234567", Model("tanh", 0.1234567)),
         ],
     )
     def test_parse_and_format_round_trip(self, text, expected):
         model = parse_model(text)
         assert model == expected
+        assert format_model(model) == text
+        assert parse_model(format_model(model)) == model
+
+    @pytest.mark.parametrize(
+        "family", [name for name, entry in channels.FAMILIES.items() if entry.param]
+    )
+    @given(value=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
+    @settings(max_examples=200)
+    def test_format_is_the_inverse_of_parse(self, family, value):
+        # ``:g`` keeps six significant digits: 0.1234567 printed as 0.123457
+        assume(channels.FAMILIES[family].rule[0](value))
+        model = Model(family, value)
         assert parse_model(format_model(model)) == model
 
     @pytest.mark.parametrize(
@@ -61,11 +73,13 @@ class TestModelSpecs:
     @pytest.mark.parametrize(
         "bad",
         [
-            lambda: TanhDistortion(0.0),
-            lambda: TanhDistortion(-1.0),
-            lambda: ExponentialNoise(-0.1),
-            lambda: PoissonNoise(0.0),
-            lambda: ClippedGaussianNoise(-2.0),
+            lambda: Model("tanh", 0.0),
+            lambda: Model("tanh", -1.0),
+            lambda: Model("expnoise", -0.1),
+            lambda: Model("poisson", 0.0),
+            lambda: Model("clipgauss", -2.0),
+            lambda: Model("tanh"),
+            lambda: Model("identity", 1.0),
         ],
     )
     def test_bad_parameters_rejected(self, bad):
@@ -76,53 +90,54 @@ class TestModelSpecs:
 class TestApplyModel:
     def test_identity_returns_copy(self):
         z = np.array([0.0, 1.5, 3.0])
-        out = apply_model(Identity(), z)
+        out = apply_model(Model("identity"), z)
         np.testing.assert_array_equal(out, z)
         out[0] = 99.0
         assert z[0] == 0.0
 
     def test_negative_intensities_rejected(self):
         with pytest.raises(ValueError):
-            apply_model(Identity(), np.array([1.0, -0.1]))
+            apply_model(Model("identity"), np.array([1.0, -0.1]))
 
     def test_tanh_values(self):
-        out = apply_model(TanhDistortion(2.0), np.array([0.0, 1.0]))
+        out = apply_model(Model("tanh", 2.0), np.array([0.0, 1.0]))
         np.testing.assert_allclose(out, [0.0, np.tanh(2.0)], atol=1e-15)
 
     def test_exponential_noise_adds_mean_sqrt_sigma(self):
         rng = substream(0, "test-exp")
         z = np.zeros(1000000)
-        out = apply_model(ExponentialNoise(4.0), z, rng)
+        out = apply_model(Model("expnoise", 4.0), z, rng)
         assert np.mean(out) == pytest.approx(2.0, rel=0.01)
         assert np.min(out) >= 0.0
 
     def test_exponential_noise_sigma_zero_is_identity(self):
         rng = substream(0, "test-exp0")
         z = np.array([0.3, 1.7])
-        np.testing.assert_array_equal(apply_model(ExponentialNoise(0.0), z, rng), z)
-        assert lambda_closed_form(ExponentialNoise(0.0)) == 1.0
+        np.testing.assert_array_equal(apply_model(Model("expnoise", 0.0), z, rng), z)
+        assert lambda_closed_form(Model("expnoise", 0.0)) == 1.0
 
     def test_poisson_counts(self):
         rng = substream(0, "test-poisson")
-        out = apply_model(PoissonNoise(0.5), np.full(100000, 2.0), rng)
+        out = apply_model(Model("poisson", 0.5), np.full(100000, 2.0), rng)
         assert np.all(out == np.round(out))
         assert np.mean(out) == pytest.approx(4.0, rel=0.02)
 
     def test_clipped_gaussian_one_sided(self):
         rng = substream(0, "test-clip")
-        out = apply_model(ClippedGaussianNoise(0.8), np.zeros(100000), rng)
+        out = apply_model(Model("clipgauss", 0.8), np.zeros(100000), rng)
         assert np.min(out) >= 0.0
         # half the draws clip to zero, the rest follow a half-normal law
         assert np.mean(out == 0.0) == pytest.approx(0.5, abs=0.01)
         assert np.mean(out) == pytest.approx(0.8 * np.sqrt(1 / (2 * np.pi)), rel=0.02)
 
-    def test_unknown_model_type_rejected(self):
-        for call in (model_family, lambda model: apply_model(model, np.array([1.0]))):
-            with pytest.raises(TypeError, match="unknown model type float"):
-                call(1.0)
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ValueError, match="^unknown measurement model 'gauss'$"):
+            Model("gauss")
+        with pytest.raises(ValueError, match="^unknown measurement model 'gauss' in 'gauss:s=1'$"):
+            parse_model("gauss:s=1")
 
     def test_stochastic_models_require_rng(self):
-        for model in (ExponentialNoise(1.0), PoissonNoise(1.0), ClippedGaussianNoise(1.0)):
+        for model in (Model("expnoise", 1.0), Model("poisson", 1.0), Model("clipgauss", 1.0)):
             with pytest.raises(ValueError):
                 apply_model(model, np.array([1.0]))
 
@@ -181,7 +196,7 @@ def _tiny_ensemble():
     return MatrixOperator(rows), (slice(None, 1), slice(1, None))
 
 
-def _signs(ens, x0, model=Identity(), rng=None):
+def _signs(ens, x0, model=Model("identity"), rng=None):
     """One bit per pair of ``x0``'s intensities measured through ``model``;
     ``ens`` is the ``(op, pairs)`` of a paired ensemble."""
     op, pairs = ens
@@ -213,14 +228,14 @@ class TestQuantizeSignal:
         x0 = (rng.standard_normal(8) + 1j * rng.standard_normal(8)) / np.sqrt(2)
         base = _signs(ens, x0)
         for alpha in (0.125, 1.0, 8.0, 64.0):
-            np.testing.assert_array_equal(_signs(ens, x0, TanhDistortion(alpha)), base)
+            np.testing.assert_array_equal(_signs(ens, x0, Model("tanh", alpha)), base)
 
     def test_noise_flips_some_signs(self):
         ens = build_paired_ensemble(8, 2000, seed=4)
         rng = substream(0, "test-signal4")
         x0 = (rng.standard_normal(8) + 1j * rng.standard_normal(8)) / np.sqrt(2)
         clean = _signs(ens, x0)
-        noisy = _signs(ens, x0, ExponentialNoise(4.0), substream(0, "test-noise"))
+        noisy = _signs(ens, x0, Model("expnoise", 4.0), substream(0, "test-noise"))
         assert np.any(clean != noisy)
 
     def test_weights_shape_and_sum(self):
@@ -233,12 +248,12 @@ class TestQuantizeSignal:
     def test_non_finite_intensities_rejected(self):
         # a NaN difference used to become a tie through the int8 cast
         with pytest.raises(ValueError, match="finite"):
-            observe_pairs(Identity(), [1.0, np.nan, 2.0, 0.5, 1.0, np.inf], STACKED3)
+            observe_pairs(Model("identity"), [1.0, np.nan, 2.0, 0.5, 1.0, np.inf], STACKED3)
 
     @pytest.mark.parametrize(
         "pairs", [STACKED3, (slice(0, None, 2), slice(1, None, 2))], ids=["stacked", "interleaved"]
     )
-    @pytest.mark.parametrize("model", [ExponentialNoise(1.0), PoissonNoise(2.0), ClippedGaussianNoise(0.5)])
+    @pytest.mark.parametrize("model", [Model("expnoise", 1.0), Model("poisson", 2.0), Model("clipgauss", 0.5)])
     def test_stochastic_model_draws_family_by_family(self, pairs, model):
         b = sample_exponential(1.0, substream(0, "clean"), size=6)
         b_obs, y = observe_pairs(model, b, pairs, substream(0, "noise"))
@@ -250,53 +265,91 @@ class TestQuantizeSignal:
 
     def test_pairs_must_split_the_intensities(self):
         with pytest.raises(ValueError, match="two families"):
-            observe_pairs(Identity(), np.ones(7), (slice(None, 3), slice(3, 6)))
+            observe_pairs(Model("identity"), np.ones(7), (slice(None, 3), slice(3, 6)))
+
+
+# a family that exists only in the tests: a deterministic gain z -> k z
+GAIN = Family("k", (lambda v: v > 0, "must be positive"), lambda k, z, rng: k * z,
+              noisy=False, clean_signs=False)
+
+
+class TestModelTable:
+    """A family is one entry of ``channels.FAMILIES``: adding the entry is
+    all it takes to parse, format, check, apply and observe it."""
+
+    def test_a_new_entry_parses_formats_and_refuses_by_its_rule(self, monkeypatch):
+        monkeypatch.setitem(channels.FAMILIES, "gain", GAIN)
+        model = parse_model("gain:k=2")
+        assert model == Model("gain", 2.0)
+        assert format_model(model) == "gain:k=2"
+        with pytest.raises(ValueError, match="^bad parameter in model spec 'gain:k=-1': k must be positive$"):
+            parse_model("gain:k=-1")
+        with pytest.raises(ValueError, match="^expected gain:k=<float>, got 'gain:x=1'$"):
+            parse_model("gain:x=1")
+        with pytest.raises(ValueError, match="^k must be positive$"):
+            Model("gain", 0.0)
+        assert lambda_closed_form(model) is None
+
+    def test_a_new_entry_applies_without_an_rng(self, monkeypatch):
+        monkeypatch.setitem(channels.FAMILIES, "gain", GAIN)
+        z = np.array([0.0, 1.5, 3.0])
+        np.testing.assert_array_equal(apply_model(Model("gain", 2.0), z), 2.0 * z)
+
+    @pytest.mark.parametrize("clean_signs", [False, True])
+    def test_a_new_entry_observes_pairs_by_its_sign_rule(self, monkeypatch, clean_signs):
+        monkeypatch.setitem(channels.FAMILIES, "gain", replace(GAIN, clean_signs=clean_signs))
+        # the smallest gain rounds the observed values onto a few subnormals,
+        # which ties pairs that the clean values order
+        b = np.array([1.0, 0.2, 3.0, 0.5, 0.1, 2.9])
+        b_obs, y = observe_pairs(Model("gain", 5e-324), b, STACKED3)
+        np.testing.assert_array_equal(b_obs, 5e-324 * b)
+        np.testing.assert_array_equal(y, [1.0, 1.0, 1.0] if clean_signs else [1.0, 0.0, 0.0])
 
 
 class TestLambdaClosedForm:
     def test_identity(self):
-        assert lambda_closed_form(Identity()) == 1.0
+        assert lambda_closed_form(Model("identity")) == 1.0
 
     @pytest.mark.parametrize(
         "sigma,expected",
         [(0.0, 1.0), (0.25, 2.0 / 2.25), (1.0, 0.75), (4.0, 5.0 / 9.0)],
     )
     def test_exponential_noise(self, sigma, expected):
-        assert lambda_closed_form(ExponentialNoise(sigma)) == pytest.approx(expected)
+        assert lambda_closed_form(Model("expnoise", sigma)) == pytest.approx(expected)
 
     def test_no_closed_form_for_the_rest(self):
-        assert lambda_closed_form(TanhDistortion(1.0)) is None
-        assert lambda_closed_form(PoissonNoise(1.0)) is None
-        assert lambda_closed_form(ClippedGaussianNoise(1.0)) is None
+        assert lambda_closed_form(Model("tanh", 1.0)) is None
+        assert lambda_closed_form(Model("poisson", 1.0)) is None
+        assert lambda_closed_form(Model("clipgauss", 1.0)) is None
 
 
 class TestLambdaMonteCarlo:
     def test_identity_matches_unity(self):
-        est, se = lambda_monte_carlo(Identity(), 200000, seed=0)
+        est, se = lambda_monte_carlo(Model("identity"), 200000, seed=0)
         assert est == pytest.approx(1.0, abs=0.01)
         assert 0.0 < se < 0.01
 
     @pytest.mark.parametrize("sigma", [0.25, 1.0, 4.0])
     def test_exponential_noise_matches_closed_form(self, sigma):
-        est, se = lambda_monte_carlo(ExponentialNoise(sigma), 200000, seed=1)
-        assert abs(est - lambda_closed_form(ExponentialNoise(sigma))) <= 3.0 * se
+        est, se = lambda_monte_carlo(Model("expnoise", sigma), 200000, seed=1)
+        assert abs(est - lambda_closed_form(Model("expnoise", sigma))) <= 3.0 * se
 
     def test_tanh_non_increasing_in_alpha(self):
         # common draws across the grid make the comparison exact
         grid = [0.5, 1.0, 2.0, 4.0]
-        ests = [lambda_monte_carlo(TanhDistortion(a), 100000, seed=2)[0] for a in grid]
+        ests = [lambda_monte_carlo(Model("tanh", a), 100000, seed=2)[0] for a in grid]
         for lo, hi in zip(ests[1:], ests[:-1]):
             assert lo <= hi + 1e-12
 
     def test_poisson_decreasing_in_eta(self):
         grid = [0.5, 1.0, 2.0, 4.0]
-        out = [lambda_monte_carlo(PoissonNoise(e), 200000, seed=3) for e in grid]
+        out = [lambda_monte_carlo(Model("poisson", e), 200000, seed=3) for e in grid]
         for (hi, hi_se), (lo, lo_se) in zip(out[:-1], out[1:]):
             assert lo < hi - 2.0 * np.hypot(hi_se, lo_se)
 
     def test_poisson_limits(self):
-        fine, _ = lambda_monte_carlo(PoissonNoise(0.01), 100000, seed=4)
-        coarse, _ = lambda_monte_carlo(PoissonNoise(50.0), 100000, seed=4)
+        fine, _ = lambda_monte_carlo(Model("poisson", 0.01), 100000, seed=4)
+        coarse, _ = lambda_monte_carlo(Model("poisson", 50.0), 100000, seed=4)
         assert fine > 0.95
         assert coarse < 0.2
 
@@ -308,16 +361,16 @@ class TestLambdaMonteCarlo:
         e2 = sample_exponential(1.0, rng, size=samples)
         stat = np.sign(rng.poisson(e1 / eta) - rng.poisson(e2 / eta)) * (e1 - e2)
         expected = float(np.mean(stat)), float(np.std(stat, ddof=1) / np.sqrt(samples))
-        assert lambda_monte_carlo(PoissonNoise(eta), samples, seed) == expected
+        assert lambda_monte_carlo(Model("poisson", eta), samples, seed) == expected
 
     @pytest.mark.parametrize(
         "model",
         [
-            Identity(),
-            ExponentialNoise(1.0),
-            TanhDistortion(2.0),
-            PoissonNoise(2.0),
-            ClippedGaussianNoise(0.8),
+            Model("identity"),
+            Model("expnoise", 1.0),
+            Model("tanh", 2.0),
+            Model("poisson", 2.0),
+            Model("clipgauss", 0.8),
         ],
     )
     def test_estimates_in_unit_interval(self, model):
@@ -326,16 +379,16 @@ class TestLambdaMonteCarlo:
 
     def test_sample_floor(self):
         with pytest.raises(ValueError):
-            lambda_monte_carlo(Identity(), 999)
+            lambda_monte_carlo(Model("identity"), 999)
 
 
 # every public function that takes intensities, called on the observed pairs
 # (b, y) of a paired ensemble (op, pairs) with one bad entry in family 2
 TAKES_INTENSITIES = {
-    "apply_model": lambda op, pairs, b, y: apply_model(Identity(), b),
+    "apply_model": lambda op, pairs, b, y: apply_model(Model("identity"), b),
     "quantize": lambda op, pairs, b, y: quantize(b[pairs[0]], b[pairs[1]]),
     "ratio_weights": lambda op, pairs, b, y: ratio_weights(b[pairs[0]], b[pairs[1]]),
-    "observe_pairs": lambda op, pairs, b, y: observe_pairs(Identity(), b, pairs),
+    "observe_pairs": lambda op, pairs, b, y: observe_pairs(Model("identity"), b, pairs),
     "initial_estimate": lambda op, pairs, b, y: initial_estimate(
         "weighted1bit", op, b, y, pairs, 0
     ),
@@ -352,7 +405,7 @@ class TestOneIntensityRule:
     @pytest.mark.parametrize("entry", list(TAKES_INTENSITIES))
     def test_every_entry_point_refuses_with_the_one_message(self, entry, bad):
         op, pairs = build_paired_ensemble(4, 10, seed=7)
-        b, y = observe_pairs(Identity(), intensities(op, np.ones(4, dtype=complex)), pairs)
+        b, y = observe_pairs(Model("identity"), intensities(op, np.ones(4, dtype=complex)), pairs)
         b[3] = bad
         with pytest.raises(ValueError, match="^intensities must be finite and non-negative$"):
             TAKES_INTENSITIES[entry](op, pairs, b, y)
@@ -360,7 +413,7 @@ class TestOneIntensityRule:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5], ids=["nan", "inf", "negative"])
     @pytest.mark.parametrize(
         "model",
-        [ExponentialNoise(1.0), PoissonNoise(2.0), ClippedGaussianNoise(0.5)],
+        [Model("expnoise", 1.0), Model("poisson", 2.0), Model("clipgauss", 0.5)],
         ids=["expnoise", "poisson", "clipgauss"],
     )
     def test_refusal_draws_nothing(self, model, bad):

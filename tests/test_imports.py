@@ -8,7 +8,9 @@ import pytest
 
 ROOT = Path(__file__).parents[1]
 MODULES = sorted((ROOT / "src" / "onebitphase").glob("*.py"))
-SOURCES = MODULES + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+SOURCES = MODULES + [
+    path for folder in ("tests", "demos", "tools") for path in sorted((ROOT / folder).glob("*.py"))
+]
 
 
 def unused_imports(source: str) -> list[str]:

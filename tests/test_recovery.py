@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from onebitphase import recovery
-from onebitphase.channels import Identity, observe_pairs, ratio_weights
+from onebitphase.channels import Model, observe_pairs, ratio_weights
 from onebitphase.numkit import dist_sq, lanczos, phase_op
 from onebitphase.recovery import (
     INIT_KINDS,
@@ -44,7 +44,7 @@ def _paired(n, m, seed):
 def _observed(ens, x0):
     """The noiseless ``(b, y)`` of ``x0`` measured by ``ens = (op, pairs)``."""
     op, pairs = ens
-    return observe_pairs(Identity(), intensities(op, x0), pairs)
+    return observe_pairs(Model("identity"), intensities(op, x0), pairs)
 
 
 def _family_rows(ens):
