@@ -22,7 +22,6 @@ import numpy as np
 from . import __version__
 from .channels import (
     Model,
-    apply_model,
     format_model,
     lambda_closed_form,
     lambda_monte_carlo,
@@ -92,7 +91,8 @@ class ExperimentConfig:
     config, is raised for a set value not of its annotated type (see
     :func:`_has_type`; a JSON integer read as a float is kept as it is),
     then, once ``inits`` is stripped and case folded, by range checks on
-    every set value, then for a set value the run does not read (the
+    every set value (``model`` is then kept in the one spelling of
+    :func:`format_model`), then for a set value the run does not read (the
     message lists :meth:`reads`), then by checks across settings.  Since
     the defaults are filled at build time, ``dataclasses.replace`` keeps
     the old ``refine`` mode's filled settings, which the new mode may not
@@ -139,7 +139,7 @@ class ExperimentConfig:
                 if value is not None and not ok(value):
                     raise ConfigError(f"{name} {rule}; got {value!r}")
             if self.model is not None:
-                parse_model(self.model)
+                object.__setattr__(self, "model", format_model(parse_model(self.model)))
 
             reads = self.reads()
             run = f"{self.kind} with refine={self.refine}" if "refine" in reads else self.kind
@@ -321,9 +321,10 @@ def run_distortion_sweep(cfg: ExperimentConfig) -> tuple[list[list], list[str]]:
     Ensembles, signals and Lanczos start vectors depend only on the trial
     index, never on alpha.  The sign-based method reads only the clean
     intensities, so it runs once per trial and its one column of errors
-    serves every alpha while the intensity-weighted method degrades.  The
-    ``trials`` column counts the trials used: a trial with degenerate data
-    is skipped (:func:`_usable_trials`).
+    serves every alpha, while the intensity-weighted method reads each
+    alpha's intensities, observed through ``observe_pairs``, and degrades.
+    The ``trials`` column counts the trials used: a trial with degenerate
+    data is skipped (:func:`_usable_trials`).
     """
     def trial(t: int) -> tuple[float, list[float]]:
         op, pairs, dist, b, y = _observed_trial(cfg, t, _gaussian_pairs, Model("identity"))
@@ -331,7 +332,7 @@ def run_distortion_sweep(cfg: ExperimentConfig) -> tuple[list[list], list[str]]:
         rep = initial_estimate("onebit", op, b, y, pairs, seed_bit, cfg.tol, cfg.max_iters)
         err_sub = []
         for alpha in cfg.alphas:
-            distorted = apply_model(Model("tanh", alpha), b)
+            distorted = observe_pairs(Model("tanh", alpha), b, pairs)[0]
             # one per alpha: default_rng(g) returns g itself, so a shared g would move on
             seed_sub = substream(cfg.seed, "power-sub", t)
             rep_sub = initial_estimate(
@@ -447,7 +448,7 @@ def run_recover(cfg: ExperimentConfig) -> tuple[list[list], list[str]]:
                              lambda run, k, x: rows.append([cfg.refine, k, dist(x)]))[0]
 
     summary = [
-        f"model: {format_model(model)}",
+        f"model: {cfg.model}",
         f"init: {cfg.inits[chosen]} (of {', '.join(cfg.inits)})",
         f"init dist_sq: {rows[0][2]!r}",
         f"init lambda_hat: {inits[chosen].lambda_hat!r}",
@@ -542,10 +543,6 @@ def run(cfg: ExperimentConfig) -> tuple[list[str], list[list], list[str]]:
 def _format_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)

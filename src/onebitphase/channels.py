@@ -198,9 +198,10 @@ def lambda_monte_carlo(
 
     Draws intensity pairs from the exact Exp(1) law of unit-signal
     measurements and averages sign(theta(E1) - theta(E2)) * (E1 - E2), with
-    theta drawn by :func:`apply_model` on E1 and then on E2.  Under the
-    Poisson model these are two conditional Poisson counts, so their
-    difference follows the exact Skellam law.
+    theta drawn by :func:`apply_model` on E1 and then on E2 and the sign
+    taken by :func:`quantize`.  Under the Poisson model these are two
+    conditional Poisson counts, so their difference follows the exact
+    Skellam law.
     """
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
@@ -209,7 +210,7 @@ def lambda_monte_carlo(
     e2 = sample_exponential(1.0, rng, size=samples)
     t1 = apply_model(model, e1, rng)
     t2 = apply_model(model, e2, rng)
-    stat = np.sign(t1 - t2) * (e1 - e2)
+    stat = quantize(t1, t2) * (e1 - e2)
     estimate = float(np.mean(stat))
     std_error = float(np.std(stat, ddof=1) / np.sqrt(samples))
     return estimate, std_error

@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from math import ceil, log
+from math import ceil, isfinite, log
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -252,6 +252,8 @@ def resampled_schedule(total: int, n: int, epsilon: float) -> tuple[int, int]:
     stage has at least ``n`` measurements and block 0 at least one pair."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
+    if not isfinite(1.0 / epsilon):
+        raise ValueError(f"epsilon is too small: 1/epsilon overflows; got {epsilon!r}")
     blocks = ceil(log(1.0 / epsilon)) + 1
     size = total // blocks
     if size < n:
@@ -317,7 +319,7 @@ def _factored(op, b) -> tuple:
 def factor_ahead(stages: Sequence[tuple]):
     """The ``(operator, b)`` stages of :func:`resample_blocks`, to pass to
     :func:`alt_min_resampled` inside the with-block, each factored for its
-    least-squares step (``operator.prepare_lsq``) before it is used.
+    least-squares step (``MatrixOperator.prepare_lsq``) before it is used.
 
     When BLAS leaves a core idle, that is, when its thread count is below
     the cores this process may run on, one short-lived worker thread

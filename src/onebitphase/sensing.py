@@ -11,8 +11,8 @@ its array once, at construction, and a view ``op[key]`` over some of its
 rows is not checked again; ``apply``/``adjoint`` check only the length of
 their input.  ``lsq_solve(y)`` is the exact least-squares step
 argmin_x ||A x - y||, whose normal-matrix work each operator caches on first
-use, or when ``prepare_lsq()`` asks for it ahead of the first solve; it
-rejects a non-finite ``y``.  These three take one vector or a
+use (a :class:`MatrixOperator` also on ``prepare_lsq()``, ahead of the first
+solve); it rejects a non-finite ``y``.  These three take one vector or a
 (k, len) stack of them, one per row, and act along the last axis.
 ``surrogate(c)`` returns the matvec r -> (1/M) A* Diag(c) A r of the
 spectral inits, M = ``out_dim``, which takes an n-vector or a (k, n)
@@ -273,11 +273,6 @@ class CdpOperator:
         if np.any(diag <= 0):
             raise ValueError("masks leave some coordinate unobserved")
         return diag
-
-    def prepare_lsq(self) -> None:
-        """Make and cache the normal diagonal :meth:`lsq_solve` divides by,
-        now rather than at the first solve."""
-        self._normal_diag
 
     def lsq_solve(self, y) -> np.ndarray:
         """argmin_x ||A x - y||: the normal matrix is diagonal, so one adjoint

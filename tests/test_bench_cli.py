@@ -190,6 +190,31 @@ class TestConfig:
         assert cfg.inits == ("onebit", "subexp")
         assert cfg.to_dict()["inits"] == ("onebit", "subexp")
 
+    def test_model_spec_is_kept_canonical_when_built(self):
+        cfg = ExperimentConfig(kind="recover", model=" TANH:Alpha=2")
+        assert cfg.model == "tanh:alpha=2"
+        assert cfg == ExperimentConfig(kind="recover", model="tanh:alpha=2.0")
+
+    def test_cli_manifest_records_the_canonical_model(self, tmp_path, capsys):
+        out = tmp_path / "rec.csv"
+        args = ["recover", "--n", "8", "--ratio", "16", "--model", "TANH:Alpha=2.0"]
+        assert cli.main(args + ["--out", str(out)]) == 0
+        assert "model: tanh:alpha=2\n" in capsys.readouterr().out
+        payload = json.loads(bench.manifest_path(out).read_text())
+        assert payload["config"]["model"] == "tanh:alpha=2"
+
+    def test_manifest_with_a_non_canonical_model_reruns_byte_identical(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = {"kind": "recover", "n": 8, "ratio": 16, "seed": 2, "model": "tanh:alpha=2.0",
+                  "out": "old.csv"}
+        manifest = tmp_path / "old.csv.manifest.json"
+        manifest.write_text(json.dumps({"artifact_version": "0.1.0", "config": config}))
+        rerun, mpath, _ = bench.run_manifest(manifest)
+        args = ["recover", "--n", "8", "--ratio", "16", "--seed", "2", "--model", "tanh:alpha=2"]
+        assert cli.main(args + ["--out", "cli.csv"]) == 0
+        assert rerun.read_bytes() == (tmp_path / "cli.csv").read_bytes()
+        assert json.loads(mpath.read_text())["config"]["model"] == "tanh:alpha=2"
+
     def test_manifest_round_trip(self, tmp_path):
         cfg = _cfg(kind="lambda-sweep", samples=5000, sigmas=(0.5,), out="x.csv")
         path = bench.write_manifest(cfg, tmp_path / "x.csv")
@@ -398,7 +423,8 @@ class TestConfig:
             bench.load_manifest(path)
 
     def test_resampled_size_rule_is_the_library_rule(self):
-        for n, m, epsilon in ((64, 40, 0.25), (1, 1, 0.5)):
+        # 1/5e-324 overflows, so the schedule refuses it before counting blocks
+        for n, m, epsilon in ((64, 40, 0.25), (1, 1, 0.5), (64, 400, 5e-324)):
             op, pairs = sensing.build_paired_ensemble(n, m, seed=0)
             with pytest.raises(ValueError) as library:
                 recovery.resample_blocks(op, np.ones(2 * m), np.ones(m), epsilon)

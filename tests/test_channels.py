@@ -263,6 +263,15 @@ class TestQuantizeSignal:
         np.testing.assert_array_equal(b_obs[pairs[1]], b2)
         np.testing.assert_array_equal(y, quantize(b1, b2))
 
+    @pytest.mark.parametrize(
+        "pairs", [STACKED3, (slice(0, None, 2), slice(1, None, 2))], ids=["stacked", "interleaved"]
+    )
+    @pytest.mark.parametrize("model", [Model("identity"), Model("tanh", 2.0)], ids=["identity", "tanh"])
+    def test_deterministic_model_observes_what_apply_model_returns(self, pairs, model):
+        b = sample_exponential(1.0, substream(0, "clean"), size=6)
+        b_obs, _ = observe_pairs(model, b, pairs)
+        assert b_obs.tobytes() == apply_model(model, b).tobytes()
+
     def test_pairs_must_split_the_intensities(self):
         with pytest.raises(ValueError, match="two families"):
             observe_pairs(Model("identity"), np.ones(7), (slice(None, 3), slice(3, 6)))

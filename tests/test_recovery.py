@@ -838,7 +838,7 @@ class TestAltMinResampled:
 
     def test_epsilon_domain(self):
         (op, _), _ = _paired(4, 100, seed=30)
-        for eps in (0.0, 1.0, 1.5):
+        for eps in (0.0, 1.0, 1.5, 5e-324):
             with pytest.raises(ValueError):
                 resample_blocks(op, np.ones(200), np.ones(100), eps)
 

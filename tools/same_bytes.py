@@ -44,6 +44,11 @@ COMMANDS = [
     "recover --model bogus",
     "altmin-convergence --n 4 --m 4 --model poisson:eta=2 --trials 20",
     "recover --n 8 --ratio 16 --model tanh:alpha=0.1234567",
+    "recover --n 8 --ratio 16 --model TANH:Alpha=2.0",
+    "altmin-convergence --n 16 --trials 2 --model Poisson:ETA=1",
+    # at alpha 64 saturation ties most observed pairs
+    "distortion-sweep --n 16 --ratio 16 --trials 3 --seed 4 --alphas 0.5,64",
+    "recover --refine resampled --epsilon 5e-324",
 ]
 
 
