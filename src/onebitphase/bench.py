@@ -323,21 +323,20 @@ def run_distortion_sweep(cfg: ExperimentConfig) -> tuple[list[list], list[str]]:
     intensities, so it runs once per trial and its one column of errors
     serves every alpha, while the intensity-weighted method reads each
     alpha's intensities, observed through ``observe_pairs``, and degrades.
-    The ``trials`` column counts the trials used: a trial with degenerate
-    data is skipped (:func:`_usable_trials`).
+    Every Lanczos run stops by :func:`initial_estimate`'s own rule.  The
+    ``trials`` column counts the trials used: a trial with degenerate data
+    is skipped (:func:`_usable_trials`).
     """
     def trial(t: int) -> tuple[float, list[float]]:
         op, pairs, dist, b, y = _observed_trial(cfg, t, _gaussian_pairs, Model("identity"))
         seed_bit = substream(cfg.seed, "power-bit", t)
-        rep = initial_estimate("onebit", op, b, y, pairs, seed_bit, cfg.tol, cfg.max_iters)
+        rep = initial_estimate("onebit", op, b, y, pairs, seed_bit)
         err_sub = []
         for alpha in cfg.alphas:
             distorted = observe_pairs(Model("tanh", alpha), b, pairs)[0]
             # one per alpha: default_rng(g) returns g itself, so a shared g would move on
             seed_sub = substream(cfg.seed, "power-sub", t)
-            rep_sub = initial_estimate(
-                "subexp", op, distorted, y, pairs, seed_sub, cfg.tol, cfg.max_iters
-            )
+            rep_sub = initial_estimate("subexp", op, distorted, y, pairs, seed_sub)
             err_sub.append(dist(rep_sub.estimate))
         return dist(rep.estimate), err_sub
 
@@ -504,7 +503,7 @@ EXPERIMENTS = {
         header=["alpha", "method", "median_dist_sq", "iqr", "trials"],
         out="distortion_sweep.csv",
         help="spectral recovery error under tanh distortion",
-        fields=dict(n=128, m=None, ratio=64, trials=20, tol=1e-8, max_iters=1000, alphas=ALPHAS),
+        fields=dict(n=128, m=None, ratio=64, trials=20, alphas=ALPHAS),
     ),
     "recover": Experiment(
         run_recover,

@@ -43,8 +43,8 @@ _FLAGS = {
     "epsilon": ("--epsilon", dict(type=float, help="target accuracy for staged refinement")),
     "trials": ("--trials", dict(type=int, help="independent trials, each on a fresh problem")),
     "seed": ("--seed", dict(type=int, help="master seed of every random draw")),
-    "tol": ("--tol", dict(type=float, help="main-loop stopping tolerance")),
-    "max_iters": ("--max-iters", dict(type=int, help="main-loop iteration cap")),
+    "tol": ("--tol", dict(type=float, help="alternating-minimization stopping tolerance")),
+    "max_iters": ("--max-iters", dict(type=int, help="alternating-minimization iteration cap")),
     "out": ("--out", dict(help="CSV output path")),
     "refine": ("--refine", dict(
         choices=REFINE_MODES,

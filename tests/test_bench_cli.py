@@ -1,7 +1,9 @@
 import argparse
 import csv
+import importlib.util
 import json
 import re
+import sys
 import threading
 from dataclasses import replace
 from pathlib import Path
@@ -24,7 +26,7 @@ def _cfg(**kw):
 # the flags each subcommand takes besides --seed and --out
 SUBCOMMAND_FLAGS = {
     "lambda-sweep": {"--samples", "--sigmas", "--alphas", "--etas"},
-    "distortion-sweep": {"--n", "--m", "--ratio", "--trials", "--tol", "--max-iters", "--alphas"},
+    "distortion-sweep": {"--n", "--m", "--ratio", "--trials", "--alphas"},
     "recover": {"--n", "--m", "--ratio", "--tol", "--max-iters", "--model", "--init",
                 "--refine", "--epsilon"},
     "altmin-convergence": {"--n", "--m", "--ratio", "--trials", "--tol", "--max-iters",
@@ -47,28 +49,30 @@ UNREAD_FLAGS = [
 # the settings each kind's run reads; recover's depend on its refine mode
 READ_FIELDS = {
     "lambda-sweep": {"samples", "alphas", "sigmas", "etas"},
-    "distortion-sweep": {"n", "m", "ratio", "trials", "tol", "max_iters", "alphas"},
+    "distortion-sweep": {"n", "m", "ratio", "trials", "alphas"},
     "altmin-convergence": {"n", "m", "ratio", "model", "inits", "trials", "tol", "max_iters"},
     "cdp-convergence": {"n", "ratio", "model", "inits", "trials", "tol", "max_iters"},
 }
 RECOVER_FIELDS = {"n", "m", "ratio", "model", "inits", "refine"}
 RECOVER_MODE_FIELDS = {"altmin": {"tol", "max_iters"}, "resampled": {"epsilon"}, "none": set()}
 
-# the listed perfbench workloads (perfbench/run.py WORKLOADS), as each trial
-# builds them: trials=1, a trial seed and an output path
-BENCHMARK_CONFIGS = {
-    "cdp-altmin": dict(
-        kind="cdp-convergence", n=512, ratio=4, model="identity",
-        inits=("random", "subexp", "onebit", "weighted1bit"),
-    ),
-    "gauss-altmin-n128": dict(
-        kind="altmin-convergence", n=128, ratio=4, model="identity",
-        inits=("random", "subexp", "onebit", "weighted1bit"),
-    ),
-    "resampled": dict(
-        kind="recover", n=256, ratio=16, inits=("onebit",), refine="resampled", epsilon=0.25,
-    ),
-}
+
+def _perfbench_run():
+    """``perfbench/run.py``, imported by path without running it; the import
+    path it extends and ``sys.modules`` (which its dataclasses need while
+    they are built) are restored."""
+    path = Path(__file__).parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    saved = list(sys.path)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved
+        del sys.modules[spec.name]
+    return module
+
 
 # one tiny config per experiment kind
 TINY_CONFIGS = {
@@ -179,6 +183,31 @@ OLD_RECOVER_MANIFEST = {
     "trials": 20,
 }
 
+# the manifest that `distortion-sweep --n 8 --ratio 8 --trials 3 --alphas
+# 0.5,8 --seed 5 --out <path>` wrote while the sweep read its Lanczos stop
+OLD_SWEEP_MANIFEST = {
+    "alphas": [0.5, 8.0],
+    "kind": "distortion-sweep",
+    "m": None,
+    "max_iters": 1000,
+    "n": 8,
+    "out": "old.csv",
+    "ratio": 8,
+    "seed": 5,
+    "tol": 1e-08,
+    "trials": 3,
+}
+
+# each old manifest and the CLI run that writes its CSV now
+OLD_MANIFESTS = {
+    "recover": (OLD_RECOVER_MANIFEST, ["recover", "--n", "16", "--ratio", "8", "--seed", "5"]),
+    "distortion-sweep": (
+        OLD_SWEEP_MANIFEST,
+        ["distortion-sweep", "--n", "8", "--ratio", "8", "--trials", "3", "--alphas", "0.5,8",
+         "--seed", "5"],
+    ),
+}
+
 
 class TestConfig:
     def test_dict_round_trip(self):
@@ -253,7 +282,9 @@ class TestConfig:
         assert (cfg.tol, cfg.max_iters) == (1e-12, 200)
         assert cfg.epsilon is None and cfg.trials is None and cfg.alphas is None
         assert _cfg(kind="recover", refine="resampled").epsilon == 0.25
-        assert _cfg(kind="distortion-sweep").tol == 1e-8
+        # the sweep's Lanczos runs stop by initial_estimate's own rule
+        sweep = _cfg(kind="distortion-sweep")
+        assert sweep.tol is None and sweep.max_iters is None
         assert _cfg(kind="lambda-sweep").n is None
 
     @pytest.mark.parametrize("kind", list(READ_FIELDS))
@@ -277,8 +308,9 @@ class TestConfig:
         for kind, name, value, reads in [
             ("lambda-sweep", "n", 8, "samples, alphas, sigmas, etas"),
             ("cdp-convergence", "m", 64, "n, ratio, model, inits, trials, tol, max_iters"),
-            ("distortion-sweep", "model", "identity",
-             "n, m, ratio, trials, tol, max_iters, alphas"),
+            ("distortion-sweep", "model", "identity", "n, m, ratio, trials, alphas"),
+            ("distortion-sweep", "tol", 1e-8, "n, m, ratio, trials, alphas"),
+            ("distortion-sweep", "max_iters", 1000, "n, m, ratio, trials, alphas"),
         ]:
             with pytest.raises(ConfigError) as raised:
                 _cfg(kind=kind, **{name: value})
@@ -309,22 +341,25 @@ class TestConfig:
             with pytest.raises(ConfigError, match="trials"):
                 _cfg(kind="recover", trials=trials)
 
-    @pytest.mark.parametrize("workload", list(BENCHMARK_CONFIGS))
-    def test_benchmark_configs_validate(self, workload):
-        config = BENCHMARK_CONFIGS[workload]
-        for n in (config["n"], 16):  # the timed trials, then the warm-up run
-            fields = dict(config, n=n, trials=1, seed=3, out="trial.csv")
-            _cfg(**fields)
+    def test_benchmark_configs_validate(self):
+        # every workload's config, built as the benchmark builds it: the
+        # timed trials at the workload's size, then the warm-up run
+        run = _perfbench_run()
+        for workload in run.WORKLOADS.values():
+            for overrides in ({}, {"n": run.WARMUP_N}):
+                cfg = run.make_config(bench, workload, 3, Path("trial.csv"), **overrides)
+                assert cfg.n == overrides.get("n", workload.config["n"])
 
-    def test_old_manifest_reruns_byte_identical(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("case", list(OLD_MANIFESTS))
+    def test_old_manifest_reruns_byte_identical(self, tmp_path, monkeypatch, case):
+        config, args = OLD_MANIFESTS[case]
         monkeypatch.chdir(tmp_path)
         manifest = tmp_path / "old.csv.manifest.json"
-        payload = {"artifact_version": "0.1.0", "config": OLD_RECOVER_MANIFEST}
+        payload = {"artifact_version": "0.1.0", "config": config}
         manifest.write_text(json.dumps(payload))
         rerun, _, _ = bench.run_manifest(manifest)
         assert rerun.name == "old.csv"
-        args = ["recover", "--n", "16", "--ratio", "8", "--seed", "5", "--out", "cli.csv"]
-        assert cli.main(args) == 0
+        assert cli.main(args + ["--out", "cli.csv"]) == 0
         assert rerun.read_bytes() == (tmp_path / "cli.csv").read_bytes()
         old = replace(bench.load_manifest(manifest), out="cli.csv")
         assert old == bench.load_manifest("cli.csv.manifest.json")
@@ -1189,7 +1224,7 @@ class TestCli:
 
     def test_every_subcommand_is_in_the_table(self):
         assert list(bench.EXPERIMENTS) == list(SUBCOMMAND_FLAGS)
-        assert sum(2 + len(flags) for flags in SUBCOMMAND_FLAGS.values()) == 45
+        assert sum(2 + len(flags) for flags in SUBCOMMAND_FLAGS.values()) == 43
 
     @pytest.mark.parametrize("args", [
         ["recover", "--to", "1e-3"],

@@ -49,6 +49,9 @@ COMMANDS = [
     # at alpha 64 saturation ties most observed pairs
     "distortion-sweep --n 16 --ratio 16 --trials 3 --seed 4 --alphas 0.5,64",
     "recover --refine resampled --epsilon 5e-324",
+    # saturated tanh pairs tie, so these change bytes if signs come from observed values
+    "recover --n 64 --seed 5 --model tanh:alpha=64",
+    "altmin-convergence --n 32 --trials 3 --seed 2 --model tanh:alpha=8",
 ]
 
 
